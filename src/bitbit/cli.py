@@ -191,6 +191,16 @@ class _WarningLog:
 # --- estimate ---
 
 
+def _check_sweep_flags(cfg: RunConfig) -> None:
+    """Reject sweep settings that cannot work, before any input is read."""
+    if not 0.0 < cfg.threshold <= 1.0:
+        raise ValueError(f"--threshold must be in (0, 1], got {cfg.threshold}")
+    if cfg.n_x_max < 1:
+        raise ValueError(f"--n-x-max must be >= 1, got {cfg.n_x_max}")
+    if cfg.step < 1:
+        raise ValueError(f"--step must be >= 1, got {cfg.step}")
+
+
 def _load_split_pair(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     train = load_csv(cfg.train_input, cfg.label_column)
     test = relabel(load_csv(cfg.test_input, cfg.label_column), train.label_names)
@@ -202,6 +212,9 @@ def run_estimate(cfg: RunConfig) -> int:
     over a pre-split train/test pair."""
     if cfg.output is None:
         raise ValueError("estimate requires --output")
+    _check_sweep_flags(cfg)
+    if cfg.replicates < 1:
+        raise ValueError(f"--replicates must be >= 1, got {cfg.replicates}")
     thresholds = _threshold_set(cfg.threshold)
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
@@ -307,6 +320,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         raise ValueError("stream-estimate requires --train-input and --test-input")
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
+    _check_sweep_flags(cfg)
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
@@ -336,7 +350,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         train_met = test_met = False
         model = None
         for n_x in range(1, cfg.n_x_max + 1, cfg.step):
-            model = base.model_for_width(n_x)
+            model = base.at_width(n_x)
             stream_encode(model, train_source, work_dir / "train.enc", cfg.batch_size)
             stream_encode(model, test_source, work_dir / "test.enc", cfg.batch_size)
             metrics = stream_coverage(work_dir / "train.enc", work_dir / "test.enc", c)
@@ -445,10 +459,14 @@ def run_train(cfg: RunConfig) -> int:
     set_qubit_cap(cfg.max_qubits)
 
     dataset = load_csv(cfg.input, cfg.label_column)
+    q_y = compute_q_y(dataset.c)
+    if cfg.n_x + q_y > cfg.max_qubits:
+        raise ValueError(
+            f"--n-x {cfg.n_x} plus {q_y} class qubit(s) exceeds the qubit cap --max-qubits {cfg.max_qubits}"
+        )
     train, test = split_train_test(
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
-    q_y = compute_q_y(dataset.c)
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     train_table = build_table(
         zip(encode_samples(model_enc, train.features), train.labels.tolist()), dataset.c

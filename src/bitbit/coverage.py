@@ -16,7 +16,7 @@ import numpy as np
 
 from bitbit.data import Dataset
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from bitbit.encoder import Bitstring, allocate_bits, copula_units, fit_encoder, pack_codes, packed_values
 
 
 @dataclass
@@ -72,33 +72,14 @@ def train_collision_incidence(t: BitstringTable) -> float:
     return colliding / t.total
 
 
-def test_overlap_incidence(
-    t: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]
-) -> tuple[float, float]:
+def test_overlap_incidence(t: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> tuple[float, float]:
     """(incidence, overlap_fraction) for a test set against a training table.
 
     A test sample errs iff its bitstring occurs in training and its label is
     not the training bucket's majority; unseen bitstrings count as correct.
     """
-    errors, overlapping, n_test = _test_counts(t, encoded_test)
-    if n_test == 0:
-        return 0.0, 0.0
-    return errors / n_test, overlapping / n_test
-
-
-def _test_counts(t: BitstringTable, encoded_test) -> tuple[int, int, int]:
-    errors = overlapping = n_test = 0
-    for z, label in encoded_test:
-        if t.width is not None and z.width != t.width:
-            raise ValueError(f"test width {z.width} != table width {t.width}")
-        n_test += 1
-        counts = t.entries.get(z)
-        if counts is None:
-            continue
-        overlapping += 1
-        if int(label) != int(np.argmax(counts)):
-            errors += 1
-    return errors, overlapping, n_test
+    m = coverage_metrics(t, encoded_test)
+    return m.test_overlap_incidence, m.test_train_overlap_fraction
 
 
 @dataclass(frozen=True)
@@ -131,16 +112,58 @@ class CoverageMetrics:
         )
 
 
-def coverage_metrics(
-    table: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]
-) -> CoverageMetrics:
-    errors, overlapping, n_test = _test_counts(table, encoded_test)
+def coverage_metrics(table: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> CoverageMetrics:
+    """Per-sample rule: each test sample is judged against its training bucket."""
+    values, labels = [], []
+    for z, label in encoded_test:
+        if table.width is not None and z.width != table.width:
+            raise ValueError(f"test width {z.width} != table width {table.width}")
+        values.append(z.value)
+        labels.append(int(label))
+    codes, counts = table_arrays(table)
+    return code_coverage(codes, counts, _value_keys(values, table.width), np.array(labels, dtype=np.int64))
+
+
+def table_arrays(t: BitstringTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table as sorted code keys and the matching (codes x classes) counts."""
+    codes = _value_keys([z.value for z in t.entries], t.width)
+    counts = np.array(list(t.entries.values()), dtype=np.int64).reshape(len(codes), t.c)
+    order = np.argsort(codes)
+    return codes[order], counts[order]
+
+
+def _value_keys(values: list[int], width: int | None) -> np.ndarray:
+    return np.array(values, dtype=np.uint64 if width is None or width <= 64 else object)
+
+
+def count_codes(keys: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique code keys and their (codes x classes) sample counts."""
+    codes, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse * c + labels, minlength=codes.shape[0] * c)
+    return codes, counts.reshape(codes.shape[0], c)
+
+
+def code_coverage(codes, counts, test_keys, test_labels, test_weights=None) -> CoverageMetrics:
+    """Coverage of test records against a training count table (``count_codes``).
+
+    A record found in training errs iff its label is not the training majority
+    (ties go to the smallest class). Each record stands for ``test_weights``
+    samples, default 1: the per-sample rule. Test buckets weighted by their
+    size and labelled with their own majority give the batched streaming rule.
+    """
+    n_train = int(counts.sum())
+    if n_train == 0:
+        raise ValueError("empty table")
+    weights = np.ones(test_keys.shape[0], dtype=np.int64) if test_weights is None else test_weights
+    pos = np.minimum(np.searchsorted(codes, test_keys), codes.shape[0] - 1)
+    hit = codes[pos] == test_keys
+    wrong = hit & (counts.argmax(axis=1)[pos] != test_labels)
     return CoverageMetrics.from_counts(
-        train_incidence=train_collision_incidence(table),
-        n_train=table.total,
-        errors=errors,
-        overlapping=overlapping,
-        n_test=n_test,
+        train_incidence=(n_train - int(counts.max(axis=1).sum())) / n_train,
+        n_train=n_train,
+        errors=int(weights[wrong].sum()),
+        overlapping=int(weights[hit].sum()),
+        n_test=int(weights.sum()),
     )
 
 
@@ -196,17 +219,6 @@ def estimate_from_curve(
     )
 
 
-def coverage_at_width(
-    train: Dataset, test: Dataset, spec: ReducerSpec, n_x: int
-) -> CoverageMetrics:
-    """Fit the encoder at one width, encode both sets, and measure coverage."""
-    model = fit_encoder(train, spec, n_x)
-    encoded_train = zip(encode_samples(model, train.features), train.labels.tolist())
-    encoded_test = list(zip(encode_samples(model, test.features), test.labels.tolist()))
-    table = build_table(encoded_train, train.c)
-    return coverage_metrics(table, encoded_test)
-
-
 def sweep_curve(
     train: Dataset,
     test: Dataset,
@@ -216,22 +228,34 @@ def sweep_curve(
     step: int,
 ) -> list[tuple[int, CoverageMetrics]]:
     """Coverage at widths 1, 1+step, ..., stopping early once the train and
-    test accuracies have each crossed ``stop_threshold`` at least once."""
+    test accuracies have each crossed ``stop_threshold`` at least once.
+    Only the bit allocation depends on the width: the encoder is fitted and
+    both sets ranked once, then each width packs, counts and compares codes."""
     _check_threshold(stop_threshold)
     if step < 1:
         raise ValueError("step must be >= 1")
     if n_x_max < 1:
         raise ValueError("n_x_max must be >= 1")
+    model = fit_encoder(train, spec, 1)
+    unit_train = copula_units(model, train.features)
+    unit_test = copula_units(model, test.features)
     curve: list[tuple[int, CoverageMetrics]] = []
     train_met = test_met = False
     for n_x in range(1, n_x_max + 1, step):
-        metrics = coverage_at_width(train, test, spec, n_x)
+        bits = allocate_bits(model.importances, n_x).bits
+        codes, counts = count_codes(_code_keys(pack_codes(unit_train, bits)), train.labels, train.c)
+        metrics = code_coverage(codes, counts, _code_keys(pack_codes(unit_test, bits)), test.labels)
         curve.append((n_x, metrics))
         train_met = train_met or metrics.theoretical_train_accuracy >= stop_threshold
         test_met = test_met or metrics.theoretical_test_accuracy >= stop_threshold
         if train_met and test_met:
             break
     return curve
+
+
+def _code_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of packed words."""
+    return words[:, 0] if words.shape[1] == 1 else np.array(packed_values(words), dtype=object)
 
 
 def sweep_qubits(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -141,6 +141,10 @@ class EncoderModel:
     @property
     def width(self) -> int:
         return self.allocation.n_x
+
+    def at_width(self, n_x: int) -> "EncoderModel":
+        """The same fit with the bit allocation for ``n_x``; nothing else depends on the width."""
+        return replace(self, allocation=allocate_bits(self.importances, n_x))
 
 
 def estimate_mutual_information(column, labels, bins: int | None = None) -> float:
@@ -288,36 +292,49 @@ def fit_encoder(train: Dataset, spec: ReducerSpec, n_x: int) -> EncoderModel:
     )
 
 
+def copula_units(model: EncoderModel, features: np.ndarray) -> np.ndarray:
+    """Width-independent part of the encoding: each row's copula value per component."""
+    reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
+    return _apply_copula_columns(model.copula, _normalize(reduced, model.mins, model.maxs, clamp=True))
+
+
+def pack_codes(unit: np.ndarray, bits) -> np.ndarray:
+    """Floor-discretize column j of ``unit`` to ``bits[j]`` bits and concatenate the
+    codes, component 0 first, into rows of uint64 words, most significant word
+    first. Fields are cut into pieces inside 32-bit boundaries; each piece is the
+    exact floor of the remaining fraction times a power of two, so any width works."""
+    width = sum(bits)
+    n_words = max(1, -(-width // 64))
+    words = np.zeros((unit.shape[0], n_words), dtype=np.uint64)
+    top = width
+    for j, b in enumerate(bits):
+        x = unit[:, j]
+        saturated = x >= 1.0  # floor would overflow the field: all ones instead
+        low = top - b
+        while top > low:
+            cut = max(low, (top - 1) // 32 * 32)
+            x = x * float(1 << (top - cut))
+            piece = np.floor(x)
+            x -= piece
+            code = piece.astype(np.uint64)
+            code[saturated] = (1 << (top - cut)) - 1
+            words[:, n_words - 1 - cut // 64] |= code << np.uint64(cut % 64)
+            top = cut
+    return words
+
+
+def packed_values(words: np.ndarray) -> list[int]:
+    """The integer each row of packed words spells."""
+    values = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        values = [(v << 64) | low for v, low in zip(values, words[:, w].tolist())]
+    return values
+
+
 def encode_samples(model: EncoderModel, features: np.ndarray) -> list[Bitstring]:
     """Encode feature rows to bitstrings of width ``model.width``."""
-    reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
-    unit = _apply_copula_columns(model.copula, _normalize(reduced, model.mins, model.maxs, clamp=True))
-    k = unit.shape[0]
-    width = model.width
-    bits = model.allocation.bits
-
-    if width <= 63:  # every shift stays strictly inside a machine word
-        values = np.zeros(k, dtype=np.uint64)
-        for j, b in enumerate(bits):
-            if b == 0:
-                continue
-            codes = np.minimum(
-                np.floor(unit[:, j] * float(1 << b)).astype(np.uint64),
-                np.uint64((1 << b) - 1),
-            )
-            values = (values << np.uint64(b)) | codes
-        return [Bitstring(width, int(v)) for v in values.tolist()]
-
-    # Wide encodings overflow machine words; accumulate Python integers.
-    values_py = [0] * k
-    for j, b in enumerate(bits):
-        if b == 0:
-            continue
-        cap = (1 << b) - 1
-        scaled = np.floor(unit[:, j] * float(1 << b))
-        for i, v in enumerate(scaled.tolist()):
-            values_py[i] = (values_py[i] << b) | min(int(v), cap)
-    return [Bitstring(width, v) for v in values_py]
+    words = pack_codes(copula_units(model, features), model.allocation.bits)
+    return [Bitstring(model.width, v) for v in packed_values(words)]
 
 
 # --- model persistence ---

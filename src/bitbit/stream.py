@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bitbit.coverage import BitstringTable, CoverageMetrics, build_table, train_collision_incidence
+from bitbit.coverage import BitstringTable, CoverageMetrics, build_table, code_coverage, table_arrays
 from bitbit.data import parse_csv_row, read_csv_header, resolve_label_column
 from bitbit.dimred import (
     FittedReducer,
@@ -30,6 +30,7 @@ from bitbit.encoder import (
     CopulaModel,
     EncoderModel,
     ImportanceScores,
+    _normalize,
     allocate_bits,
     encode_samples,
     estimate_mutual_information,
@@ -158,32 +159,11 @@ class _Reservoir:
         return self.values[:self.size].copy()
 
 
-@dataclass
-class StreamFitResult:
-    """Width-independent artifacts of the fitting passes; the bit allocation
-    for any requested width derives from these without re-streaming."""
-
-    reducer: FittedReducer
-    importances: ImportanceScores
-    mins: np.ndarray
-    maxs: np.ndarray
-    copula: CopulaModel
-    n_train: int
-
-    def model_for_width(self, n_x: int) -> EncoderModel:
-        return EncoderModel(
-            reducer=self.reducer,
-            mins=self.mins,
-            maxs=self.maxs,
-            copula=self.copula,
-            allocation=allocate_bits(self.importances, n_x),
-            importances=self.importances,
-        )
-
-
-def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> StreamFitResult:
+def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
     """Passes 1 and 2: fit the reducer, then collect min/max, batch-averaged
-    importance scores, and the copula reservoir."""
+    importance scores, and the copula reservoir. The model comes back at
+    width 1; ``EncoderModel.at_width`` re-derives the allocation for any other
+    width without re-streaming."""
     if spec.scheme not in ("none", "pca"):
         raise ValueError(f"streaming supports schemes 'none' and 'pca', not {spec.scheme!r}")
 
@@ -242,28 +222,18 @@ def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> StreamFitResult:
         raise ValueError("no batch held 2 or more samples; cannot score importances")
     importances = ImportanceScores(score_sum / score_weight)
 
-    span = maxs - mins
-    safe = np.where(span > 0, span, 1.0)
-    columns = []
-    for j in range(d):
-        u = (reservoirs[j].result() - mins[j]) / safe[j]
-        if span[j] == 0:
-            u[:] = 0.0
-        np.clip(u, 0.0, 1.0, out=u)
-        columns.append(np.sort(u))
-    copula = CopulaModel(columns=tuple(columns))
-
-    return StreamFitResult(
-        reducer=reducer, importances=importances, mins=mins, maxs=maxs, copula=copula, n_train=count
-    )
+    copula = CopulaModel(columns=tuple(
+        np.sort(_normalize(r.result()[:, None], mins[j:j + 1], maxs[j:j + 1], clamp=True)[:, 0])
+        for j, r in enumerate(reservoirs)
+    ))
+    return EncoderModel(reducer, mins, maxs, copula, allocate_bits(importances, 1), importances)
 
 
 def stream_fit_encoder(cfg: StreamConfig, spec: ReducerSpec, n_x: int) -> EncoderModel:
     """Full streaming fit at one width: fitting passes, a final encoding pass
     writing ``work_dir/train.enc``, and the model persisted to
     ``work_dir/model.json``."""
-    base = stream_fit_base(cfg, spec)
-    model = base.model_for_width(n_x)
+    model = stream_fit_base(cfg, spec).at_width(n_x)
     cfg.work_dir.mkdir(parents=True, exist_ok=True)
     stream_encode(model, cfg.train_source, cfg.work_dir / "train.enc", cfg.batch_size)
     persist_model(model, cfg.work_dir / "model.json")
@@ -301,20 +271,8 @@ def stream_coverage(encoded_train_path, encoded_test_path, c: int) -> CoverageMe
 def stream_coverage_from_tables(
     train_table: BitstringTable, test_table: BitstringTable
 ) -> CoverageMetrics:
-    errors = 0
-    overlapping = 0
-    for z, test_counts in test_table.entries.items():
-        train_counts = train_table.entries.get(z)
-        if train_counts is None:
-            continue
-        bucket = int(test_counts.sum())
-        overlapping += bucket
-        if int(np.argmax(test_counts)) != int(np.argmax(train_counts)):
-            errors += bucket
-    return CoverageMetrics.from_counts(
-        train_incidence=train_collision_incidence(train_table),
-        n_train=train_table.total,
-        errors=errors,
-        overlapping=overlapping,
-        n_test=test_table.total,
-    )
+    """The batched rule: each test bucket carries its majority label and its size."""
+    if None not in (train_table.width, test_table.width) and train_table.width != test_table.width:
+        raise ValueError(f"width mismatch: train {train_table.width} != test {test_table.width}")
+    test_codes, test_counts = table_arrays(test_table)
+    return code_coverage(*table_arrays(train_table), test_codes, test_counts.argmax(axis=1), test_counts.sum(axis=1))

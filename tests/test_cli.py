@@ -239,3 +239,65 @@ class TestMakeSynthetic:
         direct = make_synthetic(20, 2, 2, 4.0, seed=6)
         loaded = load_csv(out, "label")
         assert np.array_equal(loaded.features, direct.features)
+
+
+@pytest.fixture
+def split_csvs(tmp_path, separable_2d_csv):
+    from bitbit.data import SplitSpec, split_train_test
+
+    train, test = split_train_test(load_csv(separable_2d_csv, "label"), SplitSpec(0.8, seed=4))
+    paths = tmp_path / "tr.csv", tmp_path / "te.csv"
+    write_dataset_csv(paths[0], train)
+    write_dataset_csv(paths[1], test)
+    return paths
+
+
+class TestFlagValidation:
+    """Bad flag values exit 1 with one error line naming the flag, and write nothing."""
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--n-x-max", "0"), "--n-x-max"),
+        (("--step", "0"), "--step"),
+        (("--threshold", "1.5"), "--threshold"),
+        (("--threshold", "0"), "--threshold"),
+    ])
+    def test_stream_estimate(self, tmp_path, split_csvs, capsys, flags, named):
+        out = tmp_path / "out" / "r.json"
+        code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                       "--label-column", "label", "--batch-size", "32", *flags, "--output", out)
+        self._assert_flag_error(code, capsys, named)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--n-x-max", "0"), "--n-x-max"),
+        (("--step", "0"), "--step"),
+        (("--replicates", "0"), "--replicates"),
+        (("--threshold", "1.5"), "--threshold"),
+        (("--threshold", "-0.5"), "--threshold"),
+    ])
+    def test_estimate(self, tmp_path, separable_2d_csv, capsys, flags, named):
+        out = tmp_path / "r.json"
+        code = run_cli("estimate", "--input", separable_2d_csv, "--label-column", "label",
+                       *flags, "--output", out)
+        self._assert_flag_error(code, capsys, named)
+        assert not out.exists() and not out.with_suffix(".curves.csv").exists()
+
+    def test_sweep_flags_checked_before_reading_input(self, tmp_path, capsys):
+        code = run_cli("estimate", "--input", tmp_path / "absent.csv", "--step", "0",
+                       "--output", tmp_path / "r.json")
+        self._assert_flag_error(code, capsys, "--step")
+
+    def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
+        trace = tmp_path / "t.csv"
+        code = run_cli("train", "--input", separable_2d_csv, "--label-column", "label",
+                       "--n-x", "70", "--output", trace)
+        self._assert_flag_error(code, capsys, "--max-qubits")
+        assert not trace.exists() and not trace.with_suffix(".model.json").exists()
+
+    @staticmethod
+    def _assert_flag_error(code, capsys, named):
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and named in lines[0]
+        assert "Traceback" not in err

@@ -9,13 +9,14 @@ from bitbit.coverage import (
     coverage_metrics,
     estimate_from_curve,
     majority_label,
+    sweep_curve,
     sweep_qubits,
     test_overlap_incidence as overlap_incidence,
     train_collision_incidence,
 )
-from bitbit.data import make_synthetic, split_train_test, SplitSpec
+from bitbit.data import Dataset, make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from bitbit.encoder import Bitstring, copula_units, discretize_value, encode_samples, fit_encoder
 from tests.conftest import all_pure_1d_dataset
 
 
@@ -238,3 +239,83 @@ class TestSweep:
         for _, m in est.curve:
             assert m.theoretical_train_accuracy == 1.0 - m.train_collision_incidence
             assert m.theoretical_test_accuracy == 1.0 - m.test_overlap_incidence
+
+
+def per_width_oracle(train, test, spec, n_x_max, step):
+    """The sweep with everything refitted and re-encoded at each width, stopping
+    once train and test accuracy have each reached 1.0."""
+    curve = []
+    train_met = test_met = False
+    for n_x in range(1, n_x_max + 1, step):
+        model = fit_encoder(train, spec, n_x)
+        table = build_table(zip(encode_samples(model, train.features), train.labels.tolist()), train.c)
+        encoded_test = list(zip(encode_samples(model, test.features), test.labels.tolist()))
+        m = coverage_metrics(table, encoded_test)
+        curve.append((n_x, m))
+        train_met = train_met or m.theoretical_train_accuracy >= 1.0
+        test_met = test_met or m.theoretical_test_accuracy >= 1.0
+        if train_met and test_met:
+            break
+    return curve
+
+
+def conflicting_dataset(n_features, seed):
+    """Random rows plus one duplicated row with both labels: never covered, and
+    its bucket is a 1-1 majority tie at every width."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(40, n_features))
+    labels = rng.integers(0, 2, 40)
+    x[1] = x[0]
+    labels[:2] = (0, 1)
+    train = Dataset(features=x, labels=labels, c=2)
+    test_x = np.vstack([x[:1], x[:1], rng.normal(size=(10, n_features))])
+    test = Dataset(features=test_x, labels=np.concatenate([[0, 1], rng.integers(0, 2, 10)]), c=2)
+    return train, test
+
+
+class TestFitOnceSweep:
+    """The fit-once, packed-code sweep equals refitting and re-encoding per width."""
+
+    @pytest.mark.parametrize("scheme", ["none", "pca", "lsa"])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_matches_per_width_oracle(self, scheme, step):
+        d = make_synthetic(150, 4, 3, 1.0, seed=5)
+        train, test = split_train_test(d, SplitSpec(0.8, seed=2))
+        spec = ReducerSpec(scheme)
+        curve = sweep_curve(train, test, spec, 1.0, 128, step)
+        assert curve == per_width_oracle(train, test, spec, 128, step)
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_curve_crossing_64_bits(self, step):
+        train, test = conflicting_dataset(3, seed=7)
+        spec = ReducerSpec("none")
+        curve = sweep_curve(train, test, spec, 1.0, 80, step)
+        assert curve[-1][0] > 64
+        assert curve == per_width_oracle(train, test, spec, 80, step)
+
+    def test_one_component_at_100_bits(self):
+        train, test = conflicting_dataset(1, seed=9)
+        spec = ReducerSpec("none")
+        model = fit_encoder(train, spec, 100)
+        assert model.allocation.bits == (100,)
+        unit = copula_units(model, test.features)
+        python_ints = [discretize_value(u, 100) for u in unit[:, 0].tolist()]
+        assert [z.value for z in encode_samples(model, test.features)] == python_ints
+        assert max(python_ints) >= 1 << 64
+        assert sweep_curve(train, test, spec, 1.0, 100, 33) == per_width_oracle(train, test, spec, 100, 33)
+
+    def test_majority_tie_goes_to_smallest_class(self):
+        train, test = conflicting_dataset(2, seed=11)
+        spec = ReducerSpec("none")
+        curve = sweep_curve(train, test, spec, 1.0, 20, 1)
+        assert curve == per_width_oracle(train, test, spec, 20, 1)
+        for n_x, m in curve:
+            enc_train, enc_test = encode_pair(train, test, spec, n_x)
+            assert m.train_collision_incidence == brute_train_incidence(enc_train)
+            assert (m.test_overlap_incidence, m.test_train_overlap_fraction) == brute_test_incidence(
+                enc_train, enc_test
+            )
+        # at the widest point the duplicated rows form a bucket of their own, tied 1-1
+        table = build_table(enc_train, 2)
+        z = enc_test[0][0]
+        assert table.entries[z].tolist() == [1, 1] and majority_label(table, z) == 0

@@ -23,6 +23,8 @@ from bitbit.encoder import (
     fit_encoder,
     iter_encoded,
     load_model,
+    pack_codes,
+    packed_values,
     persist_model,
     read_encoded,
     write_encoded,
@@ -242,6 +244,40 @@ class TestEncodeSamples:
                 wide.allocation.bits,
             ):
                 assert cn == cw >> (b_w - b_n)
+
+
+def reference_pack(unit, bits) -> list[int]:
+    """Scalar oracle: discretize each value alone and concatenate with Python ints."""
+    values = []
+    for row in unit.tolist():
+        v = 0
+        for u, b in zip(row, bits):
+            v = (v << b) | discretize_value(u, b)
+        values.append(v)
+    return values
+
+
+class TestPackCodes:
+    def test_matches_scalar_oracle_at_any_width(self, rng):
+        edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 2.0 ** -40, 0.5, 0.75]
+        unit = np.vstack([rng.random((40, 4)), np.array(edges)[:, None].repeat(4, axis=1)])
+        for bits in [(1, 0, 0, 0), (3, 5, 0, 2), (30, 4, 0, 30), (32, 32, 0, 0), (40, 24, 1, 0),
+                     (63, 0, 0, 0), (0, 64, 0, 0), (65, 0, 0, 0), (100, 0, 0, 0), (33, 70, 2, 90),
+                     (0, 0, 0, 200), (17, 47, 64, 1)]:
+            words = pack_codes(unit, bits)
+            assert words.dtype == np.uint64
+            assert words.shape == (unit.shape[0], max(1, -(-sum(bits) // 64)))
+            assert packed_values(words) == reference_pack(unit, bits), bits
+
+    def test_random_allocations(self, rng):
+        unit = rng.random((25, 6))
+        for _ in range(50):
+            bits = tuple(int(b) for b in rng.integers(0, 80, 6))
+            assert packed_values(pack_codes(unit, bits)) == reference_pack(unit, bits), bits
+
+    def test_words_are_most_significant_first(self):
+        words = pack_codes(np.array([[0.5, 0.0]]), (1, 64))
+        assert words.tolist() == [[1, 0]]
 
 
 class TestMonotoneRefinement:
