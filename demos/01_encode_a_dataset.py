@@ -5,6 +5,9 @@ component against the labels, split the bit budget proportionally to those
 scores, push values through the training empirical CDF, and floor-discretize.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from bitbit import (
@@ -41,7 +44,9 @@ for bits, label in zip(encoded, test.labels[:6].tolist()):
 # lower half of the copula range, class 1 in the upper half.
 
 # Models round-trip through JSON bit-exactly.
-persist_model(model, "/tmp/bitbit_demo_model.json")
-reloaded = load_model("/tmp/bitbit_demo_model.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.json"
+    persist_model(model, path)
+    reloaded = load_model(path)
 assert encode_samples(reloaded, test.features) == encode_samples(model, test.features)
 print("\nmodel JSON round trip: encodings identical")

@@ -39,7 +39,7 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import CsvBatchSource, StreamConfig, stream_coverage, stream_encode, stream_fit_base
+from bitbit.stream import CsvBatchSource, StreamConfig, stream_fit_base, stream_sweep_curve
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -201,6 +201,11 @@ def _check_sweep_flags(cfg: RunConfig) -> None:
         raise ValueError(f"--step must be >= 1, got {cfg.step}")
 
 
+def _check_train_fraction(cfg: RunConfig) -> None:
+    if not 0.0 < cfg.train_fraction < 1.0:
+        raise ValueError(f"--train-fraction must be in (0, 1), got {cfg.train_fraction}")
+
+
 def _load_split_pair(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     train = load_csv(cfg.train_input, cfg.label_column)
     test = relabel(load_csv(cfg.test_input, cfg.label_column), train.label_names)
@@ -215,6 +220,9 @@ def run_estimate(cfg: RunConfig) -> int:
     _check_sweep_flags(cfg)
     if cfg.replicates < 1:
         raise ValueError(f"--replicates must be >= 1, got {cfg.replicates}")
+    if cfg.jobs is not None and cfg.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {cfg.jobs}")
+    _check_train_fraction(cfg)
     thresholds = _threshold_set(cfg.threshold)
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
@@ -312,8 +320,9 @@ def run_estimate(cfg: RunConfig) -> int:
 
 
 def run_stream_estimate(cfg: RunConfig) -> int:
-    """Streaming protocol over pre-split CSVs: fit once in two batched passes,
-    then re-discretize and measure coverage at each swept width."""
+    """Streaming protocol over pre-split CSVs: fit once in batched passes, rank
+    each split once into a spill, then pack and measure coverage at each swept
+    width from the spill."""
     if cfg.batch_size is None:
         raise ValueError("stream-estimate requires --batch-size")
     if not (cfg.train_input and cfg.test_input):
@@ -321,6 +330,14 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
     _check_sweep_flags(cfg)
+
+    if cfg.batch_size < 1:
+        raise ValueError(f"--batch-size must be >= 1, got {cfg.batch_size}")
+    if cfg.reservoir_size < 1:
+        raise ValueError(f"--reservoir-size must be >= 1, got {cfg.reservoir_size}")
+    for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
+        if not Path(path).is_file():
+            raise ValueError(f"{flag}: no such file {path!r}")
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
@@ -344,22 +361,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         c = len(label_mapping)
         if c < 2:
             raise ValueError("training stream holds fewer than 2 classes")
-        test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
-
-        curve = []
-        train_met = test_met = False
-        model = None
-        for n_x in range(1, cfg.n_x_max + 1, cfg.step):
-            model = base.at_width(n_x)
-            stream_encode(model, train_source, work_dir / "train.enc", cfg.batch_size)
-            stream_encode(model, test_source, work_dir / "test.enc", cfg.batch_size)
-            metrics = stream_coverage(work_dir / "train.enc", work_dir / "test.enc", c)
-            curve.append((n_x, metrics))
-            train_met = train_met or metrics.theoretical_train_accuracy >= 1.0
-            test_met = test_met or metrics.theoretical_test_accuracy >= 1.0
-            if train_met and test_met:
-                break
-        persist_model(model, work_dir / "model.json")
+        stream_cfg.test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
+        curve = stream_sweep_curve(stream_cfg, base, c, 1.0, cfg.n_x_max, cfg.step)
 
     entry = {
         "replicate": 0,
@@ -423,6 +426,7 @@ def run_encode(cfg: RunConfig) -> int:
         raise ValueError("encode requires --n-x")
     if cfg.input is None:
         raise ValueError("encode requires --input")
+    _check_train_fraction(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -456,6 +460,7 @@ def run_train(cfg: RunConfig) -> int:
         raise ValueError("train requires --n-x")
     if cfg.input is None:
         raise ValueError("train requires --input")
+    _check_train_fraction(cfg)
     set_qubit_cap(cfg.max_qubits)
 
     dataset = load_csv(cfg.input, cfg.label_column)

@@ -10,13 +10,21 @@ the encoding can achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from bitbit.data import Dataset
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import Bitstring, allocate_bits, copula_units, fit_encoder, pack_codes, packed_values
+from bitbit.encoder import (
+    Bitstring,
+    ImportanceScores,
+    allocate_bits,
+    copula_units,
+    fit_encoder,
+    pack_codes,
+    packed_values,
+)
 
 
 @dataclass
@@ -143,6 +151,14 @@ def count_codes(keys: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarra
     return codes, counts.reshape(codes.shape[0], c)
 
 
+def merge_counts(tables: Sequence[tuple[np.ndarray, np.ndarray]], c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``count_codes`` tables into one: sorted unique codes and their counts."""
+    codes, inverse = np.unique(np.concatenate([t[0] for t in tables]), return_inverse=True)
+    counts = np.zeros((codes.shape[0], c), dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([t[1] for t in tables]))
+    return codes, counts
+
+
 def code_coverage(codes, counts, test_keys, test_labels, test_weights=None) -> CoverageMetrics:
     """Coverage of test records against a training count table (``count_codes``).
 
@@ -219,32 +235,22 @@ def estimate_from_curve(
     )
 
 
-def sweep_curve(
-    train: Dataset,
-    test: Dataset,
-    spec: ReducerSpec,
+def sweep_widths(
+    importances: ImportanceScores,
+    measure: Callable[[tuple[int, ...]], CoverageMetrics],
     stop_threshold: float,
     n_x_max: int,
     step: int,
 ) -> list[tuple[int, CoverageMetrics]]:
     """Coverage at widths 1, 1+step, ..., stopping early once the train and
     test accuracies have each crossed ``stop_threshold`` at least once.
-    Only the bit allocation depends on the width: the encoder is fitted and
-    both sets ranked once, then each width packs, counts and compares codes."""
-    _check_threshold(stop_threshold)
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if n_x_max < 1:
-        raise ValueError("n_x_max must be >= 1")
-    model = fit_encoder(train, spec, 1)
-    unit_train = copula_units(model, train.features)
-    unit_test = copula_units(model, test.features)
+    Only the bit allocation depends on the width: ``measure`` maps it to the
+    coverage of codes packed with it."""
+    _check_sweep(stop_threshold, n_x_max, step)
     curve: list[tuple[int, CoverageMetrics]] = []
     train_met = test_met = False
     for n_x in range(1, n_x_max + 1, step):
-        bits = allocate_bits(model.importances, n_x).bits
-        codes, counts = count_codes(_code_keys(pack_codes(unit_train, bits)), train.labels, train.c)
-        metrics = code_coverage(codes, counts, _code_keys(pack_codes(unit_test, bits)), test.labels)
+        metrics = measure(allocate_bits(importances, n_x).bits)
         curve.append((n_x, metrics))
         train_met = train_met or metrics.theoretical_train_accuracy >= stop_threshold
         test_met = test_met or metrics.theoretical_test_accuracy >= stop_threshold
@@ -253,7 +259,29 @@ def sweep_curve(
     return curve
 
 
-def _code_keys(words: np.ndarray) -> np.ndarray:
+def sweep_curve(
+    train: Dataset,
+    test: Dataset,
+    spec: ReducerSpec,
+    stop_threshold: float,
+    n_x_max: int,
+    step: int,
+) -> list[tuple[int, CoverageMetrics]]:
+    """``sweep_widths`` over in-memory data: the encoder is fitted and both
+    sets ranked once, then each width packs, counts and compares codes."""
+    _check_sweep(stop_threshold, n_x_max, step)
+    model = fit_encoder(train, spec, 1)
+    unit_train = copula_units(model, train.features)
+    unit_test = copula_units(model, test.features)
+
+    def measure(bits):
+        codes, counts = count_codes(code_keys(pack_codes(unit_train, bits)), train.labels, train.c)
+        return code_coverage(codes, counts, code_keys(pack_codes(unit_test, bits)), test.labels)
+
+    return sweep_widths(model.importances, measure, stop_threshold, n_x_max, step)
+
+
+def code_keys(words: np.ndarray) -> np.ndarray:
     """One sortable key per row of packed words."""
     return words[:, 0] if words.shape[1] == 1 else np.array(packed_values(words), dtype=object)
 
@@ -269,6 +297,14 @@ def sweep_qubits(
     """Sweep encoder widths and report the qubit requirement at ``threshold``."""
     curve = sweep_curve(train, test, spec, threshold, n_x_max, step)
     return estimate_from_curve(curve, threshold, train.c)
+
+
+def _check_sweep(stop_threshold: float, n_x_max: int, step: int) -> None:
+    _check_threshold(stop_threshold)
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    if n_x_max < 1:
+        raise ValueError("n_x_max must be >= 1")
 
 
 def _check_threshold(threshold: float) -> None:

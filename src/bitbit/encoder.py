@@ -233,12 +233,9 @@ def apply_copula(m: CopulaModel, value: float, component: int) -> float:
     return rank / (col.shape[0] + 1)
 
 
-def _apply_copula_columns(m: CopulaModel, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        col = m.columns[j]
-        out[:, j] = np.searchsorted(col, x[:, j], side="right") / (col.shape[0] + 1)
-    return out
+def rank_units(m: CopulaModel, ranks: np.ndarray) -> np.ndarray:
+    """Copula values from integer ranks: rank / (s + 1) per component, as in ``apply_copula``."""
+    return ranks / np.array([col.shape[0] + 1 for col in m.columns])
 
 
 def discretize_value(x: float, b: int) -> int:
@@ -292,10 +289,20 @@ def fit_encoder(train: Dataset, spec: ReducerSpec, n_x: int) -> EncoderModel:
     )
 
 
+def copula_ranks(model: EncoderModel, features: np.ndarray) -> np.ndarray:
+    """Width-independent part of the encoding as integers: per row and component,
+    the number of training copula values <= the normalized reduced value."""
+    reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
+    normalized = _normalize(reduced, model.mins, model.maxs, clamp=True)
+    ranks = np.empty(normalized.shape, dtype=np.int64)
+    for j, col in enumerate(model.copula.columns):
+        ranks[:, j] = np.searchsorted(col, normalized[:, j], side="right")
+    return ranks
+
+
 def copula_units(model: EncoderModel, features: np.ndarray) -> np.ndarray:
     """Width-independent part of the encoding: each row's copula value per component."""
-    reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
-    return _apply_copula_columns(model.copula, _normalize(reduced, model.mins, model.maxs, clamp=True))
+    return rank_units(model.copula, copula_ranks(model, features))
 
 
 def pack_codes(unit: np.ndarray, bits) -> np.ndarray:
@@ -395,6 +402,20 @@ def write_encoded(path, width: int, records: Iterable[tuple[Bitstring, int]]) ->
                 raise ValueError(f"record {count}: width {bs.width} != file width {width}")
             fh.write(f"{bs.value:0{digits}x} {int(label)}\n")
             count += 1
+    return count
+
+
+def write_packed(path, width: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> int:
+    """``write_encoded`` for chunks of (``pack_codes`` words, labels): the same
+    bytes, formatted a chunk at a time without a ``Bitstring`` per record."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{ENCODED_FILE_MAGIC} width={width}\n")
+        digits = hex_digits(width)
+        for words, labels in chunks:
+            fh.write("".join(f"{v:0{digits}x} {label}\n"
+                             for v, label in zip(packed_values(words), labels.tolist())))
+            count += len(labels)
     return count
 
 

@@ -1,22 +1,40 @@
 """Batched encoding for datasets too large for memory.
 
-Three passes over the training stream: (1) accumulate the reducer, (2)
-transform batches to collect per-component min/max, batch-averaged importance
-scores, and a copula reservoir, (3) encode to disk. Test data is encoded with
-the persisted model in a single pass. Coverage over encoded files keeps only
-unique bitstrings in memory, so the footprint grows with distinct codes, not
-record count.
+``stream_fit_base`` fits in at most two passes over the training stream: (1)
+accumulate the PCA covariance (skipped for scheme ``none``, whose identity
+reducer needs no fit), (2) transform batches to collect per-component
+min/max, batch-averaged importance scores, and a copula reservoir.
+
+``stream_sweep_curve`` then reads each split once more (the rank pass) and
+spills every record's integer copula ranks and its label to ``work_dir`` as
+D + 1 uint32 values, 4 * (D + 1) bytes per record. Ranks do not depend on the
+width, so each swept width packs its codes from the spill a batch at a time
+and merges per-batch code counts; memory grows with distinct codes, not
+record count. The final ``train.enc``, ``test.enc`` and ``model.json`` are
+written from the spill at the last swept width, and the spill files are
+removed on success and on error.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from bitbit.coverage import BitstringTable, CoverageMetrics, build_table, code_coverage, table_arrays
+from bitbit.coverage import (
+    BitstringTable,
+    CoverageMetrics,
+    build_table,
+    code_coverage,
+    code_keys,
+    count_codes,
+    merge_counts,
+    sweep_widths,
+    table_arrays,
+)
 from bitbit.data import parse_csv_row, read_csv_header, resolve_label_column
 from bitbit.dimred import (
     FittedReducer,
@@ -32,12 +50,15 @@ from bitbit.encoder import (
     ImportanceScores,
     _normalize,
     allocate_bits,
-    encode_samples,
+    copula_ranks,
+    copula_units,
     estimate_mutual_information,
     iter_encoded,
+    pack_codes,
     persist_model,
+    rank_units,
     read_encoded_header,
-    write_encoded,
+    write_packed,
 )
 
 DEFAULT_RESERVOIR_SIZE = 100_000
@@ -68,26 +89,49 @@ class CsvBatchSource:
             reader = csv.reader(fh)
             header = read_csv_header(reader, self.path)
             label_idx = resolve_label_column(header, self.label_column, self.path)
-            feature_idx = [j for j in range(len(header)) if j != label_idx]
-            rows: list[list[float]] = []
-            labels: list[int] = []
+            rows: list[list[str]] = []
+            line_nos: list[int] = []
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                values, raw_label = parse_csv_row(row, header, label_idx, feature_idx, self.path, line_no)
-                if raw_label not in self.label_mapping:
-                    if self._strict:
-                        raise ValueError(
-                            f"{self.path}: line {line_no}: label {raw_label!r} was not seen in training"
-                        )
-                    self.label_mapping[raw_label] = len(self.label_mapping)
-                rows.append(values)
-                labels.append(self.label_mapping[raw_label])
+                rows.append(row)
+                line_nos.append(line_no)
                 if len(rows) == batch_size:
-                    yield np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-                    rows, labels = [], []
+                    yield self._convert(rows, line_nos, header, label_idx)
+                    rows, line_nos = [], []
             if rows:
-                yield np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+                yield self._convert(rows, line_nos, header, label_idx)
+
+    def _convert(self, rows, line_nos, header, label_idx) -> tuple[np.ndarray, np.ndarray]:
+        """A batch of CSV rows as (features, label ids), converted in one go;
+        a batch holding any bad row is redone row by row by ``parse_csv_row``,
+        whose error names the file line and column."""
+        n_features = len(header) - 1
+        if all(len(row) == len(header) for row in rows):
+            cells = chain.from_iterable(row[:label_idx] + row[label_idx + 1:] for row in rows)
+            try:
+                x = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * n_features)
+            except ValueError:
+                x = None
+            mapping = self.label_mapping
+            raw_labels = [row[label_idx].strip() for row in rows]
+            known = not self._strict or all(label in mapping for label in raw_labels)
+            if x is not None and np.isfinite(x).all() and "" not in raw_labels and known:
+                ids = [mapping.setdefault(label, len(mapping)) for label in raw_labels]
+                return x.reshape(len(rows), n_features), np.array(ids, dtype=np.int64)
+        feature_idx = [j for j in range(len(header)) if j != label_idx]
+        values, ids = [], []
+        for line_no, row in zip(line_nos, rows):
+            v, raw_label = parse_csv_row(row, header, label_idx, feature_idx, self.path, line_no)
+            if raw_label not in self.label_mapping:
+                if self._strict:
+                    raise ValueError(
+                        f"{self.path}: line {line_no}: label {raw_label!r} was not seen in training"
+                    )
+                self.label_mapping[raw_label] = len(self.label_mapping)
+            values.append(v)
+            ids.append(self.label_mapping[raw_label])
+        return np.asarray(values, dtype=np.float64), np.asarray(ids, dtype=np.int64)
 
 
 class ArrayBatchSource:
@@ -160,52 +204,30 @@ class _Reservoir:
 
 
 def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
-    """Passes 1 and 2: fit the reducer, then collect min/max, batch-averaged
-    importance scores, and the copula reservoir. The model comes back at
-    width 1; ``EncoderModel.at_width`` re-derives the allocation for any other
-    width without re-streaming."""
+    """Fit the reducer (pass 1, PCA only), then collect min/max, batch-averaged
+    importance scores, and the copula reservoir (pass 2). The model comes back
+    at width 1; ``EncoderModel.at_width`` re-derives the allocation for any
+    other width without re-streaming."""
     if spec.scheme not in ("none", "pca"):
         raise ValueError(f"streaming supports schemes 'none' and 'pca', not {spec.scheme!r}")
-
-    # Pass 1: reducer accumulation.
-    state: IncrementalPcaState | None = None
-    count = 0
-    n_features = None
-    for x, _ in cfg.train_source.batches(cfg.batch_size):
-        if n_features is None:
-            n_features = x.shape[1]
-            state = IncrementalPcaState.empty(n_features)
-        if spec.scheme == "pca":
-            state = incremental_update(state, x)
-        count += x.shape[0]
-    if n_features is None or count < 2:
-        raise ValueError(f"train source must yield at least 2 samples, got {count}")
-
-    if spec.scheme == "none":
-        d = n_features if spec.n_components is None else spec.n_components
-        if d != n_features:
-            raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {d}")
-        reducer = FittedReducer(
-            scheme="none",
-            center=np.zeros(n_features),
-            components=np.eye(n_features),
-            explained_variance=np.zeros(n_features),
-        )
-    else:
-        d = min(count, n_features) if spec.n_components is None else spec.n_components
-        reducer = finalize_incremental(state, d)
-    d = reducer.n_components
+    reducer = _stream_fit_pca(cfg, spec) if spec.scheme == "pca" else None
 
     # Pass 2: extrema, batch importance scores, copula reservoir.
     rng = np.random.default_rng(cfg.seed)
-    reservoirs = [_Reservoir(cfg.reservoir_size, rng) for _ in range(d)]
-    mins = np.full(d, np.inf)
-    maxs = np.full(d, -np.inf)
-    score_sum = np.zeros(d)
+    count = 0
     score_weight = 0.0
     for x, y in cfg.train_source.batches(cfg.batch_size):
         if x.shape[0] == 0:
             continue
+        if count == 0:  # the first rows; scheme 'none' takes its identity reducer from their width
+            if reducer is None:
+                reducer = _identity_reducer(x.shape[1])
+            d = reducer.n_components
+            reservoirs = [_Reservoir(cfg.reservoir_size, rng) for _ in range(d)]
+            mins = np.full(d, np.inf)
+            maxs = np.full(d, -np.inf)
+            score_sum = np.zeros(d)
+        count += x.shape[0]
         reduced = transform(reducer, x)
         mins = np.minimum(mins, reduced.min(axis=0))
         maxs = np.maximum(maxs, reduced.max(axis=0))
@@ -218,6 +240,12 @@ def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
             w = float(x.shape[0]) if cfg.weighted_mi else 1.0
             score_sum += w * batch_scores
             score_weight += w
+    if spec.scheme == "none":
+        _check_count(count)
+        n_features = reducer.n_features
+        d = n_features if spec.n_components is None else spec.n_components
+        if d != n_features:
+            raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {d}")
     if score_weight == 0.0:
         raise ValueError("no batch held 2 or more samples; cannot score importances")
     importances = ImportanceScores(score_sum / score_weight)
@@ -227,6 +255,34 @@ def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
         for j, r in enumerate(reservoirs)
     ))
     return EncoderModel(reducer, mins, maxs, copula, allocate_bits(importances, 1), importances)
+
+
+def _stream_fit_pca(cfg: StreamConfig, spec: ReducerSpec) -> FittedReducer:
+    """Pass 1: accumulate the covariance over the training stream."""
+    state: IncrementalPcaState | None = None
+    count = 0
+    for x, _ in cfg.train_source.batches(cfg.batch_size):
+        if state is None:
+            state = IncrementalPcaState.empty(x.shape[1])
+        state = incremental_update(state, x)
+        count += x.shape[0]
+    _check_count(count)
+    d = min(count, state.n_features) if spec.n_components is None else spec.n_components
+    return finalize_incremental(state, d)
+
+
+def _identity_reducer(n_features: int) -> FittedReducer:
+    return FittedReducer(
+        scheme="none",
+        center=np.zeros(n_features),
+        components=np.eye(n_features),
+        explained_variance=np.zeros(n_features),
+    )
+
+
+def _check_count(count: int) -> None:
+    if count < 2:
+        raise ValueError(f"train source must yield at least 2 samples, got {count}")
 
 
 def stream_fit_encoder(cfg: StreamConfig, spec: ReducerSpec, n_x: int) -> EncoderModel:
@@ -243,12 +299,86 @@ def stream_fit_encoder(cfg: StreamConfig, spec: ReducerSpec, n_x: int) -> Encode
 def stream_encode(model: EncoderModel, source, sink_path, batch_size: int = 4096) -> int:
     """Encode a record stream to an encoded-record file; memory stays bounded
     by one batch plus the model. Returns the record count."""
+    return write_packed(sink_path, model.width, (
+        (pack_codes(copula_units(model, x), model.allocation.bits), y)
+        for x, y in source.batches(batch_size)
+    ))
 
-    def records():
-        for x, y in source.batches(batch_size):
-            yield from zip(encode_samples(model, x), y.tolist())
 
-    return write_encoded(sink_path, model.width, records())
+class RankSpill:
+    """One split's copula ranks and labels on disk, one row of D + 1 uint32
+    values per record: the D ranks of ``copula_ranks``, then the label id."""
+
+    def __init__(self, path, model: EncoderModel):
+        self.path = Path(path)
+        self.model = model
+
+    def write(self, source, batch_size: int) -> None:
+        """The rank pass: one read of ``source``."""
+        if max(col.shape[0] for col in self.model.copula.columns) >= 2**32:
+            raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
+        with open(self.path, "wb") as fh:
+            for x, y in source.batches(batch_size):
+                np.column_stack((copula_ranks(self.model, x), y)).astype(np.uint32).tofile(fh)
+
+    def codes(self, bits, batch_size: int):
+        """(``pack_codes`` words, label ids) per chunk of ``batch_size`` records;
+        the last chunk may be short or empty."""
+        copula = self.model.copula
+        n_columns = len(copula) + 1
+        with open(self.path, "rb") as fh:
+            while True:
+                chunk = np.fromfile(fh, dtype=np.uint32, count=batch_size * n_columns).reshape(-1, n_columns)
+                yield pack_codes(rank_units(copula, chunk[:, :-1]), bits), chunk[:, -1].astype(np.int64)
+                if chunk.shape[0] < batch_size:
+                    return
+
+    def table(self, bits, c: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count_codes`` over the whole split. Per-chunk tables are merged once
+        they hold as many codes as the merged table, so memory stays within
+        about twice the distinct codes plus one chunk."""
+        tables: list[tuple[np.ndarray, np.ndarray]] = []
+        for words, labels in self.codes(bits, batch_size):
+            tables.append(count_codes(code_keys(words), labels, c))
+            if len(tables) > 1 and sum(t[0].shape[0] for t in tables[1:]) >= tables[0][0].shape[0]:
+                tables = [merge_counts(tables, c)]
+        return tables[0] if len(tables) == 1 else merge_counts(tables, c)
+
+
+def stream_sweep_curve(
+    cfg: StreamConfig,
+    base: EncoderModel,
+    c: int,
+    stop_threshold: float,
+    n_x_max: int,
+    step: int,
+) -> list[tuple[int, CoverageMetrics]]:
+    """``sweep_widths`` over ``cfg.train_source`` and ``cfg.test_source`` with
+    the batched test rule, after one rank pass over each. Writes
+    ``train.enc``, ``test.enc`` and ``model.json`` to ``work_dir`` at the last
+    swept width; the rank spill files there are removed on success and error."""
+    if cfg.test_source is None:
+        raise ValueError("stream_sweep_curve needs a test_source")
+    cfg.work_dir.mkdir(parents=True, exist_ok=True)
+    spills = {name: RankSpill(cfg.work_dir / f"{name}.ranks", base) for name in ("train", "test")}
+    try:
+        spills["train"].write(cfg.train_source, cfg.batch_size)
+        spills["test"].write(cfg.test_source, cfg.batch_size)
+
+        def measure(bits):
+            return batched_coverage(*spills["train"].table(bits, c, cfg.batch_size),
+                                    *spills["test"].table(bits, c, cfg.batch_size))
+
+        curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
+        model = base.at_width(curve[-1][0])
+        for name, spill in spills.items():
+            write_packed(cfg.work_dir / f"{name}.enc", model.width,
+                         spill.codes(model.allocation.bits, cfg.batch_size))
+        persist_model(model, cfg.work_dir / "model.json")
+    finally:
+        for spill in spills.values():
+            spill.path.unlink(missing_ok=True)
+    return curve
 
 
 def stream_coverage(encoded_train_path, encoded_test_path, c: int) -> CoverageMetrics:
@@ -271,8 +401,11 @@ def stream_coverage(encoded_train_path, encoded_test_path, c: int) -> CoverageMe
 def stream_coverage_from_tables(
     train_table: BitstringTable, test_table: BitstringTable
 ) -> CoverageMetrics:
-    """The batched rule: each test bucket carries its majority label and its size."""
     if None not in (train_table.width, test_table.width) and train_table.width != test_table.width:
         raise ValueError(f"width mismatch: train {train_table.width} != test {test_table.width}")
-    test_codes, test_counts = table_arrays(test_table)
-    return code_coverage(*table_arrays(train_table), test_codes, test_counts.argmax(axis=1), test_counts.sum(axis=1))
+    return batched_coverage(*table_arrays(train_table), *table_arrays(test_table))
+
+
+def batched_coverage(train_codes, train_counts, test_codes, test_counts) -> CoverageMetrics:
+    """The batched rule: each test bucket carries its majority label and its size."""
+    return code_coverage(train_codes, train_counts, test_codes, test_counts.argmax(axis=1), test_counts.sum(axis=1))

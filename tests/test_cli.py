@@ -260,6 +260,8 @@ class TestFlagValidation:
         (("--step", "0"), "--step"),
         (("--threshold", "1.5"), "--threshold"),
         (("--threshold", "0"), "--threshold"),
+        (("--batch-size", "0"), "--batch-size"),
+        (("--reservoir-size", "0"), "--reservoir-size"),
     ])
     def test_stream_estimate(self, tmp_path, split_csvs, capsys, flags, named):
         out = tmp_path / "out" / "r.json"
@@ -274,6 +276,10 @@ class TestFlagValidation:
         (("--replicates", "0"), "--replicates"),
         (("--threshold", "1.5"), "--threshold"),
         (("--threshold", "-0.5"), "--threshold"),
+        (("--train-fraction", "1.5"), "--train-fraction"),
+        (("--train-fraction", "0"), "--train-fraction"),
+        (("--jobs", "-1"), "--jobs"),
+        (("--jobs", "0"), "--jobs"),
     ])
     def test_estimate(self, tmp_path, separable_2d_csv, capsys, flags, named):
         out = tmp_path / "r.json"
@@ -281,6 +287,24 @@ class TestFlagValidation:
                        *flags, "--output", out)
         self._assert_flag_error(code, capsys, named)
         assert not out.exists() and not out.with_suffix(".curves.csv").exists()
+
+    @pytest.mark.parametrize("which", ["--train-input", "--test-input"])
+    def test_stream_estimate_missing_input(self, tmp_path, split_csvs, capsys, which):
+        inputs = {"--train-input": split_csvs[0], "--test-input": split_csvs[1], which: tmp_path / "absent.csv"}
+        out = tmp_path / "out" / "r.json"
+        code = run_cli("stream-estimate", *[a for kv in inputs.items() for a in kv],
+                       "--label-column", "label", "--batch-size", "32", "--output", out)
+        self._assert_flag_error(code, capsys, "absent.csv")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["encode", "train"])
+    def test_train_fraction_before_any_output(self, tmp_path, separable_2d_csv, capsys, command):
+        out = tmp_path / "out"
+        target = ("--output-dir", out) if command == "encode" else ("--output", out / "t.csv")
+        code = run_cli(command, "--input", separable_2d_csv, "--label-column", "label", "--n-x", "4",
+                       "--train-fraction", "1.5", *target)
+        self._assert_flag_error(code, capsys, "--train-fraction")
+        assert not out.exists()
 
     def test_sweep_flags_checked_before_reading_input(self, tmp_path, capsys):
         code = run_cli("estimate", "--input", tmp_path / "absent.csv", "--step", "0",

@@ -214,13 +214,9 @@ class TestEncodeSamples:
         train = Dataset(features=rng.random((100, 5)), labels=rng.integers(0, 2, 100), c=2)
         model = fit_encoder(train, ReducerSpec("none"), 11)
         samples = rng.random((40, 5))
-        from bitbit.dimred import transform
-        from bitbit.encoder import _apply_copula_columns, _normalize
+        from bitbit.encoder import copula_units
 
-        unit = _apply_copula_columns(
-            model.copula,
-            _normalize(transform(model.reducer, samples), model.mins, model.maxs, clamp=True),
-        )
+        unit = copula_units(model, samples)
         for i, bs in enumerate(encode_samples(model, samples)):
             for code, b, u in zip(unpack_codes(bs, model.allocation.bits), model.allocation.bits, unit[i]):
                 if b == 0:

@@ -1,8 +1,12 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import bitbit.stream
 from bitbit.coverage import build_table, coverage_metrics
-from bitbit.data import Dataset, make_synthetic
+from bitbit.data import Dataset, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
     Bitstring,
@@ -23,6 +27,7 @@ from bitbit.stream import (
     stream_encode,
     stream_fit_base,
     stream_fit_encoder,
+    stream_sweep_curve,
 )
 from tests.conftest import write_dataset_csv
 
@@ -250,3 +255,204 @@ class TestStreamEquivalence:
         in_memory = coverage_metrics(table, encoded_test)
         streamed = stream_coverage_from_tables(table, build_table(encoded_test, 2))
         assert streamed == in_memory
+
+
+class CountingSource:
+    """Wraps a source and counts the passes made over it."""
+
+    def __init__(self, source):
+        self.source = source
+        self.passes = 0
+
+    def batches(self, batch_size):
+        self.passes += 1
+        return self.source.batches(batch_size)
+
+
+class TestFitPasses:
+    @pytest.mark.parametrize("scheme,passes", [("none", 1), ("pca", 2)])
+    def test_pass_count(self, tmp_path, scheme, passes):
+        d = make_synthetic(40, 3, 2, 2.0, seed=9)
+        src = CountingSource(ArrayBatchSource(d.features, d.labels))
+        cfg = StreamConfig(train_source=src, test_source=None, batch_size=16, work_dir=tmp_path)
+        model = stream_fit_base(cfg, ReducerSpec(scheme))
+        assert src.passes == passes
+        assert model.reducer.n_features == 3
+
+    @pytest.mark.parametrize("scheme", ["none", "pca"])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_samples(self, tmp_path, scheme, rows):
+        d = make_synthetic(2, 3, 2, 2.0, seed=9)
+        src = ArrayBatchSource(d.features[:rows], d.labels[:rows])
+        cfg = StreamConfig(train_source=src, test_source=None, batch_size=16, work_dir=tmp_path)
+        with pytest.raises(ValueError, match=f"^train source must yield at least 2 samples, got {rows}$"):
+            stream_fit_base(cfg, ReducerSpec(scheme))
+
+    def test_none_component_mismatch(self, tmp_path):
+        d = make_synthetic(20, 3, 2, 2.0, seed=9)
+        cfg = make_config(d, tmp_path, batch_size=8)
+        with pytest.raises(ValueError, match=r"requires n_components == n \(3\), got 2"):
+            stream_fit_base(cfg, ReducerSpec("none", 2))
+
+
+def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, work):
+    """The per-width path the spill sweep replaces: encode both splits to
+    files with one Bitstring per record, then ``stream_coverage``."""
+    work.mkdir(parents=True, exist_ok=True)
+    curve = []
+    train_met = test_met = False
+    for n_x in range(1, n_x_max + 1, step):
+        model = base.at_width(n_x)
+        for name, source in (("train", train_source), ("test", test_source)):
+            records = ((z, label) for x, y in source.batches(batch_size)
+                       for z, label in zip(encode_samples(model, x), y.tolist()))
+            write_encoded(work / f"{name}.enc", model.width, records)
+        metrics = stream_coverage(work / "train.enc", work / "test.enc", c)
+        curve.append((n_x, metrics))
+        train_met = train_met or metrics.theoretical_train_accuracy >= 1.0
+        test_met = test_met or metrics.theoretical_test_accuracy >= 1.0
+        if train_met and test_met:
+            break
+    persist_model(model, work / "model.json")
+    return curve
+
+
+def separable_split():
+    d = make_synthetic(60, 3, 2, 2.0, seed=12)
+    t = make_synthetic(20, 3, 2, 2.0, seed=13)
+    return ArrayBatchSource(d.features, d.labels), ArrayBatchSource(t.features, t.labels)
+
+
+def conflicting_split():
+    """3 classes with duplicated rows under conflicting labels, so training
+    accuracy never reaches 1 and the sweep runs to its cap; test rows repeat
+    training rows, so test buckets overlap and hold mixed labels."""
+    d = make_synthetic(70, 3, 3, 1.0, seed=11)
+    x = np.vstack([d.features, d.features[:10]])
+    y = np.concatenate([d.labels, (d.labels[:10] + 1) % 3])
+    tx = np.vstack([d.features[50:70], d.features[:6]])
+    ty = np.concatenate([d.labels[50:70], (d.labels[:6] + 2) % 3])
+    return ArrayBatchSource(x, y), ArrayBatchSource(tx, ty)
+
+
+class TestStreamSweep:
+    """The spill sweep against the per-width oracle: equal metrics at every
+    width and byte-identical final outputs."""
+
+    @pytest.mark.parametrize("scheme", ["none", "pca"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 500])
+    @pytest.mark.parametrize("split,n_x_max,step,reservoir", [
+        (separable_split, 40, 3, 100_000),  # stops early
+        (conflicting_split, 100, 11, 100_000),  # runs to the cap, past 64 bits: object keys
+        (conflicting_split, 30, 4, 25),  # the reservoir samples the train stream
+    ])
+    def test_matches_per_width_oracle(self, tmp_path, scheme, batch_size, split, n_x_max, step, reservoir):
+        train_source, test_source = split()
+        cfg = StreamConfig(train_source=train_source, test_source=test_source, batch_size=7,
+                           work_dir=tmp_path / "new", reservoir_size=reservoir)
+        base = stream_fit_base(cfg, ReducerSpec(scheme))
+        c = train_source.n_classes
+        cfg = replace(cfg, batch_size=batch_size)  # the fit needs batches of 2+ rows; the sweep does not
+        curve = stream_sweep_curve(cfg, base, c, 1.0, n_x_max, step)
+        expected = oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, tmp_path / "old")
+        assert curve == expected
+        last = range(1, n_x_max + 1, step)[-1]
+        assert (curve[-1][0] < last) if split is separable_split else (curve[-1][0] == last)
+        for name in ("model.json", "train.enc", "test.enc"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["model.json", "test.enc", "train.enc"]
+
+    def test_empty_test_split(self, tmp_path):
+        d = make_synthetic(30, 2, 2, 2.0, seed=14)
+        empty = ArrayBatchSource(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        cfg = StreamConfig(train_source=ArrayBatchSource(d.features, d.labels), test_source=empty,
+                           batch_size=10, work_dir=tmp_path / "new")
+        base = stream_fit_base(cfg, ReducerSpec("pca"))
+        curve = stream_sweep_curve(cfg, base, 2, 1.0, 12, 5)
+        assert curve == oracle_sweep(base, cfg.train_source, empty, 2, 10, 12, 5, tmp_path / "old")
+
+    def test_failure_at_test_source_leaves_no_spill(self, tmp_path):
+        d = make_synthetic(30, 2, 2, 2.0, seed=15)
+        path = tmp_path / "test.csv"
+        path.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,7\n", encoding="utf-8")
+        work = tmp_path / "work"
+        cfg = StreamConfig(train_source=ArrayBatchSource(d.features, d.labels),
+                           test_source=CsvBatchSource(path, "label", label_mapping={"0": 0, "1": 1}),
+                           batch_size=10, work_dir=work)
+        base = stream_fit_base(cfg, ReducerSpec("pca"))
+        with pytest.raises(ValueError, match="line 3: label '7' was not seen in training"):
+            stream_sweep_curve(cfg, base, 2, 1.0, 12, 5)
+        assert list(work.iterdir()) == []
+
+
+GOOD_ROWS = ["0.5,1.5,x", "-2.0,3.25,y", "1e-3,4,x", "7,8,z", "0.0,-0.0,y", "2,3,x", "9,9,y", "4,5,z",
+             "1,1,x", "2,2,y", "3,3,z"]
+
+BAD_ROWS = [
+    "1.0,x",  # wrong field count
+    "1.0,2.0,3.0,x",
+    "1.0,,x",  # empty cell
+    "abc,1.0,x",
+    "nan,1.0,x",
+    "1.0,inf,x",
+    "-inf,1.0,x",
+    "1.0,2.0,",  # empty label
+    "1.0,2.0,  ",
+    "1.0,2.0,w",  # label not seen in training (strict source only)
+]
+
+
+class TestCsvIngestParity:
+    """Batch conversion gives parse_csv_row's arrays, and parse_csv_row's
+    error for the first bad row, wherever the row sits in its batch."""
+
+    @staticmethod
+    def expected_error(path, line, line_no, strict):
+        header = ["f0", "f1", "label"]
+        (row,) = csv.reader([line])
+        try:
+            _, label = parse_csv_row(row, header, 2, [0, 1], path, line_no)
+        except ValueError as exc:
+            return str(exc)
+        assert strict and label == "w"
+        return f"{path}: line {line_no}: label 'w' was not seen in training"
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    @pytest.mark.parametrize("position", [0, 3, 7])  # first row, mid-batch, last of the first batch
+    def test_error_matches_row_parser(self, tmp_path, bad, position):
+        rows = list(GOOD_ROWS)
+        rows.insert(position, bad)
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        strict = bad.endswith(",w")
+        src = CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1, "z": 2} if strict else None)
+        expected = self.expected_error(path, bad, position + 2, strict)
+        with pytest.raises(ValueError) as info:
+            list(src.batches(8))
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("label_column,header,lines", [
+        ("label", "f0,f1,label", [" 0.5 ,\t1.5,x ", "-2.0, 3.25 ,  y", "1e-3,4,x"]),
+        ("label", "label,f0,f1", ["x, 0.5,1.5", " y ,-2.0,3.25", "z,1e-3, 4"]),
+        ("1", "f0,label,f1", ["0.5,x,1.5", "-2.0,y , 3.25", "1e-3,x,4"]),
+    ])
+    def test_arrays_match_row_parser(self, tmp_path, monkeypatch, label_column, header, lines):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + "\n".join(lines) + "\n\n", encoding="utf-8")
+        names = header.split(",")
+        label_idx = names.index("label")
+        feature_idx = [j for j in range(3) if j != label_idx]
+        parsed = [parse_csv_row(next(csv.reader([line])), names, label_idx, feature_idx, path, i + 2)
+                  for i, line in enumerate(lines)]
+        mapping = {}
+        expected_y = [mapping.setdefault(label, len(mapping)) for _, label in parsed]
+
+        calls = []
+        monkeypatch.setattr(bitbit.stream, "parse_csv_row", lambda *a: calls.append(a))
+        src = CsvBatchSource(path, label_column)
+        for batch_size in (1, 2, 10):
+            xs, ys = zip(*src.batches(batch_size))
+            assert np.array_equal(np.vstack(xs), np.array([v for v, _ in parsed]))
+            assert np.concatenate(ys).tolist() == expected_y
+        assert src.label_mapping == mapping
+        assert calls == []  # good batches never fall back to the row parser
