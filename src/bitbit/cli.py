@@ -22,19 +22,20 @@ from bitbit import __version__
 from bitbit.coverage import (
     CoverageMetrics,
     QubitEstimate,
-    build_table,
-    coverage_metrics,
     compute_q_y,
+    count_codes,
     estimate_from_curve,
+    split_coverage,
     sweep_curve,
 )
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, relabel, split_train_test
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import encode_samples, fit_encoder, persist_model, write_encoded
+from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
     classification_accuracy,
     evaluate_loss,
     fresh_model,
+    get_qubit_cap,
     set_qubit_cap,
     train_sweeps,
     training_batch_from_table,
@@ -188,22 +189,85 @@ class _WarningLog:
         return sorted(set(self._messages))
 
 
-# --- estimate ---
+def _config_echo(cfg: RunConfig, fields: tuple[str, ...], **resolved) -> dict:
+    """The report's ``config``: the named flags as given, plus values resolved at run time."""
+    return {**{field: getattr(cfg, field) for field in fields}, **resolved}
 
 
-def _check_sweep_flags(cfg: RunConfig) -> None:
-    """Reject sweep settings that cannot work, before any input is read."""
+def _write_estimate_report(
+    cfg: RunConfig, config: dict, streamed: bool, label_mapping: dict[str, int],
+    results: list[tuple[list[tuple[int, CoverageMetrics]], int | None]], warning_messages: list[str], output: str,
+) -> int:
+    """Write the report and its ``.curves.csv`` for swept ``(curve, split_seed)``
+    results; the exit code is 2 when any replicate is uncovered at ``--threshold``."""
+    c = len(label_mapping)
+    thresholds = _threshold_set(cfg.threshold)
+    replicates = []
+    per_threshold: dict[float, list[int | None]] = {t: [] for t in thresholds}
+    uncovered_at_configured = False
+    for r, (curve, seed) in enumerate(results):
+        entry = {
+            "replicate": r,
+            "split_seed": seed,
+            "curve": [_metrics_dict(n_x, m) for n_x, m in curve],
+            "thresholds": {},
+        }
+        for t in thresholds:
+            est = estimate_from_curve(curve, t, c)
+            entry["thresholds"][str(t)] = _estimate_dict(est)
+            per_threshold[t].append(est.q_dataset)
+            if t == cfg.threshold and not est.covered:
+                uncovered_at_configured = True
+        replicates.append(entry)
+
+    exit_code = 2 if uncovered_at_configured else 0
+    report = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "tool": {"name": "bitbit", "version": __version__},
+        "timestamp": _timestamp(),
+        "command": cfg.command,
+        "streamed": streamed,
+        "config": config,
+        "label_mapping": label_mapping,
+        "n_classes": c,
+        "warnings": warning_messages,
+        "replicates": replicates,
+        "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
+        "exit_code": exit_code,
+    }
+    _write_report(report, output)
+    curves = _write_curves_csv(report, output)
+    print(f"wrote {output} and {curves}")
+    return exit_code
+
+
+# --- flag checks ---
+
+# Least value of each numeric flag. Fields a command lacks keep their
+# RunConfig default, which every check accepts; None means the flag is unset.
+_FLAG_MINIMUMS = {
+    "n_x_max": 1, "step": 1, "replicates": 1, "jobs": 1, "batch_size": 1, "reservoir_size": 1,
+    "components": 1, "n_x": 1, "layers": 1, "sweeps": 0, "max_qubits": 1, "seed": 0,
+    "features": 1, "classes": 2, "separation": 0.0,
+}
+
+
+def _check_flags(cfg: RunConfig) -> None:
+    """Reject flag values no command can run with, before any input is read
+    or any output created; each message names the flag."""
     if not 0.0 < cfg.threshold <= 1.0:
         raise ValueError(f"--threshold must be in (0, 1], got {cfg.threshold}")
-    if cfg.n_x_max < 1:
-        raise ValueError(f"--n-x-max must be >= 1, got {cfg.n_x_max}")
-    if cfg.step < 1:
-        raise ValueError(f"--step must be >= 1, got {cfg.step}")
-
-
-def _check_train_fraction(cfg: RunConfig) -> None:
     if not 0.0 < cfg.train_fraction < 1.0:
         raise ValueError(f"--train-fraction must be in (0, 1), got {cfg.train_fraction}")
+    for field, least in _FLAG_MINIMUMS.items():
+        value = getattr(cfg, field)
+        if value is not None and not value >= least:
+            raise ValueError(f"--{field.replace('_', '-')} must be >= {least}, got {value}")
+    if cfg.samples < cfg.classes:
+        raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
+
+
+# --- estimate ---
 
 
 def _load_split_pair(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -215,15 +279,6 @@ def _load_split_pair(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 def run_estimate(cfg: RunConfig) -> int:
     """Replicated split-sweep-estimate protocol over one CSV, or a single run
     over a pre-split train/test pair."""
-    if cfg.output is None:
-        raise ValueError("estimate requires --output")
-    _check_sweep_flags(cfg)
-    if cfg.replicates < 1:
-        raise ValueError(f"--replicates must be >= 1, got {cfg.replicates}")
-    if cfg.jobs is not None and cfg.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {cfg.jobs}")
-    _check_train_fraction(cfg)
-    thresholds = _threshold_set(cfg.threshold)
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
     with _WarningLog() as wlog:
@@ -232,14 +287,12 @@ def run_estimate(cfg: RunConfig) -> int:
                 raise ValueError("pre-split mode needs both --train-input and --test-input")
             train, test = _load_split_pair(cfg)
             label_names = train.label_names
-            c = train.c
             pairs = [(train, test, None)]
         else:
             if cfg.input is None:
                 raise ValueError("estimate requires --input (or --train-input/--test-input)")
             dataset = load_csv(cfg.input, cfg.label_column)
             label_names = dataset.label_names
-            c = dataset.c
 
             def make_pair(r: int):
                 seed = cfg.seed + r
@@ -263,57 +316,11 @@ def run_estimate(cfg: RunConfig) -> int:
         else:
             results = [worker(p) for p in pairs]
 
-    replicates = []
-    per_threshold: dict[float, list[int | None]] = {t: [] for t in thresholds}
-    uncovered_at_configured = False
-    for r, (curve, seed) in enumerate(results):
-        entry = {
-            "replicate": r,
-            "split_seed": seed,
-            "curve": [_metrics_dict(n_x, m) for n_x, m in curve],
-            "thresholds": {},
-        }
-        for t in thresholds:
-            est = estimate_from_curve(curve, t, c)
-            entry["thresholds"][str(t)] = _estimate_dict(est)
-            per_threshold[t].append(est.q_dataset)
-            if t == cfg.threshold and not est.covered:
-                uncovered_at_configured = True
-        replicates.append(entry)
-
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "tool": {"name": "bitbit", "version": __version__},
-        "timestamp": _timestamp(),
-        "command": "estimate",
-        "streamed": False,
-        "config": {
-            "input": cfg.input,
-            "train_input": cfg.train_input,
-            "test_input": cfg.test_input,
-            "label_column": cfg.label_column,
-            "scheme": cfg.scheme,
-            "components": cfg.components,
-            "threshold": cfg.threshold,
-            "replicates": len(results),
-            "train_fraction": cfg.train_fraction,
-            "seed": cfg.seed,
-            "n_x_max": cfg.n_x_max,
-            "step": cfg.step,
-            "stratify": cfg.stratify,
-        },
-        "label_mapping": {name: i for i, name in enumerate(label_names)},
-        "n_classes": c,
-        "warnings": wlog.messages(),
-        "replicates": replicates,
-        "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
-    }
-    exit_code = 2 if uncovered_at_configured else 0
-    report["exit_code"] = exit_code
-    _write_report(report, cfg.output)
-    curves = _write_curves_csv(report, cfg.output)
-    print(f"wrote {cfg.output} and {curves}")
-    return exit_code
+    config = _config_echo(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
+                                "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
+                          replicates=len(results))
+    label_mapping = {name: i for i, name in enumerate(label_names)}
+    return _write_estimate_report(cfg, config, False, label_mapping, results, wlog.messages(), cfg.output)
 
 
 # --- stream-estimate ---
@@ -323,18 +330,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     """Streaming protocol over pre-split CSVs: fit once in batched passes, rank
     each split once into a spill, then pack and measure coverage at each swept
     width from the spill."""
-    if cfg.batch_size is None:
-        raise ValueError("stream-estimate requires --batch-size")
-    if not (cfg.train_input and cfg.test_input):
-        raise ValueError("stream-estimate requires --train-input and --test-input")
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
-    _check_sweep_flags(cfg)
-
-    if cfg.batch_size < 1:
-        raise ValueError(f"--batch-size must be >= 1, got {cfg.batch_size}")
-    if cfg.reservoir_size < 1:
-        raise ValueError(f"--reservoir-size must be >= 1, got {cfg.reservoir_size}")
     for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
         if not Path(path).is_file():
             raise ValueError(f"{flag}: no such file {path!r}")
@@ -342,7 +339,6 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
     work_dir.mkdir(parents=True, exist_ok=True)
-    thresholds = _threshold_set(cfg.threshold)
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
     with _WarningLog() as wlog:
@@ -364,54 +360,10 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         stream_cfg.test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
         curve = stream_sweep_curve(stream_cfg, base, c, 1.0, cfg.n_x_max, cfg.step)
 
-    entry = {
-        "replicate": 0,
-        "split_seed": None,
-        "curve": [_metrics_dict(n_x, m) for n_x, m in curve],
-        "thresholds": {},
-    }
-    uncovered_at_configured = False
-    aggregates = {}
-    for t in thresholds:
-        est = estimate_from_curve(curve, t, c)
-        entry["thresholds"][str(t)] = _estimate_dict(est)
-        aggregates[str(t)] = _aggregate([est.q_dataset])
-        if t == cfg.threshold and not est.covered:
-            uncovered_at_configured = True
-
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "tool": {"name": "bitbit", "version": __version__},
-        "timestamp": _timestamp(),
-        "command": "stream-estimate",
-        "streamed": True,
-        "config": {
-            "train_input": cfg.train_input,
-            "test_input": cfg.test_input,
-            "label_column": cfg.label_column,
-            "scheme": cfg.scheme,
-            "components": cfg.components,
-            "threshold": cfg.threshold,
-            "n_x_max": cfg.n_x_max,
-            "step": cfg.step,
-            "batch_size": cfg.batch_size,
-            "reservoir_size": cfg.reservoir_size,
-            "seed": cfg.seed,
-            "weighted_mi": cfg.weighted_mi,
-            "work_dir": str(work_dir),
-        },
-        "label_mapping": label_mapping,
-        "n_classes": c,
-        "warnings": wlog.messages(),
-        "replicates": [entry],
-        "aggregates": aggregates,
-    }
-    exit_code = 2 if uncovered_at_configured else 0
-    report["exit_code"] = exit_code
-    _write_report(report, output)
-    curves = _write_curves_csv(report, output)
-    print(f"wrote {output} and {curves}")
-    return exit_code
+    config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
+                                "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
+                          work_dir=str(work_dir))
+    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], wlog.messages(), output)
 
 
 # --- encode ---
@@ -420,13 +372,6 @@ def run_stream_estimate(cfg: RunConfig) -> int:
 def run_encode(cfg: RunConfig) -> int:
     """Split, fit at a fixed width, and write model.json, train.enc, test.enc,
     and labels.json into the output directory."""
-    if cfg.output_dir is None:
-        raise ValueError("encode requires --output-dir")
-    if cfg.n_x is None:
-        raise ValueError("encode requires --n-x")
-    if cfg.input is None:
-        raise ValueError("encode requires --input")
-    _check_train_fraction(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -436,10 +381,9 @@ def run_encode(cfg: RunConfig) -> int:
     )
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     persist_model(model, out / "model.json")
-    write_encoded(out / "train.enc", model.width,
-                  zip(encode_samples(model, train.features), train.labels.tolist()))
-    write_encoded(out / "test.enc", model.width,
-                  zip(encode_samples(model, test.features), test.labels.tolist()))
+    for name, split in (("train", train), ("test", test)):
+        words = pack_codes(copula_units(model, split.features), model.allocation.bits)
+        write_packed(out / f"{name}.enc", model.width, [(words, split.labels)])
     with open(out / "labels.json", "w", encoding="utf-8") as fh:
         json.dump({name: i for i, name in enumerate(dataset.label_names)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -451,18 +395,20 @@ def run_encode(cfg: RunConfig) -> int:
 
 
 def run_train(cfg: RunConfig) -> int:
+    """``_train`` under the qubit cap ``--max-qubits``; the previous cap is
+    restored afterwards, on errors too."""
+    previous = get_qubit_cap()
+    set_qubit_cap(cfg.max_qubits)
+    try:
+        return _train(cfg)
+    finally:
+        set_qubit_cap(previous)
+
+
+def _train(cfg: RunConfig) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
-    if cfg.output is None:
-        raise ValueError("train requires --output")
-    if cfg.n_x is None:
-        raise ValueError("train requires --n-x")
-    if cfg.input is None:
-        raise ValueError("train requires --input")
-    _check_train_fraction(cfg)
-    set_qubit_cap(cfg.max_qubits)
-
     dataset = load_csv(cfg.input, cfg.label_column)
     q_y = compute_q_y(dataset.c)
     if cfg.n_x + q_y > cfg.max_qubits:
@@ -473,13 +419,11 @@ def run_train(cfg: RunConfig) -> int:
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
-    train_table = build_table(
-        zip(encode_samples(model_enc, train.features), train.labels.tolist()), dataset.c
+    train_table, test_keys, ceiling = split_coverage(
+        copula_units(model_enc, train.features), train,
+        copula_units(model_enc, test.features), test, model_enc.allocation.bits,
     )
-    encoded_test = list(zip(encode_samples(model_enc, test.features), test.labels.tolist()))
-    test_table = build_table(encoded_test, dataset.c)
-
-    ceiling = coverage_metrics(train_table, encoded_test)
+    test_table = count_codes(test_keys, test.labels, test.c, model_enc.width)
     batch = training_batch_from_table(
         train_table, weighting="uniform" if cfg.uniform_weights else "frequency"
     )
@@ -518,10 +462,11 @@ def run_train(cfg: RunConfig) -> int:
 
 
 def run_report(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise ValueError("report requires --input")
     with open(cfg.input, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{cfg.input}: not a report JSON ({exc})") from None
     out = io.StringIO()
     tool = report.get("tool", {})
     out.write(f"bitbit report (schema {report.get('schema_version')}, "
@@ -561,8 +506,6 @@ def run_report(cfg: RunConfig) -> int:
 def run_make_synthetic(cfg: RunConfig) -> int:
     """Write a seeded Gaussian-blob classification CSV (the scaling-study
     recipe: generate wide/tall synthetics here, then stream-estimate them)."""
-    if cfg.output is None:
-        raise ValueError("make-synthetic requires --output")
     dataset = make_synthetic(cfg.samples, cfg.features, cfg.classes, cfg.separation, cfg.seed)
     path = Path(cfg.output)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -684,6 +627,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     cfg = config_from_args(args)
     try:
+        _check_flags(cfg)
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

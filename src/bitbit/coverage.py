@@ -10,7 +10,8 @@ the encoding can achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,26 +28,56 @@ from bitbit.encoder import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitstringTable:
-    """Unique bitstrings with per-class sample counts."""
+    """Per-class sample counts of fixed-width codes: ``counts[i, k]`` samples of
+    class k carry code ``codes[i]``. ``codes`` are sorted and unique, with the
+    ``code_keys`` dtype (uint64 up to 64 bits, Python ints above); ``counts`` is
+    int64 of shape (codes, classes). ``width`` is None only for a table of no
+    records."""
 
-    entries: dict[Bitstring, np.ndarray]
-    c: int
+    codes: np.ndarray
+    counts: np.ndarray
     width: int | None
-    total: int
+
+    def __post_init__(self):
+        self.counts.setflags(write=False)
+
+    @property
+    def c(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def entries(self) -> Mapping[Bitstring, np.ndarray]:
+        """Read-only view: each code as a ``Bitstring`` with its counts row."""
+        return MappingProxyType(dict(zip(self.bitstrings(), self.counts)))
+
+    def bitstrings(self) -> list[Bitstring]:
+        return [Bitstring(self.width, z) for z in self.codes.tolist()]
+
+    def row(self, z: Bitstring) -> int | None:
+        """Index of ``z`` in ``codes``, or None when no record carries it."""
+        if z.width != self.width:
+            return None
+        key = _value_keys([z.value], self.width)
+        i = int(np.searchsorted(self.codes, key)[0])
+        return i if i < self.codes.shape[0] and self.codes[i] == key[0] else None
 
     def __contains__(self, z: Bitstring) -> bool:
-        return z in self.entries
+        return self.row(z) is not None
 
 
 def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTable:
     """Aggregate (bitstring, label) records into per-class counts."""
     if c < 1:
         raise ValueError("c must be positive")
-    entries: dict[Bitstring, np.ndarray] = {}
+    values: list[int] = []
+    labels: list[int] = []
     width: int | None = None
-    total = 0
     for z, label in encoded:
         if width is None:
             width = z.width
@@ -55,29 +86,25 @@ def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTa
         label = int(label)
         if not 0 <= label < c:
             raise ValueError(f"label {label} out of range for c={c}")
-        counts = entries.get(z)
-        if counts is None:
-            counts = np.zeros(c, dtype=np.int64)
-            entries[z] = counts
-        counts[label] += 1
-        total += 1
-    return BitstringTable(entries=entries, c=c, width=width, total=total)
+        values.append(z.value)
+        labels.append(label)
+    return count_codes(_value_keys(values, width), np.array(labels, dtype=np.int64), c, width)
 
 
 def majority_label(t: BitstringTable, z: Bitstring) -> int:
     """Most frequent class for a bitstring; ties go to the smallest class id."""
-    counts = t.entries.get(z)
-    if counts is None:
+    i = t.row(z)
+    if i is None:
         raise KeyError(f"bitstring {z.to_bits()} not present in the table")
-    return int(np.argmax(counts))
+    return int(np.argmax(t.counts[i]))
 
 
 def train_collision_incidence(t: BitstringTable) -> float:
     """Fraction of samples that do not belong to their bucket's majority class."""
-    if t.total == 0:
+    total = t.total
+    if total == 0:
         raise ValueError("empty table")
-    colliding = sum(int(counts.sum() - counts.max()) for counts in t.entries.values())
-    return colliding / t.total
+    return (total - int(t.counts.max(axis=1).sum())) / total
 
 
 def test_overlap_incidence(t: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> tuple[float, float]:
@@ -128,55 +155,45 @@ def coverage_metrics(table: BitstringTable, encoded_test: Sequence[tuple[Bitstri
             raise ValueError(f"test width {z.width} != table width {table.width}")
         values.append(z.value)
         labels.append(int(label))
-    codes, counts = table_arrays(table)
-    return code_coverage(codes, counts, _value_keys(values, table.width), np.array(labels, dtype=np.int64))
-
-
-def table_arrays(t: BitstringTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table as sorted code keys and the matching (codes x classes) counts."""
-    codes = _value_keys([z.value for z in t.entries], t.width)
-    counts = np.array(list(t.entries.values()), dtype=np.int64).reshape(len(codes), t.c)
-    order = np.argsort(codes)
-    return codes[order], counts[order]
+    return code_coverage(table, _value_keys(values, table.width), np.array(labels, dtype=np.int64))
 
 
 def _value_keys(values: list[int], width: int | None) -> np.ndarray:
     return np.array(values, dtype=np.uint64 if width is None or width <= 64 else object)
 
 
-def count_codes(keys: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique code keys and their (codes x classes) sample counts."""
+def count_codes(keys: np.ndarray, labels: np.ndarray, c: int, width: int | None) -> BitstringTable:
+    """The count table of records with these code keys and label ids."""
     codes, inverse = np.unique(keys, return_inverse=True)
     counts = np.bincount(inverse * c + labels, minlength=codes.shape[0] * c)
-    return codes, counts.reshape(codes.shape[0], c)
+    return BitstringTable(codes, counts.reshape(codes.shape[0], c), width)
 
 
-def merge_counts(tables: Sequence[tuple[np.ndarray, np.ndarray]], c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``count_codes`` tables into one: sorted unique codes and their counts."""
-    codes, inverse = np.unique(np.concatenate([t[0] for t in tables]), return_inverse=True)
-    counts = np.zeros((codes.shape[0], c), dtype=np.int64)
-    np.add.at(counts, inverse, np.concatenate([t[1] for t in tables]))
-    return codes, counts
+def merge_counts(tables: Sequence[BitstringTable]) -> BitstringTable:
+    """Sum count tables of one width and class count into one."""
+    codes, inverse = np.unique(np.concatenate([t.codes for t in tables]), return_inverse=True)
+    counts = np.zeros((codes.shape[0], tables[0].c), dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([t.counts for t in tables]))
+    return BitstringTable(codes, counts, tables[0].width)
 
 
-def code_coverage(codes, counts, test_keys, test_labels, test_weights=None) -> CoverageMetrics:
-    """Coverage of test records against a training count table (``count_codes``).
+def code_coverage(table: BitstringTable, test_keys, test_labels, test_weights=None) -> CoverageMetrics:
+    """Coverage of test records, given as code keys, against a training table.
 
     A record found in training errs iff its label is not the training majority
     (ties go to the smallest class). Each record stands for ``test_weights``
     samples, default 1: the per-sample rule. Test buckets weighted by their
     size and labelled with their own majority give the batched streaming rule.
     """
-    n_train = int(counts.sum())
-    if n_train == 0:
-        raise ValueError("empty table")
+    train_incidence = train_collision_incidence(table)
+    codes, counts = table.codes, table.counts
     weights = np.ones(test_keys.shape[0], dtype=np.int64) if test_weights is None else test_weights
     pos = np.minimum(np.searchsorted(codes, test_keys), codes.shape[0] - 1)
     hit = codes[pos] == test_keys
     wrong = hit & (counts.argmax(axis=1)[pos] != test_labels)
     return CoverageMetrics.from_counts(
-        train_incidence=(n_train - int(counts.max(axis=1).sum())) / n_train,
-        n_train=n_train,
+        train_incidence=train_incidence,
+        n_train=table.total,
         errors=int(weights[wrong].sum()),
         overlapping=int(weights[hit].sum()),
         n_test=int(weights.sum()),
@@ -275,10 +292,20 @@ def sweep_curve(
     unit_test = copula_units(model, test.features)
 
     def measure(bits):
-        codes, counts = count_codes(code_keys(pack_codes(unit_train, bits)), train.labels, train.c)
-        return code_coverage(codes, counts, code_keys(pack_codes(unit_test, bits)), test.labels)
+        return split_coverage(unit_train, train, unit_test, test, bits)[2]
 
     return sweep_widths(model.importances, measure, stop_threshold, n_x_max, step)
+
+
+def split_coverage(
+    unit_train: np.ndarray, train: Dataset, unit_test: np.ndarray, test: Dataset, bits
+) -> tuple[BitstringTable, np.ndarray, CoverageMetrics]:
+    """The train count table and the test code keys of the codes packed with
+    ``bits`` from each split's copula units (``copula_units``), and the
+    per-sample coverage of test against train."""
+    train_table = count_codes(code_keys(pack_codes(unit_train, bits)), train.labels, train.c, sum(bits))
+    test_keys = code_keys(pack_codes(unit_test, bits))
+    return train_table, test_keys, code_coverage(train_table, test_keys, test.labels)
 
 
 def code_keys(words: np.ndarray) -> np.ndarray:

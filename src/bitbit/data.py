@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -139,6 +140,59 @@ def parse_csv_row(row, header, label_idx, feature_idx, path, line_no) -> tuple[l
     return values, label
 
 
+# Rows load_csv converts at a time. Raw cells take about twice the memory of
+# the float lists the row-at-a-time parser held, so a batch this small keeps
+# the peak below that parser's even for files of a few hundred rows.
+LOAD_BATCH_ROWS = 256
+
+
+def csv_batches(reader, header, label_idx, path, batch_size: int, mapping: dict[str, int], strict: bool = False):
+    """Yield (features, label ids) for each ``batch_size`` data rows of a CSV
+    reader positioned after its header. Labels get ids from ``mapping``, which
+    grows by first appearance; with ``strict`` an unseen label is an error."""
+    rows: list[list[str]] = []
+    line_nos: list[int] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        rows.append(row)
+        line_nos.append(line_no)
+        if len(rows) == batch_size:
+            yield _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict)
+            rows, line_nos = [], []
+    if rows:
+        yield _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict)
+
+
+def _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of CSV rows as (features, label ids), converted in one go;
+    a batch holding any bad row is redone row by row by ``parse_csv_row``,
+    whose error names the file line and column."""
+    n_features = len(header) - 1
+    if all(len(row) == len(header) for row in rows):
+        cells = chain.from_iterable(row[:label_idx] + row[label_idx + 1:] for row in rows)
+        try:
+            x = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * n_features)
+        except ValueError:
+            x = None
+        raw_labels = [row[label_idx].strip() for row in rows]
+        known = not strict or all(label in mapping for label in raw_labels)
+        if x is not None and np.isfinite(x).all() and "" not in raw_labels and known:
+            ids = [mapping.setdefault(label, len(mapping)) for label in raw_labels]
+            return x.reshape(len(rows), n_features), np.array(ids, dtype=np.int64)
+    feature_idx = [j for j in range(len(header)) if j != label_idx]
+    values, ids = [], []
+    for line_no, row in zip(line_nos, rows):
+        v, raw_label = parse_csv_row(row, header, label_idx, feature_idx, path, line_no)
+        if raw_label not in mapping:
+            if strict:
+                raise ValueError(f"{path}: line {line_no}: label {raw_label!r} was not seen in training")
+            mapping[raw_label] = len(mapping)
+        values.append(v)
+        ids.append(mapping[raw_label])
+    return np.asarray(values, dtype=np.float64), np.asarray(ids, dtype=np.int64)
+
+
 def load_csv(path, label_column) -> Dataset:
     """Load a UTF-8, comma-delimited, headered CSV into a Dataset.
 
@@ -147,42 +201,28 @@ def load_csv(path, label_column) -> Dataset:
     kept in ``label_names``. Any unparseable, missing, or non-finite feature
     cell is an error naming the file line and column.
     """
+    mapping: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = read_csv_header(reader, path)
         label_idx = resolve_label_column(header, label_column, path)
-        feature_idx = [j for j in range(len(header)) if j != label_idx]
-        feature_names = tuple(header[j] for j in feature_idx)
+        batches = list(csv_batches(reader, header, label_idx, path, LOAD_BATCH_ROWS, mapping))
 
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            values, label = parse_csv_row(row, header, label_idx, feature_idx, path, line_no)
-            rows.append(values)
-            raw_labels.append(label)
-
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
-
-    mapping: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        labels[i] = mapping[lab]
+    n_rows = sum(y.shape[0] for _, y in batches)
+    if n_rows < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {n_rows}")
     if len(mapping) < 2:
         raise ValueError(f"{path}: fewer than 2 classes in column {header[label_idx]!r}")
 
-    features = np.asarray(rows, dtype=np.float64)
+    features = np.concatenate([x for x, _ in batches])
+    labels = np.concatenate([y for _, y in batches])
     _warn_on_conflicting_duplicates(features, labels)
     return Dataset(
         features=features,
         labels=labels,
         c=len(mapping),
-        feature_names=feature_names,
-        label_names=tuple(mapping.keys()),
+        feature_names=tuple(h for j, h in enumerate(header) if j != label_idx),
+        label_names=tuple(mapping),
     )
 
 

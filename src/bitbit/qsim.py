@@ -310,15 +310,13 @@ def training_batch_from_table(table: BitstringTable, weighting: str = "frequency
     target = majority class, weight = frequency (or uniform over the uniques)."""
     if weighting not in ("frequency", "uniform"):
         raise ValueError("weighting must be 'frequency' or 'uniform'")
-    if table.total == 0:
+    total = table.total
+    if total == 0:
         raise ValueError("empty table")
-    items = sorted(table.entries.items(), key=lambda kv: kv[0].value)
-    records = []
-    for z, counts in items:
-        target = int(np.argmax(counts))
-        weight = int(counts.sum()) / table.total if weighting == "frequency" else 1.0 / len(items)
-        records.append((z, target, weight))
-    return TrainingBatch(records=tuple(records))
+    sizes = table.counts.sum(axis=1)
+    weights = sizes / total if weighting == "frequency" else np.full(sizes.shape[0], 1.0 / sizes.shape[0])
+    targets = table.counts.argmax(axis=1)
+    return TrainingBatch(records=tuple(zip(table.bitstrings(), targets.tolist(), weights.tolist())))
 
 
 def _class_probs_batch(model, states: np.ndarray) -> np.ndarray:
@@ -437,13 +435,9 @@ def classification_accuracy(model, table: BitstringTable) -> float:
     table's theoretical accuracy (attained exactly when the model reproduces
     every majority label).
     """
-    if table.total == 0:
+    total = table.total
+    if total == 0:
         raise ValueError("empty table")
-    items = sorted(table.entries.items(), key=lambda kv: kv[0].value)
-    z_values = np.array([z.value for z, _ in items], dtype=np.int64)
-    preds = predict_many(model, z_values)
-    correct = 0
-    for (z, counts), pred in zip(items, preds.tolist()):
-        if pred < counts.shape[0]:
-            correct += int(counts[pred])
-    return correct / table.total
+    preds = predict_many(model, table.codes.astype(np.int64))
+    rows = np.nonzero(preds < table.c)[0]
+    return int(table.counts[rows, preds[rows]].sum()) / total

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,9 @@ from bitbit.coverage import (
     count_codes,
     merge_counts,
     sweep_widths,
-    table_arrays,
 )
-from bitbit.data import parse_csv_row, read_csv_header, resolve_label_column
+from bitbit.data import csv_batches, read_csv_header, resolve_label_column
+from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
 from bitbit.dimred import (
     FittedReducer,
     IncrementalPcaState,
@@ -89,49 +88,7 @@ class CsvBatchSource:
             reader = csv.reader(fh)
             header = read_csv_header(reader, self.path)
             label_idx = resolve_label_column(header, self.label_column, self.path)
-            rows: list[list[str]] = []
-            line_nos: list[int] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                rows.append(row)
-                line_nos.append(line_no)
-                if len(rows) == batch_size:
-                    yield self._convert(rows, line_nos, header, label_idx)
-                    rows, line_nos = [], []
-            if rows:
-                yield self._convert(rows, line_nos, header, label_idx)
-
-    def _convert(self, rows, line_nos, header, label_idx) -> tuple[np.ndarray, np.ndarray]:
-        """A batch of CSV rows as (features, label ids), converted in one go;
-        a batch holding any bad row is redone row by row by ``parse_csv_row``,
-        whose error names the file line and column."""
-        n_features = len(header) - 1
-        if all(len(row) == len(header) for row in rows):
-            cells = chain.from_iterable(row[:label_idx] + row[label_idx + 1:] for row in rows)
-            try:
-                x = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * n_features)
-            except ValueError:
-                x = None
-            mapping = self.label_mapping
-            raw_labels = [row[label_idx].strip() for row in rows]
-            known = not self._strict or all(label in mapping for label in raw_labels)
-            if x is not None and np.isfinite(x).all() and "" not in raw_labels and known:
-                ids = [mapping.setdefault(label, len(mapping)) for label in raw_labels]
-                return x.reshape(len(rows), n_features), np.array(ids, dtype=np.int64)
-        feature_idx = [j for j in range(len(header)) if j != label_idx]
-        values, ids = [], []
-        for line_no, row in zip(line_nos, rows):
-            v, raw_label = parse_csv_row(row, header, label_idx, feature_idx, self.path, line_no)
-            if raw_label not in self.label_mapping:
-                if self._strict:
-                    raise ValueError(
-                        f"{self.path}: line {line_no}: label {raw_label!r} was not seen in training"
-                    )
-                self.label_mapping[raw_label] = len(self.label_mapping)
-            values.append(v)
-            ids.append(self.label_mapping[raw_label])
-        return np.asarray(values, dtype=np.float64), np.asarray(ids, dtype=np.int64)
+            yield from csv_batches(reader, header, label_idx, self.path, batch_size, self.label_mapping, self._strict)
 
 
 class ArrayBatchSource:
@@ -333,16 +290,16 @@ class RankSpill:
                 if chunk.shape[0] < batch_size:
                     return
 
-    def table(self, bits, c: int, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    def table(self, bits, c: int, batch_size: int) -> BitstringTable:
         """``count_codes`` over the whole split. Per-chunk tables are merged once
         they hold as many codes as the merged table, so memory stays within
         about twice the distinct codes plus one chunk."""
-        tables: list[tuple[np.ndarray, np.ndarray]] = []
+        tables: list[BitstringTable] = []
         for words, labels in self.codes(bits, batch_size):
-            tables.append(count_codes(code_keys(words), labels, c))
-            if len(tables) > 1 and sum(t[0].shape[0] for t in tables[1:]) >= tables[0][0].shape[0]:
-                tables = [merge_counts(tables, c)]
-        return tables[0] if len(tables) == 1 else merge_counts(tables, c)
+            tables.append(count_codes(code_keys(words), labels, c, sum(bits)))
+            if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
+                tables = [merge_counts(tables)]
+        return tables[0] if len(tables) == 1 else merge_counts(tables)
 
 
 def stream_sweep_curve(
@@ -366,8 +323,8 @@ def stream_sweep_curve(
         spills["test"].write(cfg.test_source, cfg.batch_size)
 
         def measure(bits):
-            return batched_coverage(*spills["train"].table(bits, c, cfg.batch_size),
-                                    *spills["test"].table(bits, c, cfg.batch_size))
+            return batched_coverage(spills["train"].table(bits, c, cfg.batch_size),
+                                    spills["test"].table(bits, c, cfg.batch_size))
 
         curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
         model = base.at_width(curve[-1][0])
@@ -403,9 +360,10 @@ def stream_coverage_from_tables(
 ) -> CoverageMetrics:
     if None not in (train_table.width, test_table.width) and train_table.width != test_table.width:
         raise ValueError(f"width mismatch: train {train_table.width} != test {test_table.width}")
-    return batched_coverage(*table_arrays(train_table), *table_arrays(test_table))
+    return batched_coverage(train_table, test_table)
 
 
-def batched_coverage(train_codes, train_counts, test_codes, test_counts) -> CoverageMetrics:
+def batched_coverage(train_table: BitstringTable, test_table: BitstringTable) -> CoverageMetrics:
     """The batched rule: each test bucket carries its majority label and its size."""
-    return code_coverage(train_codes, train_counts, test_codes, test_counts.argmax(axis=1), test_counts.sum(axis=1))
+    counts = test_table.counts
+    return code_coverage(train_table, test_table.codes, counts.argmax(axis=1), counts.sum(axis=1))

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from bitbit.cli import main
-from bitbit.data import load_csv, make_synthetic
+from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
+from bitbit.dimred import ReducerSpec
+from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from bitbit.qsim import fresh_model, get_qubit_cap
 from tests.conftest import write_dataset_csv
 
 
@@ -207,6 +210,53 @@ class TestTrainCommand:
         assert code == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_qubit_cap_restored_on_success_and_error(self, tmp_path, separable_2d_csv, capsys):
+        before = get_qubit_cap()
+        assert run_cli("train", "--input", separable_2d_csv, "--label-column", "label", "--n-x", "2",
+                       "--layers", "1", "--sweeps", "1", "--max-qubits", "5", "--output", tmp_path / "t.csv") == 0
+        assert get_qubit_cap() == before
+        fresh_model(4, 2, 1)  # 6 qubits: over the train run's cap, within the one before it
+        assert run_cli("train", "--input", tmp_path / "absent.csv", "--n-x", "2", "--max-qubits", "4",
+                       "--output", tmp_path / "u.csv") == 1
+        assert get_qubit_cap() == before
+        capsys.readouterr()
+
+
+class TestNoBitstringPerRecord:
+    """Commands work on packed codes: no Bitstring per record, and train makes
+    one per unique training code, for its TrainingBatch."""
+
+    def test_bitstrings_made_per_command(self, tmp_path, separable_2d_csv, split_csvs, monkeypatch, capsys):
+        made = []
+        post_init = Bitstring.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Bitstring, "__post_init__", counting)
+        runs = {
+            "encode": ("encode", "--input", separable_2d_csv, "--n-x", "70", "--output-dir", tmp_path / "enc"),
+            "estimate": ("estimate", "--input", separable_2d_csv, "--replicates", "2",
+                         "--output", tmp_path / "r.json"),
+            "stream-estimate": ("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                                "--batch-size", "32", "--output", tmp_path / "s.json"),
+            "train": ("train", "--input", separable_2d_csv, "--n-x", "3", "--layers", "1", "--sweeps", "1",
+                      "--seed", "1", "--output", tmp_path / "t.csv"),
+        }
+        counts = {}
+        for name, argv in runs.items():
+            made.clear()
+            assert run_cli(*argv) == 0
+            counts[name] = len(made)
+        monkeypatch.undo()
+        capsys.readouterr()
+
+        d = load_csv(separable_2d_csv, "label")
+        train, _ = split_train_test(d, SplitSpec(0.8, seed=1))
+        unique_train_codes = len(set(encode_samples(fit_encoder(train, ReducerSpec("pca"), 3), train.features)))
+        assert counts == {"encode": 0, "estimate": 0, "stream-estimate": 0, "train": unique_train_codes}
+
 
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, separable_1d_csv, capsys):
@@ -310,6 +360,39 @@ class TestFlagValidation:
         code = run_cli("estimate", "--input", tmp_path / "absent.csv", "--step", "0",
                        "--output", tmp_path / "r.json")
         self._assert_flag_error(code, capsys, "--step")
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("train", ("--max-qubits", "0"), "--max-qubits"),
+        ("train", ("--layers", "0"), "--layers"),
+        ("train", ("--n-x", "0"), "--n-x"),
+        ("train", ("--sweeps", "-1"), "--sweeps"),
+        ("train", ("--seed", "-1"), "--seed"),
+        ("encode", ("--n-x", "0"), "--n-x"),
+        ("encode", ("--components", "0"), "--components"),
+        ("estimate", ("--components", "0"), "--components"),
+        ("estimate", ("--seed", "-1"), "--seed"),
+        ("stream-estimate", ("--seed", "-1"), "--seed"),
+        ("make-synthetic", ("--samples", "0"), "--samples"),
+        ("make-synthetic", ("--classes", "1"), "--classes"),
+        ("make-synthetic", ("--features", "0"), "--features"),
+    ])
+    def test_checked_before_any_input_or_output(self, tmp_path, capsys, command, flags, named):
+        absent, out = tmp_path / "absent.csv", tmp_path / "out"
+        base = {
+            "train": ("--input", absent, "--n-x", "2", "--output", out / "t.csv"),
+            "encode": ("--input", absent, "--n-x", "2", "--output-dir", out),
+            "estimate": ("--input", absent, "--output", out / "r.json"),
+            "stream-estimate": ("--train-input", absent, "--test-input", absent, "--batch-size", "32",
+                                "--output", out / "r.json"),
+            "make-synthetic": ("--output", out / "x.csv"),
+        }[command]
+        code = run_cli(command, *base, *flags)
+        self._assert_flag_error(code, capsys, named)
+        assert not out.exists()
+
+    def test_report_input_that_is_not_a_report(self, tmp_path, separable_1d_csv, capsys):
+        code = run_cli("report", "--input", separable_1d_csv)
+        self._assert_flag_error(code, capsys, str(separable_1d_csv))
 
     def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
         trace = tmp_path / "t.csv"

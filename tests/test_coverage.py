@@ -1,14 +1,18 @@
+import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from bitbit.coverage import (
+    CoverageMetrics,
     build_table,
     compute_q_y,
     coverage_metrics,
     estimate_from_curve,
     majority_label,
+    merge_counts,
     sweep_curve,
     sweep_qubits,
     test_overlap_incidence as overlap_incidence,
@@ -17,6 +21,8 @@ from bitbit.coverage import (
 from bitbit.data import Dataset, make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, copula_units, discretize_value, encode_samples, fit_encoder
+from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
+from bitbit.stream import stream_coverage_from_tables
 from tests.conftest import all_pure_1d_dataset
 
 
@@ -319,3 +325,176 @@ class TestFitOnceSweep:
         table = build_table(enc_train, 2)
         z = enc_test[0][0]
         assert table.entries[z].tolist() == [1, 1] and majority_label(table, z) == 0
+
+
+@dataclass
+class DictTable:
+    """The dict storage the array table replaced, kept as the oracle."""
+
+    entries: dict[Bitstring, np.ndarray]
+    c: int
+    width: int | None
+    total: int
+
+
+def dict_build_table(encoded, c) -> DictTable:
+    entries: dict[Bitstring, np.ndarray] = {}
+    width = None
+    total = 0
+    for z, label in encoded:
+        if width is None:
+            width = z.width
+        elif z.width != width:
+            raise ValueError(f"mixed widths in input: {z.width} != {width}")
+        label = int(label)
+        if not 0 <= label < c:
+            raise ValueError(f"label {label} out of range for c={c}")
+        counts = entries.get(z)
+        if counts is None:
+            counts = np.zeros(c, dtype=np.int64)
+            entries[z] = counts
+        counts[label] += 1
+        total += 1
+    return DictTable(entries=entries, c=c, width=width, total=total)
+
+
+def dict_table_arrays(t: DictTable):
+    codes = np.array([z.value for z in t.entries], dtype=np.uint64 if t.width is None or t.width <= 64 else object)
+    counts = np.array(list(t.entries.values()), dtype=np.int64).reshape(len(codes), t.c)
+    order = np.argsort(codes)
+    return codes[order], counts[order]
+
+
+def dict_majority_label(t: DictTable, z) -> int:
+    return int(np.argmax(t.entries[z]))
+
+
+def dict_train_collision_incidence(t: DictTable) -> float:
+    if t.total == 0:
+        raise ValueError("empty table")
+    return sum(int(counts.sum() - counts.max()) for counts in t.entries.values()) / t.total
+
+
+def dict_coverage(t: DictTable, test_buckets) -> CoverageMetrics:
+    """Coverage of (bitstring, label, weight) test buckets, one dict lookup each."""
+    errors = overlapping = n_test = 0
+    for z, label, weight in test_buckets:
+        n_test += weight
+        if z in t.entries:
+            overlapping += weight
+            errors += weight if dict_majority_label(t, z) != label else 0
+    return CoverageMetrics.from_counts(dict_train_collision_incidence(t), t.total, errors, overlapping, n_test)
+
+
+def dict_training_batch(t: DictTable, weighting: str) -> TrainingBatch:
+    if t.total == 0:
+        raise ValueError("empty table")
+    items = sorted(t.entries.items(), key=lambda kv: kv[0].value)
+    records = []
+    for z, counts in items:
+        weight = int(counts.sum()) / t.total if weighting == "frequency" else 1.0 / len(items)
+        records.append((z, int(np.argmax(counts)), weight))
+    return TrainingBatch(records=tuple(records))
+
+
+def dict_classification_accuracy(model, t: DictTable) -> float:
+    if t.total == 0:
+        raise ValueError("empty table")
+    items = sorted(t.entries.items(), key=lambda kv: kv[0].value)
+    preds = predict_many(model, np.array([z.value for z, _ in items], dtype=np.int64))
+    correct = 0
+    for (z, counts), pred in zip(items, preds.tolist()):
+        if pred < counts.shape[0]:
+            correct += int(counts[pred])
+    return correct / t.total
+
+
+def record_sets(width, seed):
+    """Train and test records over a few shared codes (all-zeros and all-ones
+    among them), 3 classes, plus a code whose training bucket is a 1-1 tie."""
+    r = random.Random(seed)
+    pool = sorted({r.getrandbits(width) for _ in range(6)} | {0, (1 << width) - 1})
+    tie = pool.pop(r.randrange(len(pool))) if len(pool) > 1 else None
+    train = [(Bitstring(width, r.choice(pool)), r.randrange(3)) for _ in range(300)]
+    test = [(Bitstring(width, r.choice(pool + [r.getrandbits(width)])), r.randrange(3)) for _ in range(100)]
+    if tie is not None:
+        train += [(Bitstring(width, tie), 1), (Bitstring(width, tie), 0)]
+        test += [(Bitstring(width, tie), 0), (Bitstring(width, tie), 1)]
+    return train, test
+
+
+class TestArrayTable:
+    """The array table against the dict table it replaced: exact equality."""
+
+    @pytest.mark.parametrize("width", [1, 64, 65, 130])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dict_oracle(self, width, seed):
+        train, test = record_sets(width, seed)
+        t, o = build_table(train, 3), dict_build_table(train, 3)
+        codes, counts = dict_table_arrays(o)
+        assert t.codes.dtype == codes.dtype and t.codes.tolist() == codes.tolist()
+        assert np.array_equal(t.counts, counts)
+        assert (t.c, t.width, t.total) == (o.c, o.width, o.total)
+        assert t.entries.keys() == o.entries.keys()
+        assert all(np.array_equal(t.entries[z], o.entries[z]) for z in o.entries)
+
+        half = len(train) // 2
+        merged = merge_counts([build_table(train[:half], 3), build_table(train[half:], 3)])
+        assert merged.codes.tolist() == codes.tolist() and np.array_equal(merged.counts, counts)
+
+        for z, _ in train + test:
+            if z in o.entries:
+                assert z in t and majority_label(t, z) == dict_majority_label(o, z)
+            else:
+                assert z not in t
+                with pytest.raises(KeyError):
+                    majority_label(t, z)
+        assert train_collision_incidence(t) == dict_train_collision_incidence(o)
+        assert coverage_metrics(t, test) == dict_coverage(o, [(z, label, 1) for z, label in test])
+        test_dict = dict_build_table(test, 3)
+        batched = [(z, dict_majority_label(test_dict, z), int(n.sum())) for z, n in test_dict.entries.items()]
+        assert stream_coverage_from_tables(t, build_table(test, 3)) == dict_coverage(o, batched)
+
+    def test_majority_tie_goes_to_smallest_class(self):
+        for width in (1, 64, 65, 130):
+            z = Bitstring(width, (1 << width) - 1)
+            t = build_table([(z, 1), (z, 0)], 2)
+            assert t.counts.tolist() == [[1, 1]] and majority_label(t, z) == 0
+            assert train_collision_incidence(t) == 0.5
+
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("weighting", ["frequency", "uniform"])
+    def test_qsim_readers_match_dict_oracle(self, width, weighting):
+        train, test = record_sets(width, seed=width)
+        predicted = set()
+        for records in (train, test):
+            t, o = build_table(records, 3), dict_build_table(records, 3)
+            assert training_batch_from_table(t, weighting).records == dict_training_batch(o, weighting).records
+            for init_seed in range(16):
+                model = fresh_model(width, 2, 2, init_seed=init_seed)
+                assert classification_accuracy(model, t) == dict_classification_accuracy(model, o)
+                predicted.update(predict_many(model, t.codes.astype(np.int64)).tolist())
+        assert predicted == {0, 1, 2, 3}  # every class, and a readout (3) that is no class
+
+    def test_empty_tables_raise_as_before(self):
+        empty, full = build_table([], 2), build_table([(bs("01"), 0)], 2)
+        assert empty.width is None and empty.codes.shape == (0,) and empty.counts.shape == (0, 2)
+        for call in (
+            lambda: train_collision_incidence(empty),
+            lambda: coverage_metrics(empty, [(bs("01"), 0)]),
+            lambda: stream_coverage_from_tables(empty, full),
+            lambda: training_batch_from_table(empty),
+            lambda: classification_accuracy(fresh_model(2, 1, 1), empty),
+        ):
+            with pytest.raises(ValueError, match="^empty table$"):
+                call()
+        with pytest.raises(KeyError):
+            majority_label(empty, bs("01"))
+
+    def test_entries_view_is_read_only(self):
+        t = build_table([(bs("01"), 0), (bs("01"), 1)], 2)
+        with pytest.raises(TypeError):
+            t.entries[bs("10")] = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError):
+            t.entries[bs("01")][0] = 5
+        assert t.counts.tolist() == [[1, 1]]

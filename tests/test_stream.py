@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import bitbit.stream
+import bitbit.data
 from bitbit.coverage import build_table, coverage_metrics
-from bitbit.data import Dataset, make_synthetic, parse_csv_row
+from bitbit.data import Dataset, load_csv, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
     Bitstring,
@@ -403,8 +403,9 @@ BAD_ROWS = [
 
 
 class TestCsvIngestParity:
-    """Batch conversion gives parse_csv_row's arrays, and parse_csv_row's
-    error for the first bad row, wherever the row sits in its batch."""
+    """Batch conversion, in CsvBatchSource and in load_csv, gives parse_csv_row's
+    arrays, and parse_csv_row's error for the first bad row, wherever the row
+    sits in its batch."""
 
     @staticmethod
     def expected_error(path, line, line_no, strict):
@@ -419,7 +420,7 @@ class TestCsvIngestParity:
 
     @pytest.mark.parametrize("bad", BAD_ROWS)
     @pytest.mark.parametrize("position", [0, 3, 7])  # first row, mid-batch, last of the first batch
-    def test_error_matches_row_parser(self, tmp_path, bad, position):
+    def test_error_matches_row_parser(self, tmp_path, monkeypatch, bad, position):
         rows = list(GOOD_ROWS)
         rows.insert(position, bad)
         path = tmp_path / "d.csv"
@@ -430,6 +431,11 @@ class TestCsvIngestParity:
         with pytest.raises(ValueError) as info:
             list(src.batches(8))
         assert str(info.value) == expected
+        if not strict:  # load_csv maps every label it meets
+            monkeypatch.setattr(bitbit.data, "LOAD_BATCH_ROWS", 8)
+            with pytest.raises(ValueError) as info:
+                load_csv(str(path), "label")
+            assert str(info.value) == self.expected_error(str(path), bad, position + 2, strict)
 
     @pytest.mark.parametrize("label_column,header,lines", [
         ("label", "f0,f1,label", [" 0.5 ,\t1.5,x ", "-2.0, 3.25 ,  y", "1e-3,4,x"]),
@@ -448,11 +454,15 @@ class TestCsvIngestParity:
         expected_y = [mapping.setdefault(label, len(mapping)) for _, label in parsed]
 
         calls = []
-        monkeypatch.setattr(bitbit.stream, "parse_csv_row", lambda *a: calls.append(a))
+        monkeypatch.setattr(bitbit.data, "parse_csv_row", lambda *a: calls.append(a))
         src = CsvBatchSource(path, label_column)
         for batch_size in (1, 2, 10):
             xs, ys = zip(*src.batches(batch_size))
             assert np.array_equal(np.vstack(xs), np.array([v for v, _ in parsed]))
             assert np.concatenate(ys).tolist() == expected_y
+            monkeypatch.setattr(bitbit.data, "LOAD_BATCH_ROWS", batch_size)
+            d = load_csv(path, label_column)
+            assert np.array_equal(d.features, np.array([v for v, _ in parsed]))
+            assert d.labels.tolist() == expected_y and d.label_names == tuple(mapping)
         assert src.label_mapping == mapping
         assert calls == []  # good batches never fall back to the row parser
