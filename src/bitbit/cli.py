@@ -265,6 +265,8 @@ def _check_flags(cfg: RunConfig) -> None:
             raise ValueError(f"--{field.replace('_', '-')} must be >= {least}, got {value}")
     if cfg.samples < cfg.classes:
         raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
+    if cfg.input is not None and (cfg.train_input or cfg.test_input):
+        raise ValueError("--input cannot be combined with --train-input/--test-input")
 
 
 # --- estimate ---

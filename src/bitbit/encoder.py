@@ -348,19 +348,33 @@ def encode_samples(model: EncoderModel, features: np.ndarray) -> list[Bitstring]
 
 
 def persist_model(model: EncoderModel, path) -> None:
-    """Write the model as JSON; a round-tripped model encodes bit-identically."""
+    """Write the model as JSON; a round-tripped model encodes bit-identically.
+
+    The bytes are those of ``json.dump(doc, fh, sort_keys=True)`` plus a
+    newline. Each value goes through ``json.dumps``, which uses the C encoder
+    where ``json.dump`` does not, and the copula one column at a time, so the
+    whole document is never held as one string.
+    """
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "reducer": model.reducer.to_json_dict(),
         "mins": model.mins.tolist(),
         "maxs": model.maxs.tolist(),
-        "copula": [col.tolist() for col in model.copula.columns],
+        "copula": model.copula.columns,
         "importances": model.importances.scores.tolist(),
         "allocation": {"bits": list(model.allocation.bits), "n_x": model.allocation.n_x},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key == "copula":
+                fh.write("[")
+                for j, col in enumerate(doc[key]):
+                    fh.write((", " if j else "") + json.dumps(col.tolist()))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(doc[key], sort_keys=True))
+        fh.write("}\n")
 
 
 def load_model(path) -> EncoderModel:

@@ -33,6 +33,10 @@ _qubit_cap = DEFAULT_QUBIT_CAP
 # untouched.
 _FLAT_SLICE = 1e-13
 
+# Up to this many qubits train_sweeps keeps a dense 2^n x 2^n suffix matrix
+# (16 * 4^n bytes: 16 MB at 10 qubits); larger models probe full circuits.
+_CACHED_SWEEP_QUBITS = 10
+
 
 def set_qubit_cap(n_qubits: int) -> None:
     global _qubit_cap
@@ -101,11 +105,21 @@ def class_probabilities(state: Statevector, n_y: int) -> np.ndarray:
 def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
     k = states.shape[0]
     view = states.reshape(k, 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = c * a0 - s * a1
-    view[:, :, 1, :] = s * a0 + c * a1
+    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    # Each pair turns by phi = angle / 2, done as three shears in place with
+    # one half-size temporary. -R(phi) = R(phi - pi) keeps |phi| <= pi / 2,
+    # so the shear factor tan(phi / 2) stays within [-1, 1].
+    phi = math.remainder(angle / 2, 2 * math.pi)
+    if abs(phi) > math.pi / 2:
+        states *= -1
+        phi -= math.copysign(math.pi, phi)
+    t, s = math.tan(phi / 2), math.sin(phi)
+    scratch = a1 * t
+    a0 -= scratch
+    np.multiply(a0, s, out=scratch)
+    a1 += scratch
+    np.multiply(a1, t, out=scratch)
+    a0 -= scratch
 
 
 def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
@@ -113,6 +127,19 @@ def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> No
     view = states.reshape(k, 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
     view[:, :, 0, :] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
     view[:, :, 1, :] *= complex(math.cos(angle / 2), math.sin(angle / 2))
+
+
+def _minus_i_pauli(out: np.ndarray, states: np.ndarray, n_qubits: int, kind: str, qubit: int) -> None:
+    """out = -iP states, with P = Y for "ry" and Z for "rz" on one qubit; a
+    rotation is exp(-i t P / 2) = cos(t/2) + sin(t/2) (-iP)."""
+    shape = (states.shape[0], 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
+    src, dst = states.reshape(shape), out.reshape(shape)
+    if kind == "ry":  # -iY = [[0, -1], [1, 0]]
+        np.negative(src[:, :, 1, :], out=dst[:, :, 0, :])
+        dst[:, :, 1, :] = src[:, :, 0, :]
+    else:  # -iZ = diag(-i, i)
+        np.multiply(src[:, :, 0, :], -1j, out=dst[:, :, 0, :])
+        np.multiply(src[:, :, 1, :], 1j, out=dst[:, :, 1, :])
 
 
 def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) -> None:
@@ -126,6 +153,9 @@ def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) ->
     tmp = view[tuple(idx10)].copy()
     view[tuple(idx10)] = view[tuple(idx11)]
     view[tuple(idx11)] = tmp
+
+
+_ROTATIONS = {"ry": _apply_ry, "rz": _apply_rz}
 
 
 @dataclass(frozen=True)
@@ -144,17 +174,27 @@ class Ansatz:
     def parameter_count(self) -> int:
         return 2 * self.n_qubits * self.layers
 
+    def gates(self) -> list[tuple[str, int, int]]:
+        """The circuit in application order: ("ry" or "rz", qubit, parameter
+        index) for a rotation, ("cnot", control, target) for a CNOT. Parameters
+        appear in index order."""
+        n = self.n_qubits
+        gates = []
+        for layer in range(self.layers):
+            p = 2 * n * layer
+            for q in range(n):
+                gates += [("ry", q, p + 2 * q), ("rz", q, p + 2 * q + 1)]
+            if n > 1:
+                gates += [("cnot", i, (i + 1) % n) for i in range(n)]
+        return gates
+
     def apply_batch(self, states: np.ndarray, theta: np.ndarray) -> None:
         n = self.n_qubits
-        p = 0
-        for _ in range(self.layers):
-            for q in range(n):
-                _apply_ry(states, n, q, theta[p])
-                _apply_rz(states, n, q, theta[p + 1])
-                p += 2
-            if n > 1:
-                for i in range(n):
-                    _apply_cnot(states, n, i, (i + 1) % n)
+        for kind, a, b in self.gates():
+            if kind == "cnot":
+                _apply_cnot(states, n, a, b)
+            else:
+                _ROTATIONS[kind](states, n, a, theta[b])
 
 
 @dataclass(frozen=True)
@@ -343,14 +383,37 @@ def _target_probabilities(model, z_values: np.ndarray, targets: np.ndarray) -> n
     return out
 
 
+def _check_batch(model, batch: TrainingBatch) -> None:
+    if batch.width != model.n_x:
+        raise ValueError(f"batch width {batch.width} != model data width {model.n_x}")
+    if batch._targets.max() >= 1 << model.n_y:
+        raise ValueError(f"target class {batch._targets.max()} does not fit in {model.n_y} class qubit(s)")
+
+
 def evaluate_loss(model, batch: TrainingBatch) -> float:
     """1 - sum_z f(z) * P(correct class | z): the probability the model answers
     a weighted random query wrongly."""
-    if batch.width != model.n_x:
-        raise ValueError(f"batch width {batch.width} != model data width {model.n_x}")
+    _check_batch(model, batch)
     p_correct = _target_probabilities(model, batch._z_values, batch._targets)
     loss = 1.0 - float(batch._weights @ p_correct)
     return min(max(loss, 0.0), 1.0)
+
+
+def _slice_update(t0: float, a: float, u: float, v: float) -> tuple[float, float]:
+    """The coordinate update on the loss slice around the current angle t0,
+    L(t0 + d) = a + u*cos(d) + v*sin(d). In absolute terms the slice is
+    a + b*cos(t) + c*sin(t); its minimizer atan2(-c, -b) is wrapped to
+    (-pi, pi] and its minimum is a - hypot(b, c). Returns (new angle, new
+    loss); a near-flat slice (amplitude at most _FLAT_SLICE) keeps t0."""
+    b = u * math.cos(t0) - v * math.sin(t0)
+    c = u * math.sin(t0) + v * math.cos(t0)
+    amplitude = math.hypot(b, c)
+    if amplitude <= _FLAT_SLICE:
+        return t0, a + u
+    t_star = math.atan2(-c, -b)
+    if t_star <= -math.pi:
+        t_star += 2.0 * math.pi
+    return t_star, min(max(a - amplitude, 0.0), 1.0)
 
 
 def rotosolve_step(
@@ -358,10 +421,9 @@ def rotosolve_step(
 ) -> tuple[float, float]:
     """Move parameter j to the global minimum of its loss slice.
 
-    The slice is L(t) = a + b*cos(t) + c*sin(t); three probes (current, +pi/2,
-    -pi/2) identify a, b, c exactly, and the minimizer is atan2(-c, -b),
-    wrapped to (-pi, pi]. Returns (new theta_j, new loss). Near-flat slices
-    (amplitude below 1e-13) leave the parameter untouched. Pass ``loss_0``
+    Three probes (current, +pi/2, -pi/2) identify the sinusoidal slice
+    exactly, and ``_slice_update`` moves the parameter. Returns
+    (new theta_j, new loss), the loss read off the slice. Pass ``loss_0``
     when the loss at the current point is already known.
     """
     theta = model.theta
@@ -376,26 +438,86 @@ def rotosolve_step(
     loss_minus = evaluate_loss(model, batch)
 
     a = (loss_plus + loss_minus) / 2.0
-    u = loss_0 - a
-    v = (loss_plus - loss_minus) / 2.0
-    b = u * math.cos(t0) - v * math.sin(t0)
-    c = u * math.sin(t0) + v * math.cos(t0)
-    if math.hypot(b, c) <= _FLAT_SLICE:
-        theta[j] = t0
-        return t0, loss_0
+    t_new, loss = _slice_update(t0, a, loss_0 - a, (loss_plus - loss_minus) / 2.0)
+    theta[j] = t_new
+    return t_new, loss
 
-    t_star = math.atan2(-c, -b)
-    if t_star <= -math.pi:
-        t_star += 2.0 * math.pi
-    theta[j] = t_star
-    return t_star, evaluate_loss(model, batch)
+
+def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
+    """One sweep of ``_slice_update`` over every parameter, without probes;
+    returns the loss after the sweep.
+
+    Split the circuit before a rotation R(t) = cos(t/2) + sin(t/2)(-iP) into
+    prefix states psi (one per sample) and a suffix matrix V that still holds
+    R at its current angle t0. With alpha = V_y psi and beta = V_y (-iP psi),
+    where V_y holds the rows of V in the sample's target class y, the
+    probability of reading y at t0 + d is A + B cos d + C sin d, with
+    A = (|alpha|^2 + |beta|^2) / 2, B = (|alpha|^2 - |beta|^2) / 2 and
+    C = Re <alpha, beta>. beta takes one matmul per class; alpha is carried
+    from gate to gate, since moving the rotation to t0 + d turns it into
+    cos(d/2) alpha + sin(d/2) beta and a CNOT leaves it alone. Each gate is
+    then peeled off V at its old angle and pushed onto psi at its new one.
+    """
+    n, dim, rows = model.n_qubits, 1 << model.n_qubits, 1 << model.n_x
+    theta = model.theta
+    gates = model.ansatz.gates()
+    # The kernels act on rows (M -> M G^T), so V = U is the identity times the
+    # transposed gates in reverse order; RY(t)^T = RY(-t), RZ and CNOT are
+    # symmetric. Peeling G off the front of V applies (G^-1)^T: RY(t), RZ(-t).
+    suffix = np.eye(dim, dtype=np.complex128)
+    for kind, a, b in reversed(gates):
+        if kind == "cnot":
+            _apply_cnot(suffix, n, a, b)
+        else:
+            _ROTATIONS[kind](suffix, n, a, -theta[b] if kind == "ry" else theta[b])
+
+    # Samples grouped by target class.
+    order = np.argsort(batch._targets, kind="stable")
+    targets, weights, z_values = batch._targets[order], batch._weights[order], batch._z_values[order]
+    k = targets.shape[0]
+    prefix = np.zeros((k, dim), dtype=np.complex128)
+    prefix[np.arange(k), z_values] = 1.0
+    turned = np.empty_like(prefix)  # -iP psi
+    alpha = suffix.reshape(-1, rows, dim)[targets, :, z_values]
+    beta = np.empty_like(alpha)
+    classes, starts = np.unique(targets, return_index=True)
+    groups = list(zip(classes.tolist(), starts.tolist(), starts[1:].tolist() + [k]))
+
+    for kind, a, b in gates:
+        if kind == "cnot":
+            _apply_cnot(suffix, n, a, b)
+            _apply_cnot(prefix, n, a, b)
+            continue
+        _minus_i_pauli(turned, prefix, n, kind, a)
+        for y, lo, hi in groups:
+            np.matmul(turned[lo:hi], suffix[y * rows:(y + 1) * rows].T, out=beta[lo:hi])
+        alpha2 = float((alpha.real ** 2 + alpha.imag ** 2).sum(axis=1) @ weights)
+        beta2 = float((beta.real ** 2 + beta.imag ** 2).sum(axis=1) @ weights)
+        overlap = float(np.vdot(alpha, beta * weights[:, None]).real)
+        t0 = float(theta[b])
+        # L(t0 + d) = 1 - sum_i w_i p_i(t0 + d)
+        t_new, loss = _slice_update(t0, 1.0 - (alpha2 + beta2) / 2.0, (beta2 - alpha2) / 2.0, -overlap)
+        if t_new != t0:
+            theta[b] = t_new
+            alpha *= math.cos((t_new - t0) / 2)
+            alpha += math.sin((t_new - t0) / 2) * beta
+        _ROTATIONS[kind](suffix, n, a, t0 if kind == "ry" else -t0)
+        _ROTATIONS[kind](prefix, n, a, t_new)
+    return loss
 
 
 def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list[float]:
     """Cycle coordinate updates over all parameters in index order; returns the
-    loss after each sweep. The loss never increases beyond rounding noise."""
+    loss after each sweep. The loss never increases beyond rounding noise.
+
+    Up to _CACHED_SWEEP_QUBITS qubits each sweep runs from cached states
+    (``_cached_sweep``); larger models take three-probe ``rotosolve_step``s.
+    """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if model.n_qubits <= _CACHED_SWEEP_QUBITS:
+        _check_batch(model, batch)
+        return [_cached_sweep(model, batch) for _ in range(sweeps)]
     history = []
     last = evaluate_loss(model, batch)
     for _ in range(sweeps):

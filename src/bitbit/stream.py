@@ -152,8 +152,12 @@ class _Reservoir:
         if rest:
             highs = np.arange(self.seen + 1, self.seen + rest + 1)
             draws = self.rng.integers(0, highs)
-            for offset in np.nonzero(draws < self.capacity)[0].tolist():
-                self.values[draws[offset]] = vals[fill + offset]
+            hits = np.nonzero(draws < self.capacity)[0]
+            # A slot drawn more than once keeps its last value; fancy assignment
+            # leaves the order of repeated indices undefined, so keep only the
+            # last hit on each slot.
+            slots, from_end = np.unique(draws[hits][::-1], return_index=True)
+            self.values[slots] = vals[fill + hits[hits.shape[0] - 1 - from_end]]
             self.seen += rest
 
     def result(self) -> np.ndarray:

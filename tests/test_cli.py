@@ -361,6 +361,16 @@ class TestFlagValidation:
                        "--output", tmp_path / "r.json")
         self._assert_flag_error(code, capsys, "--step")
 
+    @pytest.mark.parametrize("pair", [("--train-input",), ("--test-input",), ("--train-input", "--test-input")],
+                             ids=["train", "test", "both"])
+    def test_estimate_input_excludes_split_pair(self, tmp_path, split_csvs, capsys, pair):
+        paths = {"--train-input": split_csvs[0], "--test-input": split_csvs[1]}
+        out = tmp_path / "r.json"
+        code = run_cli("estimate", "--input", tmp_path / "absent.csv", *[a for f in pair for a in (f, paths[f])],
+                       "--label-column", "label", "--output", out)
+        self._assert_flag_error(code, capsys, "--input")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flags,named", [
         ("train", ("--max-qubits", "0"), "--max-qubits"),
         ("train", ("--layers", "0"), "--layers"),

@@ -345,6 +345,28 @@ class TestPersistence:
         samples = rng.standard_normal((1000, 4))
         assert encode_samples(model, samples) == encode_samples(loaded, samples)
 
+    @pytest.mark.parametrize("scheme", ["none", "pca", "lsa"])
+    def test_bytes_equal_json_dump(self, tmp_path, scheme):
+        train = make_synthetic(60, 4, 3, 2.0, seed=9)
+        fitted = fit_encoder(train, ReducerSpec(scheme), 7)
+        odd = np.array([-0.0, 5e-324, 0.1, 1 / 3, 1e16, 123456789.125, -2.5e-8])
+        columns = (odd, np.array([]), *fitted.copula.columns[2:])
+        for model in (fitted, dataclasses.replace(fitted, copula=CopulaModel(columns=columns))):
+            doc = {
+                "version": "1",
+                "reducer": model.reducer.to_json_dict(),
+                "mins": model.mins.tolist(),
+                "maxs": model.maxs.tolist(),
+                "copula": [col.tolist() for col in model.copula.columns],
+                "importances": model.importances.scores.tolist(),
+                "allocation": {"bits": list(model.allocation.bits), "n_x": model.allocation.n_x},
+            }
+            with open(tmp_path / "oracle.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True)
+                fh.write("\n")
+            persist_model(model, tmp_path / "m.json")
+            assert (tmp_path / "m.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
     def test_truncated_file_rejected(self, tmp_path):
         train = make_synthetic(20, 2, 2, 2.0, seed=8)
         path = tmp_path / "m.json"

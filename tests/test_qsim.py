@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bitbit import qsim
 from bitbit.coverage import build_table, coverage_metrics
 from bitbit.data import make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
@@ -114,6 +115,19 @@ class TestGateKernels:
                 _apply_cnot(states, n, q, t if t < q else t + 1)
             norms = np.sum(np.abs(states) ** 2, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-12
+
+    def test_ry_matches_its_matrix_at_any_angle(self, rng):
+        n = 3
+        angles = [0.0, 1e-9, math.pi, -math.pi, 1.5 * math.pi, 2 * math.pi, -2 * math.pi + 1e-12,
+                  3 * math.pi, 4 * math.pi, 100.0, *rng.uniform(-20, 20, 10)]
+        for angle in angles:
+            for q in range(n):
+                states = rng.standard_normal((4, 1 << n)) + 1j * rng.standard_normal((4, 1 << n))
+                c, s = math.cos(angle / 2), math.sin(angle / 2)
+                gate = np.kron(np.kron(np.eye(1 << q), [[c, -s], [s, c]]), np.eye(1 << (n - q - 1)))
+                expected = states @ gate.T
+                _apply_ry(states, n, q, angle)
+                assert np.abs(states - expected).max() < 1e-13
 
     def test_cnot_truth_table(self):
         states = np.zeros((4, 4), dtype=complex)
@@ -319,3 +333,95 @@ class TestPredict:
         assert train_acc <= ceiling.theoretical_train_accuracy + 1e-9
         assert train_acc >= ceiling.theoretical_train_accuracy - 0.02
         assert test_acc >= ceiling.theoretical_test_accuracy - 0.02
+
+
+def probe_loop_sweeps(model, batch, sweeps):
+    """The three-probe coordinate loop that train_sweeps ran before it cached
+    prefix states: two extra full-circuit losses per parameter, and the loss
+    after each update evaluated again. Kept as the oracle for train_sweeps."""
+    history = []
+    last = evaluate_loss(model, batch)
+    for _ in range(sweeps):
+        for j in range(model.theta.shape[0]):
+            t0 = float(model.theta[j])
+            model.theta[j] = t0 + math.pi / 2
+            plus = evaluate_loss(model, batch)
+            model.theta[j] = t0 - math.pi / 2
+            minus = evaluate_loss(model, batch)
+            model.theta[j] = t0
+            a = (plus + minus) / 2.0
+            u, v = last - a, (plus - minus) / 2.0
+            b = u * math.cos(t0) - v * math.sin(t0)
+            c = u * math.sin(t0) + v * math.cos(t0)
+            if math.hypot(b, c) > 1e-13:
+                t_star = math.atan2(-c, -b)
+                model.theta[j] = t_star + 2.0 * math.pi if t_star <= -math.pi else t_star
+                last = evaluate_loss(model, batch)
+        history.append(last)
+    return history
+
+
+class TestCachedSweep:
+    """train_sweeps against the probe loop: per-sweep losses to 1e-10, and the
+    loss it reports after every sweep against evaluate_loss to 1e-12."""
+
+    @staticmethod
+    def _check(model, batch, sweeps):
+        oracle = QuantumModel(model.n_x, model.n_y, model.ansatz, model.theta.copy())
+        expected = probe_loop_sweeps(oracle, batch, sweeps)
+        for want in expected:
+            got = train_sweeps(model, batch, 1)
+            assert len(got) == 1 and abs(got[0] - want) <= 1e-10
+            assert abs(got[0] - evaluate_loss(model, batch)) <= 1e-12
+        return oracle
+
+    @staticmethod
+    def _batch(n_x, targets, weights=None):
+        k = len(targets)
+        weights = np.full(k, 1.0 / k) if weights is None else weights
+        values = np.random.default_rng(k).choice(1 << n_x, size=k, replace=False)
+        return TrainingBatch(records=tuple(
+            (Bitstring(n_x, int(v)), int(t), float(w)) for v, t, w in zip(values, targets, weights)
+        ))
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    def test_matches_probe_loop(self, rng, n_qubits, layers):
+        n_y = 1 if n_qubits < 4 else 2
+        model = random_model(rng, n_qubits - n_y, n_y, layers)
+        batch = random_batch(rng, n_qubits - n_y, n_classes=1 << n_y, k=8)
+        self._check(model, batch, 2 if n_qubits <= 8 else 1)
+
+    def test_zero_angle_start_with_flat_slices(self):
+        model = fresh_model(3, 1, 2)
+        oracle = self._check(model, self._batch(3, [0, 1, 0, 1]), 3)
+        # parameters whose slices stayed flat are left exactly at zero
+        assert 0 < np.count_nonzero(oracle.theta) < oracle.theta.shape[0]
+        assert np.array_equal(model.theta == 0.0, oracle.theta == 0.0)
+
+    def test_one_record(self, rng):
+        model = random_model(rng, 4, 2, 2)
+        self._check(model, self._batch(4, [3]), 3)
+
+    def test_uniform_weights(self, rng):
+        model = random_model(rng, 5, 2, 2)
+        self._check(model, self._batch(5, [0, 1, 2, 3, 0, 1, 2, 3, 1, 1]), 3)
+
+    def test_target_class_no_sample_has(self, rng):
+        model = random_model(rng, 4, 2, 2)
+        weights = rng.random(6)
+        self._check(model, self._batch(4, [0, 2, 2, 0, 2, 0], weights / weights.sum()), 3)
+
+    def test_above_cap_takes_probe_loop(self, rng, monkeypatch):
+        def refuse(model, batch):
+            raise AssertionError("the cached sweep ran above its qubit cap")
+
+        monkeypatch.setattr(qsim, "_cached_sweep", refuse)
+        model = random_model(rng, 10, 1, 1)
+        self._check(model, self._batch(10, [0, 1, 1, 0]), 2)
+
+    def test_target_beyond_class_register_rejected(self):
+        model = fresh_model(2, 1, 1)
+        batch = TrainingBatch(records=((Bitstring(2, 0), 2, 1.0),))
+        with pytest.raises(ValueError, match="does not fit"):
+            train_sweeps(model, batch, 1)

@@ -113,6 +113,42 @@ class TestReservoir:
             b.add(chunk)
         assert np.array_equal(a.result(), b.result())
 
+    @staticmethod
+    def _loop_add(res, vals) -> int:
+        """The per-replacement loop (algorithm R, one value at a time in arrival
+        order), kept as the oracle for the vectorized add; returns how many
+        replacements hit a slot already replaced in the same call."""
+        m = vals.shape[0]
+        fill = min(res.capacity - res.size, m)
+        res.values[res.size:res.size + fill] = vals[:fill]
+        res.size += fill
+        res.seen += fill
+        rest = m - fill
+        repeats = 0
+        if rest:
+            draws = res.rng.integers(0, np.arange(res.seen + 1, res.seen + rest + 1))
+            hits = np.nonzero(draws < res.capacity)[0].tolist()
+            repeats = len(hits) - len(set(draws[hits].tolist()))
+            for offset in hits:
+                res.values[draws[offset]] = vals[fill + offset]
+            res.seen += rest
+        return repeats
+
+    @pytest.mark.parametrize("capacity,chunk", [(1, 50), (3, 40), (3, 1), (5, 7), (40, 300)])
+    def test_matches_loop_with_repeated_slots(self, capacity, chunk):
+        fast = _Reservoir(capacity, np.random.default_rng(11))
+        slow = _Reservoir(capacity, np.random.default_rng(11))
+        stream = np.random.default_rng(12).standard_normal(2000)
+        repeats = 0
+        for lo in range(0, stream.shape[0], chunk):
+            vals = stream[lo:lo + chunk]
+            fast.add(vals)
+            repeats += self._loop_add(slow, vals)
+            assert np.array_equal(fast.result(), slow.result())
+            assert (fast.size, fast.seen) == (slow.size, slow.seen)
+        assert fast.rng.integers(0, 2**62) == slow.rng.integers(0, 2**62)
+        assert repeats > 0 or chunk == 1
+
 
 class TestStreamFit:
     def test_single_batch_matches_in_memory_fit_exactly(self, tmp_path):
