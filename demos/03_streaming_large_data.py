@@ -1,9 +1,10 @@
 """Batched streaming for data that never fits in memory.
 
-Three passes over the training stream (reducer accumulation; extrema,
-batch-averaged importance scores, and a copula reservoir; encoding to disk),
-then a single pass over the test stream. Memory stays at one batch plus the
-model, and the coverage table grows with unique codes only.
+Two passes over the training stream fit the encoder (reducer accumulation;
+then extrema, batch-averaged importance scores and a copula reservoir). One
+rank pass over each split spills integer copula ranks to disk, and every
+swept width is measured from that spill. Memory stays at one batch plus the
+model, and the coverage tables grow with unique codes only.
 """
 
 import tempfile
@@ -13,7 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from bitbit import ReducerSpec, fit_encoder, make_synthetic
-from bitbit.stream import ArrayBatchSource, StreamConfig, stream_coverage, stream_encode, stream_fit_encoder
+from bitbit.coverage import estimate_from_curve
+from bitbit.encoder import read_encoded_header
+from bitbit.stream import ArrayBatchSource, StreamConfig, stream_fit_base, stream_sweep_curve
 
 
 class BlobSource:
@@ -33,42 +36,44 @@ class BlobSource:
             remaining -= m
 
 
-work = Path(tempfile.mkdtemp(prefix="bitbit_stream_"))
+with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
+    work = Path(tmp)
 
-# Streaming the fit: 40k training records in batches of 2k.
-cfg = StreamConfig(
-    train_source=BlobSource(40_000, 4, 2, seed=1),
-    test_source=BlobSource(10_000, 4, 2, seed=2),
-    batch_size=2_000,
-    work_dir=work,
-)
-model = stream_fit_encoder(cfg, ReducerSpec("pca"), n_x=12)
-print("streamed fit done; allocation:", model.allocation.bits)
+    # Streaming the fit and the sweep: 40k training and 10k test records in
+    # batches of 2k.
+    cfg = StreamConfig(
+        train_source=BlobSource(40_000, 4, 2, seed=1),
+        test_source=BlobSource(10_000, 4, 2, seed=2),
+        batch_size=2_000,
+        work_dir=work,
+    )
+    tracemalloc.start()
+    base = stream_fit_base(cfg, ReducerSpec("pca"))
+    curve = stream_sweep_curve(cfg, base, c=2, stop_threshold=1.0, n_x_max=32, step=4)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # The batched test rule judges each test bucket by its own majority label,
+    # so at narrow widths it can read 1.0 while training buckets still collide.
+    for n_x, m in curve:
+        print(f"n_x {n_x:>2}: train ceiling {m.theoretical_train_accuracy:.4f}, "
+              f"test ceiling {m.theoretical_test_accuracy:.4f}, "
+              f"overlap {m.test_train_overlap_fraction:.4f}")
+    est = estimate_from_curve(curve, 0.99, c=2)
+    print(f"at threshold 0.99: q_train {est.q_train}, q_test {est.q_test}, q_dataset {est.q_dataset}")
+    print(f"written at width {read_encoded_header(work / 'train.enc')}: "
+          f"{', '.join(sorted(p.name for p in work.iterdir()))}")
+    print(f"peak traced allocation over 50k streamed records: {peak / 2**20:.1f} MB")
 
-stream_encode(model, cfg.test_source, work / "test.enc", cfg.batch_size)
-metrics = stream_coverage(work / "train.enc", work / "test.enc", c=2)
-print(f"train accuracy ceiling {metrics.theoretical_train_accuracy:.4f}, "
-      f"test ceiling {metrics.theoretical_test_accuracy:.4f}, "
-      f"overlap {metrics.test_train_overlap_fraction:.4f}")
-
-# With a single batch covering everything, streaming IS the in-memory fit:
-small = make_synthetic(500, 4, 2, 3.0, seed=5)
-single = StreamConfig(
-    train_source=ArrayBatchSource(small.features, small.labels),
-    test_source=None,
-    batch_size=10_000,
-    work_dir=work / "single",
-)
-streamed_model = stream_fit_encoder(single, ReducerSpec("pca"), n_x=8)
-in_memory_model = fit_encoder(small, ReducerSpec("pca"), n_x=8)
-assert np.array_equal(streamed_model.importances.scores, in_memory_model.importances.scores)
-assert streamed_model.allocation.bits == in_memory_model.allocation.bits
-print("single-batch streaming matches the in-memory fit exactly")
-
-# The encode pass allocates O(batch), not O(records):
-tracemalloc.start()
-stream_encode(model, BlobSource(200_000, 4, 2, seed=3), work / "big.enc", 5_000)
-_, peak = tracemalloc.get_traced_memory()
-tracemalloc.stop()
-print(f"encoded 200k records with peak allocation {peak / 2**20:.1f} MB")
-print(f"artifacts in {work}")
+    # With a single batch covering everything, streaming IS the in-memory fit:
+    small = make_synthetic(500, 4, 2, 3.0, seed=5)
+    single = StreamConfig(
+        train_source=ArrayBatchSource(small.features, small.labels),
+        test_source=None,
+        batch_size=10_000,
+        work_dir=work / "single",
+    )
+    streamed_model = stream_fit_base(single, ReducerSpec("pca")).at_width(8)
+    in_memory_model = fit_encoder(small, ReducerSpec("pca"), n_x=8)
+    assert np.array_equal(streamed_model.importances.scores, in_memory_model.importances.scores)
+    assert streamed_model.allocation.bits == in_memory_model.allocation.bits
+    print("single-batch streaming matches the in-memory fit exactly")

@@ -9,7 +9,7 @@ reaches loss zero outright and serves as the existence witness.
 import numpy as np
 
 from bitbit import ReducerSpec, SplitSpec, make_synthetic, split_train_test
-from bitbit.coverage import build_table, coverage_metrics, compute_q_y, majority_label
+from bitbit.coverage import build_table, coverage_metrics, compute_q_y
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder
 from bitbit.qsim import (
     build_exact_classifier,
@@ -55,7 +55,8 @@ print(f"\ntrained accuracy {final:.4f} vs ceiling {ceiling.theoretical_train_acc
       "(the ceiling is a hard bound)")
 
 # The existence witness: the oracle permutation classifies every code exactly.
-cmap = {z: majority_label(train_table, z) for z in train_table.entries}
+# The batch already holds each training code's majority label.
+cmap = {z: target for z, target, _ in batch.records}
 for value in range(1 << n_x):
     cmap.setdefault(Bitstring(n_x, value), 0)
 oracle = build_exact_classifier(cmap, n_x, n_y)

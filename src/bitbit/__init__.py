@@ -41,23 +41,19 @@ from bitbit.coverage import (
     QubitEstimate,
     build_table,
     compute_q_y,
-    majority_label,
+    coverage_metrics,
     sweep_qubits,
-    test_overlap_incidence,
     train_collision_incidence,
 )
 from bitbit.qsim import (
     Ansatz,
     ExactClassifier,
     QuantumModel,
-    Statevector,
     TrainingBatch,
     build_exact_classifier,
-    class_probabilities,
     evaluate_loss,
-    predict,
-    prepare_basis_state,
+    predict_many,
     rotosolve_step,
     train_sweeps,
 )
-from bitbit.stream import StreamConfig, stream_coverage, stream_encode, stream_fit_encoder
+from bitbit.stream import StreamConfig, batched_coverage, stream_fit_base, stream_sweep_curve

@@ -11,10 +11,10 @@ import argparse
 import io
 import json
 import os
+import shutil
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,45 +45,19 @@ from bitbit.stream import CsvBatchSource, StreamConfig, stream_fit_base, stream_
 REPORT_SCHEMA_VERSION = "1"
 
 
-@dataclass
-class RunConfig:
-    """Flat bag of CLI options; each command reads the fields it needs.
+class RunConfig(argparse.Namespace):
+    """Flat bag of CLI options; each command reads the fields it needs. A field
+    not given takes its flag's default in ``build_parser()``, from the first
+    command that has the flag, so there is one table of defaults."""
 
-    Defaults follow the estimation protocol: 80/20 splits, 10 replicates,
-    threshold 1.0, sweep step 1 in memory and 10 when streaming.
-    """
-
-    command: str = ""
-    input: str | None = None
-    train_input: str | None = None
-    test_input: str | None = None
-    label_column: str = "label"
-    scheme: str = "pca"
-    components: int | None = None
-    threshold: float = 1.0
-    replicates: int = 10
-    train_fraction: float = 0.8
-    seed: int = 0
-    n_x_max: int = 128
-    step: int = 1
-    batch_size: int | None = None
-    reservoir_size: int = 100_000
-    weighted_mi: bool = False
-    stratify: bool = False
-    n_x: int | None = None
-    layers: int = 2
-    sweeps: int = 10
-    uniform_weights: bool = False
-    max_qubits: int = 20
-    jobs: int | None = None
-    output: str | None = None
-    output_dir: str | None = None
-    model_output: str | None = None
-    work_dir: str | None = None
-    samples: int = 1000
-    features: int = 4
-    classes: int = 2
-    separation: float = 4.0
+    def __init__(self, **fields):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        defaults = {"command": None}
+        for command_parser in subparsers.choices.values():
+            for action in command_parser._actions:
+                if action.default is not argparse.SUPPRESS:
+                    defaults.setdefault(action.dest, action.default)
+        super().__init__(**{**defaults, **fields})
 
 
 # --- report plumbing ---
@@ -243,8 +217,8 @@ def _write_estimate_report(
 
 # --- flag checks ---
 
-# Least value of each numeric flag. Fields a command lacks keep their
-# RunConfig default, which every check accepts; None means the flag is unset.
+# Least value of each numeric flag. Fields a command lacks take another
+# command's default, which every check accepts; None means the flag is unset.
 _FLAG_MINIMUMS = {
     "n_x_max": 1, "step": 1, "replicates": 1, "jobs": 1, "batch_size": 1, "reservoir_size": 1,
     "components": 1, "n_x": 1, "layers": 1, "sweeps": 0, "max_qubits": 1, "seed": 0,
@@ -340,27 +314,34 @@ def run_stream_estimate(cfg: RunConfig) -> int:
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
+    # The outermost directory this run creates, removed again if the run fails.
+    created = next((d for d in reversed((work_dir, *work_dir.parents)) if not d.exists()), None)
     work_dir.mkdir(parents=True, exist_ok=True)
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
-    with _WarningLog() as wlog:
-        train_source = CsvBatchSource(cfg.train_input, cfg.label_column)
-        stream_cfg = StreamConfig(
-            train_source=train_source,
-            test_source=None,
-            batch_size=cfg.batch_size,
-            work_dir=work_dir,
-            reservoir_size=cfg.reservoir_size,
-            seed=cfg.seed,
-            weighted_mi=cfg.weighted_mi,
-        )
-        base = stream_fit_base(stream_cfg, spec)
-        label_mapping = dict(train_source.label_mapping)
-        c = len(label_mapping)
-        if c < 2:
-            raise ValueError("training stream holds fewer than 2 classes")
-        stream_cfg.test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
-        curve = stream_sweep_curve(stream_cfg, base, c, 1.0, cfg.n_x_max, cfg.step)
+    try:
+        with _WarningLog() as wlog:
+            train_source = CsvBatchSource(cfg.train_input, cfg.label_column)
+            stream_cfg = StreamConfig(
+                train_source=train_source,
+                test_source=None,
+                batch_size=cfg.batch_size,
+                work_dir=work_dir,
+                reservoir_size=cfg.reservoir_size,
+                seed=cfg.seed,
+                weighted_mi=cfg.weighted_mi,
+            )
+            base = stream_fit_base(stream_cfg, spec)
+            label_mapping = dict(train_source.label_mapping)
+            c = len(label_mapping)
+            if c < 2:
+                raise ValueError("training stream holds fewer than 2 classes")
+            stream_cfg.test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
+            curve = stream_sweep_curve(stream_cfg, base, c, 1.0, cfg.n_x_max, cfg.step)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
     config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
                                 "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
@@ -374,14 +355,13 @@ def run_stream_estimate(cfg: RunConfig) -> int:
 def run_encode(cfg: RunConfig) -> int:
     """Split, fit at a fixed width, and write model.json, train.enc, test.enc,
     and labels.json into the output directory."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     dataset = load_csv(cfg.input, cfg.label_column)
     train, test = split_train_test(
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     persist_model(model, out / "model.json")
     for name, split in (("train", train), ("test", test)):
         words = pack_codes(copula_units(model, split.features), model.allocation.bits)
@@ -450,6 +430,7 @@ def _train(cfg: RunConfig) -> int:
             fh.write(f"{sweep},{loss!r},{tr_acc!r},{te_acc!r}\n")
 
     model_path = Path(cfg.model_output) if cfg.model_output else trace_path.with_suffix(".model.json")
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     with open(model_path, "w", encoding="utf-8") as fh:
         json.dump(
             {"n_x": cfg.n_x, "n_y": q_y, "layers": cfg.layers, "theta": qmodel.theta.tolist()},
@@ -466,9 +447,14 @@ def _train(cfg: RunConfig) -> int:
 def run_report(cfg: RunConfig) -> int:
     with open(cfg.input, encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
+            text = _render_report(json.load(fh))
+        except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:  # not a JSON report
             raise ValueError(f"{cfg.input}: not a report JSON ({exc})") from None
+    print(text, end="")
+    return 0
+
+
+def _render_report(report: dict) -> str:
     out = io.StringIO()
     tool = report.get("tool", {})
     out.write(f"bitbit report (schema {report.get('schema_version')}, "
@@ -498,8 +484,7 @@ def run_report(cfg: RunConfig) -> int:
             )
     for message in report.get("warnings", []):
         out.write(f"warning: {message}\n")
-    print(out.getvalue(), end="")
-    return 0
+    return out.getvalue()
 
 
 # --- synthetic data recipe ---
@@ -615,10 +600,7 @@ _COMMANDS = {
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in vars(args).items():
-        setattr(cfg, key.replace("-", "_"), value)
-    return cfg
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

@@ -59,17 +59,6 @@ class BitstringTable:
     def bitstrings(self) -> list[Bitstring]:
         return [Bitstring(self.width, z) for z in self.codes.tolist()]
 
-    def row(self, z: Bitstring) -> int | None:
-        """Index of ``z`` in ``codes``, or None when no record carries it."""
-        if z.width != self.width:
-            return None
-        key = _value_keys([z.value], self.width)
-        i = int(np.searchsorted(self.codes, key)[0])
-        return i if i < self.codes.shape[0] and self.codes[i] == key[0] else None
-
-    def __contains__(self, z: Bitstring) -> bool:
-        return self.row(z) is not None
-
 
 def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTable:
     """Aggregate (bitstring, label) records into per-class counts."""
@@ -91,30 +80,12 @@ def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTa
     return count_codes(_value_keys(values, width), np.array(labels, dtype=np.int64), c, width)
 
 
-def majority_label(t: BitstringTable, z: Bitstring) -> int:
-    """Most frequent class for a bitstring; ties go to the smallest class id."""
-    i = t.row(z)
-    if i is None:
-        raise KeyError(f"bitstring {z.to_bits()} not present in the table")
-    return int(np.argmax(t.counts[i]))
-
-
 def train_collision_incidence(t: BitstringTable) -> float:
     """Fraction of samples that do not belong to their bucket's majority class."""
     total = t.total
     if total == 0:
         raise ValueError("empty table")
     return (total - int(t.counts.max(axis=1).sum())) / total
-
-
-def test_overlap_incidence(t: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> tuple[float, float]:
-    """(incidence, overlap_fraction) for a test set against a training table.
-
-    A test sample errs iff its bitstring occurs in training and its label is
-    not the training bucket's majority; unseen bitstrings count as correct.
-    """
-    m = coverage_metrics(t, encoded_test)
-    return m.test_overlap_incidence, m.test_train_overlap_fraction
 
 
 @dataclass(frozen=True)

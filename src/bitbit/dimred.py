@@ -119,13 +119,6 @@ def incremental_update(state: IncrementalPcaState, batch: np.ndarray) -> Increme
     )
 
 
-def merge_states(a: IncrementalPcaState, b: IncrementalPcaState) -> IncrementalPcaState:
-    """Combine accumulators built over disjoint row sets (parallel pass support)."""
-    if a.n_features != b.n_features:
-        raise ValueError("cannot merge accumulators with different widths")
-    return IncrementalPcaState(count=a.count + b.count, sum=a.sum + b.sum, gram=a.gram + b.gram)
-
-
 def finalize_incremental(state: IncrementalPcaState, n_components: int) -> FittedReducer:
     """Turn an accumulator into a fitted PCA reducer.
 

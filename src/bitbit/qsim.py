@@ -63,42 +63,6 @@ def _check_cap(n_qubits: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Statevector:
-    """Normalized amplitudes over the 2^n computational basis states."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(np.asarray(self.amplitudes, dtype=np.complex128))
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"statevector norm^2 = {norm!r}, must be 1 within 1e-10")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def prepare_basis_state(n_qubits: int, bits: Bitstring) -> Statevector:
-    """The computational basis state whose index is the bitstring's value."""
-    if bits.width != n_qubits:
-        raise ValueError(f"bitstring width {bits.width} != qubit count {n_qubits}")
-    _check_cap(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[bits.value] = 1.0
-    return Statevector(n_qubits=n_qubits, amplitudes=amps)
-
-
-def class_probabilities(state: Statevector, n_y: int) -> np.ndarray:
-    """Probability of each class-register outcome (the top n_y qubits)."""
-    if not 0 <= n_y <= state.n_qubits:
-        raise ValueError(f"n_y must be in [0, {state.n_qubits}]")
-    probs = np.abs(state.amplitudes) ** 2
-    return probs.reshape(1 << n_y, -1).sum(axis=1)
-
-
 # --- gate kernels (in place, batched over the leading axis) ---
 
 
@@ -230,13 +194,6 @@ class QuantumModel:
     def apply_batch(self, states: np.ndarray) -> None:
         self.ansatz.apply_batch(states, self.theta)
 
-    def apply(self, state: Statevector) -> Statevector:
-        if state.n_qubits != self.n_qubits:
-            raise ValueError("statevector width mismatch")
-        amps = state.amplitudes.copy().reshape(1, -1)
-        self.apply_batch(amps)
-        return Statevector(n_qubits=self.n_qubits, amplitudes=amps[0])
-
 
 def fresh_model(n_x: int, n_y: int, layers: int, init_seed: int | None = None) -> QuantumModel:
     """A new model: angles all zero, or seeded uniform in (-pi, pi).
@@ -275,11 +232,6 @@ class ExactClassifier:
 
     def apply_batch(self, states: np.ndarray) -> None:
         states[:, self.perm] = states.copy()
-
-    def apply(self, state: Statevector) -> Statevector:
-        amps = state.amplitudes.copy().reshape(1, -1)
-        self.apply_batch(amps)
-        return Statevector(n_qubits=self.n_qubits, amplitudes=amps[0])
 
 
 def build_exact_classifier(c_map: Mapping[Bitstring, int], n_x: int, n_y: int) -> ExactClassifier:
@@ -527,15 +479,9 @@ def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list
     return history
 
 
-def predict(model, z: Bitstring) -> int:
-    """Most probable class-register readout for input |z>; ties to the smallest id."""
-    if z.width != model.n_x:
-        raise ValueError(f"bitstring width {z.width} != model data width {model.n_x}")
-    return int(predict_many(model, np.array([z.value], dtype=np.int64))[0])
-
-
 def predict_many(model, z_values: np.ndarray) -> np.ndarray:
-    """Batched argmax class prediction for basis-state inputs."""
+    """Most probable class-register readout for each basis-state input |z>;
+    ties go to the smallest class id."""
     n_q = model.n_x + model.n_y
     dim = 1 << n_q
     k = z_values.shape[0]

@@ -26,7 +26,6 @@ import numpy as np
 from bitbit.coverage import (
     BitstringTable,
     CoverageMetrics,
-    build_table,
     code_coverage,
     code_keys,
     count_codes,
@@ -50,13 +49,10 @@ from bitbit.encoder import (
     _normalize,
     allocate_bits,
     copula_ranks,
-    copula_units,
     estimate_mutual_information,
-    iter_encoded,
     pack_codes,
     persist_model,
     rank_units,
-    read_encoded_header,
     write_packed,
 )
 
@@ -246,26 +242,6 @@ def _check_count(count: int) -> None:
         raise ValueError(f"train source must yield at least 2 samples, got {count}")
 
 
-def stream_fit_encoder(cfg: StreamConfig, spec: ReducerSpec, n_x: int) -> EncoderModel:
-    """Full streaming fit at one width: fitting passes, a final encoding pass
-    writing ``work_dir/train.enc``, and the model persisted to
-    ``work_dir/model.json``."""
-    model = stream_fit_base(cfg, spec).at_width(n_x)
-    cfg.work_dir.mkdir(parents=True, exist_ok=True)
-    stream_encode(model, cfg.train_source, cfg.work_dir / "train.enc", cfg.batch_size)
-    persist_model(model, cfg.work_dir / "model.json")
-    return model
-
-
-def stream_encode(model: EncoderModel, source, sink_path, batch_size: int = 4096) -> int:
-    """Encode a record stream to an encoded-record file; memory stays bounded
-    by one batch plus the model. Returns the record count."""
-    return write_packed(sink_path, model.width, (
-        (pack_codes(copula_units(model, x), model.allocation.bits), y)
-        for x, y in source.batches(batch_size)
-    ))
-
-
 class RankSpill:
     """One split's copula ranks and labels on disk, one row of D + 1 uint32
     values per record: the D ranks of ``copula_ranks``, then the label id."""
@@ -342,32 +318,8 @@ def stream_sweep_curve(
     return curve
 
 
-def stream_coverage(encoded_train_path, encoded_test_path, c: int) -> CoverageMetrics:
-    """Coverage from two encoded-record files.
-
-    Train collisions are counted as in the in-memory path. A test bitstring
-    found in training counts its whole bucket as wrong iff the bucket's
-    majority test label differs from the training majority label (the batched
-    rule: per-bitstring majority stands in for per-sample truth).
-    """
-    train_width = read_encoded_header(encoded_train_path)
-    test_width = read_encoded_header(encoded_test_path)
-    if train_width != test_width:
-        raise ValueError(f"width mismatch: train {train_width} != test {test_width}")
-    train_table = build_table(iter_encoded(encoded_train_path), c)
-    test_table = build_table(iter_encoded(encoded_test_path), c)
-    return stream_coverage_from_tables(train_table, test_table)
-
-
-def stream_coverage_from_tables(
-    train_table: BitstringTable, test_table: BitstringTable
-) -> CoverageMetrics:
-    if None not in (train_table.width, test_table.width) and train_table.width != test_table.width:
-        raise ValueError(f"width mismatch: train {train_table.width} != test {test_table.width}")
-    return batched_coverage(train_table, test_table)
-
-
 def batched_coverage(train_table: BitstringTable, test_table: BitstringTable) -> CoverageMetrics:
-    """The batched rule: each test bucket carries its majority label and its size."""
+    """The batched rule: a test bucket whose code occurs in training errs as a
+    whole iff its majority test label differs from the training majority."""
     counts = test_table.counts
     return code_coverage(train_table, test_table.codes, counts.argmax(axis=1), counts.sum(axis=1))

@@ -23,7 +23,7 @@ from bitbit.cli import RunConfig, main, run_estimate, run_stream_estimate
 from bitbit.coverage import build_table, coverage_metrics, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import IncrementalPcaState, ReducerSpec, finalize_incremental, fit_reducer, incremental_update
-from bitbit.encoder import Bitstring, apply_copula, encode_samples, fit_copula, fit_encoder
+from bitbit.encoder import Bitstring, apply_copula, encode_samples, fit_copula, fit_encoder, write_packed
 from bitbit.qsim import (
     TrainingBatch,
     build_exact_classifier,
@@ -34,7 +34,7 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import stream_encode
+from bitbit.stream import RankSpill
 from tests.conftest import write_dataset_csv
 from tests.test_coverage import brute_test_incidence, brute_train_incidence
 
@@ -482,14 +482,17 @@ class SyntheticSource:
 
 
 def test_scaling_smoke_stream_encode_constant_memory(tmp_path):
-    """Encoding a million-record stream allocates O(batch + model), not O(records)."""
+    """Encoding a million-record stream (the rank pass to a spill, then codes
+    packed from it) allocates O(batch + model), not O(records)."""
     fit_data = make_synthetic(2000, 4, 2, 3.0, seed=1)
     model = fit_encoder(fit_data, ReducerSpec("pca"), 24)
     source = SyntheticSource(1_000_000, 4, 2, seed=9)
     sink = tmp_path / "big.enc"
     tracemalloc.start()
     try:
-        count = stream_encode(model, source, sink, batch_size=10_000)
+        spill = RankSpill(tmp_path / "big.ranks", model)
+        spill.write(source, 10_000)
+        count = write_packed(sink, model.width, spill.codes(model.allocation.bits, 10_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbit.cli import main
 from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
@@ -204,6 +209,15 @@ class TestTrainCommand:
             bodies.append(trace.read_bytes() + trace.with_suffix(".model.json").read_bytes())
         assert bodies[0] == bodies[1]
 
+    def test_model_output_into_new_directory(self, tmp_path, separable_2d_csv, capsys):
+        model_path = tmp_path / "models" / "deep" / "m.json"
+        assert run_cli("train", "--input", separable_2d_csv, "--label-column", "label", "--n-x", "2",
+                       "--layers", "1", "--sweeps", "1", "--output", tmp_path / "t.csv",
+                       "--model-output", model_path) == 0
+        assert json.loads(model_path.read_text())["n_x"] == 2
+        assert not (tmp_path / "t.model.json").exists()
+        capsys.readouterr()
+
     def test_qubit_cap_enforced(self, tmp_path, separable_2d_csv, capsys):
         code = run_cli("train", "--input", separable_2d_csv, "--label-column", "label",
                        "--n-x", "25", "--max-qubits", "20", "--output", tmp_path / "t.csv")
@@ -403,6 +417,44 @@ class TestFlagValidation:
     def test_report_input_that_is_not_a_report(self, tmp_path, separable_1d_csv, capsys):
         code = run_cli("report", "--input", separable_1d_csv)
         self._assert_flag_error(code, capsys, str(separable_1d_csv))
+        out = tmp_path / "r.json"
+        run_cli("estimate", "--input", separable_1d_csv, "--scheme", "none", "--replicates", "1",
+                "--n-x-max", "8", "--output", out)
+        capsys.readouterr()
+        assert run_cli("report", "--input", out) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        report["replicates"][0]["thresholds"]["1.0"]["q_y"] = None
+        for name, content in (("list.json", b"[]"), ("null_q_y.json", json.dumps(report).encode()),
+                              ("latin1.json", b'{"command": "\xff"}'), ("config_list.json", b'{"config": [1]}'),
+                              ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+            path = tmp_path / name
+            path.write_bytes(content)
+            self._assert_flag_error(run_cli("report", "--input", path), capsys, str(path))
+
+    @pytest.mark.parametrize("flags", [(), ("--components", "3")], ids=["bad-csv", "bad-fit"])
+    def test_encode_failure_leaves_no_directory(self, tmp_path, separable_2d_csv, capsys, flags):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("f0,f1,label\n0.5,0.5,0\noops,0.1,1\n", encoding="utf-8")
+        out = tmp_path / "outenc"
+        code = run_cli("encode", "--input", separable_2d_csv if flags else bad_csv, "--label-column", "label",
+                       "--n-x", "2", *flags, "--output-dir", out)
+        self._assert_flag_error(code, capsys, "n_components" if flags else f"{bad_csv}: cannot parse")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["train", "test"])
+    def test_stream_estimate_failure_leaves_no_directory(self, tmp_path, split_csvs, capsys, bad):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("f0,f1,label\n0.5,0.5,0\noops,0.1,1\n", encoding="utf-8")
+        inputs = {"train": split_csvs[0], "test": split_csvs[1], bad: bad_csv}
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "sw" / "r.json", kept / "r.json"):
+            code = run_cli("stream-estimate", "--train-input", inputs["train"], "--test-input", inputs["test"],
+                           "--label-column", "label", "--batch-size", "32", "--output", out)
+            self._assert_flag_error(code, capsys, f"{bad_csv}: cannot parse")
+        assert not (tmp_path / "sw").exists()
+        assert list(kept.iterdir()) == []  # only what the run created is removed
 
     def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
         trace = tmp_path / "t.csv"
@@ -418,3 +470,117 @@ class TestFlagValidation:
         lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(lines) == 1 and named in lines[0]
         assert "Traceback" not in err
+
+
+CSV_FILES = ("good.csv", "three.csv", "tr.csv", "te.csv")
+BAD_FILES = ("bad.csv", "one_class.csv", "report.json", "list.json", "absent.csv")
+FUZZ_FILES = CSV_FILES + BAD_FILES
+# flag -> (good values, bad values); a flag with neither takes no value
+FUZZ_VALUES = {
+    "--input": (CSV_FILES, BAD_FILES), "--train-input": (CSV_FILES, BAD_FILES),
+    "--test-input": (CSV_FILES, BAD_FILES),
+    "--label-column": (("label", "2"), ("0", "f1", "nope")),
+    "--scheme": (("none", "pca", "lsa"), ("bogus",)),
+    "--components": (("1", "2"), ("3", "0", "x")),
+    "--seed": (("0", "3"), ("-1",)),
+    "--threshold": (("1.0", "0.9"), ("0", "1.5", "nan")),
+    "--replicates": (("1", "2"), ("0",)),
+    "--train-fraction": (("0.5", "0.8"), ("0", "1", "x")),
+    "--n-x-max": (("1", "3"), ("0",)),
+    "--step": (("1", "2"), ("0",)),
+    "--jobs": (("1", "2"), ("0",)),
+    "--batch-size": (("5", "64"), ("1", "0")),
+    "--reservoir-size": (("8", "100"), ("1", "0")),
+    "--n-x": (("1", "2", "3"), ("0", "30")),
+    "--layers": (("1", "2"), ("0",)),
+    "--sweeps": (("0", "1"), ("-1",)),
+    "--max-qubits": (("5", "20"), ("2", "0")),
+    "--samples": (("4", "30"), ("1", "0")),
+    "--features": (("1", "3"), ("0",)),
+    "--classes": (("2", "3"), ("1",)),
+    "--separation": (("0", "2.5"), ("-1", "nan")),
+    "--output": (("out/r.json", "out/a/t.csv"), ()),
+    "--output-dir": (("out/enc",), ()),
+    "--work-dir": (("out/w",), ()),
+    "--model-output": (("out/m/model.json",), ()),
+    "--stratify": ((), ()), "--weighted-mi": ((), ()), "--uniform-weights": ((), ()),
+}
+# command -> (flags it needs to do any work, its other flags)
+FUZZ_COMMANDS = {
+    "estimate": (("--input", "--output"),
+                 ("--train-input", "--test-input", "--label-column", "--scheme", "--components", "--seed",
+                  "--threshold", "--replicates", "--train-fraction", "--n-x-max", "--step", "--stratify",
+                  "--jobs")),
+    "stream-estimate": (("--train-input", "--test-input", "--batch-size", "--output"),
+                        ("--label-column", "--scheme", "--components", "--seed", "--threshold", "--n-x-max",
+                         "--step", "--reservoir-size", "--weighted-mi", "--work-dir")),
+    "encode": (("--input", "--n-x", "--output-dir"),
+               ("--label-column", "--scheme", "--components", "--seed", "--train-fraction", "--stratify")),
+    "train": (("--input", "--n-x", "--output"),
+              ("--label-column", "--scheme", "--components", "--seed", "--layers", "--sweeps", "--train-fraction",
+               "--stratify", "--uniform-weights", "--max-qubits", "--model-output")),
+    "report": (("--input",), ()),
+    "make-synthetic": (("--output",), ("--samples", "--features", "--classes", "--separation", "--seed")),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command with its needed flags and any of its other flags. Half the
+    draws take only good values; the others may also leave out one needed
+    flag and take bad values."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    needed, optional = FUZZ_COMMANDS[command]
+    clean = draw(st.booleans())
+    dropped = set() if clean else draw(st.sets(st.sampled_from(needed), max_size=1))
+    flags = [f for f in needed if f not in dropped]
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [command]
+    for flag in flags:
+        good, bad = FUZZ_VALUES[flag]
+        argv.append(flag)
+        if good:
+            argv.append(draw(st.sampled_from(good if clean else good + bad)))
+    if command == "report" and clean:
+        argv[-1] = "report.json"
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_dataset_csv(root / "good.csv", make_synthetic(24, 2, 2, 4.0, seed=3))
+    write_dataset_csv(root / "three.csv", make_synthetic(30, 3, 3, 3.0, seed=4))
+    (root / "bad.csv").write_text("f0,f1,label\n0.5,0.5,0\noops,0.1,1\n", encoding="utf-8")
+    (root / "one_class.csv").write_text("f0,f1,label\n" + "".join(f"{i},{-i},0\n" for i in range(6)),
+                                        encoding="utf-8")
+    train, test = split_train_test(load_csv(root / "good.csv", "label"), SplitSpec(0.75, seed=1))
+    write_dataset_csv(root / "tr.csv", train)
+    write_dataset_csv(root / "te.csv", test)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["estimate", "--input", str(root / "good.csv"), "--replicates", "2", "--n-x-max", "6",
+                     "--output", str(root / "report.json")]) in (0, 2)
+    (root / "list.json").write_text("[]", encoding="utf-8")
+    return root
+
+
+class TestArgvFuzz:
+    """Any argv exits 0, 1 or 2; a failure prints one error line and no
+    traceback, and exit 1 leaves nothing under the output path."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(argv=fuzz_argv())
+    def test_exit_codes_errors_and_leftovers(self, fuzz_files, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [str(Path(tmp) / a) if a.startswith("out/") else
+                    str(fuzz_files / a) if a in FUZZ_FILES else a for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert len(errors) == (1 if code == 1 else 0), err.getvalue()
+            if code == 1:
+                assert not (Path(tmp) / "out").exists(), argv

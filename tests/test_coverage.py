@@ -11,18 +11,16 @@ from bitbit.coverage import (
     compute_q_y,
     coverage_metrics,
     estimate_from_curve,
-    majority_label,
     merge_counts,
     sweep_curve,
     sweep_qubits,
-    test_overlap_incidence as overlap_incidence,
     train_collision_incidence,
 )
 from bitbit.data import Dataset, make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, copula_units, discretize_value, encode_samples, fit_encoder
 from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
-from bitbit.stream import stream_coverage_from_tables
+from bitbit.stream import batched_coverage
 from tests.conftest import all_pure_1d_dataset
 
 
@@ -54,6 +52,12 @@ def brute_test_incidence(encoded_train, encoded_test):
             if label != brute_majority(bucket):
                 errors += 1
     return errors / len(encoded_test), overlap / len(encoded_test)
+
+
+def majority_errs(table, z, label) -> bool:
+    """Whether the per-sample rule counts a test record (z, label) as wrong:
+    z occurs in training and label is not its training majority."""
+    return coverage_metrics(table, [(z, label)]).n_test_overlap_errors == 1
 
 
 def encode_pair(train, test, spec, n_x):
@@ -96,22 +100,24 @@ class TestBuildTable:
 
 
 class TestMajorityLabel:
+    """The training majority a test record is judged against."""
+
     def test_plain_majority(self):
         t = build_table([(bs("0"), 0), (bs("0"), 0), (bs("0"), 1)], 2)
-        assert majority_label(t, bs("0")) == 0
+        assert not majority_errs(t, bs("0"), 0) and majority_errs(t, bs("0"), 1)
 
     def test_tie_goes_to_smallest_class(self):
         t = build_table([(bs("0"), 0)] * 3 + [(bs("0"), 1)] * 3, 2)
-        assert majority_label(t, bs("0")) == 0
+        assert not majority_errs(t, bs("0"), 0) and majority_errs(t, bs("0"), 1)
 
     def test_zero_prefix_classes_skipped(self):
         t = build_table([(bs("0"), 2)] * 5, 3)
-        assert majority_label(t, bs("0")) == 2
+        assert [majority_errs(t, bs("0"), k) for k in range(3)] == [True, True, False]
 
     def test_absent_bitstring(self):
         t = build_table([(bs("0"), 0)], 2)
-        with pytest.raises(KeyError):
-            majority_label(t, bs("1"))
+        m = coverage_metrics(t, [(bs("1"), 1)])
+        assert m.n_test_overlapping == 0 and m.n_test_overlap_errors == 0
 
 
 class TestTrainCollisionIncidence:
@@ -142,13 +148,13 @@ class TestTrainCollisionIncidence:
 class TestTestOverlapIncidence:
     def test_hand_count(self):
         t = build_table([(bs("01"), 0)] * 3 + [(bs("01"), 1)], 2)
-        incidence, overlap = overlap_incidence(t, [(bs("01"), 1), (bs("11"), 0)])
-        assert incidence == 0.5 and overlap == 0.5
+        m = coverage_metrics(t, [(bs("01"), 1), (bs("11"), 0)])
+        assert m.test_overlap_incidence == 0.5 and m.test_train_overlap_fraction == 0.5
 
     def test_disjoint_test(self):
         t = build_table([(bs("00"), 0)], 2)
-        incidence, overlap = overlap_incidence(t, [(bs("01"), 0), (bs("11"), 1)])
-        assert incidence == 0.0 and overlap == 0.0
+        m = coverage_metrics(t, [(bs("01"), 0), (bs("11"), 1)])
+        assert m.test_overlap_incidence == 0.0 and m.test_train_overlap_fraction == 0.0
 
     def test_test_equals_train(self, rng):
         records = [
@@ -156,9 +162,9 @@ class TestTestOverlapIncidence:
             for v, lab in zip(rng.integers(0, 4, 40), rng.integers(0, 2, 40))
         ]
         t = build_table(records, 2)
-        incidence, overlap = overlap_incidence(t, records)
-        assert incidence == train_collision_incidence(t)
-        assert overlap == 1.0
+        m = coverage_metrics(t, records)
+        assert m.test_overlap_incidence == train_collision_incidence(t)
+        assert m.test_train_overlap_fraction == 1.0
 
     def test_matches_brute_force_exactly(self, rng):
         for trial in range(20):
@@ -171,12 +177,13 @@ class TestTestOverlapIncidence:
                 for v, lab in zip(rng.integers(0, 8, 30), rng.integers(0, 2, 30))
             ]
             t = build_table(train, 2)
-            assert overlap_incidence(t, test) == brute_test_incidence(train, test)
+            m = coverage_metrics(t, test)
+            assert (m.test_overlap_incidence, m.test_train_overlap_fraction) == brute_test_incidence(train, test)
 
     def test_width_mismatch(self):
         t = build_table([(bs("01"), 0)], 2)
         with pytest.raises(ValueError, match="width"):
-            overlap_incidence(t, [(bs("011"), 0)])
+            coverage_metrics(t, [(bs("011"), 0)])
 
 
 class TestQy:
@@ -324,7 +331,8 @@ class TestFitOnceSweep:
         # at the widest point the duplicated rows form a bucket of their own, tied 1-1
         table = build_table(enc_train, 2)
         z = enc_test[0][0]
-        assert table.entries[z].tolist() == [1, 1] and majority_label(table, z) == 0
+        assert table.entries[z].tolist() == [1, 1]
+        assert not majority_errs(table, z, 0) and majority_errs(table, z, 1)
 
 
 @dataclass
@@ -442,24 +450,21 @@ class TestArrayTable:
         merged = merge_counts([build_table(train[:half], 3), build_table(train[half:], 3)])
         assert merged.codes.tolist() == codes.tolist() and np.array_equal(merged.counts, counts)
 
-        for z, _ in train + test:
-            if z in o.entries:
-                assert z in t and majority_label(t, z) == dict_majority_label(o, z)
-            else:
-                assert z not in t
-                with pytest.raises(KeyError):
-                    majority_label(t, z)
+        for z in {z for z, _ in train + test}:
+            for label in range(3):
+                assert coverage_metrics(t, [(z, label)]) == dict_coverage(o, [(z, label, 1)])
         assert train_collision_incidence(t) == dict_train_collision_incidence(o)
         assert coverage_metrics(t, test) == dict_coverage(o, [(z, label, 1) for z, label in test])
         test_dict = dict_build_table(test, 3)
         batched = [(z, dict_majority_label(test_dict, z), int(n.sum())) for z, n in test_dict.entries.items()]
-        assert stream_coverage_from_tables(t, build_table(test, 3)) == dict_coverage(o, batched)
+        assert batched_coverage(t, build_table(test, 3)) == dict_coverage(o, batched)
 
     def test_majority_tie_goes_to_smallest_class(self):
         for width in (1, 64, 65, 130):
             z = Bitstring(width, (1 << width) - 1)
             t = build_table([(z, 1), (z, 0)], 2)
-            assert t.counts.tolist() == [[1, 1]] and majority_label(t, z) == 0
+            assert t.counts.tolist() == [[1, 1]]
+            assert not majority_errs(t, z, 0) and majority_errs(t, z, 1)
             assert train_collision_incidence(t) == 0.5
 
     @pytest.mark.parametrize("width", [1, 5])
@@ -482,14 +487,12 @@ class TestArrayTable:
         for call in (
             lambda: train_collision_incidence(empty),
             lambda: coverage_metrics(empty, [(bs("01"), 0)]),
-            lambda: stream_coverage_from_tables(empty, full),
+            lambda: batched_coverage(empty, full),
             lambda: training_batch_from_table(empty),
             lambda: classification_accuracy(fresh_model(2, 1, 1), empty),
         ):
             with pytest.raises(ValueError, match="^empty table$"):
                 call()
-        with pytest.raises(KeyError):
-            majority_label(empty, bs("01"))
 
     def test_entries_view_is_read_only(self):
         t = build_table([(bs("01"), 0), (bs("01"), 1)], 2)

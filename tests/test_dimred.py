@@ -8,7 +8,6 @@ from bitbit.dimred import (
     finalize_incremental,
     fit_reducer,
     incremental_update,
-    merge_states,
     transform,
 )
 
@@ -146,15 +145,6 @@ class TestIncremental:
         state = incremental_update(IncrementalPcaState.empty(2), np.ones((1, 2)))
         with pytest.raises(ValueError, match="at least 2"):
             finalize_incremental(state, 2)
-
-    def test_merge_matches_sequential(self, rng):
-        x = random_matrix(rng, 60, 3)
-        a = incremental_update(IncrementalPcaState.empty(3), x[:25])
-        b = incremental_update(IncrementalPcaState.empty(3), x[25:])
-        merged = merge_states(a, b)
-        seq = incremental_update(a, x[25:])
-        assert merged.count == seq.count
-        assert np.allclose(merged.gram, seq.gram, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="columns"):

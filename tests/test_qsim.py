@@ -11,18 +11,16 @@ from bitbit.encoder import Bitstring, encode_samples, fit_encoder
 from bitbit.qsim import (
     Ansatz,
     QuantumModel,
-    Statevector,
     TrainingBatch,
+    _class_probs_batch,
     _apply_cnot,
     _apply_ry,
     _apply_rz,
     build_exact_classifier,
-    class_probabilities,
     classification_accuracy,
     evaluate_loss,
     fresh_model,
-    predict,
-    prepare_basis_state,
+    predict_many,
     rotosolve_step,
     train_sweeps,
     training_batch_from_table,
@@ -59,43 +57,53 @@ def random_batch(rng, n_x=2, n_classes=2, k=4):
     return TrainingBatch(records=records)
 
 
+class RecordingModel:
+    """Identity circuit that keeps a copy of every state batch it is applied to."""
+
+    def __init__(self, n_x, n_y):
+        self.n_x = n_x
+        self.n_y = n_y
+        self.seen = []
+
+    def apply_batch(self, states):
+        self.seen.append(states.copy())
+
+
 class TestStatevector:
+    """The basis states the batched readers prepare: input z enters as |0>|z>."""
+
     def test_basis_state_all_zero(self):
-        sv = prepare_basis_state(2, Bitstring.from_bits("00"))
-        assert sv.amplitudes.tolist() == [1, 0, 0, 0]
+        model = RecordingModel(1, 1)
+        assert predict_many(model, np.array([0])).tolist() == [0]
+        assert model.seen[0].tolist() == [[1, 0, 0, 0]]
 
     def test_basis_state_ordering(self):
-        sv = prepare_basis_state(2, Bitstring.from_bits("10"))
-        assert sv.amplitudes[2] == 1.0
+        model = RecordingModel(2, 1)
+        predict_many(model, np.array([Bitstring.from_bits("10").value]))
+        assert model.seen[0][0, 2] == 1.0 and np.count_nonzero(model.seen[0]) == 1
 
     def test_norm_is_one(self):
-        sv = prepare_basis_state(3, Bitstring.from_bits("101"))
-        assert np.sum(np.abs(sv.amplitudes) ** 2) == 1.0
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            prepare_basis_state(3, Bitstring.from_bits("10"))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            Statevector(1, np.array([1.0, 1.0]))
+        model = RecordingModel(3, 1)
+        batch = TrainingBatch(records=((Bitstring.from_bits("101"), 0, 1.0),))
+        assert evaluate_loss(model, batch) == 0.0
+        assert np.sum(np.abs(model.seen[0]) ** 2) == 1.0
 
 
 class TestClassProbabilities:
     def test_basis_state_class_readout(self):
-        sv = prepare_basis_state(3, Bitstring.from_bits("011"))  # class bits 01
-        assert class_probabilities(sv, 2).tolist() == [0, 1, 0, 0]
+        states = np.zeros((1, 8), dtype=complex)
+        states[0, Bitstring.from_bits("011").value] = 1.0  # class bits 01
+        assert _class_probs_batch(fresh_model(1, 2, 1), states).tolist() == [[0, 1, 0, 0]]
 
     def test_uniform_superposition(self):
         n = 4
-        sv = Statevector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
-        assert np.allclose(class_probabilities(sv, 2), 0.25)
+        states = np.full((1, 1 << n), (1 << n) ** -0.5, dtype=complex)
+        assert np.allclose(_class_probs_batch(fresh_model(2, 2, 1), states), 0.25)
 
     def test_random_state_sums_to_one(self, rng):
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        sv = Statevector(3, amps)
-        assert abs(class_probabilities(sv, 1).sum() - 1.0) < 1e-10
+        assert abs(_class_probs_batch(fresh_model(2, 1, 1), amps[None]).sum() - 1.0) < 1e-10
 
 
 class TestGateKernels:
@@ -293,8 +301,8 @@ class TestExactClassifier:
     def test_predictions_match_map(self, rng):
         cmap = {Bitstring(4, z): int(rng.integers(0, 3)) for z in range(16)}
         ec = build_exact_classifier(cmap, 4, 2)
-        for z, c in cmap.items():
-            assert predict(ec, z) == c
+        z_values = np.array([z.value for z in cmap], dtype=np.int64)
+        assert predict_many(ec, z_values).tolist() == list(cmap.values())
 
     def test_partial_map_rejected(self):
         with pytest.raises(ValueError, match="total"):
@@ -309,7 +317,7 @@ class TestExactClassifier:
 class TestPredict:
     def test_identity_point_zero_input_gives_class_zero(self):
         model = fresh_model(2, 1, 1)
-        assert predict(model, Bitstring(2, 0)) == 0
+        assert predict_many(model, np.array([Bitstring(2, 0).value])).tolist() == [0]
 
     def test_end_to_end_toy_training_reaches_ceiling(self):
         d = make_synthetic(300, 3, 2, 4.0, seed=77)

@@ -16,17 +16,16 @@ from bitbit.encoder import (
     persist_model,
     read_encoded,
     write_encoded,
+    write_packed,
 )
 from bitbit.stream import (
     ArrayBatchSource,
     CsvBatchSource,
+    RankSpill,
     StreamConfig,
     _Reservoir,
-    stream_coverage,
-    stream_coverage_from_tables,
-    stream_encode,
+    batched_coverage,
     stream_fit_base,
-    stream_fit_encoder,
     stream_sweep_curve,
 )
 from tests.conftest import write_dataset_csv
@@ -155,7 +154,7 @@ class TestStreamFit:
         d = make_synthetic(80, 4, 2, 3.0, seed=2)
         for scheme in ("none", "pca"):
             cfg = make_config(d, tmp_path, batch_size=200)
-            streamed = stream_fit_encoder(cfg, ReducerSpec(scheme), 6)
+            streamed = stream_fit_base(cfg, ReducerSpec(scheme)).at_width(6)
             in_memory = fit_encoder(d, ReducerSpec(scheme), 6)
             p1, p2 = tmp_path / "s.json", tmp_path / "m.json"
             persist_model(streamed, p1)
@@ -168,7 +167,7 @@ class TestStreamFit:
             models = []
             for batch_size in (50, 100):
                 cfg = make_config(d, tmp_path, batch_size=batch_size)
-                models.append(stream_fit_encoder(cfg, ReducerSpec(scheme), 5 if scheme == "pca" else 3))
+                models.append(stream_fit_base(cfg, ReducerSpec(scheme)).at_width(5 if scheme == "pca" else 3))
             a, b = models
             assert np.abs(a.reducer.components - b.reducer.components).max() < 1e-6
             if exact:
@@ -195,11 +194,12 @@ class TestStreamFit:
 
     def test_work_dir_artifacts_written(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=5)
-        cfg = make_config(d, tmp_path, batch_size=8)
-        stream_fit_encoder(cfg, ReducerSpec("pca"), 4)
+        cfg = replace(make_config(d, tmp_path, batch_size=8),
+                      test_source=ArrayBatchSource(d.features[:10], d.labels[:10]))
+        curve = stream_sweep_curve(cfg, stream_fit_base(cfg, ReducerSpec("pca")), 2, 1.0, 4, 3)
         assert (tmp_path / "work" / "model.json").exists()
         width, records = read_encoded(tmp_path / "work" / "train.enc")
-        assert width == 4 and len(records) == 30
+        assert width == curve[-1][0] == 4 and len(records) == 30
 
 
 class TestStreamEncode:
@@ -207,59 +207,52 @@ class TestStreamEncode:
         d = make_synthetic(50, 3, 2, 2.0, seed=6)
         model = fit_encoder(d, ReducerSpec("pca"), 5)
         src = ArrayBatchSource(d.features, d.labels)
-        p1, p2 = tmp_path / "a.enc", tmp_path / "b.enc"
-        n1 = stream_encode(model, src, p1, batch_size=7)
-        n2 = stream_encode(model, src, p2, batch_size=7)
-        assert n1 == n2 == 50
-        assert p1.read_bytes() == p2.read_bytes()
+        counts = []
+        for name in ("a", "b"):
+            spill = RankSpill(tmp_path / f"{name}.ranks", model)
+            spill.write(src, 7)
+            codes = spill.codes(model.allocation.bits, 7)
+            counts.append(write_packed(tmp_path / f"{name}.enc", model.width, codes))
+        assert counts == [50, 50]
+        assert (tmp_path / "a.enc").read_bytes() == (tmp_path / "b.enc").read_bytes()
 
     def test_matches_in_memory_encoding(self, tmp_path):
         d = make_synthetic(50, 3, 2, 2.0, seed=7)
         model = fit_encoder(d, ReducerSpec("none"), 4)
         path = tmp_path / "x.enc"
-        stream_encode(model, ArrayBatchSource(d.features, d.labels), path, batch_size=13)
+        spill = RankSpill(tmp_path / "x.ranks", model)
+        spill.write(ArrayBatchSource(d.features, d.labels), 13)
+        write_packed(path, model.width, spill.codes(model.allocation.bits, 13))
         _, records = read_encoded(path)
         direct = list(zip(encode_samples(model, d.features), d.labels.tolist()))
         assert records == direct
 
 
 class TestStreamCoverage:
-    def test_batched_rule_hand_count(self, tmp_path):
+    def test_batched_rule_hand_count(self):
         train = [(bs("01"), 0)] * 3 + [(bs("01"), 1)]
         test = [(bs("01"), 1), (bs("01"), 1), (bs("01"), 0)]
-        p_train, p_test = tmp_path / "train.enc", tmp_path / "test.enc"
-        write_encoded(p_train, 2, train)
-        write_encoded(p_test, 2, test)
-        m = stream_coverage(p_train, p_test, 2)
+        m = batched_coverage(build_table(train, 2), build_table(test, 2))
         # test majority at 01 is 1, train majority is 0: the whole bucket errs
         assert m.test_overlap_incidence == 1.0
         assert m.theoretical_test_accuracy == 0.0
 
-    def test_disjoint_test(self, tmp_path):
-        write_encoded(tmp_path / "train.enc", 2, [(bs("00"), 0), (bs("01"), 1)])
-        write_encoded(tmp_path / "test.enc", 2, [(bs("10"), 0), (bs("11"), 1)])
-        m = stream_coverage(tmp_path / "train.enc", tmp_path / "test.enc", 2)
+    def test_disjoint_test(self):
+        m = batched_coverage(build_table([(bs("00"), 0), (bs("01"), 1)], 2),
+                             build_table([(bs("10"), 0), (bs("11"), 1)], 2))
         assert m.test_overlap_incidence == 0.0
         assert m.test_train_overlap_fraction == 0.0
 
-    def test_single_label_buckets_match_per_sample_rule(self, tmp_path, rng):
+    def test_single_label_buckets_match_per_sample_rule(self, rng):
         # one test record per bitstring: the per-bucket majority IS the label
         train = [(Bitstring(3, int(v)), int(l))
                  for v, l in zip(rng.integers(0, 8, 40), rng.integers(0, 2, 40))]
         values = rng.permutation(8)[:5]
         test = [(Bitstring(3, int(v)), int(rng.integers(0, 2))) for v in values]
-        write_encoded(tmp_path / "train.enc", 3, train)
-        write_encoded(tmp_path / "test.enc", 3, test)
-        streamed = stream_coverage(tmp_path / "train.enc", tmp_path / "test.enc", 2)
         table = build_table(train, 2)
+        streamed = batched_coverage(table, build_table(test, 2))
         in_memory = coverage_metrics(table, test)
         assert streamed == in_memory
-
-    def test_width_mismatch_rejected(self, tmp_path):
-        write_encoded(tmp_path / "train.enc", 2, [(bs("00"), 0)])
-        write_encoded(tmp_path / "test.enc", 3, [(bs("000"), 0)])
-        with pytest.raises(ValueError, match="width mismatch"):
-            stream_coverage(tmp_path / "train.enc", tmp_path / "test.enc", 2)
 
     def test_table_memory_tracks_unique_codes(self):
         # many records, few distinct codes: entry count stays at the distinct count
@@ -289,7 +282,7 @@ class TestStreamEquivalence:
             zip(encode_samples(model, train_rows), train_labels.tolist()), 2
         )
         in_memory = coverage_metrics(table, encoded_test)
-        streamed = stream_coverage_from_tables(table, build_table(encoded_test, 2))
+        streamed = batched_coverage(table, build_table(encoded_test, 2))
         assert streamed == in_memory
 
 
@@ -333,7 +326,8 @@ class TestFitPasses:
 
 def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, work):
     """The per-width path the spill sweep replaces: encode both splits to
-    files with one Bitstring per record, then ``stream_coverage``."""
+    files with one Bitstring per record, then ``batched_coverage`` over the
+    tables read back from them."""
     work.mkdir(parents=True, exist_ok=True)
     curve = []
     train_met = test_met = False
@@ -343,7 +337,8 @@ def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, 
             records = ((z, label) for x, y in source.batches(batch_size)
                        for z, label in zip(encode_samples(model, x), y.tolist()))
             write_encoded(work / f"{name}.enc", model.width, records)
-        metrics = stream_coverage(work / "train.enc", work / "test.enc", c)
+        metrics = batched_coverage(build_table(iter_encoded(work / "train.enc"), c),
+                                   build_table(iter_encoded(work / "test.enc"), c))
         curve.append((n_x, metrics))
         train_met = train_met or metrics.theoretical_train_accuracy >= 1.0
         test_met = test_met or metrics.theoretical_test_accuracy >= 1.0
