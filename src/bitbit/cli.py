@@ -40,7 +40,7 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import CsvBatchSource, StreamConfig, stream_fit_base, stream_sweep_curve
+from bitbit.stream import CsvBatchSource, RowSpill, StreamConfig, stream_fit_base, stream_sweep_curve
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -243,6 +243,19 @@ def _check_flags(cfg: RunConfig) -> None:
         raise ValueError("--input cannot be combined with --train-input/--test-input")
 
 
+def _check_components(cfg: RunConfig, n_features: int, path) -> None:
+    """Reject a ``--components`` that the ``n_features`` columns of the
+    training input ``path`` cannot give, naming the flag."""
+    if cfg.components is None:
+        return
+    if cfg.components > n_features:
+        raise ValueError(f"--components {cfg.components} exceeds the {n_features} features of {path}")
+    if cfg.scheme == "none" and cfg.components != n_features:
+        raise ValueError(
+            f"--scheme none needs --components equal to the {n_features} features of {path}, got {cfg.components}"
+        )
+
+
 # --- estimate ---
 
 
@@ -262,12 +275,14 @@ def run_estimate(cfg: RunConfig) -> int:
             if not (cfg.train_input and cfg.test_input):
                 raise ValueError("pre-split mode needs both --train-input and --test-input")
             train, test = _load_split_pair(cfg)
+            _check_components(cfg, train.n_features, cfg.train_input)
             label_names = train.label_names
             pairs = [(train, test, None)]
         else:
             if cfg.input is None:
                 raise ValueError("estimate requires --input (or --train-input/--test-input)")
             dataset = load_csv(cfg.input, cfg.label_column)
+            _check_components(cfg, dataset.n_features, cfg.input)
             label_names = dataset.label_names
 
             def make_pair(r: int):
@@ -305,12 +320,15 @@ def run_estimate(cfg: RunConfig) -> int:
 def run_stream_estimate(cfg: RunConfig) -> int:
     """Streaming protocol over pre-split CSVs: fit once in batched passes, rank
     each split once into a spill, then pack and measure coverage at each swept
-    width from the spill."""
+    width from the spill. Each CSV is parsed once: the first pass over the
+    training CSV spills its rows, and the later passes read that spill."""
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
     for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
         if not Path(path).is_file():
             raise ValueError(f"{flag}: no such file {path!r}")
+    train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
+    _check_components(cfg, train_csv.n_features(), cfg.train_input)
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
@@ -318,10 +336,10 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     created = next((d for d in reversed((work_dir, *work_dir.parents)) if not d.exists()), None)
     work_dir.mkdir(parents=True, exist_ok=True)
     spec = ReducerSpec(cfg.scheme, cfg.components)
+    train_source = RowSpill(train_csv, work_dir / "train.rows")
 
     try:
         with _WarningLog() as wlog:
-            train_source = CsvBatchSource(cfg.train_input, cfg.label_column)
             stream_cfg = StreamConfig(
                 train_source=train_source,
                 test_source=None,
@@ -342,6 +360,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
+    finally:
+        train_source.path.unlink(missing_ok=True)
 
     config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
                                 "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
@@ -356,6 +376,7 @@ def run_encode(cfg: RunConfig) -> int:
     """Split, fit at a fixed width, and write model.json, train.enc, test.enc,
     and labels.json into the output directory."""
     dataset = load_csv(cfg.input, cfg.label_column)
+    _check_components(cfg, dataset.n_features, cfg.input)
     train, test = split_train_test(
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
@@ -392,6 +413,7 @@ def _train(cfg: RunConfig) -> int:
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
     dataset = load_csv(cfg.input, cfg.label_column)
+    _check_components(cfg, dataset.n_features, cfg.input)
     q_y = compute_q_y(dataset.c)
     if cfg.n_x + q_y > cfg.max_qubits:
         raise ValueError(

@@ -13,6 +13,11 @@ and merges per-batch code counts; memory grows with distinct codes, not
 record count. The final ``train.enc``, ``test.enc`` and ``model.json`` are
 written from the spill at the last swept width, and the spill files are
 removed on success and on error.
+
+A CSV is parsed once: wrapped in a ``RowSpill``, the training source's first
+pass tees its float64 rows and label ids to a file, and the later passes
+(pass 2 and the rank pass) read that file back instead of the CSV. The test
+source is read only by its rank pass, so it needs no row spill.
 """
 
 from __future__ import annotations
@@ -76,6 +81,13 @@ class CsvBatchSource:
     @property
     def n_classes(self) -> int:
         return len(self.label_mapping)
+
+    def n_features(self) -> int:
+        """The number of feature columns in the header; reads only the header row."""
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            header = read_csv_header(csv.reader(fh), self.path)
+        resolve_label_column(header, self.label_column, self.path)
+        return len(header) - 1
 
     def batches(self, batch_size: int):
         if batch_size < 1:
@@ -280,6 +292,50 @@ class RankSpill:
             if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
                 tables = [merge_counts(tables)]
         return tables[0] if len(tables) == 1 else merge_counts(tables)
+
+
+class RowSpill:
+    """A batch source whose CSV is parsed once. The first pass over ``source``
+    that runs to the end tees each batch to ``path`` as float64 rows of the
+    n features then the label id, 8 * (n + 1) bytes per record; every later
+    pass reads that file back in ``batch_size`` chunks and yields the same
+    arrays and label ids. A pass broken off early leaves a file that no pass
+    trusts, so the next pass reads ``source`` again. Passes run one at a time;
+    the caller removes ``path``."""
+
+    def __init__(self, source, path):
+        self.source = source
+        self.path = Path(path)
+        self._n_columns: int | None = None  # set when a pass has written the whole source
+
+    @property
+    def label_mapping(self) -> dict[str, int]:
+        return self.source.label_mapping
+
+    @property
+    def n_classes(self) -> int:
+        return self.source.n_classes
+
+    def batches(self, batch_size: int):
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self._n_columns is None:
+            n_columns = 0
+            with open(self.path, "wb") as fh:
+                for x, y in self.source.batches(batch_size):
+                    np.column_stack((x, y)).astype(np.float64, copy=False).tofile(fh)
+                    n_columns = x.shape[1] + 1
+                    yield x, y
+            self._n_columns = n_columns
+            return
+        n_columns = self._n_columns
+        with open(self.path, "rb") as fh:
+            while n_columns:  # zero columns: the source held no records
+                chunk = np.fromfile(fh, dtype=np.float64, count=batch_size * n_columns).reshape(-1, n_columns)
+                if chunk.shape[0]:
+                    yield np.ascontiguousarray(chunk[:, :-1]), chunk[:, -1].astype(np.int64)
+                if chunk.shape[0] < batch_size:
+                    return
 
 
 def stream_sweep_curve(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bitbit.data
 from bitbit.data import Dataset
 
 
@@ -10,6 +11,22 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
         fh.write(",".join([f"f{j}" for j in range(dataset.n_features)] + ["label"]) + "\n")
         for row, label in zip(dataset.features, dataset.labels.tolist()):
             fh.write(",".join(repr(v) for v in row.tolist()) + f",{label}\n")
+
+
+def count_converted_rows(monkeypatch, on_call=None) -> list[int]:
+    """Record the number of CSV rows in each batch that ``bitbit.data``
+    converts to arrays, calling ``on_call()`` first if given."""
+    counts: list[int] = []
+    convert = bitbit.data._convert_rows
+
+    def counting(rows, *args):
+        if on_call is not None:
+            on_call()
+        counts.append(len(rows))
+        return convert(rows, *args)
+
+    monkeypatch.setattr(bitbit.data, "_convert_rows", counting)
+    return counts
 
 
 def all_pure_1d_dataset() -> tuple[Dataset, Dataset]:

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitbit.cli import main
-from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
+from bitbit.data import SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder
 from bitbit.qsim import fresh_model, get_qubit_cap
-from tests.conftest import write_dataset_csv
+from tests.conftest import count_converted_rows, write_dataset_csv
 
 
 def run_cli(*args) -> int:
@@ -143,6 +143,21 @@ class TestStreamEstimateCommand:
         work = Path(report["config"]["work_dir"])
         assert (work / "model.json").exists()
         assert (work / "train.enc").exists() and (work / "test.enc").exists()
+
+
+    @pytest.mark.parametrize("scheme", ["none", "pca"])
+    def test_each_csv_row_is_parsed_once(self, tmp_path, split_csvs, monkeypatch, scheme):
+        counts = count_converted_rows(monkeypatch)
+        work = tmp_path / "work"
+        work.mkdir()
+        code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                       "--label-column", "label", "--scheme", scheme, "--batch-size", "7",
+                       "--work-dir", work, "--output", tmp_path / "r.json")
+        assert code == 0
+        rows = sum(len(path.read_text().splitlines()) - 1 for path in split_csvs)
+        assert sum(counts) == rows == 120
+        # the rank and row spills are gone
+        assert sorted(p.name for p in work.iterdir()) == ["model.json", "test.enc", "train.enc"]
 
 
 class TestEncodeCommand:
@@ -439,7 +454,8 @@ class TestFlagValidation:
         out = tmp_path / "outenc"
         code = run_cli("encode", "--input", separable_2d_csv if flags else bad_csv, "--label-column", "label",
                        "--n-x", "2", *flags, "--output-dir", out)
-        self._assert_flag_error(code, capsys, "n_components" if flags else f"{bad_csv}: cannot parse")
+        named = f"--components 3 exceeds the 2 features of {separable_2d_csv}" if flags else f"{bad_csv}: cannot parse"
+        self._assert_flag_error(code, capsys, named)
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["train", "test"])
@@ -455,6 +471,55 @@ class TestFlagValidation:
             self._assert_flag_error(code, capsys, f"{bad_csv}: cannot parse")
         assert not (tmp_path / "sw").exists()
         assert list(kept.iterdir()) == []  # only what the run created is removed
+
+    def test_stream_estimate_failure_in_last_train_batch(self, tmp_path, split_csvs, capsys, monkeypatch):
+        lines = split_csvs[0].read_text().splitlines()
+        bad_csv = tmp_path / "bad_last.csv"
+        bad_csv.write_text("\n".join(lines + ["0.25,oops,1"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            parse_csv_row(["0.25", "oops", "1"], ["f0", "f1", "label"], 2, [0, 1], bad_csv, len(lines) + 1)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        spilled = []  # bytes in the work directory as each batch is converted
+        work = None
+        count_converted_rows(monkeypatch, lambda: spilled.append(sum(p.stat().st_size for p in work.iterdir())))
+        for work, where in ((tmp_path / "sw" / "r.work", ("--output", tmp_path / "sw" / "r.json")),
+                            (kept, ("--work-dir", kept))):
+            spilled.clear()
+            code = run_cli("stream-estimate", "--train-input", bad_csv, "--test-input", split_csvs[1],
+                           "--label-column", "label", "--batch-size", "32", *where)
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {info.value}\n"
+            assert spilled == [0, 32 * 24, 64 * 24, 96 * 24]  # 3 batches of 2 features and a label spilled
+        assert not (tmp_path / "sw").exists()
+        assert list(kept.iterdir()) == []  # only what the run created is removed
+
+    @pytest.mark.parametrize("command", ["estimate", "estimate-split", "encode", "train", "stream-estimate"])
+    @pytest.mark.parametrize("scheme,components,named", [
+        ("pca", "3", "--components 3 exceeds the 2 features of {}"),
+        ("lsa", "3", "--components 3 exceeds the 2 features of {}"),
+        ("none", "3", "--components 3 exceeds the 2 features of {}"),
+        ("none", "1", "--scheme none needs --components equal to the 2 features of {}, got 1"),
+    ], ids=["pca", "lsa", "none-above", "none-below"])
+    def test_components_beyond_input_width(self, tmp_path, split_csvs, capsys, monkeypatch,
+                                           command, scheme, components, named):
+        counts = count_converted_rows(monkeypatch)
+        train_csv, test_csv = split_csvs
+        out = tmp_path / "out"
+        base = {
+            "estimate": ("estimate", "--input", train_csv, "--output", out / "r.json"),
+            "estimate-split": ("estimate", "--train-input", train_csv, "--test-input", test_csv,
+                               "--output", out / "r.json"),
+            "encode": ("encode", "--input", train_csv, "--n-x", "2", "--output-dir", out),
+            "train": ("train", "--input", train_csv, "--n-x", "2", "--output", out / "t.csv"),
+            "stream-estimate": ("stream-estimate", "--train-input", train_csv, "--test-input", test_csv,
+                                "--batch-size", "32", "--output", out / "r.json"),
+        }[command]
+        code = run_cli(*base, "--label-column", "label", "--scheme", scheme, "--components", components)
+        self._assert_flag_error(code, capsys, named.format(train_csv))
+        assert not out.exists()
+        if command == "stream-estimate":
+            assert counts == []  # checked against the header, before any row is read
 
     def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
         trace = tmp_path / "t.csv"

@@ -22,13 +22,14 @@ from bitbit.stream import (
     ArrayBatchSource,
     CsvBatchSource,
     RankSpill,
+    RowSpill,
     StreamConfig,
     _Reservoir,
     batched_coverage,
     stream_fit_base,
     stream_sweep_curve,
 )
-from tests.conftest import write_dataset_csv
+from tests.conftest import count_converted_rows, write_dataset_csv
 
 
 def bs(bits):
@@ -86,6 +87,88 @@ class TestSources:
         src = CsvBatchSource(path, "label")
         with pytest.raises(ValueError, match="line 3"):
             list(src.batches(10))
+
+
+class TestRowSpill:
+    """Every pass over a RowSpill yields what its CSV source yields, and the
+    CSV is parsed by the first pass that runs to the end only."""
+
+    @staticmethod
+    def write_csv(tmp_path, rows=40):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, make_synthetic(rows, 3, 3, 1.0, seed=21))
+        return path
+
+    @staticmethod
+    def assert_same_batches(got, expected):
+        assert len(got) == len(expected)
+        for (x, y), (x0, y0) in zip(got, expected):
+            assert np.array_equal(x, x0) and np.array_equal(y, y0)
+            assert x.dtype == np.float64 and y.dtype == np.int64 and x.flags.c_contiguous
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 100])
+    def test_later_passes_match_the_first(self, tmp_path, monkeypatch, batch_size):
+        path = self.write_csv(tmp_path)
+        csv_source = CsvBatchSource(path, "label")
+        direct = list(csv_source.batches(batch_size))
+        counts = count_converted_rows(monkeypatch)
+        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
+        passes = [list(src.batches(batch_size)) for _ in range(3)]
+        assert sum(counts) == 40  # the first pass only
+        for batches in passes:
+            self.assert_same_batches(batches, direct)
+        assert src.label_mapping == csv_source.label_mapping and src.n_classes == 3
+        assert (tmp_path / "d.rows").stat().st_size == 8 * 4 * 40
+
+    def test_any_batch_size_reads_the_spill(self, tmp_path, monkeypatch):
+        path = self.write_csv(tmp_path)
+        counts = count_converted_rows(monkeypatch)
+        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
+        list(src.batches(7))
+        for batch_size in (1, 5, 40, 41):
+            self.assert_same_batches(list(src.batches(batch_size)),
+                                     list(CsvBatchSource(path, "label").batches(batch_size)))
+        assert sum(counts) == 40 * 5
+
+    def test_strict_mapping_unchanged(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1.0,y\n2.0,x\n3.0,y\n", encoding="utf-8")
+        src = RowSpill(CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1}), tmp_path / "d.rows")
+        for _ in range(2):
+            assert [y.tolist() for _, y in src.batches(2)] == [[1, 0], [1]]
+        assert src.label_mapping == {"x": 0, "y": 1}
+        path.write_text("a,label\n1.0,x\n2.0,z\n", encoding="utf-8")
+        src = RowSpill(CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1}), tmp_path / "d.rows")
+        for _ in range(2):  # a pass that fails is not trusted: the next one fails the same way
+            with pytest.raises(ValueError, match="line 3: label 'z' was not seen in training"):
+                list(src.batches(1))
+        assert src.label_mapping == {"x": 0, "y": 1}
+
+    def test_pass_broken_off_falls_back_to_csv(self, tmp_path, monkeypatch):
+        path = self.write_csv(tmp_path)
+        direct = list(CsvBatchSource(path, "label").batches(7))
+        counts = count_converted_rows(monkeypatch)
+        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
+        batches = src.batches(7)
+        next(batches)
+        batches.close()
+        assert sum(counts) == 7
+        self.assert_same_batches(list(src.batches(7)), direct)
+        assert sum(counts) == 47
+        self.assert_same_batches(list(src.batches(7)), direct)
+        assert sum(counts) == 47
+
+    def test_empty_source(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n", encoding="utf-8")
+        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
+        assert list(src.batches(4)) == [] and list(src.batches(4)) == []
+
+    def test_batch_size_checked(self, tmp_path):
+        src = RowSpill(CsvBatchSource(self.write_csv(tmp_path), "label"), tmp_path / "d.rows")
+        list(src.batches(8))
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            list(src.batches(0))
 
 
 class TestReservoir:
@@ -200,6 +283,7 @@ class TestStreamFit:
         assert (tmp_path / "work" / "model.json").exists()
         width, records = read_encoded(tmp_path / "work" / "train.enc")
         assert width == curve[-1][0] == 4 and len(records) == 30
+        assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["model.json", "test.enc", "train.enc"]
 
 
 class TestStreamEncode:
