@@ -28,10 +28,11 @@ from bitbit.coverage import (
     split_coverage,
     sweep_curve,
 )
-from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, relabel, split_train_test
+from bitbit.data import SplitSpec, load_csv, make_synthetic, relabel, split_train_test
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
+    DEFAULT_QUBIT_CAP,
     classification_accuracy,
     evaluate_loss,
     fresh_model,
@@ -40,7 +41,14 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import CsvBatchSource, RowSpill, StreamConfig, stream_fit_base, stream_sweep_curve
+from bitbit.stream import (
+    DEFAULT_RESERVOIR_SIZE,
+    CsvBatchSource,
+    RowSpill,
+    StreamConfig,
+    stream_fit_base,
+    stream_sweep_curve,
+)
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -256,13 +264,14 @@ def _check_components(cfg: RunConfig, n_features: int, path) -> None:
         )
 
 
+def _check_test_width(cfg: RunConfig, n_train: int, n_test: int) -> None:
+    """Reject a test input whose feature count differs from the training input's, naming both files."""
+    if n_test != n_train:
+        raise ValueError(f"--test-input {cfg.test_input} has {n_test} features, "
+                         f"but the training input {cfg.train_input} has {n_train}")
+
+
 # --- estimate ---
-
-
-def _load_split_pair(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    train = load_csv(cfg.train_input, cfg.label_column)
-    test = relabel(load_csv(cfg.test_input, cfg.label_column), train.label_names)
-    return train, test
 
 
 def run_estimate(cfg: RunConfig) -> int:
@@ -274,7 +283,9 @@ def run_estimate(cfg: RunConfig) -> int:
         if cfg.train_input or cfg.test_input:
             if not (cfg.train_input and cfg.test_input):
                 raise ValueError("pre-split mode needs both --train-input and --test-input")
-            train, test = _load_split_pair(cfg)
+            train = load_csv(cfg.train_input, cfg.label_column)
+            test = relabel(load_csv(cfg.test_input, cfg.label_column), train.label_names)
+            _check_test_width(cfg, train.n_features, test.n_features)
             _check_components(cfg, train.n_features, cfg.train_input)
             label_names = train.label_names
             pairs = [(train, test, None)]
@@ -328,7 +339,9 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         if not Path(path).is_file():
             raise ValueError(f"{flag}: no such file {path!r}")
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
-    _check_components(cfg, train_csv.n_features(), cfg.train_input)
+    n_features = train_csv.n_features()
+    _check_test_width(cfg, n_features, CsvBatchSource(cfg.test_input, cfg.label_column).n_features())
+    _check_components(cfg, n_features, cfg.train_input)
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
@@ -569,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-x-max", type=int, default=128)
     p.add_argument("--step", type=int, default=10)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--reservoir-size", type=int, default=100_000)
+    p.add_argument("--reservoir-size", type=int, default=DEFAULT_RESERVOIR_SIZE)
     p.add_argument("--weighted-mi", action="store_true",
                    help="weight batch importance scores by record count instead of plain averaging")
     p.add_argument("--work-dir", default=None, help="directory for model.json/train.enc/test.enc")
@@ -593,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratify", action="store_true")
     p.add_argument("--uniform-weights", action="store_true",
                    help="weight unique inputs equally instead of by frequency")
-    p.add_argument("--max-qubits", type=int, default=20)
+    p.add_argument("--max-qubits", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--output", required=True, help="training trace CSV path")
     p.add_argument("--model-output", default=None, help="model JSON path (default: trace path with .model.json)")
 

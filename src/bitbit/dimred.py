@@ -168,12 +168,7 @@ def fit_reducer(spec: ReducerSpec, train_features: np.ndarray) -> FittedReducer:
         d = n if spec.n_components is None else spec.n_components
         if d != n:
             raise ValueError(f"scheme 'none' requires n_components == n ({n}), got {d}")
-        return FittedReducer(
-            scheme="none",
-            center=np.zeros(n),
-            components=np.eye(n),
-            explained_variance=np.zeros(n),
-        )
+        return identity_reducer(n)
 
     d = min(s, n) if spec.n_components is None else spec.n_components
     if d > min(s, n):
@@ -193,6 +188,11 @@ def fit_reducer(spec: ReducerSpec, train_features: np.ndarray) -> FittedReducer:
         components=_fix_signs(components),
         explained_variance=variances,
     )
+
+
+def identity_reducer(n: int) -> FittedReducer:
+    """The scheme 'none' reducer over n feature columns."""
+    return FittedReducer(scheme="none", center=np.zeros(n), components=np.eye(n), explained_variance=np.zeros(n))
 
 
 def transform(reducer: FittedReducer, features: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ A fitted encoder maps a feature row to a fixed-width bitstring: reduce,
 min-max normalize with the training extrema (clamping), push each component
 through its training empirical CDF, discretize component d to b_d bits, and
 concatenate the codes with component 0 in the most significant position.
+
+Everything fitted after the reducer comes from one pass of ``fit_batches``
+over batches of training rows: ``fit_encoder`` is its one-batch case, and
+``stream.stream_fit_base`` feeds it a training stream.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from bitbit.data import Dataset
-from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
+from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, identity_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
 ENCODED_FILE_MAGIC = "bitbit v1"
@@ -248,52 +252,117 @@ def discretize_value(x: float, b: int) -> int:
     return min(int(x * float(1 << b)), (1 << b) - 1)
 
 
-def _normalize(reduced: np.ndarray, mins: np.ndarray, maxs: np.ndarray, clamp: bool) -> np.ndarray:
+def _normalize(reduced: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """Min-max normalize the columns of ``reduced`` with the training extrema and
+    clamp them to [0, 1], in place; every caller passes an array it owns."""
     span = maxs - mins
-    safe = np.where(span > 0, span, 1.0)
-    out = (reduced - mins) / safe
-    out[:, span == 0] = 0.0  # constant training component: everything maps to 0
-    if clamp:
-        np.clip(out, 0.0, 1.0, out=out)
-    return out
+    reduced -= mins
+    reduced /= np.where(span > 0, span, 1.0)
+    reduced[:, span == 0] = 0.0  # constant training component: everything maps to 0
+    np.clip(reduced, 0.0, 1.0, out=reduced)
+    return reduced
+
+
+class _Reservoir:
+    """Uniform reservoir sample (algorithm R). When the stream fits within
+    capacity no randomness is consumed and the sample is the whole stream in
+    arrival order, which is what makes small-data streaming exact."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator | None):
+        self.capacity = capacity
+        self.rng = rng
+        self.values = np.empty(capacity, dtype=np.float64)
+        self.size = 0
+        self.seen = 0
+
+    def add(self, vals: np.ndarray) -> None:
+        m = vals.shape[0]
+        fill = min(self.capacity - self.size, m)
+        if fill:
+            self.values[self.size:self.size + fill] = vals[:fill]
+            self.size += fill
+            self.seen += fill
+        rest = m - fill
+        if rest:
+            highs = np.arange(self.seen + 1, self.seen + rest + 1)
+            draws = self.rng.integers(0, highs)
+            hits = np.nonzero(draws < self.capacity)[0]
+            # A slot drawn more than once keeps its last value; fancy assignment
+            # leaves the order of repeated indices undefined, so keep only the
+            # last hit on each slot.
+            slots, from_end = np.unique(draws[hits][::-1], return_index=True)
+            self.values[slots] = vals[fill + hits[hits.shape[0] - 1 - from_end]]
+            self.seen += rest
+
+    def result(self) -> np.ndarray:
+        return self.values[:self.size]  # a view: valid until the next add
+
+
+def _check_count(count: int) -> None:
+    if count < 2:
+        raise ValueError(f"train source must yield at least 2 samples, got {count}")
+
+
+def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
+                rng: np.random.Generator | None, weighted_mi: bool = False) -> EncoderModel:
+    """Fit everything after the reducer in one pass over ``(features, labels)``
+    batches: per-component min/max, importance scores averaged over batches of
+    2 or more rows (weighted by row count with ``weighted_mi``), and the copula
+    over a reservoir of at most ``reservoir_size`` values per component; ``rng``
+    draws only once the stream outgrows it. A ``None`` reducer is the identity
+    at the first batch's width. The model comes back at width 1, and
+    ``EncoderModel.at_width`` re-derives the allocation for any other width."""
+    count = 0
+    score_weight = 0.0
+    for x, y in batches:
+        if x.shape[0] == 0:
+            continue
+        if count == 0:
+            if reducer is None:
+                reducer = identity_reducer(x.shape[1])
+            d = reducer.n_components
+            reservoirs = [_Reservoir(reservoir_size, rng) for _ in range(d)]
+            mins = np.full(d, np.inf)
+            maxs = np.full(d, -np.inf)
+            score_sum = np.zeros(d)
+        count += x.shape[0]
+        reduced = transform(reducer, x)
+        mins = np.minimum(mins, reduced.min(axis=0))
+        maxs = np.maximum(maxs, reduced.max(axis=0))
+        for j in range(d):
+            reservoirs[j].add(reduced[:, j])
+        if x.shape[0] >= 2:  # single-row batches carry no label information
+            w = float(x.shape[0]) if weighted_mi else 1.0
+            score_sum += w * np.array([estimate_mutual_information(reduced[:, j], y) for j in range(d)])
+            score_weight += w
+    _check_count(count)
+    if score_weight == 0.0:
+        raise ValueError("no batch held 2 or more samples; cannot score importances")
+    importances = ImportanceScores(score_sum / score_weight)
+    # Every reservoir holds min(count, reservoir_size) values, so they stack; as
+    # rows, so that each component stays contiguous through normalizing and
+    # sorting. The last batch and the reservoirs are dropped first, so the copula
+    # fit holds at most two copies of the sample: stacked and sorted.
+    del reduced
+    sample = np.stack([r.result() for r in reservoirs]).T
+    del reservoirs
+    copula = fit_copula(_normalize(sample, mins, maxs))
+    return EncoderModel(reducer, mins, maxs, copula, allocate_bits(importances, 1), importances)
 
 
 def fit_encoder(train: Dataset, spec: ReducerSpec, n_x: int) -> EncoderModel:
-    """Fit the full encoding pipeline on a training set.
-
-    Order: fit/apply the reducer, score each reduced column against the
-    labels, derive the bit allocation for ``n_x``, record per-component
-    training min/max, and fit the copula on the min-max-normalized reduced
-    data. Deterministic for fixed inputs.
-    """
-    if n_x < 1:
-        raise ValueError("n_x must be positive")
+    """The single-batch streaming fit at width ``n_x``: ``fit_reducer``, then
+    ``fit_batches`` over the whole set as one batch, with a reservoir that holds
+    every row, so the copula keeps every training value and nothing is drawn."""
     reducer = fit_reducer(spec, train.features)
-    reduced = transform(reducer, train.features)
-    scores = ImportanceScores(
-        np.array([estimate_mutual_information(reduced[:, j], train.labels)
-                  for j in range(reduced.shape[1])])
-    )
-    allocation = allocate_bits(scores, n_x)
-    mins = reduced.min(axis=0)
-    maxs = reduced.max(axis=0)
-    normalized = _normalize(reduced, mins, maxs, clamp=True)
-    copula = fit_copula(normalized)
-    return EncoderModel(
-        reducer=reducer,
-        mins=mins,
-        maxs=maxs,
-        copula=copula,
-        allocation=allocation,
-        importances=scores,
-    )
+    return fit_batches(reducer, [(train.features, train.labels)], train.n_samples, None).at_width(n_x)
 
 
 def copula_ranks(model: EncoderModel, features: np.ndarray) -> np.ndarray:
     """Width-independent part of the encoding as integers: per row and component,
     the number of training copula values <= the normalized reduced value."""
     reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
-    normalized = _normalize(reduced, model.mins, model.maxs, clamp=True)
+    normalized = _normalize(reduced, model.mins, model.maxs)
     ranks = np.empty(normalized.shape, dtype=np.int64)
     for j, col in enumerate(model.copula.columns):
         ranks[:, j] = np.searchsorted(col, normalized[:, j], side="right")

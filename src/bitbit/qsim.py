@@ -317,21 +317,20 @@ def _class_probs_batch(model, states: np.ndarray) -> np.ndarray:
     return probs.reshape(k, 1 << model.n_y, -1).sum(axis=2)
 
 
-def _target_probabilities(model, z_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """P(class register reads targets[i] | input basis state z_values[i]), batched
-    and chunked so scratch memory stays bounded."""
-    n_q = model.n_x + model.n_y
-    dim = 1 << n_q
+def _basis_class_probs(model, z_values: np.ndarray) -> np.ndarray:
+    """Row i: the class-register readout distribution for the input basis state
+    |z_values[i]>. The circuit runs on chunks of inputs, so the scratch
+    statevectors stay bounded."""
+    dim = 1 << (model.n_x + model.n_y)
     k = z_values.shape[0]
-    out = np.empty(k, dtype=np.float64)
+    out = np.empty((k, 1 << model.n_y), dtype=np.float64)
     chunk = max(1, (1 << 21) // dim)
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
         states = np.zeros((hi - lo, dim), dtype=np.complex128)
         states[np.arange(hi - lo), z_values[lo:hi]] = 1.0
         model.apply_batch(states)
-        probs = _class_probs_batch(model, states)
-        out[lo:hi] = probs[np.arange(hi - lo), targets[lo:hi]]
+        out[lo:hi] = _class_probs_batch(model, states)
     return out
 
 
@@ -346,7 +345,8 @@ def evaluate_loss(model, batch: TrainingBatch) -> float:
     """1 - sum_z f(z) * P(correct class | z): the probability the model answers
     a weighted random query wrongly."""
     _check_batch(model, batch)
-    p_correct = _target_probabilities(model, batch._z_values, batch._targets)
+    probs = _basis_class_probs(model, batch._z_values)
+    p_correct = probs[np.arange(probs.shape[0]), batch._targets]
     loss = 1.0 - float(batch._weights @ p_correct)
     return min(max(loss, 0.0), 1.0)
 
@@ -482,18 +482,7 @@ def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list
 def predict_many(model, z_values: np.ndarray) -> np.ndarray:
     """Most probable class-register readout for each basis-state input |z>;
     ties go to the smallest class id."""
-    n_q = model.n_x + model.n_y
-    dim = 1 << n_q
-    k = z_values.shape[0]
-    out = np.empty(k, dtype=np.int64)
-    chunk = max(1, (1 << 21) // dim)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        states = np.zeros((hi - lo, dim), dtype=np.complex128)
-        states[np.arange(hi - lo), z_values[lo:hi]] = 1.0
-        model.apply_batch(states)
-        out[lo:hi] = np.argmax(_class_probs_batch(model, states), axis=1)
-    return out
+    return np.argmax(_basis_class_probs(model, z_values), axis=1)
 
 
 def classification_accuracy(model, table: BitstringTable) -> float:

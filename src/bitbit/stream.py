@@ -2,8 +2,9 @@
 
 ``stream_fit_base`` fits in at most two passes over the training stream: (1)
 accumulate the PCA covariance (skipped for scheme ``none``, whose identity
-reducer needs no fit), (2) transform batches to collect per-component
-min/max, batch-averaged importance scores, and a copula reservoir.
+reducer needs no fit), (2) ``encoder.fit_batches``, the same fit that
+``fit_encoder`` runs on one in-memory batch: per-component min/max,
+batch-averaged importance scores, and a copula reservoir.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
 spills every record's integer copula ranks and its label to ``work_dir`` as
@@ -39,22 +40,12 @@ from bitbit.coverage import (
 )
 from bitbit.data import csv_batches, read_csv_header, resolve_label_column
 from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
-from bitbit.dimred import (
-    FittedReducer,
-    IncrementalPcaState,
-    ReducerSpec,
-    finalize_incremental,
-    incremental_update,
-    transform,
-)
+from bitbit.dimred import FittedReducer, IncrementalPcaState, ReducerSpec, finalize_incremental, incremental_update
 from bitbit.encoder import (
-    CopulaModel,
     EncoderModel,
-    ImportanceScores,
-    _normalize,
-    allocate_bits,
+    _check_count,
     copula_ranks,
-    estimate_mutual_information,
+    fit_batches,
     pack_codes,
     persist_model,
     rank_units,
@@ -137,93 +128,20 @@ class StreamConfig:
         self.work_dir = Path(self.work_dir)
 
 
-class _Reservoir:
-    """Uniform reservoir sample (algorithm R). When the stream fits within
-    capacity no randomness is consumed and the sample is the whole stream in
-    arrival order, which is what makes small-data streaming exact."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        self.capacity = capacity
-        self.rng = rng
-        self.values = np.empty(capacity, dtype=np.float64)
-        self.size = 0
-        self.seen = 0
-
-    def add(self, vals: np.ndarray) -> None:
-        m = vals.shape[0]
-        fill = min(self.capacity - self.size, m)
-        if fill:
-            self.values[self.size:self.size + fill] = vals[:fill]
-            self.size += fill
-            self.seen += fill
-        rest = m - fill
-        if rest:
-            highs = np.arange(self.seen + 1, self.seen + rest + 1)
-            draws = self.rng.integers(0, highs)
-            hits = np.nonzero(draws < self.capacity)[0]
-            # A slot drawn more than once keeps its last value; fancy assignment
-            # leaves the order of repeated indices undefined, so keep only the
-            # last hit on each slot.
-            slots, from_end = np.unique(draws[hits][::-1], return_index=True)
-            self.values[slots] = vals[fill + hits[hits.shape[0] - 1 - from_end]]
-            self.seen += rest
-
-    def result(self) -> np.ndarray:
-        return self.values[:self.size].copy()
-
-
 def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
-    """Fit the reducer (pass 1, PCA only), then collect min/max, batch-averaged
-    importance scores, and the copula reservoir (pass 2). The model comes back
-    at width 1; ``EncoderModel.at_width`` re-derives the allocation for any
-    other width without re-streaming."""
+    """Fit the reducer (pass 1, PCA only), then run ``fit_batches`` over the
+    training stream (pass 2). The model comes back at width 1;
+    ``EncoderModel.at_width`` re-derives the allocation for any other width
+    without re-streaming."""
     if spec.scheme not in ("none", "pca"):
         raise ValueError(f"streaming supports schemes 'none' and 'pca', not {spec.scheme!r}")
     reducer = _stream_fit_pca(cfg, spec) if spec.scheme == "pca" else None
-
-    # Pass 2: extrema, batch importance scores, copula reservoir.
-    rng = np.random.default_rng(cfg.seed)
-    count = 0
-    score_weight = 0.0
-    for x, y in cfg.train_source.batches(cfg.batch_size):
-        if x.shape[0] == 0:
-            continue
-        if count == 0:  # the first rows; scheme 'none' takes its identity reducer from their width
-            if reducer is None:
-                reducer = _identity_reducer(x.shape[1])
-            d = reducer.n_components
-            reservoirs = [_Reservoir(cfg.reservoir_size, rng) for _ in range(d)]
-            mins = np.full(d, np.inf)
-            maxs = np.full(d, -np.inf)
-            score_sum = np.zeros(d)
-        count += x.shape[0]
-        reduced = transform(reducer, x)
-        mins = np.minimum(mins, reduced.min(axis=0))
-        maxs = np.maximum(maxs, reduced.max(axis=0))
-        for j in range(d):
-            reservoirs[j].add(reduced[:, j])
-        if x.shape[0] >= 2:  # single-row batches carry no label information
-            batch_scores = np.array(
-                [estimate_mutual_information(reduced[:, j], y) for j in range(d)]
-            )
-            w = float(x.shape[0]) if cfg.weighted_mi else 1.0
-            score_sum += w * batch_scores
-            score_weight += w
-    if spec.scheme == "none":
-        _check_count(count)
-        n_features = reducer.n_features
-        d = n_features if spec.n_components is None else spec.n_components
-        if d != n_features:
-            raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {d}")
-    if score_weight == 0.0:
-        raise ValueError("no batch held 2 or more samples; cannot score importances")
-    importances = ImportanceScores(score_sum / score_weight)
-
-    copula = CopulaModel(columns=tuple(
-        np.sort(_normalize(r.result()[:, None], mins[j:j + 1], maxs[j:j + 1], clamp=True)[:, 0])
-        for j, r in enumerate(reservoirs)
-    ))
-    return EncoderModel(reducer, mins, maxs, copula, allocate_bits(importances, 1), importances)
+    model = fit_batches(reducer, cfg.train_source.batches(cfg.batch_size), cfg.reservoir_size,
+                        np.random.default_rng(cfg.seed), cfg.weighted_mi)
+    n_features = model.reducer.n_features
+    if spec.scheme == "none" and spec.n_components not in (None, n_features):
+        raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {spec.n_components}")
+    return model
 
 
 def _stream_fit_pca(cfg: StreamConfig, spec: ReducerSpec) -> FittedReducer:
@@ -240,18 +158,16 @@ def _stream_fit_pca(cfg: StreamConfig, spec: ReducerSpec) -> FittedReducer:
     return finalize_incremental(state, d)
 
 
-def _identity_reducer(n_features: int) -> FittedReducer:
-    return FittedReducer(
-        scheme="none",
-        center=np.zeros(n_features),
-        components=np.eye(n_features),
-        explained_variance=np.zeros(n_features),
-    )
-
-
-def _check_count(count: int) -> None:
-    if count < 2:
-        raise ValueError(f"train source must yield at least 2 samples, got {count}")
+def _read_chunks(path, dtype, n_columns: int, batch_size: int):
+    """Rows of ``n_columns`` values of ``dtype`` from ``path``, ``batch_size``
+    rows per chunk; the last chunk is short, and empty when the row count is a
+    multiple of ``batch_size``."""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = np.fromfile(fh, dtype=dtype, count=batch_size * n_columns).reshape(-1, n_columns)
+            yield chunk
+            if chunk.shape[0] < batch_size:
+                return
 
 
 class RankSpill:
@@ -274,13 +190,8 @@ class RankSpill:
         """(``pack_codes`` words, label ids) per chunk of ``batch_size`` records;
         the last chunk may be short or empty."""
         copula = self.model.copula
-        n_columns = len(copula) + 1
-        with open(self.path, "rb") as fh:
-            while True:
-                chunk = np.fromfile(fh, dtype=np.uint32, count=batch_size * n_columns).reshape(-1, n_columns)
-                yield pack_codes(rank_units(copula, chunk[:, :-1]), bits), chunk[:, -1].astype(np.int64)
-                if chunk.shape[0] < batch_size:
-                    return
+        for chunk in _read_chunks(self.path, np.uint32, len(copula) + 1, batch_size):
+            yield pack_codes(rank_units(copula, chunk[:, :-1]), bits), chunk[:, -1].astype(np.int64)
 
     def table(self, bits, c: int, batch_size: int) -> BitstringTable:
         """``count_codes`` over the whole split. Per-chunk tables are merged once
@@ -328,14 +239,11 @@ class RowSpill:
                     yield x, y
             self._n_columns = n_columns
             return
-        n_columns = self._n_columns
-        with open(self.path, "rb") as fh:
-            while n_columns:  # zero columns: the source held no records
-                chunk = np.fromfile(fh, dtype=np.float64, count=batch_size * n_columns).reshape(-1, n_columns)
-                if chunk.shape[0]:
-                    yield np.ascontiguousarray(chunk[:, :-1]), chunk[:, -1].astype(np.int64)
-                if chunk.shape[0] < batch_size:
-                    return
+        if not self._n_columns:  # zero columns: the source held no records
+            return
+        for chunk in _read_chunks(self.path, np.float64, self._n_columns, batch_size):
+            if chunk.shape[0]:
+                yield np.ascontiguousarray(chunk[:, :-1]), chunk[:, -1].astype(np.int64)
 
 
 def stream_sweep_curve(

@@ -521,6 +521,21 @@ class TestFlagValidation:
         if command == "stream-estimate":
             assert counts == []  # checked against the header, before any row is read
 
+    @pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
+    def test_test_input_width_differs(self, tmp_path, split_csvs, capsys, monkeypatch, command):
+        counts = count_converted_rows(monkeypatch)
+        train_csv, test_csv = split_csvs[0], tmp_path / "te3.csv"
+        write_dataset_csv(test_csv, make_synthetic(10, 3, 2, 2.0, seed=3))
+        out = tmp_path / "out"
+        flags = ("--batch-size", "8", "--work-dir", out / "w") if command == "stream-estimate" else ()
+        code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--label-column", "label",
+                       *flags, "--output", out / "r.json")
+        self._assert_flag_error(code, capsys,
+                                f"--test-input {test_csv} has 3 features, but the training input {train_csv} has 2")
+        assert not out.exists()
+        if command == "stream-estimate":
+            assert counts == []  # checked from the two headers, before any row is read
+
     def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
         trace = tmp_path / "t.csv"
         code = run_cli("train", "--input", separable_2d_csv, "--label-column", "label",

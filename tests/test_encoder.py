@@ -29,6 +29,7 @@ from bitbit.encoder import (
     read_encoded,
     write_encoded,
 )
+from bitbit.stream import DEFAULT_RESERVOIR_SIZE
 
 
 def unpack_codes(bs: Bitstring, bits) -> list[int]:
@@ -334,6 +335,15 @@ class TestFitEncoder:
         model = fit_encoder(train, ReducerSpec("none"), 4)
         assert model.importances.scores[1] == 0.0
         assert model.allocation.bits == (4, 0)
+
+    def test_copula_keeps_every_value_beyond_the_streaming_reservoir(self):
+        s = DEFAULT_RESERVOIR_SIZE + 1
+        features = np.random.default_rng(3).standard_normal((s, 1))
+        train = Dataset(features=features, labels=np.arange(s) % 2, c=2)
+        (col,) = fit_encoder(train, ReducerSpec("none"), 4).copula.columns
+        assert len(col) == s
+        lo, hi = features.min(), features.max()
+        assert np.array_equal(col, np.sort((features[:, 0] - lo) / (hi - lo)))
 
 
 class TestPersistence:

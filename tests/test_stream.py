@@ -10,6 +10,7 @@ from bitbit.data import Dataset, load_csv, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
     Bitstring,
+    _Reservoir,
     encode_samples,
     fit_encoder,
     iter_encoded,
@@ -24,7 +25,6 @@ from bitbit.stream import (
     RankSpill,
     RowSpill,
     StreamConfig,
-    _Reservoir,
     batched_coverage,
     stream_fit_base,
     stream_sweep_curve,
