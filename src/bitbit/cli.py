@@ -646,8 +646,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     cfg = config_from_args(args)
     try:
-        _check_flags(cfg)
-        return _COMMANDS[cfg.command](cfg)
+        # Warnings no report collects go to stderr as one line each, like errors.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            _check_flags(cfg)
+            return _COMMANDS[cfg.command](cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,9 @@ Conventions, used everywhere in this module:
 - Qubit 0 is the most significant bit of a basis index. The class register is
   the N_y most significant qubits, the data register the remaining N_x, so
   the basis index of |y>|z> is y * 2^N_x + z.
+- A batch of k statevectors is a (2^n, k) array, one column per state, so
+  every kernel's inner loop runs over at least k contiguous amplitudes. A
+  dense circuit matrix U is stored as U^T, for the same kernels to update.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -37,6 +40,9 @@ _FLAT_SLICE = 1e-13
 # (16 * 4^n bytes: 16 MB at 10 qubits); larger models probe full circuits.
 _CACHED_SWEEP_QUBITS = 10
 
+# Readouts run at most this many amplitudes (32 MB) through the circuit at once.
+_CHUNK_AMPLITUDES = 1 << 21
+
 
 def set_qubit_cap(n_qubits: int) -> None:
     global _qubit_cap
@@ -63,13 +69,12 @@ def _check_cap(n_qubits: int) -> None:
         )
 
 
-# --- gate kernels (in place, batched over the leading axis) ---
+# --- gate kernels (in place, batched over the trailing axis) ---
 
 
 def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
-    k = states.shape[0]
-    view = states.reshape(k, 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
-    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    view = states.reshape(1 << qubit, 2, -1)
+    a0, a1 = view[:, 0], view[:, 1]
     # Each pair turns by phi = angle / 2, done as three shears in place with
     # one half-size temporary. -R(phi) = R(phi - pi) keeps |phi| <= pi / 2,
     # so the shear factor tan(phi / 2) stays within [-1, 1].
@@ -87,36 +92,30 @@ def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> No
 
 
 def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
-    k = states.shape[0]
-    view = states.reshape(k, 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
-    view[:, :, 0, :] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
-    view[:, :, 1, :] *= complex(math.cos(angle / 2), math.sin(angle / 2))
+    view = states.reshape(1 << qubit, 2, -1)
+    view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
+    view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
 
 
 def _minus_i_pauli(out: np.ndarray, states: np.ndarray, n_qubits: int, kind: str, qubit: int) -> None:
     """out = -iP states, with P = Y for "ry" and Z for "rz" on one qubit; a
     rotation is exp(-i t P / 2) = cos(t/2) + sin(t/2) (-iP)."""
-    shape = (states.shape[0], 1 << qubit, 2, 1 << (n_qubits - qubit - 1))
-    src, dst = states.reshape(shape), out.reshape(shape)
+    src, dst = states.reshape(1 << qubit, 2, -1), out.reshape(1 << qubit, 2, -1)
     if kind == "ry":  # -iY = [[0, -1], [1, 0]]
-        np.negative(src[:, :, 1, :], out=dst[:, :, 0, :])
-        dst[:, :, 1, :] = src[:, :, 0, :]
+        np.negative(src[:, 1], out=dst[:, 0])
+        dst[:, 1] = src[:, 0]
     else:  # -iZ = diag(-i, i)
-        np.multiply(src[:, :, 0, :], -1j, out=dst[:, :, 0, :])
-        np.multiply(src[:, :, 1, :], 1j, out=dst[:, :, 1, :])
+        np.multiply(src[:, 0], -1j, out=dst[:, 0])
+        np.multiply(src[:, 1], 1j, out=dst[:, 1])
 
 
 def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) -> None:
-    k = states.shape[0]
-    view = states.reshape((k,) + (2,) * n_qubits)
-    idx10 = [slice(None)] * (n_qubits + 1)
-    idx10[1 + control] = 1
-    idx10[1 + target] = 0
-    idx11 = list(idx10)
-    idx11[1 + target] = 1
-    tmp = view[tuple(idx10)].copy()
-    view[tuple(idx10)] = view[tuple(idx11)]
-    view[tuple(idx11)] = tmp
+    view = states.reshape((2,) * n_qubits + (-1,))
+    rest = [q for q in range(n_qubits + 1) if q not in (control, target)]
+    pair = view.transpose([control, target] + rest)[1]  # the control-1 half, by target bit
+    tmp = pair[0].copy()
+    pair[0] = pair[1]
+    pair[1] = tmp
 
 
 _ROTATIONS = {"ry": _apply_ry, "rz": _apply_rz}
@@ -231,7 +230,7 @@ class ExactClassifier:
         return self.n_x + self.n_y
 
     def apply_batch(self, states: np.ndarray) -> None:
-        states[:, self.perm] = states.copy()
+        states[self.perm] = states.copy()
 
 
 def build_exact_classifier(c_map: Mapping[Bitstring, int], n_x: int, n_y: int) -> ExactClassifier:
@@ -312,25 +311,23 @@ def training_batch_from_table(table: BitstringTable, weighting: str = "frequency
 
 
 def _class_probs_batch(model, states: np.ndarray) -> np.ndarray:
-    k = states.shape[0]
-    probs = np.abs(states) ** 2
-    return probs.reshape(k, 1 << model.n_y, -1).sum(axis=2)
+    # Row i: state i's class-register distribution. Each class block is summed
+    # along a contiguous row, so the sums do not depend on the batch width.
+    probs = np.abs(states.T, order="C") ** 2
+    return probs.reshape(states.shape[1], 1 << model.n_y, -1).sum(axis=2)
 
 
 def _basis_class_probs(model, z_values: np.ndarray) -> np.ndarray:
-    """Row i: the class-register readout distribution for the input basis state
-    |z_values[i]>. The circuit runs on chunks of inputs, so the scratch
-    statevectors stay bounded."""
+    """Row i: the class-register readout distribution of input basis state |z_values[i]>."""
     dim = 1 << (model.n_x + model.n_y)
-    k = z_values.shape[0]
-    out = np.empty((k, 1 << model.n_y), dtype=np.float64)
-    chunk = max(1, (1 << 21) // dim)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        states = np.zeros((hi - lo, dim), dtype=np.complex128)
-        states[np.arange(hi - lo), z_values[lo:hi]] = 1.0
+    out = np.empty((z_values.shape[0], 1 << model.n_y), dtype=np.float64)
+    chunk = max(1, _CHUNK_AMPLITUDES // dim)
+    for lo in range(0, z_values.shape[0], chunk):
+        part = z_values[lo:lo + chunk]
+        states = np.zeros((dim, part.shape[0]), dtype=np.complex128)
+        states[part, np.arange(part.shape[0])] = 1.0
         model.apply_batch(states)
-        out[lo:hi] = _class_probs_batch(model, states)
+        out[lo:lo + chunk] = _class_probs_batch(model, states)
     return out
 
 
@@ -409,13 +406,13 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     from gate to gate, since moving the rotation to t0 + d turns it into
     cos(d/2) alpha + sin(d/2) beta and a CNOT leaves it alone. Each gate is
     then peeled off V at its old angle and pushed onto psi at its new one.
+    V is stored as its transpose (U^T at the start), so V_y is a block of its columns.
     """
     n, dim, rows = model.n_qubits, 1 << model.n_qubits, 1 << model.n_x
-    theta = model.theta
-    gates = model.ansatz.gates()
-    # The kernels act on rows (M -> M G^T), so V = U is the identity times the
-    # transposed gates in reverse order; RY(t)^T = RY(-t), RZ and CNOT are
-    # symmetric. Peeling G off the front of V applies (G^-1)^T: RY(t), RZ(-t).
+    theta, gates = model.theta, model.ansatz.gates()
+    # The kernels act on columns (M -> G M), so V^T = U^T is the identity times
+    # the transposed gates in reverse order (RY(t)^T = RY(-t); RZ and CNOT are
+    # symmetric), and peeling G off the front of V applies (G^-1)^T: RY(t), RZ(-t).
     suffix = np.eye(dim, dtype=np.complex128)
     for kind, a, b in reversed(gates):
         if kind == "cnot":
@@ -427,10 +424,10 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     order = np.argsort(batch._targets, kind="stable")
     targets, weights, z_values = batch._targets[order], batch._weights[order], batch._z_values[order]
     k = targets.shape[0]
-    prefix = np.zeros((k, dim), dtype=np.complex128)
-    prefix[np.arange(k), z_values] = 1.0
+    prefix = np.zeros((dim, k), dtype=np.complex128)
+    prefix[z_values, np.arange(k)] = 1.0
     turned = np.empty_like(prefix)  # -iP psi
-    alpha = suffix.reshape(-1, rows, dim)[targets, :, z_values]
+    alpha = suffix.reshape(dim, -1, rows)[z_values, targets]
     beta = np.empty_like(alpha)
     classes, starts = np.unique(targets, return_index=True)
     groups = list(zip(classes.tolist(), starts.tolist(), starts[1:].tolist() + [k]))
@@ -442,7 +439,7 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
             continue
         _minus_i_pauli(turned, prefix, n, kind, a)
         for y, lo, hi in groups:
-            np.matmul(turned[lo:hi], suffix[y * rows:(y + 1) * rows].T, out=beta[lo:hi])
+            np.matmul(turned[:, lo:hi].T, suffix[:, y * rows:(y + 1) * rows], out=beta[lo:hi])
         alpha2 = float((alpha.real ** 2 + alpha.imag ** 2).sum(axis=1) @ weights)
         beta2 = float((beta.real ** 2 + beta.imag ** 2).sum(axis=1) @ weights)
         overlap = float(np.vdot(alpha, beta * weights[:, None]).real)

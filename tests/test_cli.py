@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -249,6 +253,57 @@ class TestTrainCommand:
                        "--output", tmp_path / "u.csv") == 1
         assert get_qubit_cap() == before
         capsys.readouterr()
+
+
+class TestWarningLines:
+    """Library warnings that no report collects reach stderr as one
+    ``warning: <message>`` line each, with no source path or source line."""
+
+    CAP_WARNING = "warning: raising the qubit cap to 21: statevectors take 32 MB each"
+
+    @staticmethod
+    def _stderr_lines(capsys) -> list[str]:
+        captured = capsys.readouterr()
+        assert "warning" not in captured.out
+        return captured.err.splitlines()
+
+    def test_train_raising_the_qubit_cap(self, tmp_path, separable_2d_csv, capsys):
+        assert run_cli("train", "--input", separable_2d_csv, "--n-x", "2", "--layers", "1",
+                       "--sweeps", "1", "--max-qubits", "21", "--output", tmp_path / "t.csv") == 0
+        assert self._stderr_lines(capsys) == [self.CAP_WARNING]
+
+    def test_train_class_absent_from_a_split(self, tmp_path, capsys):
+        path = tmp_path / "rare.csv"
+        path.write_text("a,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(20)) + "99.0,2\n",
+                        encoding="utf-8")
+        assert run_cli("train", "--input", path, "--scheme", "none", "--n-x", "2", "--layers", "1",
+                       "--sweeps", "1", "--output", tmp_path / "t.csv") == 0
+        lines = self._stderr_lines(capsys)
+        assert len(lines) == 1
+        assert re.fullmatch(r"warning: classes \[2\] absent from the (train|test) split", lines[0])
+
+    def test_encode_conflicting_duplicates(self, tmp_path, capsys):
+        path = tmp_path / "conflict.csv"
+        path.write_text("a,label\n" + "".join(f"1.0,{i % 2}\n" for i in range(8)) + "2.0,0\n3.0,1\n",
+                        encoding="utf-8")
+        assert run_cli("encode", "--input", path, "--scheme", "none", "--n-x", "1", "--stratify",
+                       "--output-dir", tmp_path / "enc") == 0
+        assert self._stderr_lines(capsys) == [
+            "warning: 4 duplicate feature rows carry conflicting labels; "
+            "full training coverage is unreachable at any width"
+        ]
+
+    def test_installed_command_line(self, tmp_path, separable_2d_csv):
+        # Python's own warning display, outside any test harness's capture
+        result = subprocess.run(
+            [sys.executable, "-m", "bitbit.cli", "train", "--input", str(separable_2d_csv),
+             "--n-x", "2", "--layers", "1", "--sweeps", "1", "--max-qubits", "21",
+             "--output", str(tmp_path / "t.csv")],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [self.CAP_WARNING]
 
 
 class TestNoBitstringPerRecord:

@@ -75,12 +75,12 @@ class TestStatevector:
     def test_basis_state_all_zero(self):
         model = RecordingModel(1, 1)
         assert predict_many(model, np.array([0])).tolist() == [0]
-        assert model.seen[0].tolist() == [[1, 0, 0, 0]]
+        assert model.seen[0].tolist() == [[1], [0], [0], [0]]
 
     def test_basis_state_ordering(self):
         model = RecordingModel(2, 1)
         predict_many(model, np.array([Bitstring.from_bits("10").value]))
-        assert model.seen[0][0, 2] == 1.0 and np.count_nonzero(model.seen[0]) == 1
+        assert model.seen[0][2, 0] == 1.0 and np.count_nonzero(model.seen[0]) == 1
 
     def test_norm_is_one(self):
         model = RecordingModel(3, 1)
@@ -91,26 +91,26 @@ class TestStatevector:
 
 class TestClassProbabilities:
     def test_basis_state_class_readout(self):
-        states = np.zeros((1, 8), dtype=complex)
-        states[0, Bitstring.from_bits("011").value] = 1.0  # class bits 01
+        states = np.zeros((8, 1), dtype=complex)
+        states[Bitstring.from_bits("011").value, 0] = 1.0  # class bits 01
         assert _class_probs_batch(fresh_model(1, 2, 1), states).tolist() == [[0, 1, 0, 0]]
 
     def test_uniform_superposition(self):
         n = 4
-        states = np.full((1, 1 << n), (1 << n) ** -0.5, dtype=complex)
+        states = np.full((1 << n, 1), (1 << n) ** -0.5, dtype=complex)
         assert np.allclose(_class_probs_batch(fresh_model(2, 2, 1), states), 0.25)
 
     def test_random_state_sums_to_one(self, rng):
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        assert abs(_class_probs_batch(fresh_model(2, 1, 1), amps[None]).sum() - 1.0) < 1e-10
+        assert abs(_class_probs_batch(fresh_model(2, 1, 1), amps[:, None]).sum() - 1.0) < 1e-10
 
 
 class TestGateKernels:
     def test_norm_preserved_by_random_circuit(self, rng):
         n = 4
-        states = np.zeros((3, 1 << n), dtype=complex)
-        states[np.arange(3), [0, 5, 9]] = 1.0
+        states = np.zeros((1 << n, 3), dtype=complex)
+        states[[0, 5, 9], np.arange(3)] = 1.0
         for _ in range(60):
             kind = rng.integers(0, 3)
             q = int(rng.integers(0, n))
@@ -121,7 +121,7 @@ class TestGateKernels:
             else:
                 t = int(rng.integers(0, n - 1))
                 _apply_cnot(states, n, q, t if t < q else t + 1)
-            norms = np.sum(np.abs(states) ** 2, axis=1)
+            norms = np.sum(np.abs(states) ** 2, axis=0)
             assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_ry_matches_its_matrix_at_any_angle(self, rng):
@@ -130,10 +130,10 @@ class TestGateKernels:
                   3 * math.pi, 4 * math.pi, 100.0, *rng.uniform(-20, 20, 10)]
         for angle in angles:
             for q in range(n):
-                states = rng.standard_normal((4, 1 << n)) + 1j * rng.standard_normal((4, 1 << n))
+                states = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
                 c, s = math.cos(angle / 2), math.sin(angle / 2)
                 gate = np.kron(np.kron(np.eye(1 << q), [[c, -s], [s, c]]), np.eye(1 << (n - q - 1)))
-                expected = states @ gate.T
+                expected = gate @ states
                 _apply_ry(states, n, q, angle)
                 assert np.abs(states - expected).max() < 1e-13
 
@@ -141,8 +141,118 @@ class TestGateKernels:
         states = np.zeros((4, 4), dtype=complex)
         states[np.arange(4), np.arange(4)] = 1.0
         _apply_cnot(states, 2, 0, 1)
-        images = np.argmax(np.abs(states), axis=1)
+        images = np.argmax(np.abs(states), axis=0)
         assert images.tolist() == [0, 1, 3, 2]
+
+
+_I2, _X = np.eye(2), np.array([[0, 1], [1, 0]])
+_P0, _P1 = np.diag([1, 0]), np.diag([0, 1])
+
+
+def _on(n, factors):
+    """The dense 2^n x 2^n operator with factors[q] on qubit q (qubit 0 is the
+    most significant) and the identity on every other qubit."""
+    op = np.eye(1)
+    for q in range(n):
+        op = np.kron(op, factors.get(q, _I2))
+    return op
+
+
+def _ry_matrix(angle):
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def _rz_matrix(angle):
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+def _cnot_matrix(n, control, target):
+    return _on(n, {control: _P0}) + _on(n, {control: _P1, target: _X})
+
+
+def _random_states(rng, n, k):
+    return rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))
+
+
+class TestCircuitOracle:
+    """Every kernel and the whole ansatz against dense np.kron matrices acting
+    on (2^n, k) states, one column per state."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_rotations_at_every_qubit(self, rng, n, k):
+        for q in range(n):
+            for kernel, matrix in ((_apply_ry, _ry_matrix), (_apply_rz, _rz_matrix)):
+                angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+                states = _random_states(rng, n, k)
+                expected = _on(n, {q: matrix(angle)}) @ states
+                kernel(states, n, q, angle)
+                assert np.abs(states - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cnot_every_ordered_pair(self, rng, n, k):
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                states = _random_states(rng, n, k)
+                expected = _cnot_matrix(n, control, target) @ states
+                _apply_cnot(states, n, control, target)
+                assert np.abs(states - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ansatz_matches_its_matrix(self, rng, n, layers, k):
+        ansatz = Ansatz(n_qubits=n, layers=layers)
+        theta = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+        # per layer an RY then an RZ on every qubit, then the CNOT ring
+        unitary = np.eye(1 << n, dtype=complex)
+        for layer in range(layers):
+            p = 2 * n * layer
+            for q in range(n):
+                unitary = _on(n, {q: _ry_matrix(theta[p + 2 * q])}) @ unitary
+                unitary = _on(n, {q: _rz_matrix(theta[p + 2 * q + 1])}) @ unitary
+            if n > 1:
+                for i in range(n):
+                    unitary = _cnot_matrix(n, i, (i + 1) % n) @ unitary
+        states = _random_states(rng, n, k)
+        expected = unitary @ states
+        ansatz.apply_batch(states, theta)
+        assert np.abs(states - expected).max() < 1e-12
+
+
+class ChunkWidths:
+    """Delegates to a model and records the batch width of every call."""
+
+    def __init__(self, model):
+        self.model, self.n_x, self.n_y = model, model.n_x, model.n_y
+        self.widths = []
+
+    def apply_batch(self, states):
+        self.widths.append(states.shape[1])
+        self.model.apply_batch(states)
+
+
+class TestChunkedReadout:
+    def test_chunks_match_one_chunk_bit_for_bit(self, rng, monkeypatch):
+        model = random_model(rng, 3, 2, 2)
+        batch = random_batch(rng, 3, n_classes=4, k=5)
+        z_values = batch._z_values
+        one = ChunkWidths(model)
+        loss, preds = evaluate_loss(one, batch), predict_many(one, z_values)
+        probs = qsim._basis_class_probs(model, z_values)
+        assert one.widths == [5, 5]
+
+        # two inputs per chunk: chunks of 2, 2 and a 1-input tail
+        monkeypatch.setattr(qsim, "_CHUNK_AMPLITUDES", 2 << model.n_qubits)
+        chunked = ChunkWidths(model)
+        assert evaluate_loss(chunked, batch) == loss
+        assert np.array_equal(predict_many(chunked, z_values), preds)
+        assert chunked.widths == [2, 2, 1, 2, 2, 1]
+        assert np.array_equal(qsim._basis_class_probs(model, z_values), probs)
 
 
 class TestEvaluateLoss:
