@@ -8,6 +8,7 @@ reaching the configured threshold, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from bitbit.coverage import (
     split_coverage,
     sweep_curve,
 )
-from bitbit.data import SplitSpec, load_csv, make_synthetic, relabel, split_train_test
+from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
@@ -73,21 +74,6 @@ class RunConfig(argparse.Namespace):
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _metrics_dict(n_x: int, m: CoverageMetrics) -> dict:
-    return {
-        "n_x": n_x,
-        "train_collision_incidence": float(m.train_collision_incidence),
-        "test_overlap_incidence": float(m.test_overlap_incidence),
-        "theoretical_train_accuracy": float(m.theoretical_train_accuracy),
-        "theoretical_test_accuracy": float(m.theoretical_test_accuracy),
-        "test_train_overlap_fraction": float(m.test_train_overlap_fraction),
-        "n_train": m.n_train,
-        "n_test": m.n_test,
-        "n_test_overlapping": m.n_test_overlapping,
-        "n_test_overlap_errors": m.n_test_overlap_errors,
-    }
 
 
 def _estimate_dict(est: QubitEstimate) -> dict:
@@ -143,34 +129,6 @@ def _write_curves_csv(report: dict, output: str) -> Path:
     return path
 
 
-def _threshold_set(configured: float) -> list[float]:
-    # The 0.99-vs-1.0 gap is always reported; the configured threshold rides along.
-    return sorted({configured, 0.99, 1.0})
-
-
-class _WarningLog:
-    """Collect warning messages; sorted and deduplicated so report bytes do
-    not depend on thread interleaving."""
-
-    def __init__(self):
-        self._messages: list[str] = []
-        self._ctx = None
-
-    def __enter__(self):
-        self._ctx = warnings.catch_warnings(record=True)
-        self._records = self._ctx.__enter__()
-        warnings.simplefilter("always")
-        return self
-
-    def __exit__(self, *exc):
-        for rec in self._records:
-            self._messages.append(str(rec.message))
-        return self._ctx.__exit__(*exc)
-
-    def messages(self) -> list[str]:
-        return sorted(set(self._messages))
-
-
 def _config_echo(cfg: RunConfig, fields: tuple[str, ...], **resolved) -> dict:
     """The report's ``config``: the named flags as given, plus values resolved at run time."""
     return {**{field: getattr(cfg, field) for field in fields}, **resolved}
@@ -178,12 +136,14 @@ def _config_echo(cfg: RunConfig, fields: tuple[str, ...], **resolved) -> dict:
 
 def _write_estimate_report(
     cfg: RunConfig, config: dict, streamed: bool, label_mapping: dict[str, int],
-    results: list[tuple[list[tuple[int, CoverageMetrics]], int | None]], warning_messages: list[str], output: str,
+    results: list[tuple[list[tuple[int, CoverageMetrics]], int | None]], caught: list[warnings.WarningMessage],
+    output: str,
 ) -> int:
     """Write the report and its ``.curves.csv`` for swept ``(curve, split_seed)``
     results; the exit code is 2 when any replicate is uncovered at ``--threshold``."""
     c = len(label_mapping)
-    thresholds = _threshold_set(cfg.threshold)
+    # The 0.99-vs-1.0 gap is always reported; the configured threshold rides along.
+    thresholds = sorted({cfg.threshold, 0.99, 1.0})
     replicates = []
     per_threshold: dict[float, list[int | None]] = {t: [] for t in thresholds}
     uncovered_at_configured = False
@@ -191,7 +151,7 @@ def _write_estimate_report(
         entry = {
             "replicate": r,
             "split_seed": seed,
-            "curve": [_metrics_dict(n_x, m) for n_x, m in curve],
+            "curve": [{"n_x": n_x, **dataclasses.asdict(m)} for n_x, m in curve],
             "thresholds": {},
         }
         for t in thresholds:
@@ -212,7 +172,8 @@ def _write_estimate_report(
         "config": config,
         "label_mapping": label_mapping,
         "n_classes": c,
-        "warnings": warning_messages,
+        # Sorted and deduplicated, so report bytes do not depend on thread interleaving.
+        "warnings": sorted({str(w.message) for w in caught}),
         "replicates": replicates,
         "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
         "exit_code": exit_code,
@@ -279,12 +240,13 @@ def run_estimate(cfg: RunConfig) -> int:
     over a pre-split train/test pair."""
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
-    with _WarningLog() as wlog:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if cfg.train_input or cfg.test_input:
             if not (cfg.train_input and cfg.test_input):
                 raise ValueError("pre-split mode needs both --train-input and --test-input")
             train = load_csv(cfg.train_input, cfg.label_column)
-            test = relabel(load_csv(cfg.test_input, cfg.label_column), train.label_names)
+            test = load_csv(cfg.test_input, cfg.label_column, train.label_names)
             _check_test_width(cfg, train.n_features, test.n_features)
             _check_components(cfg, train.n_features, cfg.train_input)
             label_names = train.label_names
@@ -322,7 +284,7 @@ def run_estimate(cfg: RunConfig) -> int:
                                 "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
                           replicates=len(results))
     label_mapping = {name: i for i, name in enumerate(label_names)}
-    return _write_estimate_report(cfg, config, False, label_mapping, results, wlog.messages(), cfg.output)
+    return _write_estimate_report(cfg, config, False, label_mapping, results, caught, cfg.output)
 
 
 # --- stream-estimate ---
@@ -352,7 +314,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     train_source = RowSpill(train_csv, work_dir / "train.rows")
 
     try:
-        with _WarningLog() as wlog:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             stream_cfg = StreamConfig(
                 train_source=train_source,
                 test_source=None,
@@ -379,7 +342,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
                                 "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
                           work_dir=str(work_dir))
-    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], wlog.messages(), output)
+    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], caught, output)
 
 
 # --- encode ---
@@ -634,17 +597,13 @@ _COMMANDS = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for uncovered runs
         return 0 if exc.code in (0, None) else 1
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))
     try:
         # Warnings no report collects go to stderr as one line each, like errors.
         with warnings.catch_warnings():

@@ -193,20 +193,23 @@ def _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict) -> t
     return np.asarray(values, dtype=np.float64), np.asarray(ids, dtype=np.int64)
 
 
-def load_csv(path, label_column) -> Dataset:
+def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> Dataset:
     """Load a UTF-8, comma-delimited, headered CSV into a Dataset.
 
     ``label_column`` is a header name or a 0-based column index. Labels are
     remapped to contiguous ids by first appearance; the original values are
     kept in ``label_names``. Any unparseable, missing, or non-finite feature
-    cell is an error naming the file line and column.
+    cell is an error naming the file line and column. A leading byte-order
+    mark is skipped. Given a training set's ``label_names`` (for a separate
+    test CSV), labels take their training ids, an unseen label is an error
+    naming the file line, and one class present suffices.
     """
-    mapping: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    mapping = {name: i for i, name in enumerate(label_names or ())}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = read_csv_header(reader, path)
         label_idx = resolve_label_column(header, label_column, path)
-        batches = list(csv_batches(reader, header, label_idx, path, LOAD_BATCH_ROWS, mapping))
+        batches = list(csv_batches(reader, header, label_idx, path, LOAD_BATCH_ROWS, mapping, label_names is not None))
 
     n_rows = sum(y.shape[0] for _, y in batches)
     if n_rows < 2:
@@ -228,15 +231,10 @@ def load_csv(path, label_column) -> Dataset:
 
 def _warn_on_conflicting_duplicates(features: np.ndarray, labels: np.ndarray) -> None:
     # Duplicate raw rows with conflicting labels make full coverage unreachable
-    # even before encoding; worth surfacing, not fatal.
-    _, inverse = np.unique(features, axis=0, return_inverse=True)
-    conflicts = 0
-    seen: dict[int, int] = {}
-    for g, lab in zip(inverse.tolist(), labels.tolist()):
-        if g in seen and seen[g] != lab:
-            conflicts += 1
-        else:
-            seen.setdefault(g, lab)
+    # even before encoding; worth surfacing, not fatal. A row conflicts when
+    # its label differs from that of the first row with the same features.
+    _, first, inverse = np.unique(features, axis=0, return_index=True, return_inverse=True)
+    conflicts = int((labels != labels[first][inverse]).sum())
     if conflicts:
         warnings.warn(
             f"{conflicts} duplicate feature rows carry conflicting labels; "
@@ -248,17 +246,17 @@ def _warn_on_conflicting_duplicates(features: np.ndarray, labels: np.ndarray) ->
 def split_train_test(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Deterministic seeded split; row order within each side is the shuffled order."""
     s = d.n_samples
-    n_train = int(np.floor(spec.train_fraction * s))
-    if n_train < 1 or s - n_train < 1:
-        raise ValueError(
-            f"train_fraction {spec.train_fraction} leaves an empty split for {s} samples"
-        )
     rng = np.random.default_rng(spec.seed)
     if spec.stratify:
         train_idx, test_idx = _stratified_indices(d.labels, d.c, spec.train_fraction, rng)
     else:
         perm = rng.permutation(s)
+        n_train = int(np.floor(spec.train_fraction * s))
         train_idx, test_idx = perm[:n_train], perm[n_train:]
+    # Checked on the split made: a stratified split floors each class apart,
+    # so it can leave a side empty where one floor over all rows would not.
+    if train_idx.size < 1 or test_idx.size < 1:
+        raise ValueError(f"train_fraction {spec.train_fraction} leaves an empty split for {s} samples")
 
     train = _take(d, train_idx)
     test = _take(d, test_idx)
@@ -295,30 +293,6 @@ def _take(d: Dataset, idx: np.ndarray) -> Dataset:
         c=d.c,
         feature_names=d.feature_names,
         label_names=d.label_names,
-    )
-
-
-def relabel(d: Dataset, label_names: tuple[str, ...]) -> Dataset:
-    """Remap a dataset's class ids onto another dataset's label order.
-
-    Used to align a separately loaded test CSV with a training CSV whose
-    first-appearance order may differ. Labels absent from ``label_names``
-    are an error.
-    """
-    if d.label_names is None:
-        raise ValueError("dataset carries no original label values to remap")
-    target = {name: i for i, name in enumerate(label_names)}
-    lut = np.empty(len(d.label_names), dtype=np.int64)
-    for old_id, name in enumerate(d.label_names):
-        if name not in target:
-            raise ValueError(f"label {name!r} does not occur in the reference label set")
-        lut[old_id] = target[name]
-    return Dataset(
-        features=d.features,
-        labels=lut[d.labels],
-        c=len(label_names),
-        feature_names=d.feature_names,
-        label_names=tuple(label_names),
     )
 
 

@@ -60,7 +60,7 @@ class CsvBatchSource:
 
     Labels are mapped to contiguous ids by first appearance across the whole
     stream; pass an existing ``label_mapping`` to reuse a training-side
-    mapping (unknown labels then become errors).
+    mapping (unknown labels then become errors). A leading BOM is skipped.
     """
 
     def __init__(self, path, label_column, label_mapping: dict | None = None):
@@ -75,7 +75,7 @@ class CsvBatchSource:
 
     def n_features(self) -> int:
         """The number of feature columns in the header; reads only the header row."""
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
             header = read_csv_header(csv.reader(fh), self.path)
         resolve_label_column(header, self.label_column, self.path)
         return len(header) - 1
@@ -83,7 +83,7 @@ class CsvBatchSource:
     def batches(self, batch_size: int):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = read_csv_header(reader, self.path)
             label_idx = resolve_label_column(header, self.label_column, self.path)

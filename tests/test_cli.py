@@ -164,6 +164,60 @@ class TestStreamEstimateCommand:
         assert sorted(p.name for p in work.iterdir()) == ["model.json", "test.enc", "train.enc"]
 
 
+class TestPreSplitLabels:
+    """Pre-split ``estimate`` maps test labels onto the training ids as
+    ``stream-estimate`` does: an unseen label is an error naming its line, and
+    a test CSV may hold a single class."""
+
+    COMMANDS = {"estimate": (), "stream-estimate": ("--batch-size", "4")}
+
+    @pytest.fixture
+    def train_csv(self, tmp_path):
+        path = tmp_path / "tr.csv"
+        path.write_text("a,label\n" + "".join(f"{i}.0,{'xy'[i >= 4]}\n" for i in range(8)), encoding="utf-8")
+        return path
+
+    def test_unseen_test_label(self, tmp_path, train_csv, capsys):
+        test_csv = tmp_path / "te.csv"
+        test_csv.write_text("a,label\n1.5,x\n2.5,z\n", encoding="utf-8")
+        for command, flags in self.COMMANDS.items():
+            out = tmp_path / command / "r.json"
+            code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--scheme", "none",
+                           "--n-x-max", "4", *flags, "--output", out)
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {test_csv}: line 3: label 'z' was not seen in training"
+            ]
+            assert not (tmp_path / command).exists()
+
+    def test_single_class_test_csv(self, tmp_path, train_csv, capsys):
+        test_csv = tmp_path / "te1.csv"
+        test_csv.write_text("a,label\n0.5,x\n1.5,x\n", encoding="utf-8")
+        for command, flags in self.COMMANDS.items():
+            out = tmp_path / command / "r.json"
+            code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--scheme", "none",
+                           "--n-x-max", "4", "--step", "1", *flags, "--output", out)
+            assert code == 0, capsys.readouterr().err
+            report = json.loads(out.read_text())
+            assert report["label_mapping"] == {"x": 0, "y": 1} and report["warnings"] == []
+            assert report["replicates"][0]["curve"][-1]["n_test"] == 2
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
+def test_byte_order_mark_before_header(tmp_path, capsys, command):
+    # Excel's "CSV UTF-8" export starts with a UTF-8 byte-order mark.
+    path = tmp_path / "bom.csv"
+    path.write_text("label,a,b\n" + "".join(f"{'xy'[i >= 6]},{i}.0,{-i}.0\n" for i in range(12)),
+                    encoding="utf-8-sig")
+    inputs = (("--input", path, "--replicates", "1") if command == "estimate" else
+              ("--train-input", path, "--test-input", path, "--batch-size", "4"))
+    out = tmp_path / "r.json"
+    assert run_cli(command, *inputs, "--scheme", "none", "--n-x-max", "4", "--output", out) == 0
+    assert "error" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["label_mapping"] == {"x": 0, "y": 1}
+
+
 class TestEncodeCommand:
     def test_writes_artifacts_deterministically(self, tmp_path, separable_2d_csv):
         digests = []
@@ -590,6 +644,21 @@ class TestFlagValidation:
         assert not out.exists()
         if command == "stream-estimate":
             assert counts == []  # checked from the two headers, before any row is read
+
+    @pytest.mark.parametrize("command", ["estimate", "encode", "train"])
+    def test_stratified_split_left_empty(self, tmp_path, capsys, command):
+        # Stratified, each class of 2 rows floors to 0 train rows, though 0.4 * 10 rows is 4.
+        path = tmp_path / "pairs.csv"
+        path.write_text("a,label\n" + "".join(f"{i}.0,{i % 5}\n" for i in range(10)), encoding="utf-8")
+        out = tmp_path / "out"
+        target = {"estimate": ("--output", out / "r.json"), "encode": ("--n-x", "2", "--output-dir", out),
+                  "train": ("--n-x", "2", "--output", out / "t.csv")}[command]
+        code = run_cli(command, "--input", path, "--scheme", "none", "--stratify", "--train-fraction", "0.4", *target)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train_fraction 0.4 leaves an empty split for 10 samples"
+        ]
+        assert not out.exists()
 
     def test_train_width_beyond_cap(self, tmp_path, separable_2d_csv, capsys):
         trace = tmp_path / "t.csv"

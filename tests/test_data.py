@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, relabel, split_train_test, validate
+from bitbit.data import (
+    Dataset,
+    SplitSpec,
+    _warn_on_conflicting_duplicates,
+    load_csv,
+    make_synthetic,
+    split_train_test,
+    validate,
+)
 from bitbit.encoder import estimate_mutual_information
 
 
@@ -60,13 +72,58 @@ class TestLoadCsv:
         with pytest.warns(UserWarning, match="conflicting labels"):
             load_csv(path, "y")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("y,a\ncat,0.1\ndog,0.2\n", encoding="utf-8-sig")
+        d = load_csv(path, "y")
+        assert d.label_names == ("cat", "dog") and d.feature_names == ("a",)
+
+
+def conflicts_by_loop(features, labels) -> int:
+    """Rows whose label differs from the first label of their group of equal
+    feature rows, counted one row at a time."""
+    _, inverse = np.unique(features, axis=0, return_inverse=True)
+    conflicts = 0
+    seen: dict[int, int] = {}
+    for g, lab in zip(inverse.tolist(), labels.tolist()):
+        if g in seen and seen[g] != lab:
+            conflicts += 1
+        else:
+            seen.setdefault(g, lab)
+    return conflicts
+
+
+@st.composite
+def small_rows(draw):
+    s, n = draw(st.integers(2, 12)), draw(st.integers(1, 2))
+    features = draw(st.lists(st.integers(0, 2), min_size=s * n, max_size=s * n))
+    labels = draw(st.lists(st.integers(0, 2), min_size=s, max_size=s))
+    return np.array(features, dtype=np.float64).reshape(s, n), np.array(labels, dtype=np.int64)
+
+
+class TestConflictingDuplicates:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=small_rows())
+    def test_count_matches_row_loop(self, rows):
+        features, labels = rows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _warn_on_conflicting_duplicates(features, labels)
+        expected = conflicts_by_loop(features, labels)
+        assert [str(w.message) for w in caught] == ([
+            f"{expected} duplicate feature rows carry conflicting labels; "
+            "full training coverage is unreachable at any width"
+        ] if expected else [])
+
 
 class TestSplit:
     def test_deterministic(self):
         d = make_synthetic(10, 2, 2, 1.0, seed=0)
         spec = SplitSpec(0.8, seed=7)
-        a = split_train_test(d, spec)
-        b = split_train_test(d, spec)
+        with pytest.warns(UserWarning, match=r"classes \[0\] absent from the test split"):
+            a = split_train_test(d, spec)
+        with pytest.warns(UserWarning, match=r"classes \[0\] absent from the test split"):
+            b = split_train_test(d, spec)
         assert a[0].n_samples == 8 and a[1].n_samples == 2
         assert np.array_equal(a[0].features, b[0].features)
         assert np.array_equal(a[1].labels, b[1].labels)
@@ -97,6 +154,14 @@ class TestSplit:
         d = make_synthetic(10, 2, 2, 1.0, seed=0)
         with pytest.raises(ValueError, match="empty split"):
             split_train_test(d, SplitSpec(0.05, seed=0))
+
+    def test_stratified_empty_split_rejected(self):
+        # Each class of 2 rows floors to 0 train rows, though 0.4 * 10 rows is 4.
+        d = Dataset(features=np.arange(10.0)[:, None], labels=np.arange(10) % 5, c=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="train_fraction 0.4 leaves an empty split for 10 samples"):
+                split_train_test(d, SplitSpec(0.4, seed=0, stratify=True))
 
     def test_stratified_keeps_class_ratio(self):
         d = make_synthetic(100, 2, 2, 1.0, seed=4)
@@ -158,17 +223,23 @@ class TestValidate:
 
 
 class TestRelabel:
-    def test_alignment(self):
-        a = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]), c=2,
-                    label_names=("dog", "cat"))
-        b = relabel(a, ("cat", "dog"))
-        assert b.labels.tolist() == [1, 0]
+    """A test CSV loaded with a training set's ``label_names`` takes its class ids."""
 
-    def test_unknown_label_rejected(self):
-        a = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]), c=2,
-                    label_names=("dog", "bird"))
-        with pytest.raises(ValueError, match="'bird'"):
-            relabel(a, ("cat", "dog"))
+    def test_alignment(self, tmp_path):
+        path = write(tmp_path, "a,y\n0.1,dog\n0.2,cat\n")
+        b = load_csv(path, "y", ("cat", "dog"))
+        assert b.labels.tolist() == [1, 0]
+        assert b.c == 2 and b.label_names == ("cat", "dog")
+
+    def test_unknown_label_rejected(self, tmp_path):
+        path = write(tmp_path, "a,y\n0.1,dog\n0.2,bird\n")
+        with pytest.raises(ValueError, match="line 3: label 'bird' was not seen in training"):
+            load_csv(path, "y", ("cat", "dog"))
+
+    def test_single_class_accepted(self, tmp_path):
+        path = write(tmp_path, "a,y\n0.1,dog\n0.2,dog\n")
+        b = load_csv(path, "y", ("cat", "dog"))
+        assert b.labels.tolist() == [1, 1] and b.c == 2
 
 
 class TestImmutability:
