@@ -8,6 +8,7 @@ reaching the configured threshold, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -17,6 +18,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 from bitbit import __version__
@@ -31,7 +33,7 @@ from bitbit.coverage import (
 )
 from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
+from bitbit.encoder import _check_count, copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
     classification_accuracy,
@@ -45,7 +47,7 @@ from bitbit.qsim import (
 from bitbit.stream import (
     DEFAULT_RESERVOIR_SIZE,
     CsvBatchSource,
-    RowSpill,
+    Spill,
     StreamConfig,
     stream_fit_base,
     stream_sweep_curve,
@@ -291,10 +293,9 @@ def run_estimate(cfg: RunConfig) -> int:
 
 
 def run_stream_estimate(cfg: RunConfig) -> int:
-    """Streaming protocol over pre-split CSVs: fit once in batched passes, rank
-    each split once into a spill, then pack and measure coverage at each swept
-    width from the spill. Each CSV is parsed once: the first pass over the
-    training CSV spills its rows, and the later passes read that spill."""
+    """Streaming protocol over pre-split CSVs: parse the training CSV once into
+    a row spill, fit once in batched passes over it, rank each split once into
+    a spill, then pack and measure coverage at each swept width from the spill."""
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
     for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
@@ -304,40 +305,41 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     n_features = train_csv.n_features()
     _check_test_width(cfg, n_features, CsvBatchSource(cfg.test_input, cfg.label_column).n_features())
     _check_components(cfg, n_features, cfg.train_input)
+    with open(cfg.test_input, newline="", encoding="utf-8-sig") as fh:
+        if not any(islice(csv.reader(fh), 1, None)):  # rows after the header, none converted
+            raise ValueError(f"--test-input {cfg.test_input} holds no data rows")
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
     output = cfg.output if cfg.output else str(work_dir / "report.json")
     # The outermost directory this run creates, removed again if the run fails.
     created = next((d for d in reversed((work_dir, *work_dir.parents)) if not d.exists()), None)
     work_dir.mkdir(parents=True, exist_ok=True)
-    spec = ReducerSpec(cfg.scheme, cfg.components)
-    train_source = RowSpill(train_csv, work_dir / "train.rows")
+    train_rows = Spill(work_dir / "train.rows", "float64", n_features + 1)
 
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            _check_count(train_rows.write(train_csv.batches(cfg.batch_size)))
+            label_mapping = train_csv.label_mapping
+            if len(label_mapping) < 2:
+                raise ValueError("training stream holds fewer than 2 classes")
             stream_cfg = StreamConfig(
-                train_source=train_source,
-                test_source=None,
+                train_source=train_rows,
+                test_source=CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping),
                 batch_size=cfg.batch_size,
                 work_dir=work_dir,
                 reservoir_size=cfg.reservoir_size,
                 seed=cfg.seed,
                 weighted_mi=cfg.weighted_mi,
             )
-            base = stream_fit_base(stream_cfg, spec)
-            label_mapping = dict(train_source.label_mapping)
-            c = len(label_mapping)
-            if c < 2:
-                raise ValueError("training stream holds fewer than 2 classes")
-            stream_cfg.test_source = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
-            curve = stream_sweep_curve(stream_cfg, base, c, 1.0, cfg.n_x_max, cfg.step)
+            base = stream_fit_base(stream_cfg, ReducerSpec(cfg.scheme, cfg.components))
+            curve = stream_sweep_curve(stream_cfg, base, len(label_mapping), 1.0, cfg.n_x_max, cfg.step)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
     finally:
-        train_source.path.unlink(missing_ok=True)
+        train_rows.path.unlink(missing_ok=True)
 
     config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
                                 "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),

@@ -219,7 +219,7 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
 
     features = np.concatenate([x for x, _ in batches])
     labels = np.concatenate([y for _, y in batches])
-    _warn_on_conflicting_duplicates(features, labels)
+    _warn_on_conflicting_duplicates(features, labels, None if label_names is None else path)
     return Dataset(
         features=features,
         labels=labels,
@@ -229,16 +229,17 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
     )
 
 
-def _warn_on_conflicting_duplicates(features: np.ndarray, labels: np.ndarray) -> None:
+def _warn_on_conflicting_duplicates(features: np.ndarray, labels: np.ndarray, test_path=None) -> None:
     # Duplicate raw rows with conflicting labels make full coverage unreachable
     # even before encoding; worth surfacing, not fatal. A row conflicts when
     # its label differs from that of the first row with the same features.
     _, first, inverse = np.unique(features, axis=0, return_index=True, return_inverse=True)
     conflicts = int((labels != labels[first][inverse]).sum())
     if conflicts:
+        where, side = ("", "training") if test_path is None else (f"{test_path}: ", "test")
         warnings.warn(
-            f"{conflicts} duplicate feature rows carry conflicting labels; "
-            "full training coverage is unreachable at any width",
+            f"{where}{conflicts} duplicate feature rows carry conflicting labels; "
+            f"full {side} coverage is unreachable at any width",
             stacklevel=3,
         )
 

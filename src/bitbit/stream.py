@@ -7,18 +7,18 @@ reducer needs no fit), (2) ``encoder.fit_batches``, the same fit that
 batch-averaged importance scores, and a copula reservoir.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
-spills every record's integer copula ranks and its label to ``work_dir`` as
-D + 1 uint32 values, 4 * (D + 1) bytes per record. Ranks do not depend on the
-width, so each swept width packs its codes from the spill a batch at a time
-and merges per-batch code counts; memory grows with distinct codes, not
+writes every record's integer copula ranks and its label to a uint32
+``Spill`` in ``work_dir``, 4 * (D + 1) bytes per record. Ranks do not depend
+on the width, so each swept width packs its codes from the spill a batch at a
+time and merges per-batch code counts; memory grows with distinct codes, not
 record count. The final ``train.enc``, ``test.enc`` and ``model.json`` are
 written from the spill at the last swept width, and the spill files are
 removed on success and on error.
 
-A CSV is parsed once: wrapped in a ``RowSpill``, the training source's first
-pass tees its float64 rows and label ids to a file, and the later passes
-(pass 2 and the rank pass) read that file back instead of the CSV. The test
-source is read only by its rank pass, so it needs no row spill.
+``Spill`` is the one on-disk batch format: per record, its values, then its
+label id. ``stream-estimate`` parses the training CSV once, before the fit,
+into a float64 ``Spill`` that the PCA, fit and rank passes read; the test CSV
+is read only by its rank pass.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class CsvBatchSource:
         self._strict = label_mapping is not None
         self.label_mapping: dict[str, int] = dict(label_mapping) if label_mapping else {}
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.label_mapping)
-
     def n_features(self) -> int:
         """The number of feature columns in the header; reads only the header row."""
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
@@ -98,10 +94,6 @@ class ArrayBatchSource:
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels must have equal length")
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def batches(self, batch_size: int):
         if batch_size < 1:
@@ -147,103 +139,65 @@ def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
 def _stream_fit_pca(cfg: StreamConfig, spec: ReducerSpec) -> FittedReducer:
     """Pass 1: accumulate the covariance over the training stream."""
     state: IncrementalPcaState | None = None
-    count = 0
     for x, _ in cfg.train_source.batches(cfg.batch_size):
         if state is None:
             state = IncrementalPcaState.empty(x.shape[1])
         state = incremental_update(state, x)
-        count += x.shape[0]
-    _check_count(count)
-    d = min(count, state.n_features) if spec.n_components is None else spec.n_components
+    _check_count(state.count if state else 0)
+    d = min(state.count, state.n_features) if spec.n_components is None else spec.n_components
     return finalize_incremental(state, d)
 
 
-def _read_chunks(path, dtype, n_columns: int, batch_size: int):
-    """Rows of ``n_columns`` values of ``dtype`` from ``path``, ``batch_size``
-    rows per chunk; the last chunk is short, and empty when the row count is a
-    multiple of ``batch_size``."""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = np.fromfile(fh, dtype=dtype, count=batch_size * n_columns).reshape(-1, n_columns)
-            yield chunk
-            if chunk.shape[0] < batch_size:
-                return
+class Spill:
+    """Records on disk, one row of ``n_columns`` values of ``dtype`` per record:
+    the record's values, then its label id. Holds the training CSV as float64
+    rows (8 * (n + 1) bytes per record) and each split's copula ranks as uint32
+    rows (4 * (D + 1) bytes per record); the caller removes ``path``."""
 
-
-class RankSpill:
-    """One split's copula ranks and labels on disk, one row of D + 1 uint32
-    values per record: the D ranks of ``copula_ranks``, then the label id."""
-
-    def __init__(self, path, model: EncoderModel):
+    def __init__(self, path, dtype, n_columns: int):
         self.path = Path(path)
-        self.model = model
+        self.dtype = np.dtype(dtype)
+        self.n_columns = n_columns
 
-    def write(self, source, batch_size: int) -> None:
-        """The rank pass: one read of ``source``."""
-        if max(col.shape[0] for col in self.model.copula.columns) >= 2**32:
-            raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
+    def write(self, batches) -> int:
+        """Store one pass of (values, labels) batches; returns the record count."""
+        count = 0
         with open(self.path, "wb") as fh:
-            for x, y in source.batches(batch_size):
-                np.column_stack((copula_ranks(self.model, x), y)).astype(np.uint32).tofile(fh)
-
-    def codes(self, bits, batch_size: int):
-        """(``pack_codes`` words, label ids) per chunk of ``batch_size`` records;
-        the last chunk may be short or empty."""
-        copula = self.model.copula
-        for chunk in _read_chunks(self.path, np.uint32, len(copula) + 1, batch_size):
-            yield pack_codes(rank_units(copula, chunk[:, :-1]), bits), chunk[:, -1].astype(np.int64)
-
-    def table(self, bits, c: int, batch_size: int) -> BitstringTable:
-        """``count_codes`` over the whole split. Per-chunk tables are merged once
-        they hold as many codes as the merged table, so memory stays within
-        about twice the distinct codes plus one chunk."""
-        tables: list[BitstringTable] = []
-        for words, labels in self.codes(bits, batch_size):
-            tables.append(count_codes(code_keys(words), labels, c, sum(bits)))
-            if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
-                tables = [merge_counts(tables)]
-        return tables[0] if len(tables) == 1 else merge_counts(tables)
-
-
-class RowSpill:
-    """A batch source whose CSV is parsed once. The first pass over ``source``
-    that runs to the end tees each batch to ``path`` as float64 rows of the
-    n features then the label id, 8 * (n + 1) bytes per record; every later
-    pass reads that file back in ``batch_size`` chunks and yields the same
-    arrays and label ids. A pass broken off early leaves a file that no pass
-    trusts, so the next pass reads ``source`` again. Passes run one at a time;
-    the caller removes ``path``."""
-
-    def __init__(self, source, path):
-        self.source = source
-        self.path = Path(path)
-        self._n_columns: int | None = None  # set when a pass has written the whole source
-
-    @property
-    def label_mapping(self) -> dict[str, int]:
-        return self.source.label_mapping
-
-    @property
-    def n_classes(self) -> int:
-        return self.source.n_classes
+            for x, y in batches:
+                np.column_stack((x, y)).astype(self.dtype, copy=False).tofile(fh)
+                count += len(y)
+        return count
 
     def batches(self, batch_size: int):
+        """(values, int64 label ids) per ``batch_size`` records, values
+        contiguous; the last chunk is short, and empty when the record count
+        is a multiple of ``batch_size``."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self._n_columns is None:
-            n_columns = 0
-            with open(self.path, "wb") as fh:
-                for x, y in self.source.batches(batch_size):
-                    np.column_stack((x, y)).astype(np.float64, copy=False).tofile(fh)
-                    n_columns = x.shape[1] + 1
-                    yield x, y
-            self._n_columns = n_columns
-            return
-        if not self._n_columns:  # zero columns: the source held no records
-            return
-        for chunk in _read_chunks(self.path, np.float64, self._n_columns, batch_size):
-            if chunk.shape[0]:
+        with open(self.path, "rb") as fh:
+            while True:
+                chunk = np.fromfile(fh, dtype=self.dtype, count=batch_size * self.n_columns).reshape(-1, self.n_columns)
                 yield np.ascontiguousarray(chunk[:, :-1]), chunk[:, -1].astype(np.int64)
+                if chunk.shape[0] < batch_size:
+                    return
+
+
+def _spill_codes(spill: Spill, copula, bits, batch_size: int):
+    """(``pack_codes`` words, label ids) per chunk of a rank spill."""
+    for ranks, labels in spill.batches(batch_size):
+        yield pack_codes(rank_units(copula, ranks), bits), labels
+
+
+def _count_table(spill: Spill, copula, bits, c: int, batch_size: int) -> BitstringTable:
+    """``count_codes`` over a rank spill. Per-chunk tables are merged once they
+    hold as many codes as the merged table, so memory stays within about twice
+    the distinct codes plus one chunk."""
+    tables: list[BitstringTable] = []
+    for words, labels in _spill_codes(spill, copula, bits, batch_size):
+        tables.append(count_codes(code_keys(words), labels, c, sum(bits)))
+        if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
+            tables = [merge_counts(tables)]
+    return tables[0] if len(tables) == 1 else merge_counts(tables)
 
 
 def stream_sweep_curve(
@@ -260,21 +214,24 @@ def stream_sweep_curve(
     swept width; the rank spill files there are removed on success and error."""
     if cfg.test_source is None:
         raise ValueError("stream_sweep_curve needs a test_source")
+    copula = base.copula
     cfg.work_dir.mkdir(parents=True, exist_ok=True)
-    spills = {name: RankSpill(cfg.work_dir / f"{name}.ranks", base) for name in ("train", "test")}
+    spills = {name: Spill(cfg.work_dir / f"{name}.ranks", np.uint32, len(copula) + 1) for name in ("train", "test")}
     try:
-        spills["train"].write(cfg.train_source, cfg.batch_size)
-        spills["test"].write(cfg.test_source, cfg.batch_size)
+        if max(col.shape[0] for col in copula.columns) >= 2**32:
+            raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
+        for name, source in (("train", cfg.train_source), ("test", cfg.test_source)):
+            spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(cfg.batch_size))
 
         def measure(bits):
-            return batched_coverage(spills["train"].table(bits, c, cfg.batch_size),
-                                    spills["test"].table(bits, c, cfg.batch_size))
+            return batched_coverage(_count_table(spills["train"], copula, bits, c, cfg.batch_size),
+                                    _count_table(spills["test"], copula, bits, c, cfg.batch_size))
 
         curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
         model = base.at_width(curve[-1][0])
         for name, spill in spills.items():
             write_packed(cfg.work_dir / f"{name}.enc", model.width,
-                         spill.codes(model.allocation.bits, cfg.batch_size))
+                         _spill_codes(spill, copula, model.allocation.bits, cfg.batch_size))
         persist_model(model, cfg.work_dir / "model.json")
     finally:
         for spill in spills.values():

@@ -23,7 +23,7 @@ from bitbit.cli import RunConfig, main, run_estimate, run_stream_estimate
 from bitbit.coverage import build_table, coverage_metrics, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import IncrementalPcaState, ReducerSpec, finalize_incremental, fit_reducer, incremental_update
-from bitbit.encoder import Bitstring, apply_copula, encode_samples, fit_copula, fit_encoder, write_packed
+from bitbit.encoder import Bitstring, apply_copula, copula_ranks, encode_samples, fit_copula, fit_encoder, write_packed
 from bitbit.qsim import (
     TrainingBatch,
     build_exact_classifier,
@@ -34,7 +34,7 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import RankSpill
+from bitbit.stream import Spill, _spill_codes
 from tests.conftest import write_dataset_csv
 from tests.test_coverage import brute_test_incidence, brute_train_incidence
 
@@ -490,9 +490,9 @@ def test_scaling_smoke_stream_encode_constant_memory(tmp_path):
     sink = tmp_path / "big.enc"
     tracemalloc.start()
     try:
-        spill = RankSpill(tmp_path / "big.ranks", model)
-        spill.write(source, 10_000)
-        count = write_packed(sink, model.width, spill.codes(model.allocation.bits, 10_000))
+        spill = Spill(tmp_path / "big.ranks", np.uint32, len(model.copula) + 1)
+        spill.write((copula_ranks(model, x), y) for x, y in source.batches(10_000))
+        count = write_packed(sink, model.width, _spill_codes(spill, model.copula, model.allocation.bits, 10_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitbit.stream
 from bitbit.cli import main
 from bitbit.data import SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
@@ -202,6 +203,18 @@ class TestPreSplitLabels:
             assert report["label_mapping"] == {"x": 0, "y": 1} and report["warnings"] == []
             assert report["replicates"][0]["curve"][-1]["n_test"] == 2
         capsys.readouterr()
+
+    def test_conflicting_test_rows_name_the_test_csv(self, tmp_path, train_csv, capsys):
+        test_csv = tmp_path / "te2.csv"
+        test_csv.write_text("a,label\n0.5,x\n0.5,y\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        run_cli("estimate", "--train-input", train_csv, "--test-input", test_csv, "--scheme", "none",
+                "--n-x-max", "4", "--output", out)
+        capsys.readouterr()
+        assert json.loads(out.read_text())["warnings"] == [
+            f"{test_csv}: 1 duplicate feature rows carry conflicting labels; "
+            "full test coverage is unreachable at any width"
+        ]
 
 
 @pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
@@ -602,6 +615,49 @@ class TestFlagValidation:
             assert spilled == [0, 32 * 24, 64 * 24, 96 * 24]  # 3 batches of 2 features and a label spilled
         assert not (tmp_path / "sw").exists()
         assert list(kept.iterdir()) == []  # only what the run created is removed
+
+    @pytest.mark.parametrize("text", ["f0,f1,label\n", "f0,f1,label\n\n\n"], ids=["header", "blank-lines"])
+    def test_stream_estimate_test_csv_without_rows(self, tmp_path, split_csvs, capsys, monkeypatch, text):
+        counts = count_converted_rows(monkeypatch)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text, encoding="utf-8")
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for where in (("--output", tmp_path / "sw" / "r.json"), ("--work-dir", kept)):
+            code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", empty,
+                           "--label-column", "label", "--batch-size", "32", *where)
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: --test-input {empty} holds no data rows"]
+        assert not (tmp_path / "sw").exists()
+        assert list(kept.iterdir()) == []
+        assert counts == []  # found before any row is converted
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_stream_estimate_too_few_training_rows(self, tmp_path, split_csvs, capsys, rows):
+        train_csv = tmp_path / "few.csv"
+        train_csv.write_text("f0,f1,label\n" + "0.5,0.5,0\n" * rows, encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("stream-estimate", "--train-input", train_csv, "--test-input", split_csvs[1],
+                       "--label-column", "label", "--batch-size", "32", "--output", out / "r.json")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: train source must yield at least 2 samples, got {rows}"
+        ]
+        assert not out.exists()
+
+    def test_stream_estimate_single_class_fails_before_the_fit(self, tmp_path, split_csvs, capsys, monkeypatch):
+        fits = []
+        fit_batches = bitbit.stream.fit_batches
+        monkeypatch.setattr(bitbit.stream, "fit_batches", lambda *args: fits.append(args) or fit_batches(*args))
+        train_csv = tmp_path / "one.csv"
+        train_csv.write_text("f0,f1,label\n" + "".join(f"{i}.0,{-i}.0,0\n" for i in range(8)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("stream-estimate", "--train-input", train_csv, "--test-input", split_csvs[1],
+                       "--label-column", "label", "--batch-size", "32", "--output", out / "r.json")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: training stream holds fewer than 2 classes"]
+        assert fits == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "estimate-split", "encode", "train", "stream-estimate"])
     @pytest.mark.parametrize("scheme,components,named", [

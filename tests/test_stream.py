@@ -11,6 +11,7 @@ from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
     Bitstring,
     _Reservoir,
+    copula_ranks,
     encode_samples,
     fit_encoder,
     iter_encoded,
@@ -22,9 +23,9 @@ from bitbit.encoder import (
 from bitbit.stream import (
     ArrayBatchSource,
     CsvBatchSource,
-    RankSpill,
-    RowSpill,
+    Spill,
     StreamConfig,
+    _spill_codes,
     batched_coverage,
     stream_fit_base,
     stream_sweep_curve,
@@ -89,86 +90,101 @@ class TestSources:
             list(src.batches(10))
 
 
+def assert_same_batches(got, expected, batch_size, dtype):
+    """``Spill.batches`` chunks against a source's batches: equal values and
+    labels, then one short chunk that is empty when ``batch_size`` divides
+    the record count."""
+    records = sum(len(y) for _, y in expected)
+    assert len(got) == records // batch_size + 1 and len(got[-1][1]) == records % batch_size
+    for (x, y), (x0, y0) in zip(got, expected):
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    for x, y in got:
+        assert x.dtype == dtype and y.dtype == np.int64 and x.flags.c_contiguous
+
+
+def write_spill_csv(tmp_path, rows=40):
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, make_synthetic(rows, 3, 3, 1.0, seed=21))
+    return path
+
+
 class TestRowSpill:
-    """Every pass over a RowSpill yields what its CSV source yields, and the
-    CSV is parsed by the first pass that runs to the end only."""
+    """The training CSV's row spill, a float64 ``Spill``: one pass over the CSV
+    writes it, and every read yields what the CSV source yields."""
 
-    @staticmethod
-    def write_csv(tmp_path, rows=40):
-        path = tmp_path / "d.csv"
-        write_dataset_csv(path, make_synthetic(rows, 3, 3, 1.0, seed=21))
-        return path
-
-    @staticmethod
-    def assert_same_batches(got, expected):
-        assert len(got) == len(expected)
-        for (x, y), (x0, y0) in zip(got, expected):
-            assert np.array_equal(x, x0) and np.array_equal(y, y0)
-            assert x.dtype == np.float64 and y.dtype == np.int64 and x.flags.c_contiguous
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 100])
+    @pytest.mark.parametrize("batch_size", [1, 7, 40, 41, 100])
     def test_later_passes_match_the_first(self, tmp_path, monkeypatch, batch_size):
-        path = self.write_csv(tmp_path)
-        csv_source = CsvBatchSource(path, "label")
-        direct = list(csv_source.batches(batch_size))
+        path = write_spill_csv(tmp_path)
+        direct = list(CsvBatchSource(path, "label").batches(batch_size))
         counts = count_converted_rows(monkeypatch)
-        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
-        passes = [list(src.batches(batch_size)) for _ in range(3)]
-        assert sum(counts) == 40  # the first pass only
+        csv_source = CsvBatchSource(path, "label")
+        spill = Spill(tmp_path / "d.rows", np.float64, 4)
+        assert spill.write(csv_source.batches(batch_size)) == 40
+        passes = [list(spill.batches(batch_size)) for _ in range(3)]
+        assert sum(counts) == 40  # the write only
         for batches in passes:
-            self.assert_same_batches(batches, direct)
-        assert src.label_mapping == csv_source.label_mapping and src.n_classes == 3
+            assert_same_batches(batches, direct, batch_size, np.float64)
+        assert len(csv_source.label_mapping) == 3
         assert (tmp_path / "d.rows").stat().st_size == 8 * 4 * 40
 
     def test_any_batch_size_reads_the_spill(self, tmp_path, monkeypatch):
-        path = self.write_csv(tmp_path)
+        path = write_spill_csv(tmp_path)
         counts = count_converted_rows(monkeypatch)
-        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
-        list(src.batches(7))
+        spill = Spill(tmp_path / "d.rows", np.float64, 4)
+        spill.write(CsvBatchSource(path, "label").batches(7))
         for batch_size in (1, 5, 40, 41):
-            self.assert_same_batches(list(src.batches(batch_size)),
-                                     list(CsvBatchSource(path, "label").batches(batch_size)))
+            assert_same_batches(list(spill.batches(batch_size)),
+                                list(CsvBatchSource(path, "label").batches(batch_size)), batch_size, np.float64)
         assert sum(counts) == 40 * 5
 
     def test_strict_mapping_unchanged(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,label\n1.0,y\n2.0,x\n3.0,y\n", encoding="utf-8")
-        src = RowSpill(CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1}), tmp_path / "d.rows")
+        source = CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1})
+        spill = Spill(tmp_path / "d.rows", np.float64, 2)
+        assert spill.write(source.batches(2)) == 3
         for _ in range(2):
-            assert [y.tolist() for _, y in src.batches(2)] == [[1, 0], [1]]
-        assert src.label_mapping == {"x": 0, "y": 1}
+            assert [y.tolist() for _, y in spill.batches(2)] == [[1, 0], [1]]
+        assert source.label_mapping == {"x": 0, "y": 1}
         path.write_text("a,label\n1.0,x\n2.0,z\n", encoding="utf-8")
-        src = RowSpill(CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1}), tmp_path / "d.rows")
-        for _ in range(2):  # a pass that fails is not trusted: the next one fails the same way
-            with pytest.raises(ValueError, match="line 3: label 'z' was not seen in training"):
-                list(src.batches(1))
-        assert src.label_mapping == {"x": 0, "y": 1}
-
-    def test_pass_broken_off_falls_back_to_csv(self, tmp_path, monkeypatch):
-        path = self.write_csv(tmp_path)
-        direct = list(CsvBatchSource(path, "label").batches(7))
-        counts = count_converted_rows(monkeypatch)
-        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
-        batches = src.batches(7)
-        next(batches)
-        batches.close()
-        assert sum(counts) == 7
-        self.assert_same_batches(list(src.batches(7)), direct)
-        assert sum(counts) == 47
-        self.assert_same_batches(list(src.batches(7)), direct)
-        assert sum(counts) == 47
+        source = CsvBatchSource(path, "label", label_mapping={"x": 0, "y": 1})
+        with pytest.raises(ValueError, match="line 3: label 'z' was not seen in training"):
+            spill.write(source.batches(1))
+        assert source.label_mapping == {"x": 0, "y": 1}
 
     def test_empty_source(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,label\n", encoding="utf-8")
-        src = RowSpill(CsvBatchSource(path, "label"), tmp_path / "d.rows")
-        assert list(src.batches(4)) == [] and list(src.batches(4)) == []
+        spill = Spill(tmp_path / "d.rows", np.float64, 2)
+        assert spill.write(CsvBatchSource(path, "label").batches(4)) == 0
+        assert spill.path.stat().st_size == 0
+        (x, y), = spill.batches(4)
+        assert x.shape == (0, 1) and y.shape == (0,)
+        cfg = StreamConfig(train_source=spill, test_source=None, batch_size=4, work_dir=tmp_path)
+        for scheme in ("none", "pca"):
+            with pytest.raises(ValueError, match="^train source must yield at least 2 samples, got 0$"):
+                stream_fit_base(cfg, ReducerSpec(scheme))
 
     def test_batch_size_checked(self, tmp_path):
-        src = RowSpill(CsvBatchSource(self.write_csv(tmp_path), "label"), tmp_path / "d.rows")
-        list(src.batches(8))
+        spill = Spill(tmp_path / "d.rows", np.float64, 4)
+        spill.write(CsvBatchSource(write_spill_csv(tmp_path), "label").batches(8))
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            list(src.batches(0))
+            list(spill.batches(0))
+
+
+class TestRankSpill:
+    """A split's rank spill, a uint32 ``Spill`` of ``copula_ranks`` and labels."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 40, 41, 100])
+    def test_round_trip(self, tmp_path, batch_size):
+        source = CsvBatchSource(write_spill_csv(tmp_path), "label")
+        model = fit_encoder(load_csv(source.path, "label"), ReducerSpec("pca"), 5)
+        n_columns = len(model.copula) + 1
+        spill = Spill(tmp_path / "d.ranks", np.uint32, n_columns)
+        expected = [(copula_ranks(model, x), y) for x, y in source.batches(batch_size)]
+        assert spill.write(expected) == 40
+        assert spill.path.stat().st_size == 4 * n_columns * 40
+        assert_same_batches(list(spill.batches(batch_size)), expected, batch_size, np.uint32)
 
 
 class TestReservoir:
@@ -287,15 +303,20 @@ class TestStreamFit:
 
 
 class TestStreamEncode:
+    @staticmethod
+    def rank_spill(path, model, source, batch_size):
+        spill = Spill(path, np.uint32, len(model.copula) + 1)
+        spill.write((copula_ranks(model, x), y) for x, y in source.batches(batch_size))
+        return spill
+
     def test_reencoding_is_byte_identical(self, tmp_path):
         d = make_synthetic(50, 3, 2, 2.0, seed=6)
         model = fit_encoder(d, ReducerSpec("pca"), 5)
         src = ArrayBatchSource(d.features, d.labels)
         counts = []
         for name in ("a", "b"):
-            spill = RankSpill(tmp_path / f"{name}.ranks", model)
-            spill.write(src, 7)
-            codes = spill.codes(model.allocation.bits, 7)
+            spill = self.rank_spill(tmp_path / f"{name}.ranks", model, src, 7)
+            codes = _spill_codes(spill, model.copula, model.allocation.bits, 7)
             counts.append(write_packed(tmp_path / f"{name}.enc", model.width, codes))
         assert counts == [50, 50]
         assert (tmp_path / "a.enc").read_bytes() == (tmp_path / "b.enc").read_bytes()
@@ -304,9 +325,8 @@ class TestStreamEncode:
         d = make_synthetic(50, 3, 2, 2.0, seed=7)
         model = fit_encoder(d, ReducerSpec("none"), 4)
         path = tmp_path / "x.enc"
-        spill = RankSpill(tmp_path / "x.ranks", model)
-        spill.write(ArrayBatchSource(d.features, d.labels), 13)
-        write_packed(path, model.width, spill.codes(model.allocation.bits, 13))
+        spill = self.rank_spill(tmp_path / "x.ranks", model, ArrayBatchSource(d.features, d.labels), 13)
+        write_packed(path, model.width, _spill_codes(spill, model.copula, model.allocation.bits, 13))
         _, records = read_encoded(path)
         direct = list(zip(encode_samples(model, d.features), d.labels.tolist()))
         assert records == direct
@@ -466,7 +486,7 @@ class TestStreamSweep:
         cfg = StreamConfig(train_source=train_source, test_source=test_source, batch_size=7,
                            work_dir=tmp_path / "new", reservoir_size=reservoir)
         base = stream_fit_base(cfg, ReducerSpec(scheme))
-        c = train_source.n_classes
+        c = int(train_source.labels.max()) + 1
         cfg = replace(cfg, batch_size=batch_size)  # the fit needs batches of 2+ rows; the sweep does not
         curve = stream_sweep_curve(cfg, base, c, 1.0, n_x_max, step)
         expected = oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, tmp_path / "old")
