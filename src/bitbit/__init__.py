@@ -7,6 +7,11 @@ train/test label collisions vanish, and verifies the resulting accuracy
 ceiling with a small statevector classifier.
 """
 
+import os
+
+# One BLAS thread for small matrices. OpenBLAS reads this once, when numpy first loads; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test, validate

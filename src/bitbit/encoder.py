@@ -169,23 +169,24 @@ def estimate_mutual_information(column, labels, bins: int | None = None) -> floa
         raise ValueError("column and labels must have equal length")
     if labs.min() < 0:
         raise ValueError("labels must be nonnegative class ids")
-    if bins is None:
-        bins = min(max(int(math.isqrt(s)), 8), 256)
+    bins = _mi_bins(s) if bins is None else bins
     if bins < 1:
         raise ValueError("bins must be positive")
-    if col.max() == col.min():
-        return 0.0
+    return 0.0 if col.max() == col.min() else _plugin_mi(col, np.quantile(col, np.arange(1, bins) / bins), labs)
 
-    edges = np.unique(np.quantile(col, np.arange(1, bins) / bins)) if bins > 1 else np.empty(0)
-    bin_idx = np.searchsorted(edges, col, side="right")
-    n_bins = edges.shape[0] + 1
+
+def _mi_bins(s: int) -> int:
+    return min(max(int(math.isqrt(s)), 8), 256)
+
+
+def _plugin_mi(col: np.ndarray, cuts: np.ndarray, labs: np.ndarray) -> float:
+    """Plug-in MI in bits of the (bin, label) table of a nonconstant column cut at ``cuts``."""
+    edges = np.unique(cuts)
     n_classes = int(labs.max()) + 1
-    joint = np.bincount(bin_idx * n_classes + labs, minlength=n_bins * n_classes)
-    joint = joint.reshape(n_bins, n_classes) / s
-    p_bin = joint.sum(axis=1)
-    p_class = joint.sum(axis=0)
+    cells = np.searchsorted(edges, col, side="right") * n_classes + labs
+    joint = np.bincount(cells, minlength=(edges.shape[0] + 1) * n_classes).reshape(-1, n_classes) / col.shape[0]
     nz = joint > 0
-    ratio = joint[nz] / (np.outer(p_bin, p_class)[nz])
+    ratio = joint[nz] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
     return max(float(np.sum(joint[nz] * np.log2(ratio))), 0.0)
 
 
@@ -327,13 +328,16 @@ def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
             score_sum = np.zeros(d)
         count += x.shape[0]
         reduced = transform(reducer, x)
-        mins = np.minimum(mins, reduced.min(axis=0))
-        maxs = np.maximum(maxs, reduced.max(axis=0))
+        lo, hi = reduced.min(axis=0), reduced.max(axis=0)
+        mins, maxs = np.minimum(mins, lo), np.maximum(maxs, hi)
         for j in range(d):
             reservoirs[j].add(reduced[:, j])
         if x.shape[0] >= 2:  # single-row batches carry no label information
             w = float(x.shape[0]) if weighted_mi else 1.0
-            score_sum += w * np.array([estimate_mutual_information(reduced[:, j], y) for j in range(d)])
+            bins = _mi_bins(x.shape[0])  # estimate_mutual_information per column, edges from one call
+            cuts = np.quantile(reduced, np.arange(1, bins) / bins, axis=0)
+            score_sum += w * np.array([0.0 if lo[j] == hi[j] else _plugin_mi(reduced[:, j], cuts[:, j], y)
+                                       for j in range(d)])
             score_weight += w
     _check_count(count)
     if score_weight == 0.0:

@@ -373,6 +373,47 @@ class TestWarningLines:
         assert result.stderr.splitlines() == [self.CAP_WARNING]
 
 
+class TestBlasThreads:
+    """Importing bitbit before numpy puts numpy's OpenBLAS on one thread unless
+    OPENBLAS_NUM_THREADS is already set. This process imported numpy first, so
+    each check runs in a fresh interpreter."""
+
+    PROBE = """
+import ctypes, glob, os
+import bitbit
+import numpy as np
+threads = None
+for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            getter = getattr(lib, symbol)
+            getter.restype = ctypes.c_int
+            threads = getter()
+            break
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+    def _probe(self, **preset) -> tuple[str, str]:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        variable, threads = result.stdout.split()
+        return variable, threads
+
+    def test_one_thread_by_default(self):
+        variable, threads = self._probe()
+        assert variable == "1"
+        if threads == "None":
+            pytest.skip("numpy's OpenBLAS exports no thread-count getter here")
+        assert threads == "1"
+
+    def test_explicit_setting_wins(self):
+        assert self._probe(OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
 class TestNoBitstringPerRecord:
     """Commands work on packed codes: no Bitstring per record, and train makes
     one per unique training code, for its TrainingBatch."""

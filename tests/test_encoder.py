@@ -19,6 +19,7 @@ from bitbit.encoder import (
     discretize_value,
     encode_samples,
     estimate_mutual_information,
+    fit_batches,
     fit_copula,
     fit_encoder,
     iter_encoded,
@@ -85,6 +86,53 @@ class TestMutualInformation:
         a = estimate_mutual_information(col, labels)
         b = estimate_mutual_information(np.exp(col), labels)
         assert abs(a - b) < 1e-12
+
+
+def _mi_matrix(rng, s: int) -> np.ndarray:
+    """Columns with ties, a constant column and continuous columns."""
+    return np.column_stack([
+        rng.integers(0, 3, s).astype(float),
+        rng.integers(0, max(2, s // 4), s) * 0.5,
+        np.full(s, 1.25),
+        rng.standard_normal(s),
+        np.round(rng.standard_normal(s), 1),
+    ])
+
+
+class TestBatchedMutualInformation:
+    """``fit_batches`` takes every column's bin edges from one ``np.quantile``
+    call per batch; each score must equal the per-column oracle bit for bit."""
+
+    @pytest.mark.parametrize("s", [2, 3, 63, 64, 65, 455, 1000, 70000])
+    def test_one_batch_equals_per_column_calls(self, s):
+        rng = np.random.default_rng(s)
+        for _ in range(3 if s < 70000 else 1):
+            x = _mi_matrix(rng, s)
+            y = rng.integers(0, 3, s)
+            scores = fit_batches(None, [(x, y)], s, None).importances.scores
+            oracle = [estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])]
+            assert scores.tolist() == oracle
+            assert scores[2] == 0.0
+
+    def test_default_bins_clamp_at_8_and_256(self):
+        rng = np.random.default_rng(4)
+        for s, bins in [(63, 8), (64, 8), (65, 8), (70000, 256)]:
+            x = _mi_matrix(rng, s)
+            y = rng.integers(0, 4, s)
+            scores = fit_batches(None, [(x, y)], s, None).importances.scores
+            assert scores.tolist() == [estimate_mutual_information(x[:, j], y, bins) for j in range(x.shape[1])]
+
+    def test_class_absent_from_a_batch(self):
+        rng = np.random.default_rng(5)
+        batches = [
+            (_mi_matrix(rng, 200), rng.integers(0, 3, 200)),
+            (_mi_matrix(rng, 150), 2 * rng.integers(0, 2, 150)),  # class 1 absent
+            (_mi_matrix(rng, 90), rng.integers(0, 2, 90)),  # the top class absent
+        ]
+        scores = fit_batches(None, batches, 1000, None).importances.scores
+        a, b, c = (np.array([estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])])
+                   for x, y in batches)
+        assert scores.tolist() == ((a + b + c) / 3.0).tolist()
 
 
 class TestAllocateBits:
