@@ -14,16 +14,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test, validate
-from bitbit.dimred import (
-    FittedReducer,
-    IncrementalPcaState,
-    ReducerSpec,
-    finalize_incremental,
-    fit_reducer,
-    incremental_update,
-    transform,
-)
+from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
+from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 from bitbit.encoder import (
     BitAllocation,
     Bitstring,

@@ -31,9 +31,9 @@ from bitbit.coverage import (
     split_coverage,
     sweep_curve,
 )
-from bitbit.data import SplitSpec, load_csv, make_synthetic, split_train_test
+from bitbit.data import SplitSpec, check_train_count, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import _check_count, copula_units, fit_encoder, pack_codes, persist_model, write_packed
+from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
     classification_accuracy,
@@ -214,9 +214,10 @@ def _check_flags(cfg: RunConfig) -> None:
         raise ValueError("--input cannot be combined with --train-input/--test-input")
 
 
-def _check_components(cfg: RunConfig, n_features: int, path) -> None:
+def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None = None) -> None:
     """Reject a ``--components`` that the ``n_features`` columns of the
-    training input ``path`` cannot give, naming the flag."""
+    training input ``path`` cannot give, or, for pca and lsa, that exceeds its
+    ``n_rows`` training rows when given; each message names the flag."""
     if cfg.components is None:
         return
     if cfg.components > n_features:
@@ -225,6 +226,8 @@ def _check_components(cfg: RunConfig, n_features: int, path) -> None:
         raise ValueError(
             f"--scheme none needs --components equal to the {n_features} features of {path}, got {cfg.components}"
         )
+    if cfg.scheme != "none" and n_rows is not None and cfg.components > n_rows:
+        raise ValueError(f"--components {cfg.components} exceeds the {n_rows} training rows of {path}")
 
 
 def _check_test_width(cfg: RunConfig, n_train: int, n_test: int) -> None:
@@ -250,7 +253,6 @@ def run_estimate(cfg: RunConfig) -> int:
             train = load_csv(cfg.train_input, cfg.label_column)
             test = load_csv(cfg.test_input, cfg.label_column, train.label_names)
             _check_test_width(cfg, train.n_features, test.n_features)
-            _check_components(cfg, train.n_features, cfg.train_input)
             label_names = train.label_names
             pairs = [(train, test, None)]
         else:
@@ -267,6 +269,8 @@ def run_estimate(cfg: RunConfig) -> int:
                 return tr, te, seed
 
             pairs = [make_pair(r) for r in range(cfg.replicates)]
+        _check_components(cfg, pairs[0][0].n_features, cfg.train_input or cfg.input,
+                          min(tr.n_samples for tr, _, _ in pairs))
 
         def worker(pair):
             tr, te, seed = pair
@@ -319,7 +323,9 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _check_count(train_rows.write(train_csv.batches(cfg.batch_size)))
+            n_rows = train_rows.write(train_csv.batches(cfg.batch_size))
+            check_train_count(n_rows)
+            _check_components(cfg, n_features, cfg.train_input, n_rows)
             label_mapping = train_csv.label_mapping
             if len(label_mapping) < 2:
                 raise ValueError("training stream holds fewer than 2 classes")
@@ -358,6 +364,7 @@ def run_encode(cfg: RunConfig) -> int:
     train, test = split_train_test(
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
+    _check_components(cfg, train.n_features, cfg.input, train.n_samples)
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,6 +407,7 @@ def _train(cfg: RunConfig) -> int:
     train, test = split_train_test(
         dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
     )
+    _check_components(cfg, train.n_features, cfg.input, train.n_samples)
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     train_table, test_keys, ceiling = split_coverage(
         copula_units(model_enc, train.features), train,

@@ -1,4 +1,4 @@
-"""Dataset ingestion, validation, seeded splitting, and synthetic generation."""
+"""Dataset ingestion and its checks, seeded splitting, and synthetic generation."""
 
 from __future__ import annotations
 
@@ -56,39 +56,10 @@ class SplitSpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
-def validate(d: Dataset) -> list[str]:
-    """Return a list of invariant violations; empty iff the dataset is well formed."""
-    findings: list[str] = []
-    s, n = d.features.shape
-    if s < 2:
-        findings.append(f"need at least 2 samples, got {s}")
-    if n < 1:
-        findings.append("need at least 1 feature")
-    if d.c < 2:
-        findings.append(f"need at least 2 classes, got {d.c}")
-    bad = ~np.isfinite(d.features)
-    if bad.any():
-        rows, cols = np.nonzero(bad)
-        name = _feature_name(d, int(cols[0]))
-        findings.append(
-            f"non-finite value in feature {name} at sample {int(rows[0])}"
-            f" ({int(bad.sum())} non-finite values total)"
-        )
-    if d.labels.size:
-        lo, hi = int(d.labels.min()), int(d.labels.max())
-        if lo < 0 or hi >= d.c:
-            findings.append(f"labels must lie in [0, {d.c}), found range [{lo}, {hi}]")
-        else:
-            present = np.bincount(d.labels, minlength=d.c) > 0
-            for k in np.nonzero(~present)[0]:
-                findings.append(f"class {int(k)} absent")
-    return findings
-
-
-def _feature_name(d: Dataset, j: int) -> str:
-    if d.feature_names is not None:
-        return repr(d.feature_names[j])
-    return str(j)
+def check_train_count(count: int) -> None:
+    """Reject fewer than 2 training rows: the one message of every fit and of the streaming ingest."""
+    if count < 2:
+        raise ValueError(f"train source must yield at least 2 samples, got {count}")
 
 
 def read_csv_header(reader, path) -> list[str]:
@@ -96,7 +67,10 @@ def read_csv_header(reader, path) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty file, expected a header row") from None
-    return [h.strip() for h in header]
+    header = [h.strip() for h in header]
+    if len(header) < 2:
+        raise ValueError(f"{path}: no feature column in header {header!r}")
+    return header
 
 
 def resolve_label_column(header: list[str], label_column, path) -> int:

@@ -1,9 +1,9 @@
 """Pluggable dimensionality reduction: identity, PCA, and truncated SVD.
 
-PCA is computed by exact covariance accumulation (an n x n Gram matrix), and
-the batch fit routes through the same accumulator as the streaming fit, so
-streaming-over-batches and fitting in one shot agree to float reordering
-noise. Cost of that choice: O(n^2) accumulator memory, fine at desk scale.
+``fit_reducer`` is the one fit, over an iterable of feature batches. PCA adds
+each batch's column sums and n x n Gram matrix, so streaming over batches and
+fitting in one shot agree to float reordering noise. Cost of that choice:
+O(n^2) accumulator memory, fine at desk scale.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from bitbit.data import check_train_count
 
 SCHEMES = ("none", "pca", "lsa")
 
@@ -85,84 +87,34 @@ class FittedReducer:
         )
 
 
-@dataclass(frozen=True)
-class IncrementalPcaState:
-    """Streaming accumulator for PCA: row count, column sums, and sum of x^T x."""
-
-    count: int
-    sum: np.ndarray  # (n,)
-    gram: np.ndarray  # (n, n)
-
-    @classmethod
-    def empty(cls, n_features: int) -> "IncrementalPcaState":
-        return cls(count=0, sum=np.zeros(n_features), gram=np.zeros((n_features, n_features)))
-
-    @property
-    def n_features(self) -> int:
-        return self.sum.shape[0]
-
-
-def incremental_update(state: IncrementalPcaState, batch: np.ndarray) -> IncrementalPcaState:
-    """Absorb a batch of rows. Any batch partition of the same rows yields the
-    same final state up to float summation order."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != state.n_features:
-        raise ValueError(
-            f"batch must have {state.n_features} columns, got shape {batch.shape}"
-        )
-    if batch.shape[0] == 0:
-        return state
-    return IncrementalPcaState(
-        count=state.count + batch.shape[0],
-        sum=state.sum + batch.sum(axis=0),
-        gram=state.gram + batch.T @ batch,
-    )
-
-
-def finalize_incremental(state: IncrementalPcaState, n_components: int) -> FittedReducer:
-    """Turn an accumulator into a fitted PCA reducer.
-
-    Covariance is (gram - count * mean mean^T) / (count - 1), eigendecomposed
-    with the same sign convention as a direct fit.
-    """
-    if state.count < 2:
-        raise ValueError(f"need at least 2 absorbed samples, got {state.count}")
-    n = state.n_features
-    if not 1 <= n_components <= min(state.count, n):
-        raise ValueError(
-            f"n_components must be in [1, min(count, n)] = [1, {min(state.count, n)}]"
-        )
-    mean = state.sum / state.count
-    cov = (state.gram - state.count * np.outer(mean, mean)) / (state.count - 1)
-    cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    rows = eigvecs[:, order].T
-    variances = np.clip(eigvals, 0.0, None)
-    components, variances = _pad_rank_deficient(rows, variances, n_components, "pca")
-    return FittedReducer(
-        scheme="pca",
-        center=mean,
-        components=_fix_signs(components),
-        explained_variance=variances,
-    )
-
-
-def fit_reducer(spec: ReducerSpec, train_features: np.ndarray) -> FittedReducer:
-    """Fit a reducer on training data.
+def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
+    """Fit a reducer over ``batches``, an iterable of 2-D training feature
+    arrays of one width; an in-memory set is ``[x]``.
 
     none: identity map. pca: eigenvectors of the sample covariance (descending
-    eigenvalue), via the same accumulator as the streaming path. lsa: right
-    singular vectors of the uncentered matrix (no centering, standard
-    truncated-SVD semantics).
+    eigenvalue), from column sums and x^T x added batch by batch in arrival
+    order, so a batch partition changes the fit only by float summation order.
+    lsa: right singular vectors of the uncentered matrix (no centering,
+    standard truncated-SVD semantics), which needs exactly one non-empty batch.
     """
-    x = np.asarray(train_features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"train_features must be 2-D, got shape {x.shape}")
-    s, n = x.shape
-    if s < 2:
-        raise ValueError(f"need at least 2 samples to fit, got {s}")
+    count, n, whole = 0, None, None
+    for batch in batches:
+        x = np.asarray(batch, dtype=np.float64)
+        if x.ndim != 2 or n not in (None, x.shape[1]):
+            raise ValueError(f"batches must be 2-D arrays with the same number of columns, got shape {x.shape}")
+        n = x.shape[1]
+        if x.shape[0] == 0:
+            continue
+        if count == 0:
+            total, gram = np.zeros(n), np.zeros((n, n))
+        elif spec.scheme == "lsa":
+            raise ValueError("lsa fits one batch, got a second non-empty batch")
+        count += x.shape[0]
+        if spec.scheme == "pca":
+            total, gram = total + x.sum(axis=0), gram + x.T @ x
+        elif spec.scheme == "lsa":
+            whole = x
+    check_train_count(count)
 
     if spec.scheme == "none":
         d = n if spec.n_components is None else spec.n_components
@@ -170,17 +122,24 @@ def fit_reducer(spec: ReducerSpec, train_features: np.ndarray) -> FittedReducer:
             raise ValueError(f"scheme 'none' requires n_components == n ({n}), got {d}")
         return identity_reducer(n)
 
-    d = min(s, n) if spec.n_components is None else spec.n_components
-    if d > min(s, n):
-        raise ValueError(f"n_components={d} exceeds min(s, n)={min(s, n)} for {spec.scheme}")
+    d = min(count, n) if spec.n_components is None else spec.n_components
+    if d > min(count, n):
+        raise ValueError(f"n_components={d} exceeds min(s, n)={min(count, n)} for {spec.scheme}")
 
     if spec.scheme == "pca":
-        state = incremental_update(IncrementalPcaState.empty(n), x)
-        return finalize_incremental(state, d)
+        mean = total / count
+        cov = (gram - count * np.outer(mean, mean)) / (count - 1)
+        cov = (cov + cov.T) / 2.0
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        order = np.argsort(eigvals)[::-1]
+        variances = np.clip(eigvals[order], 0.0, None)
+        components, variances = _pad_rank_deficient(eigvecs[:, order].T, variances, d, "pca")
+        return FittedReducer(scheme="pca", center=mean, components=_fix_signs(components),
+                             explained_variance=variances)
 
     # lsa
-    _, sigma, vt = np.linalg.svd(x, full_matrices=False)
-    variances = sigma**2 / (s - 1)
+    _, sigma, vt = np.linalg.svd(whole, full_matrices=False)
+    variances = sigma**2 / (count - 1)
     components, variances = _pad_rank_deficient(vt, variances, d, "lsa")
     return FittedReducer(
         scheme="lsa",

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from bitbit.data import Dataset
+from bitbit.data import Dataset, check_train_count
 from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, identity_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
@@ -299,11 +299,6 @@ class _Reservoir:
         return self.values[:self.size]  # a view: valid until the next add
 
 
-def _check_count(count: int) -> None:
-    if count < 2:
-        raise ValueError(f"train source must yield at least 2 samples, got {count}")
-
-
 def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
                 rng: np.random.Generator | None, weighted_mi: bool = False) -> EncoderModel:
     """Fit everything after the reducer in one pass over ``(features, labels)``
@@ -339,7 +334,7 @@ def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
             score_sum += w * np.array([0.0 if lo[j] == hi[j] else _plugin_mi(reduced[:, j], cuts[:, j], y)
                                        for j in range(d)])
             score_weight += w
-    _check_count(count)
+    check_train_count(count)
     if score_weight == 0.0:
         raise ValueError("no batch held 2 or more samples; cannot score importances")
     importances = ImportanceScores(score_sum / score_weight)
@@ -358,7 +353,7 @@ def fit_encoder(train: Dataset, spec: ReducerSpec, n_x: int) -> EncoderModel:
     """The single-batch streaming fit at width ``n_x``: ``fit_reducer``, then
     ``fit_batches`` over the whole set as one batch, with a reservoir that holds
     every row, so the copula keeps every training value and nothing is drawn."""
-    reducer = fit_reducer(spec, train.features)
+    reducer = fit_reducer(spec, [train.features])
     return fit_batches(reducer, [(train.features, train.labels)], train.n_samples, None).at_width(n_x)
 
 

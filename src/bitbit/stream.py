@@ -1,9 +1,9 @@
 """Batched encoding for datasets too large for memory.
 
-``stream_fit_base`` fits in at most two passes over the training stream: (1)
-accumulate the PCA covariance (skipped for scheme ``none``, whose identity
-reducer needs no fit), (2) ``encoder.fit_batches``, the same fit that
-``fit_encoder`` runs on one in-memory batch: per-component min/max,
+``stream_fit_base`` fits in at most two passes over the training stream, each
+the same fit that ``fit_encoder`` runs on one in-memory batch: (1)
+``dimred.fit_reducer`` (skipped for scheme ``none``, whose identity reducer
+needs no fit), (2) ``encoder.fit_batches``: per-component min/max,
 batch-averaged importance scores, and a copula reservoir.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
@@ -40,10 +40,9 @@ from bitbit.coverage import (
 )
 from bitbit.data import csv_batches, read_csv_header, resolve_label_column
 from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
-from bitbit.dimred import FittedReducer, IncrementalPcaState, ReducerSpec, finalize_incremental, incremental_update
+from bitbit.dimred import ReducerSpec, fit_reducer
 from bitbit.encoder import (
     EncoderModel,
-    _check_count,
     copula_ranks,
     fit_batches,
     pack_codes,
@@ -121,31 +120,21 @@ class StreamConfig:
 
 
 def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
-    """Fit the reducer (pass 1, PCA only), then run ``fit_batches`` over the
-    training stream (pass 2). The model comes back at width 1;
+    """Run ``fit_reducer`` (pass 1, PCA only), then ``fit_batches`` (pass 2)
+    over the training stream. The model comes back at width 1;
     ``EncoderModel.at_width`` re-derives the allocation for any other width
     without re-streaming."""
     if spec.scheme not in ("none", "pca"):
         raise ValueError(f"streaming supports schemes 'none' and 'pca', not {spec.scheme!r}")
-    reducer = _stream_fit_pca(cfg, spec) if spec.scheme == "pca" else None
+    reducer = None
+    if spec.scheme == "pca":
+        reducer = fit_reducer(spec, (x for x, _ in cfg.train_source.batches(cfg.batch_size)))
     model = fit_batches(reducer, cfg.train_source.batches(cfg.batch_size), cfg.reservoir_size,
                         np.random.default_rng(cfg.seed), cfg.weighted_mi)
     n_features = model.reducer.n_features
     if spec.scheme == "none" and spec.n_components not in (None, n_features):
         raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {spec.n_components}")
     return model
-
-
-def _stream_fit_pca(cfg: StreamConfig, spec: ReducerSpec) -> FittedReducer:
-    """Pass 1: accumulate the covariance over the training stream."""
-    state: IncrementalPcaState | None = None
-    for x, _ in cfg.train_source.batches(cfg.batch_size):
-        if state is None:
-            state = IncrementalPcaState.empty(x.shape[1])
-        state = incremental_update(state, x)
-    _check_count(state.count if state else 0)
-    d = min(state.count, state.n_features) if spec.n_components is None else spec.n_components
-    return finalize_incremental(state, d)
 
 
 class Spill:

@@ -22,7 +22,7 @@ import pytest
 from bitbit.cli import RunConfig, main, run_estimate, run_stream_estimate
 from bitbit.coverage import build_table, coverage_metrics, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
-from bitbit.dimred import IncrementalPcaState, ReducerSpec, finalize_incremental, fit_reducer, incremental_update
+from bitbit.dimred import ReducerSpec, fit_reducer
 from bitbit.encoder import Bitstring, apply_copula, copula_ranks, encode_samples, fit_copula, fit_encoder, write_packed
 from bitbit.qsim import (
     TrainingBatch,
@@ -182,17 +182,14 @@ def test_criterion_02_streaming_equivalence(tmp_path):
 
 
 def test_criterion_03_incremental_pca_exactness(rng):
-    """Streamed covariance accumulation matches the batch fit within 1e-6."""
+    """A fit over a batch partition matches the one-batch fit within 1e-6."""
     for trial in range(50):
         s = int(rng.integers(20, 200))
         n = int(rng.integers(2, 9))
         x = rng.standard_normal((s, n)) * rng.uniform(0.5, 3.0) + rng.normal(size=n)
-        state = IncrementalPcaState.empty(n)
         splits = np.sort(rng.choice(np.arange(1, s), size=min(int(rng.integers(1, 7)), s - 1), replace=False))
-        for lo, hi in zip([0] + splits.tolist(), splits.tolist() + [s]):
-            state = incremental_update(state, x[lo:hi])
-        streamed = finalize_incremental(state, n)
-        batch = fit_reducer(ReducerSpec("pca"), x)
+        streamed = fit_reducer(ReducerSpec("pca"), (x[lo:hi] for lo, hi in zip([0, *splits], [*splits, s])))
+        batch = fit_reducer(ReducerSpec("pca"), [x])
         assert np.abs(streamed.components - batch.components).max() < 1e-6
         assert np.abs(streamed.center - batch.center).max() < 1e-6
         assert np.abs(streamed.explained_variance - batch.explained_variance).max() < 1e-6

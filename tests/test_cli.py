@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitbit.encoder
 import bitbit.stream
 from bitbit.cli import main
-from bitbit.data import SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
+from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder
 from bitbit.qsim import fresh_model, get_qubit_cap
@@ -763,6 +764,54 @@ class TestFlagValidation:
                        "--n-x", "70", "--output", trace)
         self._assert_flag_error(code, capsys, "--max-qubits")
         assert not trace.exists() and not trace.with_suffix(".model.json").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "estimate-split", "encode", "train", "stream-estimate"])
+    @pytest.mark.parametrize("scheme", ["pca", "lsa"])
+    def test_components_beyond_training_rows(self, tmp_path, capsys, monkeypatch, command, scheme):
+        fits = []  # reducer fits, in memory and streaming
+        for module in (bitbit.encoder, bitbit.stream):
+            monkeypatch.setattr(module, "fit_reducer", lambda *args, fit=module.fit_reducer: fits.append(args) or fit(*args))
+        data, train_csv, test_csv = tmp_path / "d.csv", tmp_path / "tr.csv", tmp_path / "te.csv"
+        d = make_synthetic(10, 12, 2, 2.0, seed=5)
+        write_dataset_csv(data, d)  # an 80/20 split leaves 8 training rows of 12 features
+        write_dataset_csv(train_csv, Dataset(d.features[:8], d.labels[:8], 2))
+        write_dataset_csv(test_csv, Dataset(d.features[8:], d.labels[8:], 2))
+        out = tmp_path / "out"
+        base = {
+            "estimate": ("estimate", "--input", data, "--output", out / "r.json"),
+            "estimate-split": ("estimate", "--train-input", train_csv, "--test-input", test_csv,
+                               "--output", out / "r.json"),
+            "encode": ("encode", "--input", data, "--n-x", "2", "--output-dir", out),
+            "train": ("train", "--input", data, "--n-x", "2", "--output", out / "t.csv"),
+            "stream-estimate": ("stream-estimate", "--train-input", train_csv, "--test-input", test_csv,
+                                "--batch-size", "3", "--output", out / "r.json"),
+        }[command]
+        code = run_cli(*base, "--label-column", "label", "--scheme", scheme, "--components", "9")
+        assert code == 1
+        path = data if base[1] == "--input" else train_csv
+        assert capsys.readouterr().err.splitlines() == [f"error: --components 9 exceeds the 8 training rows of {path}"]
+        assert not out.exists()
+        assert fits == []
+
+    @pytest.mark.parametrize("command,flags", [
+        ("estimate", ("--scheme", "none")), ("estimate", ("--scheme", "lsa")), ("estimate", ("--scheme", "pca")),
+        ("encode", ("--n-x", "2")), ("train", ("--n-x", "2")), ("stream-estimate", ("--batch-size", "4")),
+    ], ids=["estimate-none", "estimate-lsa", "estimate-pca", "encode", "train", "stream-estimate"])
+    def test_no_feature_column(self, tmp_path, capsys, monkeypatch, command, flags):
+        counts = count_converted_rows(monkeypatch)
+        labels_only = tmp_path / "labels.csv"
+        labels_only.write_text("label\n" + "0\n1\n" * 4, encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = (("--train-input", labels_only, "--test-input", labels_only) if command == "stream-estimate"
+                  else ("--input", labels_only))
+        target = ("--output-dir", out) if command == "encode" else ("--output", out / "r")
+        code = run_cli(command, *inputs, "--label-column", "label", *flags, *target)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {labels_only}: no feature column in header ['label']"
+        ]
+        assert not out.exists()
+        assert counts == []  # found in the header, before any row is converted
 
     @staticmethod
     def _assert_flag_error(code, capsys, named):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,9 +13,9 @@ from bitbit.data import (
     load_csv,
     make_synthetic,
     split_train_test,
-    validate,
 )
 from bitbit.encoder import estimate_mutual_information
+from bitbit.stream import CsvBatchSource
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -199,21 +200,22 @@ class TestMakeSynthetic:
 
 
 class TestValidate:
-    def test_valid_dataset(self):
-        assert validate(make_synthetic(20, 2, 2, 1.0, seed=0)) == []
+    """What ``load_csv`` checks in the file it loads."""
 
-    def test_absent_class_reported(self):
-        d = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 2]), c=3)
-        assert any("class 1 absent" in v for v in validate(d))
+    def test_infinite_feature_named(self, tmp_path):
+        path = write(tmp_path, "alpha,beta,y\n1.0,inf,cat\n0.0,1.0,dog\n")
+        with pytest.raises(ValueError, match=r"non-finite value 'inf' at line 2, column 'beta'"):
+            load_csv(path, "y")
 
-    def test_infinite_feature_named(self):
-        d = Dataset(
-            features=np.array([[1.0, np.inf], [0.0, 1.0]]),
-            labels=np.array([0, 1]),
-            c=2,
-            feature_names=("alpha", "beta"),
-        )
-        assert any("'beta'" in v for v in validate(d))
+    @pytest.mark.parametrize("text,header", [("y\ncat\ndog\n", ["y"]), ("y\n", ["y"]), ("\ncat\n", [])],
+                             ids=["rows", "header-only", "blank-header"])
+    def test_no_feature_column_rejected(self, tmp_path, text, header):
+        path = write(tmp_path, text)
+        message = f"^{re.escape(f'{path}: no feature column in header {header!r}')}$"
+        source = CsvBatchSource(path, "y")
+        for read in (lambda: load_csv(path, "y"), source.n_features, lambda: next(source.batches(4))):
+            with pytest.raises(ValueError, match=message):
+                read()
 
     def test_label_contiguity_after_load(self, tmp_path):
         path = tmp_path / "d.csv"

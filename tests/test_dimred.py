@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from bitbit.dimred import (
-    FittedReducer,
-    IncrementalPcaState,
-    ReducerSpec,
-    finalize_incremental,
-    fit_reducer,
-    incremental_update,
-    transform,
-)
+from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 
 ORTHO_TOL = 1e-8
 
@@ -21,14 +13,14 @@ def random_matrix(rng, s, n, scale=1.0):
 class TestFitReducer:
     def test_none_is_identity(self, rng):
         x = random_matrix(rng, 20, 4)
-        r = fit_reducer(ReducerSpec("none"), x)
+        r = fit_reducer(ReducerSpec("none"), [x])
         assert np.array_equal(transform(r, x), x)
 
     def test_pca_on_diagonal_line(self):
         t = np.linspace(-1, 1, 30)
         x = np.stack([t, t], axis=1)
         with pytest.warns(UserWarning, match="rank"):
-            r = fit_reducer(ReducerSpec("pca"), x)
+            r = fit_reducer(ReducerSpec("pca"), [x])
         expected = np.array([1.0, 1.0]) / np.sqrt(2)
         assert np.allclose(r.components[0], expected, atol=1e-12)
         assert r.explained_variance[1] <= 1e-12
@@ -36,7 +28,7 @@ class TestFitReducer:
     def test_components_match_direct_eigendecomposition(self, rng):
         # independent oracle: eigh of np.cov on the centered data
         x = random_matrix(rng, 50, 6)
-        r = fit_reducer(ReducerSpec("pca"), x)
+        r = fit_reducer(ReducerSpec("pca"), [x])
         eigvals, eigvecs = np.linalg.eigh(np.cov(x.T))
         order = np.argsort(eigvals)[::-1]
         oracle_vals = eigvals[order]
@@ -51,13 +43,13 @@ class TestFitReducer:
     def test_orthonormal_rows_all_schemes(self, rng):
         x = random_matrix(rng, 50, 6)
         for scheme in ("none", "pca", "lsa"):
-            r = fit_reducer(ReducerSpec(scheme), x)
+            r = fit_reducer(ReducerSpec(scheme), [x])
             gram = r.components @ r.components.T
             assert np.abs(gram - np.eye(r.n_components)).max() < ORTHO_TOL
 
     def test_projection_decorrelation(self, rng):
         x = random_matrix(rng, 80, 5)
-        r = fit_reducer(ReducerSpec("pca"), x)
+        r = fit_reducer(ReducerSpec("pca"), [x])
         proj = transform(r, x)
         cov = np.cov(proj.T)
         off = cov - np.diag(np.diag(cov))
@@ -65,13 +57,13 @@ class TestFitReducer:
 
     def test_training_projection_is_centered(self, rng):
         x = random_matrix(rng, 40, 3)
-        r = fit_reducer(ReducerSpec("pca"), x)
+        r = fit_reducer(ReducerSpec("pca"), [x])
         assert np.abs(transform(r, x).mean(axis=0)).max() < 1e-8
 
     def test_sign_convention_deterministic(self, rng):
         x = random_matrix(rng, 30, 4)
-        a = fit_reducer(ReducerSpec("pca"), x)
-        b = fit_reducer(ReducerSpec("pca"), x)
+        a = fit_reducer(ReducerSpec("pca"), [x])
+        b = fit_reducer(ReducerSpec("pca"), [x])
         assert np.array_equal(a.components, b.components)
         for row in a.components:
             j = int(np.argmax(np.abs(row)))
@@ -79,7 +71,7 @@ class TestFitReducer:
 
     def test_lsa_matches_svd(self, rng):
         x = random_matrix(rng, 30, 4)
-        r = fit_reducer(ReducerSpec("lsa", 2), x)
+        r = fit_reducer(ReducerSpec("lsa", 2), [x])
         assert np.array_equal(r.center, np.zeros(4))
         _, sigma, vt = np.linalg.svd(x, full_matrices=False)
         assert np.allclose(np.abs(r.components), np.abs(vt[:2]), atol=1e-8)
@@ -89,71 +81,75 @@ class TestFitReducer:
         base = random_matrix(rng, 30, 2)
         x = np.hstack([base, base[:, :1] + base[:, 1:]])  # rank 2, n = 3
         with pytest.warns(UserWarning, match="rank"):
-            r = fit_reducer(ReducerSpec("pca", 3), x)
+            r = fit_reducer(ReducerSpec("pca", 3), [x])
         gram = r.components @ r.components.T
         assert np.abs(gram - np.eye(3)).max() < ORTHO_TOL
         assert r.explained_variance[2] == 0.0
 
     def test_d_larger_than_min_sn_rejected(self, rng):
         with pytest.raises(ValueError, match="exceeds"):
-            fit_reducer(ReducerSpec("pca", 5), random_matrix(rng, 30, 4))
+            fit_reducer(ReducerSpec("pca", 5), [random_matrix(rng, 30, 4)])
 
     def test_transform_dimension_mismatch(self, rng):
-        r = fit_reducer(ReducerSpec("pca"), random_matrix(rng, 30, 4))
+        r = fit_reducer(ReducerSpec("pca"), [random_matrix(rng, 30, 4)])
         with pytest.raises(ValueError, match="columns"):
             transform(r, np.zeros((3, 5)))
 
 
 class TestIncremental:
-    def test_single_batch_equals_batch_fit_exactly(self, rng):
-        x = random_matrix(rng, 40, 5)
-        state = incremental_update(IncrementalPcaState.empty(5), x)
-        stream = finalize_incremental(state, 5)
-        batch = fit_reducer(ReducerSpec("pca"), x)
-        assert np.array_equal(stream.components, batch.components)
-        assert np.array_equal(stream.center, batch.center)
-        assert np.array_equal(stream.explained_variance, batch.explained_variance)
+    """``fit_reducer`` over several batches against the one-batch fit ``[x]``."""
 
     def test_batch_partition_accumulates_identically(self, rng):
         x = random_matrix(rng, 70, 4)
-        whole = incremental_update(IncrementalPcaState.empty(4), x)
-        parts = IncrementalPcaState.empty(4)
+        whole = fit_reducer(ReducerSpec("pca"), [x])
         bounds = sorted(rng.choice(np.arange(1, 70), size=6, replace=False).tolist())
-        for lo, hi in zip([0] + bounds, bounds + [70]):
-            parts = incremental_update(parts, x[lo:hi])
-        assert parts.count == whole.count
-        assert np.abs(parts.sum - whole.sum).max() < 1e-10
-        assert np.abs(parts.gram - whole.gram).max() < 1e-10
+        parts = fit_reducer(ReducerSpec("pca"), (x[lo:hi] for lo, hi in zip([0] + bounds, bounds + [70])))
+        assert np.abs(parts.center - whole.center).max() < 1e-10
+        assert np.abs(parts.explained_variance - whole.explained_variance).max() < 1e-10
 
     def test_stream_matches_batch_within_tolerance(self, rng):
         x = random_matrix(rng, 500, 8)
-        state = IncrementalPcaState.empty(8)
-        for lo in range(0, 500, 50):
-            state = incremental_update(state, x[lo:lo + 50])
-        stream = finalize_incremental(state, 8)
-        batch = fit_reducer(ReducerSpec("pca"), x)
+        stream = fit_reducer(ReducerSpec("pca"), [x[lo:lo + 50] for lo in range(0, 500, 50)])
+        batch = fit_reducer(ReducerSpec("pca"), [x])
         assert np.abs(stream.components - batch.components).max() < 1e-6
         assert np.abs(stream.explained_variance - batch.explained_variance).max() < 1e-6
 
-    def test_zero_row_batch_is_identity(self):
-        state = incremental_update(IncrementalPcaState.empty(3), np.ones((4, 3)))
-        after = incremental_update(state, np.empty((0, 3)))
-        assert after.count == state.count
-        assert np.array_equal(after.gram, state.gram)
+    def test_zero_row_batch_is_identity(self, rng):
+        x = random_matrix(rng, 30, 3)
+        empty = np.empty((0, 3))
+        for scheme in ("none", "pca", "lsa"):
+            one = fit_reducer(ReducerSpec(scheme), [x])
+            for batches in ([empty, x], [x, empty], [empty, x, empty, empty]):
+                other = fit_reducer(ReducerSpec(scheme), batches)
+                for name in ("center", "components", "explained_variance"):
+                    assert np.array_equal(getattr(other, name), getattr(one, name))
+        halves = [x[:12], x[12:]]
+        split = fit_reducer(ReducerSpec("pca"), halves)
+        padded = fit_reducer(ReducerSpec("pca"), [empty, halves[0], empty, halves[1], empty])
+        for name in ("center", "components", "explained_variance"):
+            assert np.array_equal(getattr(padded, name), getattr(split, name))
 
     def test_count_below_two_rejected(self):
-        state = incremental_update(IncrementalPcaState.empty(2), np.ones((1, 2)))
-        with pytest.raises(ValueError, match="at least 2"):
-            finalize_incremental(state, 2)
+        for scheme in ("none", "pca", "lsa"):
+            for batches in ([], [np.empty((0, 2))], [np.ones((1, 2))], [np.ones((1, 2)), np.empty((0, 2))]):
+                count = sum(b.shape[0] for b in batches)
+                with pytest.raises(ValueError, match=f"^train source must yield at least 2 samples, got {count}$"):
+                    fit_reducer(ReducerSpec(scheme), batches)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="columns"):
-            incremental_update(IncrementalPcaState.empty(3), np.ones((2, 4)))
+        for batches in ([np.ones((2, 3)), np.ones((2, 4))], [np.empty((0, 3)), np.ones((2, 4))], [np.ones(3)]):
+            with pytest.raises(ValueError, match="columns"):
+                fit_reducer(ReducerSpec("pca"), batches)
+
+    def test_lsa_needs_one_non_empty_batch(self, rng):
+        x = random_matrix(rng, 20, 3)
+        with pytest.raises(ValueError, match="^lsa fits one batch, got a second non-empty batch$"):
+            fit_reducer(ReducerSpec("lsa"), [x[:10], np.empty((0, 3)), x[10:]])
 
 
 class TestSerialization:
     def test_json_round_trip(self, rng):
-        r = fit_reducer(ReducerSpec("pca"), random_matrix(rng, 30, 4))
+        r = fit_reducer(ReducerSpec("pca"), [random_matrix(rng, 30, 4)])
         back = FittedReducer.from_json_dict(r.to_json_dict())
         assert back.scheme == r.scheme
         assert np.array_equal(back.components, r.components)
