@@ -16,7 +16,7 @@ import numpy as np
 from bitbit import ReducerSpec, fit_encoder, make_synthetic
 from bitbit.coverage import estimate_from_curve
 from bitbit.encoder import read_encoded_header
-from bitbit.stream import ArrayBatchSource, StreamConfig, stream_fit_base, stream_sweep_curve
+from bitbit.stream import ArrayBatchSource, stream_fit_base, stream_sweep_curve
 
 
 class BlobSource:
@@ -41,15 +41,11 @@ with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
 
     # Streaming the fit and the sweep: 40k training and 10k test records in
     # batches of 2k.
-    cfg = StreamConfig(
-        train_source=BlobSource(40_000, 4, 2, seed=1),
-        test_source=BlobSource(10_000, 4, 2, seed=2),
-        batch_size=2_000,
-        work_dir=work,
-    )
+    train, test = BlobSource(40_000, 4, 2, seed=1), BlobSource(10_000, 4, 2, seed=2)
     tracemalloc.start()
-    base = stream_fit_base(cfg, ReducerSpec("pca"))
-    curve = stream_sweep_curve(cfg, base, c=2, stop_threshold=1.0, n_x_max=32, step=4)
+    base = stream_fit_base(train, ReducerSpec("pca"), batch_size=2_000)
+    curve = stream_sweep_curve(train, test, base, c=2, batch_size=2_000, work_dir=work,
+                               stop_threshold=1.0, n_x_max=32, step=4)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # The batched test rule judges each test bucket by its own majority label,
@@ -66,13 +62,8 @@ with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
 
     # With a single batch covering everything, streaming IS the in-memory fit:
     small = make_synthetic(500, 4, 2, 3.0, seed=5)
-    single = StreamConfig(
-        train_source=ArrayBatchSource(small.features, small.labels),
-        test_source=None,
-        batch_size=10_000,
-        work_dir=work / "single",
-    )
-    streamed_model = stream_fit_base(single, ReducerSpec("pca")).at_width(8)
+    single = ArrayBatchSource(small.features, small.labels)
+    streamed_model = stream_fit_base(single, ReducerSpec("pca"), batch_size=10_000).at_width(8)
     in_memory_model = fit_encoder(small, ReducerSpec("pca"), n_x=8)
     assert np.array_equal(streamed_model.importances.scores, in_memory_model.importances.scores)
     assert streamed_model.allocation.bits == in_memory_model.allocation.bits

@@ -53,4 +53,4 @@ from bitbit.qsim import (
     rotosolve_step,
     train_sweeps,
 )
-from bitbit.stream import StreamConfig, batched_coverage, stream_fit_base, stream_sweep_curve
+from bitbit.stream import batched_coverage, stream_fit_base, stream_sweep_curve

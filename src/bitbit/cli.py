@@ -32,7 +32,7 @@ from bitbit.coverage import (
     sweep_curve,
 )
 from bitbit.data import SplitSpec, check_train_count, load_csv, make_synthetic, split_train_test
-from bitbit.dimred import ReducerSpec
+from bitbit.dimred import SCHEMES, ReducerSpec
 from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
@@ -44,14 +44,7 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import (
-    DEFAULT_RESERVOIR_SIZE,
-    CsvBatchSource,
-    Spill,
-    StreamConfig,
-    stream_fit_base,
-    stream_sweep_curve,
-)
+from bitbit.stream import DEFAULT_RESERVOIR_SIZE, CsvBatchSource, Spill, stream_fit_base, stream_sweep_curve
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -217,7 +210,11 @@ def _check_flags(cfg: RunConfig) -> None:
 def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None = None) -> None:
     """Reject a ``--components`` that the ``n_features`` columns of the
     training input ``path`` cannot give, or, for pca and lsa, that exceeds its
-    ``n_rows`` training rows when given; each message names the flag."""
+    ``n_rows`` training rows when given, and a split of ``--input`` that
+    leaves fewer than 2 training rows; each message names the flag."""
+    if cfg.input is not None and n_rows is not None and n_rows < 2:
+        raise ValueError(f"--train-fraction {cfg.train_fraction} leaves {n_rows} training row of {path}; "
+                         "need at least 2")
     if cfg.components is None:
         return
     if cfg.components > n_features:
@@ -329,17 +326,11 @@ def run_stream_estimate(cfg: RunConfig) -> int:
             label_mapping = train_csv.label_mapping
             if len(label_mapping) < 2:
                 raise ValueError("training stream holds fewer than 2 classes")
-            stream_cfg = StreamConfig(
-                train_source=train_rows,
-                test_source=CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping),
-                batch_size=cfg.batch_size,
-                work_dir=work_dir,
-                reservoir_size=cfg.reservoir_size,
-                seed=cfg.seed,
-                weighted_mi=cfg.weighted_mi,
-            )
-            base = stream_fit_base(stream_cfg, ReducerSpec(cfg.scheme, cfg.components))
-            curve = stream_sweep_curve(stream_cfg, base, len(label_mapping), 1.0, cfg.n_x_max, cfg.step)
+            base = stream_fit_base(train_rows, ReducerSpec(cfg.scheme, cfg.components), cfg.batch_size,
+                                   cfg.reservoir_size, cfg.seed, cfg.weighted_mi)
+            test_csv = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
+            curve = stream_sweep_curve(train_rows, test_csv, base, len(label_mapping), cfg.batch_size, work_dir,
+                                       1.0, cfg.n_x_max, cfg.step)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
@@ -515,9 +506,9 @@ def run_make_synthetic(cfg: RunConfig) -> int:
 # --- argument parsing ---
 
 
-def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_data_flags(p: argparse.ArgumentParser, schemes=SCHEMES) -> None:
     p.add_argument("--label-column", default="label", help="label column name or 0-based index")
-    p.add_argument("--scheme", choices=("none", "pca", "lsa"), default="pca")
+    p.add_argument("--scheme", choices=schemes, default="pca")
     p.add_argument("--components", type=int, default=None,
                    help="reduced width D (default: number of features, capped at the sample count)")
     p.add_argument("--seed", type=int, default=0)
@@ -550,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream-estimate", help="batched streaming qubit estimate over pre-split CSVs")
     p.add_argument("--train-input", required=True)
     p.add_argument("--test-input", required=True)
-    _add_common_data_flags(p)
+    _add_common_data_flags(p, ("none", "pca"))  # lsa fits one batch
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--n-x-max", type=int, default=128)
     p.add_argument("--step", type=int, default=10)

@@ -120,7 +120,7 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
         d = n if spec.n_components is None else spec.n_components
         if d != n:
             raise ValueError(f"scheme 'none' requires n_components == n ({n}), got {d}")
-        return identity_reducer(n)
+        return FittedReducer(scheme="none", center=np.zeros(n), components=np.eye(n), explained_variance=np.zeros(n))
 
     d = min(count, n) if spec.n_components is None else spec.n_components
     if d > min(count, n):
@@ -147,11 +147,6 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
         components=_fix_signs(components),
         explained_variance=variances,
     )
-
-
-def identity_reducer(n: int) -> FittedReducer:
-    """The scheme 'none' reducer over n feature columns."""
-    return FittedReducer(scheme="none", center=np.zeros(n), components=np.eye(n), explained_variance=np.zeros(n))
 
 
 def transform(reducer: FittedReducer, features: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from bitbit.data import Dataset, check_train_count
-from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, identity_reducer, transform
+from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
 ENCODED_FILE_MAGIC = "bitbit v1"
@@ -270,6 +270,8 @@ class _Reservoir:
     arrival order, which is what makes small-data streaming exact."""
 
     def __init__(self, capacity: int, rng: np.random.Generator | None):
+        if capacity < 1:
+            raise ValueError("reservoir_size must be >= 1")
         self.capacity = capacity
         self.rng = rng
         self.values = np.empty(capacity, dtype=np.float64)
@@ -299,14 +301,14 @@ class _Reservoir:
         return self.values[:self.size]  # a view: valid until the next add
 
 
-def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
+def fit_batches(reducer: FittedReducer, batches, reservoir_size: int,
                 rng: np.random.Generator | None, weighted_mi: bool = False) -> EncoderModel:
     """Fit everything after the reducer in one pass over ``(features, labels)``
     batches: per-component min/max, importance scores averaged over batches of
     2 or more rows (weighted by row count with ``weighted_mi``), and the copula
     over a reservoir of at most ``reservoir_size`` values per component; ``rng``
-    draws only once the stream outgrows it. A ``None`` reducer is the identity
-    at the first batch's width. The model comes back at width 1, and
+    draws only once the stream outgrows it. ``reducer`` comes from
+    ``fit_reducer`` over the same rows. The model comes back at width 1, and
     ``EncoderModel.at_width`` re-derives the allocation for any other width."""
     count = 0
     score_weight = 0.0
@@ -314,8 +316,6 @@ def fit_batches(reducer: FittedReducer | None, batches, reservoir_size: int,
         if x.shape[0] == 0:
             continue
         if count == 0:
-            if reducer is None:
-                reducer = identity_reducer(x.shape[1])
             d = reducer.n_components
             reservoirs = [_Reservoir(reservoir_size, rng) for _ in range(d)]
             mins = np.full(d, np.inf)

@@ -1,10 +1,9 @@
 """Batched encoding for datasets too large for memory.
 
-``stream_fit_base`` fits in at most two passes over the training stream, each
-the same fit that ``fit_encoder`` runs on one in-memory batch: (1)
-``dimred.fit_reducer`` (skipped for scheme ``none``, whose identity reducer
-needs no fit), (2) ``encoder.fit_batches``: per-component min/max,
-batch-averaged importance scores, and a copula reservoir.
+``stream_fit_base`` is ``fit_encoder`` over batches: two passes over the
+training stream, (1) ``dimred.fit_reducer``, (2) ``encoder.fit_batches``:
+per-component min/max, batch-averaged importance scores, and a copula
+reservoir. Scheme ``lsa`` streams only as one non-empty batch.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
 writes every record's integer copula ranks and its label to a uint32
@@ -17,14 +16,13 @@ removed on success and on error.
 
 ``Spill`` is the one on-disk batch format: per record, its values, then its
 label id. ``stream-estimate`` parses the training CSV once, before the fit,
-into a float64 ``Spill`` that the PCA, fit and rank passes read; the test CSV
-is read only by its rank pass.
+into a float64 ``Spill`` that the reducer, fit and rank passes read; the test
+CSV is read only by its rank pass.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,40 +99,16 @@ class ArrayBatchSource:
             yield self.features[lo:lo + batch_size], self.labels[lo:lo + batch_size]
 
 
-@dataclass
-class StreamConfig:
-    train_source: object
-    test_source: object | None
-    batch_size: int
-    work_dir: Path
-    reservoir_size: int = DEFAULT_RESERVOIR_SIZE
-    seed: int = 0
-    weighted_mi: bool = False  # weight batch scores by record count instead of plain averaging
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
-        self.work_dir = Path(self.work_dir)
-
-
-def stream_fit_base(cfg: StreamConfig, spec: ReducerSpec) -> EncoderModel:
-    """Run ``fit_reducer`` (pass 1, PCA only), then ``fit_batches`` (pass 2)
-    over the training stream. The model comes back at width 1;
-    ``EncoderModel.at_width`` re-derives the allocation for any other width
-    without re-streaming."""
-    if spec.scheme not in ("none", "pca"):
-        raise ValueError(f"streaming supports schemes 'none' and 'pca', not {spec.scheme!r}")
-    reducer = None
-    if spec.scheme == "pca":
-        reducer = fit_reducer(spec, (x for x, _ in cfg.train_source.batches(cfg.batch_size)))
-    model = fit_batches(reducer, cfg.train_source.batches(cfg.batch_size), cfg.reservoir_size,
-                        np.random.default_rng(cfg.seed), cfg.weighted_mi)
-    n_features = model.reducer.n_features
-    if spec.scheme == "none" and spec.n_components not in (None, n_features):
-        raise ValueError(f"scheme 'none' requires n_components == n ({n_features}), got {spec.n_components}")
-    return model
+def stream_fit_base(train_source, spec: ReducerSpec, batch_size: int, reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
+                    seed: int = 0, weighted_mi: bool = False) -> EncoderModel:
+    """The two calls of ``fit_encoder`` over two passes of ``train_source``:
+    ``fit_reducer``, then ``fit_batches`` with a reservoir of ``reservoir_size``
+    values per component, drawn from a generator seeded with ``seed``. The
+    model comes back at width 1; ``EncoderModel.at_width`` re-derives the
+    allocation for any other width without re-streaming."""
+    reducer = fit_reducer(spec, (x for x, _ in train_source.batches(batch_size)))
+    return fit_batches(reducer, train_source.batches(batch_size), reservoir_size,
+                       np.random.default_rng(seed), weighted_mi)
 
 
 class Spill:
@@ -189,39 +163,32 @@ def _count_table(spill: Spill, copula, bits, c: int, batch_size: int) -> Bitstri
     return tables[0] if len(tables) == 1 else merge_counts(tables)
 
 
-def stream_sweep_curve(
-    cfg: StreamConfig,
-    base: EncoderModel,
-    c: int,
-    stop_threshold: float,
-    n_x_max: int,
-    step: int,
-) -> list[tuple[int, CoverageMetrics]]:
-    """``sweep_widths`` over ``cfg.train_source`` and ``cfg.test_source`` with
-    the batched test rule, after one rank pass over each. Writes
-    ``train.enc``, ``test.enc`` and ``model.json`` to ``work_dir`` at the last
-    swept width; the rank spill files there are removed on success and error."""
-    if cfg.test_source is None:
-        raise ValueError("stream_sweep_curve needs a test_source")
+def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, batch_size: int, work_dir,
+                       stop_threshold: float, n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
+    """``sweep_widths`` over ``train_source`` and ``test_source`` with the
+    batched test rule, after one rank pass over each. Writes ``train.enc``,
+    ``test.enc`` and ``model.json`` to ``work_dir`` at the last swept width;
+    the rank spill files there are removed on success and error."""
+    work_dir = Path(work_dir)
     copula = base.copula
-    cfg.work_dir.mkdir(parents=True, exist_ok=True)
-    spills = {name: Spill(cfg.work_dir / f"{name}.ranks", np.uint32, len(copula) + 1) for name in ("train", "test")}
+    work_dir.mkdir(parents=True, exist_ok=True)
+    spills = {name: Spill(work_dir / f"{name}.ranks", np.uint32, len(copula) + 1) for name in ("train", "test")}
     try:
         if max(col.shape[0] for col in copula.columns) >= 2**32:
             raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
-        for name, source in (("train", cfg.train_source), ("test", cfg.test_source)):
-            spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(cfg.batch_size))
+        for name, source in (("train", train_source), ("test", test_source)):
+            spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(batch_size))
 
         def measure(bits):
-            return batched_coverage(_count_table(spills["train"], copula, bits, c, cfg.batch_size),
-                                    _count_table(spills["test"], copula, bits, c, cfg.batch_size))
+            return batched_coverage(_count_table(spills["train"], copula, bits, c, batch_size),
+                                    _count_table(spills["test"], copula, bits, c, batch_size))
 
         curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
         model = base.at_width(curve[-1][0])
         for name, spill in spills.items():
-            write_packed(cfg.work_dir / f"{name}.enc", model.width,
-                         _spill_codes(spill, copula, model.allocation.bits, cfg.batch_size))
-        persist_model(model, cfg.work_dir / "model.json")
+            write_packed(work_dir / f"{name}.enc", model.width,
+                         _spill_codes(spill, copula, model.allocation.bits, batch_size))
+        persist_model(model, work_dir / "model.json")
     finally:
         for spill in spills.values():
             spill.path.unlink(missing_ok=True)

@@ -495,6 +495,10 @@ def split_csvs(tmp_path, separable_2d_csv):
     return paths
 
 
+# Commands that take --components; stream-estimate has no --scheme lsa.
+COMPONENT_COMMANDS = ("estimate", "estimate-split", "encode", "train", "stream-estimate")
+
+
 class TestFlagValidation:
     """Bad flag values exit 1 with one error line naming the flag, and write nothing."""
 
@@ -687,6 +691,30 @@ class TestFlagValidation:
         ]
         assert not out.exists()
 
+    def test_stream_estimate_rejects_lsa_before_reading(self, tmp_path, split_csvs, capsys, monkeypatch):
+        counts = count_converted_rows(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                       "--label-column", "label", "--batch-size", "32", "--scheme", "lsa", "--output", out / "r.json")
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--scheme" in errors[0] and "'lsa'" in errors[0]
+        assert counts == []  # argparse rejects it, before any row is converted
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "encode", "train"])
+    def test_one_training_row_after_the_split(self, tmp_path, capsys, command):
+        path = tmp_path / "three.csv"
+        path.write_text("a,label\n1.0,0\n2.0,1\n3.0,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        target = {"estimate": ("--output", out / "r.json"), "encode": ("--n-x", "2", "--output-dir", out),
+                  "train": ("--n-x", "2", "--output", out / "t.csv")}[command]
+        code = run_cli(command, "--input", path, "--scheme", "none", "--train-fraction", "0.5", *target)
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: --train-fraction 0.5 leaves 1 training row of {path}; need at least 2"]
+        assert not out.exists()
+
     def test_stream_estimate_single_class_fails_before_the_fit(self, tmp_path, split_csvs, capsys, monkeypatch):
         fits = []
         fit_batches = bitbit.stream.fit_batches
@@ -701,13 +729,16 @@ class TestFlagValidation:
         assert fits == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "estimate-split", "encode", "train", "stream-estimate"])
-    @pytest.mark.parametrize("scheme,components,named", [
-        ("pca", "3", "--components 3 exceeds the 2 features of {}"),
-        ("lsa", "3", "--components 3 exceeds the 2 features of {}"),
-        ("none", "3", "--components 3 exceeds the 2 features of {}"),
-        ("none", "1", "--scheme none needs --components equal to the 2 features of {}, got 1"),
-    ], ids=["pca", "lsa", "none-above", "none-below"])
+    @pytest.mark.parametrize("scheme,components,named,command", [
+        pytest.param(*case, command, id=f"{case_id}-{command}")
+        for case_id, case in {
+            "pca": ("pca", "3", "--components 3 exceeds the 2 features of {}"),
+            "lsa": ("lsa", "3", "--components 3 exceeds the 2 features of {}"),
+            "none-above": ("none", "3", "--components 3 exceeds the 2 features of {}"),
+            "none-below": ("none", "1", "--scheme none needs --components equal to the 2 features of {}, got 1"),
+        }.items()
+        for command in COMPONENT_COMMANDS if (case[0], command) != ("lsa", "stream-estimate")
+    ])
     def test_components_beyond_input_width(self, tmp_path, split_csvs, capsys, monkeypatch,
                                            command, scheme, components, named):
         counts = count_converted_rows(monkeypatch)
@@ -765,8 +796,10 @@ class TestFlagValidation:
         self._assert_flag_error(code, capsys, "--max-qubits")
         assert not trace.exists() and not trace.with_suffix(".model.json").exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "estimate-split", "encode", "train", "stream-estimate"])
-    @pytest.mark.parametrize("scheme", ["pca", "lsa"])
+    @pytest.mark.parametrize("scheme,command", [
+        (scheme, command) for scheme in ("pca", "lsa")
+        for command in COMPONENT_COMMANDS if (scheme, command) != ("lsa", "stream-estimate")
+    ])
     def test_components_beyond_training_rows(self, tmp_path, capsys, monkeypatch, command, scheme):
         fits = []  # reducer fits, in memory and streaming
         for module in (bitbit.encoder, bitbit.stream):

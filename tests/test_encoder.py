@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitbit.data import Dataset, make_synthetic
-from bitbit.dimred import FittedReducer, ReducerSpec
+from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer
 from bitbit.encoder import (
     BitAllocation,
     Bitstring,
@@ -99,6 +99,11 @@ def _mi_matrix(rng, s: int) -> np.ndarray:
     ])
 
 
+def identity(x):
+    """The scheme 'none' reducer at the width of ``x``."""
+    return fit_reducer(ReducerSpec("none"), [x])
+
+
 class TestBatchedMutualInformation:
     """``fit_batches`` takes every column's bin edges from one ``np.quantile``
     call per batch; each score must equal the per-column oracle bit for bit."""
@@ -109,7 +114,7 @@ class TestBatchedMutualInformation:
         for _ in range(3 if s < 70000 else 1):
             x = _mi_matrix(rng, s)
             y = rng.integers(0, 3, s)
-            scores = fit_batches(None, [(x, y)], s, None).importances.scores
+            scores = fit_batches(identity(x), [(x, y)], s, None).importances.scores
             oracle = [estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])]
             assert scores.tolist() == oracle
             assert scores[2] == 0.0
@@ -119,7 +124,7 @@ class TestBatchedMutualInformation:
         for s, bins in [(63, 8), (64, 8), (65, 8), (70000, 256)]:
             x = _mi_matrix(rng, s)
             y = rng.integers(0, 4, s)
-            scores = fit_batches(None, [(x, y)], s, None).importances.scores
+            scores = fit_batches(identity(x), [(x, y)], s, None).importances.scores
             assert scores.tolist() == [estimate_mutual_information(x[:, j], y, bins) for j in range(x.shape[1])]
 
     def test_class_absent_from_a_batch(self):
@@ -129,10 +134,20 @@ class TestBatchedMutualInformation:
             (_mi_matrix(rng, 150), 2 * rng.integers(0, 2, 150)),  # class 1 absent
             (_mi_matrix(rng, 90), rng.integers(0, 2, 90)),  # the top class absent
         ]
-        scores = fit_batches(None, batches, 1000, None).importances.scores
+        scores = fit_batches(identity(batches[0][0]), batches, 1000, None).importances.scores
         a, b, c = (np.array([estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])])
                    for x, y in batches)
         assert scores.tolist() == ((a + b + c) / 3.0).tolist()
+
+    def test_weighted_mi_weights_batches_by_rows(self):
+        rng = np.random.default_rng(6)
+        batches = [(_mi_matrix(rng, s), rng.integers(0, 3, s)) for s in (300, 40, 9)]
+        per_batch = np.array([[estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])]
+                              for x, y in batches])
+        rows = np.array([len(y) for _, y in batches], dtype=float)
+        weighted = fit_batches(identity(batches[0][0]), batches, 1000, None, weighted_mi=True).importances.scores
+        assert np.abs(weighted - rows @ per_batch / rows.sum()).max() < 1e-12
+        assert np.abs(weighted - per_batch.mean(axis=0)).max() > 1e-3
 
 
 class TestAllocateBits:

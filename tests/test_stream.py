@@ -1,5 +1,4 @@
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from bitbit.stream import (
     ArrayBatchSource,
     CsvBatchSource,
     Spill,
-    StreamConfig,
     _spill_codes,
     batched_coverage,
     stream_fit_base,
@@ -37,14 +35,8 @@ def bs(bits):
     return Bitstring.from_bits(bits)
 
 
-def make_config(dataset, tmp_path, batch_size, **kwargs):
-    return StreamConfig(
-        train_source=ArrayBatchSource(dataset.features, dataset.labels),
-        test_source=None,
-        batch_size=batch_size,
-        work_dir=tmp_path / "work",
-        **kwargs,
-    )
+def source(dataset):
+    return ArrayBatchSource(dataset.features, dataset.labels)
 
 
 class TestSources:
@@ -160,10 +152,9 @@ class TestRowSpill:
         assert spill.path.stat().st_size == 0
         (x, y), = spill.batches(4)
         assert x.shape == (0, 1) and y.shape == (0,)
-        cfg = StreamConfig(train_source=spill, test_source=None, batch_size=4, work_dir=tmp_path)
         for scheme in ("none", "pca"):
             with pytest.raises(ValueError, match="^train source must yield at least 2 samples, got 0$"):
-                stream_fit_base(cfg, ReducerSpec(scheme))
+                stream_fit_base(spill, ReducerSpec(scheme), 4)
 
     def test_batch_size_checked(self, tmp_path):
         spill = Spill(tmp_path / "d.rows", np.float64, 4)
@@ -252,21 +243,20 @@ class TestStreamFit:
     def test_single_batch_matches_in_memory_fit_exactly(self, tmp_path):
         d = make_synthetic(80, 4, 2, 3.0, seed=2)
         for scheme in ("none", "pca"):
-            cfg = make_config(d, tmp_path, batch_size=200)
-            streamed = stream_fit_base(cfg, ReducerSpec(scheme)).at_width(6)
+            streamed = stream_fit_base(source(d), ReducerSpec(scheme), 200).at_width(6)
             in_memory = fit_encoder(d, ReducerSpec(scheme), 6)
             p1, p2 = tmp_path / "s.json", tmp_path / "m.json"
             persist_model(streamed, p1)
             persist_model(in_memory, p2)
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_batch_size_does_not_change_reducer_or_extrema(self, tmp_path):
+    def test_batch_size_does_not_change_reducer_or_extrema(self):
         d = make_synthetic(100, 3, 2, 2.0, seed=3)
         for scheme, exact in (("none", True), ("pca", False)):
             models = []
             for batch_size in (50, 100):
-                cfg = make_config(d, tmp_path, batch_size=batch_size)
-                models.append(stream_fit_base(cfg, ReducerSpec(scheme)).at_width(5 if scheme == "pca" else 3))
+                models.append(stream_fit_base(source(d), ReducerSpec(scheme), batch_size)
+                              .at_width(5 if scheme == "pca" else 3))
             a, b = models
             assert np.abs(a.reducer.components - b.reducer.components).max() < 1e-6
             if exact:
@@ -278,24 +268,21 @@ class TestStreamFit:
                 assert np.abs(a.mins - b.mins).max() < 1e-6
                 assert np.abs(a.maxs - b.maxs).max() < 1e-6
 
-    def test_empty_source_rejected(self, tmp_path):
+    def test_empty_source_rejected(self):
         src = ArrayBatchSource(np.empty((0, 3)), np.empty(0, dtype=int))
-        cfg = StreamConfig(train_source=src, test_source=None, batch_size=10,
-                           work_dir=tmp_path / "w")
         with pytest.raises(ValueError, match="at least 2 samples"):
-            stream_fit_base(cfg, ReducerSpec("pca"))
+            stream_fit_base(src, ReducerSpec("pca"), 10)
 
-    def test_lsa_not_streamable(self, tmp_path):
+    def test_lsa_not_streamable(self):
         d = make_synthetic(20, 2, 2, 1.0, seed=4)
-        cfg = make_config(d, tmp_path, batch_size=10)
-        with pytest.raises(ValueError, match="'none' and 'pca'"):
-            stream_fit_base(cfg, ReducerSpec("lsa"))
+        with pytest.raises(ValueError, match="^lsa fits one batch, got a second non-empty batch$"):
+            stream_fit_base(source(d), ReducerSpec("lsa"), 10)
 
     def test_work_dir_artifacts_written(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=5)
-        cfg = replace(make_config(d, tmp_path, batch_size=8),
-                      test_source=ArrayBatchSource(d.features[:10], d.labels[:10]))
-        curve = stream_sweep_curve(cfg, stream_fit_base(cfg, ReducerSpec("pca")), 2, 1.0, 4, 3)
+        base = stream_fit_base(source(d), ReducerSpec("pca"), 8)
+        curve = stream_sweep_curve(source(d), ArrayBatchSource(d.features[:10], d.labels[:10]), base, 2, 8,
+                                   tmp_path / "work", 1.0, 4, 3)
         assert (tmp_path / "work" / "model.json").exists()
         width, records = read_encoded(tmp_path / "work" / "train.enc")
         assert width == curve[-1][0] == 4 and len(records) == 30
@@ -403,29 +390,34 @@ class CountingSource:
 
 
 class TestFitPasses:
-    @pytest.mark.parametrize("scheme,passes", [("none", 1), ("pca", 2)])
-    def test_pass_count(self, tmp_path, scheme, passes):
+    @pytest.mark.parametrize("scheme,passes", [("none", 2), ("pca", 2)])
+    def test_pass_count(self, scheme, passes):
         d = make_synthetic(40, 3, 2, 2.0, seed=9)
         src = CountingSource(ArrayBatchSource(d.features, d.labels))
-        cfg = StreamConfig(train_source=src, test_source=None, batch_size=16, work_dir=tmp_path)
-        model = stream_fit_base(cfg, ReducerSpec(scheme))
+        model = stream_fit_base(src, ReducerSpec(scheme), 16)
         assert src.passes == passes
         assert model.reducer.n_features == 3
 
     @pytest.mark.parametrize("scheme", ["none", "pca"])
     @pytest.mark.parametrize("rows", [0, 1])
-    def test_fewer_than_two_samples(self, tmp_path, scheme, rows):
+    def test_fewer_than_two_samples(self, scheme, rows):
         d = make_synthetic(2, 3, 2, 2.0, seed=9)
         src = ArrayBatchSource(d.features[:rows], d.labels[:rows])
-        cfg = StreamConfig(train_source=src, test_source=None, batch_size=16, work_dir=tmp_path)
         with pytest.raises(ValueError, match=f"^train source must yield at least 2 samples, got {rows}$"):
-            stream_fit_base(cfg, ReducerSpec(scheme))
+            stream_fit_base(src, ReducerSpec(scheme), 16)
 
-    def test_none_component_mismatch(self, tmp_path):
+    def test_none_component_mismatch(self):
         d = make_synthetic(20, 3, 2, 2.0, seed=9)
-        cfg = make_config(d, tmp_path, batch_size=8)
+        src = CountingSource(source(d))
         with pytest.raises(ValueError, match=r"requires n_components == n \(3\), got 2"):
-            stream_fit_base(cfg, ReducerSpec("none", 2))
+            stream_fit_base(src, ReducerSpec("none", 2), 8)
+        assert src.passes == 1  # rejected by the reducer fit, before the second pass
+
+    @pytest.mark.parametrize("scheme", ["none", "pca"])
+    def test_empty_reservoir_rejected(self, scheme):
+        d = make_synthetic(20, 3, 2, 2.0, seed=9)
+        with pytest.raises(ValueError, match="^reservoir_size must be >= 1$"):
+            stream_fit_base(source(d), ReducerSpec(scheme), 8, reservoir_size=0)
 
 
 def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, work):
@@ -483,12 +475,11 @@ class TestStreamSweep:
     ])
     def test_matches_per_width_oracle(self, tmp_path, scheme, batch_size, split, n_x_max, step, reservoir):
         train_source, test_source = split()
-        cfg = StreamConfig(train_source=train_source, test_source=test_source, batch_size=7,
-                           work_dir=tmp_path / "new", reservoir_size=reservoir)
-        base = stream_fit_base(cfg, ReducerSpec(scheme))
+        # The fit needs batches of 2+ rows; the sweep does not.
+        base = stream_fit_base(train_source, ReducerSpec(scheme), 7, reservoir_size=reservoir)
         c = int(train_source.labels.max()) + 1
-        cfg = replace(cfg, batch_size=batch_size)  # the fit needs batches of 2+ rows; the sweep does not
-        curve = stream_sweep_curve(cfg, base, c, 1.0, n_x_max, step)
+        curve = stream_sweep_curve(train_source, test_source, base, c, batch_size, tmp_path / "new",
+                                   1.0, n_x_max, step)
         expected = oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, tmp_path / "old")
         assert curve == expected
         last = range(1, n_x_max + 1, step)[-1]
@@ -500,23 +491,19 @@ class TestStreamSweep:
     def test_empty_test_split(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=14)
         empty = ArrayBatchSource(np.empty((0, 2)), np.empty(0, dtype=np.int64))
-        cfg = StreamConfig(train_source=ArrayBatchSource(d.features, d.labels), test_source=empty,
-                           batch_size=10, work_dir=tmp_path / "new")
-        base = stream_fit_base(cfg, ReducerSpec("pca"))
-        curve = stream_sweep_curve(cfg, base, 2, 1.0, 12, 5)
-        assert curve == oracle_sweep(base, cfg.train_source, empty, 2, 10, 12, 5, tmp_path / "old")
+        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+        curve = stream_sweep_curve(source(d), empty, base, 2, 10, tmp_path / "new", 1.0, 12, 5)
+        assert curve == oracle_sweep(base, source(d), empty, 2, 10, 12, 5, tmp_path / "old")
 
     def test_failure_at_test_source_leaves_no_spill(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=15)
         path = tmp_path / "test.csv"
         path.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,7\n", encoding="utf-8")
         work = tmp_path / "work"
-        cfg = StreamConfig(train_source=ArrayBatchSource(d.features, d.labels),
-                           test_source=CsvBatchSource(path, "label", label_mapping={"0": 0, "1": 1}),
-                           batch_size=10, work_dir=work)
-        base = stream_fit_base(cfg, ReducerSpec("pca"))
+        test_source = CsvBatchSource(path, "label", label_mapping={"0": 0, "1": 1})
+        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
         with pytest.raises(ValueError, match="line 3: label '7' was not seen in training"):
-            stream_sweep_curve(cfg, base, 2, 1.0, 12, 5)
+            stream_sweep_curve(source(d), test_source, base, 2, 10, work, 1.0, 12, 5)
         assert list(work.iterdir()) == []
 
 
