@@ -31,7 +31,7 @@ from bitbit.coverage import (
     split_coverage,
     sweep_curve,
 )
-from bitbit.data import SplitSpec, check_train_count, load_csv, make_synthetic, split_train_test
+from bitbit.data import Dataset, SplitSpec, check_train_count, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import SCHEMES, ReducerSpec
 from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
@@ -101,11 +101,11 @@ def _aggregate(values: list[int | None]) -> dict:
     return out
 
 
-def _write_report(report: dict, output: str) -> None:
-    path = Path(output)
+def _write_json(path, doc: dict) -> None:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -173,7 +173,7 @@ def _write_estimate_report(
         "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
         "exit_code": exit_code,
     }
-    _write_report(report, output)
+    _write_json(output, report)
     curves = _write_curves_csv(report, output)
     print(f"wrote {output} and {curves}")
     return exit_code
@@ -210,11 +210,7 @@ def _check_flags(cfg: RunConfig) -> None:
 def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None = None) -> None:
     """Reject a ``--components`` that the ``n_features`` columns of the
     training input ``path`` cannot give, or, for pca and lsa, that exceeds its
-    ``n_rows`` training rows when given, and a split of ``--input`` that
-    leaves fewer than 2 training rows; each message names the flag."""
-    if cfg.input is not None and n_rows is not None and n_rows < 2:
-        raise ValueError(f"--train-fraction {cfg.train_fraction} leaves {n_rows} training row of {path}; "
-                         "need at least 2")
+    ``n_rows`` training rows when given; each message names the flag."""
     if cfg.components is None:
         return
     if cfg.components > n_features:
@@ -234,6 +230,27 @@ def _check_test_width(cfg: RunConfig, n_train: int, n_test: int) -> None:
                          f"but the training input {cfg.train_input} has {n_train}")
 
 
+# --- in-memory front end: estimate --input, encode, train ---
+
+
+def _load_input(cfg: RunConfig) -> Dataset:
+    """Load ``--input`` and check ``--components`` against its features."""
+    dataset = load_csv(cfg.input, cfg.label_column)
+    _check_components(cfg, dataset.n_features, cfg.input)
+    return dataset
+
+
+def _split(cfg: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Split ``--input`` with ``seed``, then check the training rows: at least
+    2, and for pca and lsa at least ``--components``."""
+    train, test = split_train_test(dataset, SplitSpec(cfg.train_fraction, seed, cfg.stratify))
+    if train.n_samples < 2:
+        raise ValueError(f"--train-fraction {cfg.train_fraction} leaves {train.n_samples} training row of "
+                         f"{cfg.input}; need at least 2")
+    _check_components(cfg, train.n_features, cfg.input, train.n_samples)
+    return train, test
+
+
 # --- estimate ---
 
 
@@ -250,38 +267,24 @@ def run_estimate(cfg: RunConfig) -> int:
             train = load_csv(cfg.train_input, cfg.label_column)
             test = load_csv(cfg.test_input, cfg.label_column, train.label_names)
             _check_test_width(cfg, train.n_features, test.n_features)
+            _check_components(cfg, train.n_features, cfg.train_input, train.n_samples)
             label_names = train.label_names
             pairs = [(train, test, None)]
         else:
             if cfg.input is None:
                 raise ValueError("estimate requires --input (or --train-input/--test-input)")
-            dataset = load_csv(cfg.input, cfg.label_column)
-            _check_components(cfg, dataset.n_features, cfg.input)
+            dataset = _load_input(cfg)
             label_names = dataset.label_names
-
-            def make_pair(r: int):
-                seed = cfg.seed + r
-                spec_r = SplitSpec(train_fraction=cfg.train_fraction, seed=seed, stratify=cfg.stratify)
-                tr, te = split_train_test(dataset, spec_r)
-                return tr, te, seed
-
-            pairs = [make_pair(r) for r in range(cfg.replicates)]
-        _check_components(cfg, pairs[0][0].n_features, cfg.train_input or cfg.input,
-                          min(tr.n_samples for tr, _, _ in pairs))
+            pairs = [(*_split(cfg, dataset, cfg.seed + r), cfg.seed + r) for r in range(cfg.replicates)]
 
         def worker(pair):
             tr, te, seed = pair
             # Sweep to the strictest reported threshold so every threshold's
             # first crossing can be read off one curve.
-            curve = sweep_curve(tr, te, spec, 1.0, cfg.n_x_max, cfg.step)
-            return curve, seed
+            return sweep_curve(tr, te, spec, 1.0, cfg.n_x_max, cfg.step), seed
 
-        jobs = cfg.jobs if cfg.jobs else (os.cpu_count() or 1)
-        if jobs > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(worker, pairs))
-        else:
-            results = [worker(p) for p in pairs]
+        with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
+            results = list(pool.map(worker, pairs))
 
     config = _config_echo(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
                                 "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
@@ -350,12 +353,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
 def run_encode(cfg: RunConfig) -> int:
     """Split, fit at a fixed width, and write model.json, train.enc, test.enc,
     and labels.json into the output directory."""
-    dataset = load_csv(cfg.input, cfg.label_column)
-    _check_components(cfg, dataset.n_features, cfg.input)
-    train, test = split_train_test(
-        dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
-    )
-    _check_components(cfg, train.n_features, cfg.input, train.n_samples)
+    dataset = _load_input(cfg)
+    train, test = _split(cfg, dataset, cfg.seed)
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,9 +362,7 @@ def run_encode(cfg: RunConfig) -> int:
     for name, split in (("train", train), ("test", test)):
         words = pack_codes(copula_units(model, split.features), model.allocation.bits)
         write_packed(out / f"{name}.enc", model.width, [(words, split.labels)])
-    with open(out / "labels.json", "w", encoding="utf-8") as fh:
-        json.dump({name: i for i, name in enumerate(dataset.label_names)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "labels.json", {name: i for i, name in enumerate(dataset.label_names)})
     print(f"wrote {out / 'model.json'}, {out / 'train.enc'}, {out / 'test.enc'}, {out / 'labels.json'}")
     return 0
 
@@ -388,17 +385,13 @@ def _train(cfg: RunConfig) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
-    dataset = load_csv(cfg.input, cfg.label_column)
-    _check_components(cfg, dataset.n_features, cfg.input)
+    dataset = _load_input(cfg)
     q_y = compute_q_y(dataset.c)
     if cfg.n_x + q_y > cfg.max_qubits:
         raise ValueError(
             f"--n-x {cfg.n_x} plus {q_y} class qubit(s) exceeds the qubit cap --max-qubits {cfg.max_qubits}"
         )
-    train, test = split_train_test(
-        dataset, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratify=cfg.stratify)
-    )
-    _check_components(cfg, train.n_features, cfg.input, train.n_samples)
+    train, test = _split(cfg, dataset, cfg.seed)
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     train_table, test_keys, ceiling = split_coverage(
         copula_units(model_enc, train.features), train,
@@ -429,13 +422,7 @@ def _train(cfg: RunConfig) -> int:
             fh.write(f"{sweep},{loss!r},{tr_acc!r},{te_acc!r}\n")
 
     model_path = Path(cfg.model_output) if cfg.model_output else trace_path.with_suffix(".model.json")
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"n_x": cfg.n_x, "n_y": q_y, "layers": cfg.layers, "theta": qmodel.theta.tolist()},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(model_path, {"n_x": cfg.n_x, "n_y": q_y, "layers": cfg.layers, "theta": qmodel.theta.tolist()})
     print(f"wrote {trace_path} and {model_path}")
     return 0
 
@@ -606,14 +593,17 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     cfg = RunConfig(**vars(args))
     try:
-        # Warnings no report collects go to stderr as one line each, like errors.
-        with warnings.catch_warnings():
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # Warnings no report collects go to stderr as one line each, once the
+        # command has succeeded; a failed run prints only its error.
+        with warnings.catch_warnings(record=True) as caught:
             _check_flags(cfg)
-            return _COMMANDS[cfg.command](cfg)
+            code = _COMMANDS[cfg.command](cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -267,21 +267,30 @@ def _normalize(reduced: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.nd
 class _Reservoir:
     """Uniform reservoir sample (algorithm R). When the stream fits within
     capacity no randomness is consumed and the sample is the whole stream in
-    arrival order, which is what makes small-data streaming exact."""
+    arrival order, which is what makes small-data streaming exact. The buffer
+    grows with the stream and never past ``capacity``."""
 
     def __init__(self, capacity: int, rng: np.random.Generator | None):
         if capacity < 1:
             raise ValueError("reservoir_size must be >= 1")
         self.capacity = capacity
         self.rng = rng
-        self.values = np.empty(capacity, dtype=np.float64)
+        self.values = np.empty(0, dtype=np.float64)
         self.size = 0
         self.seen = 0
+
+    def grow(self, fill: int) -> None:
+        """Make room for ``fill`` more values, at least doubling the buffer, up to ``capacity``."""
+        if self.size + fill > self.values.shape[0]:
+            grown = np.empty(min(self.capacity, max(self.size + fill, 2 * self.values.shape[0])))
+            grown[:self.size] = self.values[:self.size]
+            self.values = grown
 
     def add(self, vals: np.ndarray) -> None:
         m = vals.shape[0]
         fill = min(self.capacity - self.size, m)
         if fill:
+            self.grow(fill)
             self.values[self.size:self.size + fill] = vals[:fill]
             self.size += fill
             self.seen += fill

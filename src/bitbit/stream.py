@@ -134,15 +134,15 @@ class Spill:
     def batches(self, batch_size: int):
         """(values, int64 label ids) per ``batch_size`` records, values
         contiguous; the last chunk is short, and empty when the record count
-        is a multiple of ``batch_size``."""
+        is a multiple of ``batch_size``. No read asks for more records than are left."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        n_records = self.path.stat().st_size // (self.dtype.itemsize * self.n_columns)
         with open(self.path, "rb") as fh:
-            while True:
-                chunk = np.fromfile(fh, dtype=self.dtype, count=batch_size * self.n_columns).reshape(-1, self.n_columns)
+            for lo in range(0, n_records + 1, batch_size):
+                count = min(batch_size, n_records - lo) * self.n_columns
+                chunk = np.fromfile(fh, dtype=self.dtype, count=count).reshape(-1, self.n_columns)
                 yield np.ascontiguousarray(chunk[:, :-1]), chunk[:, -1].astype(np.int64)
-                if chunk.shape[0] < batch_size:
-                    return
 
 
 def _spill_codes(spill: Spill, copula, bits, batch_size: int):

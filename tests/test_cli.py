@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,32 @@ class TestStreamEstimateCommand:
         assert (work / "model.json").exists()
         assert (work / "train.enc").exists() and (work / "test.enc").exists()
 
+
+    @pytest.mark.parametrize("huge", [("--batch-size", "1000000000"),
+                                      ("--batch-size", "1000000000", "--reservoir-size", "1000000000")])
+    def test_buffers_are_sized_by_the_data(self, tmp_path, huge):
+        """A 5-row training CSV is one batch at --batch-size 10 and at 10**9: the
+        outputs are the same, and neither flag allocates for more rows than the data."""
+        train_csv, test_csv = tmp_path / "tr.csv", tmp_path / "te.csv"
+        train_csv.write_text("f0,f1,label\n0.1,0.5,0\n0.9,0.4,1\n0.2,0.7,0\n0.8,0.1,1\n0.3,0.3,0\n")
+        test_csv.write_text("f0,f1,label\n0.1,0.5,0\n0.8,0.1,1\n")
+        outputs = []
+        for name, flags in (("small", ("--batch-size", "10")), ("huge", huge)):
+            out = tmp_path / name / "r.json"
+            tracemalloc.start()
+            try:
+                code = run_cli("stream-estimate", "--train-input", train_csv, "--test-input", test_csv,
+                               *flags, "--output", out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 2**26, peak
+            report = report_without_timestamp(out)
+            for field in ("batch_size", "reservoir_size", "work_dir"):
+                report["config"].pop(field)
+            outputs.append((report, (out.parent / "r.work" / "model.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("scheme", ["none", "pca"])
     def test_each_csv_row_is_parsed_once(self, tmp_path, split_csvs, monkeypatch, scheme):
@@ -711,8 +738,10 @@ class TestFlagValidation:
                   "train": ("--n-x", "2", "--output", out / "t.csv")}[command]
         code = run_cli(command, "--input", path, "--scheme", "none", "--train-fraction", "0.5", *target)
         assert code == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: --train-fraction 0.5 leaves 1 training row of {path}; need at least 2"]
+        # the split's "classes [1] absent" warning is not printed for a run that fails
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --train-fraction 0.5 leaves 1 training row of {path}; need at least 2"
+        ]
         assert not out.exists()
 
     def test_stream_estimate_single_class_fails_before_the_fit(self, tmp_path, split_csvs, capsys, monkeypatch):
@@ -872,8 +901,8 @@ FUZZ_VALUES = {
     "--n-x-max": (("1", "3"), ("0",)),
     "--step": (("1", "2"), ("0",)),
     "--jobs": (("1", "2"), ("0",)),
-    "--batch-size": (("5", "64"), ("1", "0")),
-    "--reservoir-size": (("8", "100"), ("1", "0")),
+    "--batch-size": (("5", "64", "1000000000"), ("1", "0")),
+    "--reservoir-size": (("8", "100", "1000000000"), ("1", "0")),
     "--n-x": (("1", "2", "3"), ("0", "30")),
     "--layers": (("1", "2"), ("0",)),
     "--sweeps": (("0", "1"), ("-1",)),
@@ -949,8 +978,8 @@ def fuzz_files(tmp_path_factory):
 
 
 class TestArgvFuzz:
-    """Any argv exits 0, 1 or 2; a failure prints one error line and no
-    traceback, and exit 1 leaves nothing under the output path."""
+    """Any argv exits 0, 1 or 2; a failure prints only its one error line,
+    and exit 1 leaves nothing under the output path."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(argv=fuzz_argv())
@@ -966,4 +995,8 @@ class TestArgvFuzz:
             assert "Traceback" not in err.getvalue()
             assert len(errors) == (1 if code == 1 else 0), err.getvalue()
             if code == 1:
+                lines = err.getvalue().splitlines()
+                if lines[0].startswith("usage: "):  # argparse prints its usage text before its error line
+                    lines = lines[-1:]
+                assert lines == errors, err.getvalue()
                 assert not (Path(tmp) / "out").exists(), argv

@@ -1,7 +1,8 @@
-"""Every name a ``bitbit`` module imports is used in that module.
+"""Every name a ``bitbit`` module imports is used in that module, and every
+module-level function or class is named somewhere in the code.
 
-The package ``__init__`` is exempt: its imports are the public API. An import
-line that carries ``# noqa: F401`` is kept on purpose.
+The package ``__init__`` is exempt from the import check: its imports are the
+public API. An import line that carries ``# noqa: F401`` is kept on purpose.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bitbit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bitbit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +39,34 @@ def test_no_unused_import(module):
 def test_checker_finds_an_unused_import():
     source = "import os\nimport sys\nfrom a import b, c as d\nfrom e import f  # noqa: F401\nprint(sys.argv, d)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: b"]
+
+
+def unnamed_definitions(definitions: dict[str, str], sources: list[str]) -> list[str]:
+    """Module-level functions and classes of the ``definitions`` modules (file
+    name to source) that no name, attribute or import in ``sources`` mentions;
+    a definition itself is not a mention."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+    return [f"{module}: {node.name}" for module, source in sorted(definitions.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in named]
+
+
+def test_every_definition_is_named():
+    definitions = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    sources = [p.read_text(encoding="utf-8") for folder in ("src", "tests", "demos")
+               for p in (ROOT / folder).rglob("*.py")]
+    assert unnamed_definitions(definitions, sources) == []
+
+
+def test_checker_finds_an_unnamed_definition():
+    module = "def _write_json(path, doc):\n    pass\n\ndef _write_report(report, output):\n    pass\n"
+    caller = "import json\nfrom m import _write_json\n_write_json('r.json', {})\n"
+    assert unnamed_definitions({"m.py": module}, [module, caller]) == ["m.py: _write_report"]

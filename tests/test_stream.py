@@ -209,6 +209,7 @@ class TestReservoir:
         replacements hit a slot already replaced in the same call."""
         m = vals.shape[0]
         fill = min(res.capacity - res.size, m)
+        res.grow(fill)
         res.values[res.size:res.size + fill] = vals[:fill]
         res.size += fill
         res.seen += fill
