@@ -8,7 +8,6 @@ reaching the configured threshold, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -31,7 +30,7 @@ from bitbit.coverage import (
     split_coverage,
     sweep_curve,
 )
-from bitbit.data import Dataset, SplitSpec, check_train_count, load_csv, make_synthetic, split_train_test
+from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import SCHEMES, ReducerSpec
 from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
 from bitbit.qsim import (
@@ -310,7 +309,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     _check_test_width(cfg, n_features, CsvBatchSource(cfg.test_input, cfg.label_column).n_features())
     _check_components(cfg, n_features, cfg.train_input)
     with open(cfg.test_input, newline="", encoding="utf-8-sig") as fh:
-        if not any(islice(csv.reader(fh), 1, None)):  # rows after the header, none converted
+        if not any(row for _, row in islice(csv_records(fh, cfg.test_input), 1, None)):  # none converted
             raise ValueError(f"--test-input {cfg.test_input} holds no data rows")
 
     work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
@@ -501,14 +500,19 @@ def _add_common_data_flags(p: argparse.ArgumentParser, schemes=SCHEMES) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # no usage text: main prints the message as its one error line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bitbit",
         description="Estimate the qubits needed to encode a classification dataset, "
                     "and train a desk-scale basis-state classifier against that estimate.",
     )
     parser.add_argument("--version", action="version", version=f"bitbit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("estimate", help="replicated split/sweep qubit estimate")
     p.add_argument("--input", help="dataset CSV (split per replicate)")
@@ -587,17 +591,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for uncovered runs
-        return 0 if exc.code in (0, None) else 1
-    cfg = RunConfig(**vars(args))
-    try:
         # Warnings no report collects go to stderr as one line each, once the
         # command has succeeded; a failed run prints only its error.
         with warnings.catch_warnings(record=True) as caught:
+            cfg = RunConfig(**vars(build_parser().parse_args(argv)))
             _check_flags(cfg)
             code = _COMMANDS[cfg.command](cfg)
+    except SystemExit as exc:  # --help and --version; usage errors raise ValueError
+        return 0 if exc.code in (0, None) else 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

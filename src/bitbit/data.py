@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -62,11 +62,22 @@ def check_train_count(count: int) -> None:
         raise ValueError(f"train source must yield at least 2 samples, got {count}")
 
 
-def read_csv_header(reader, path) -> list[str]:
+def csv_records(lines, path, line_no: int = 1):
+    """(line number, cells) per ``csv.reader`` record of ``lines``, numbered
+    from ``line_no``; a ``csv.Error`` becomes a ValueError naming the line."""
+    line_nos = count(line_no)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file, expected a header row") from None
+        for row in csv.reader(lines):
+            yield next(line_nos), row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {next(line_nos)}: {exc}") from None
+
+
+def read_csv_header(fh, path) -> list[str]:
+    """The stripped header cells of a CSV file; ``fh`` is left after the header."""
+    _, header = next(csv_records(fh, path), (1, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in header]
     if len(header) < 2:
         raise ValueError(f"{path}: no feature column in header {header!r}")
@@ -114,49 +125,74 @@ def parse_csv_row(row, header, label_idx, feature_idx, path, line_no) -> tuple[l
     return values, label
 
 
-# Rows load_csv converts at a time. Raw cells take about twice the memory of
-# the float lists the row-at-a-time parser held, so a batch this small keeps
-# the peak below that parser's even for files of a few hundred rows.
+# Rows load_csv converts at a time. A batch's raw lines and parsed arrays are
+# held at once, so a small batch keeps the peak near that of the features.
 LOAD_BATCH_ROWS = 256
 
+_BLANK_LINES = ("\n", "\r\n", "\r")  # csv.reader reads these as an empty row
 
-def csv_batches(reader, header, label_idx, path, batch_size: int, mapping: dict[str, int], strict: bool = False):
-    """Yield (features, label ids) for each ``batch_size`` data rows of a CSV
-    reader positioned after its header. Labels get ids from ``mapping``, which
-    grows by first appearance; with ``strict`` an unseen label is an error."""
-    rows: list[list[str]] = []
-    line_nos: list[int] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        rows.append(row)
-        line_nos.append(line_no)
+
+def csv_batches(fh, header, label_idx, path, batch_size: int, mapping: dict[str, int], strict: bool = False):
+    """Yield (features, label ids) for each ``batch_size`` non-blank data rows
+    of a CSV file (opened with ``newline=""``) read past its header, numbering
+    lines from 2. Labels get ids from ``mapping``, which grows by first
+    appearance; with ``strict`` an unseen label is an error. Batches are raw
+    lines until a read holds a quote, a NUL or a line over ``csv.field_size_limit()``;
+    from there ``csv.reader`` reads on, since a quoted field can span lines.
+    Blank lines are dropped as read, so memory is bounded by the batch."""
+    line_no, limit = 2, csv.field_size_limit()
+    rows, line_nos, records = [], [], ()
+    while chunk := list(islice(fh, batch_size - len(rows))):
+        text = "".join(chunk)
+        if '"' in text or "\0" in text or max(map(len, chunk)) > limit:
+            rows = list(csv.reader(rows))  # one record per line: none holds a quote
+            records = csv_records(chain(chunk, fh), path, line_no)
+            break
+        rows += [line for line in chunk if line not in _BLANK_LINES]
+        line_nos += [n for n, line in enumerate(chunk, line_no) if line not in _BLANK_LINES]
+        line_no += len(chunk)
         if len(rows) == batch_size:
             yield _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict)
             rows, line_nos = [], []
+    for line_no, row in records:
+        if row:
+            rows.append(row)
+            line_nos.append(line_no)
+            if len(rows) == batch_size:
+                yield _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict)
+                rows, line_nos = [], []
     if rows:
         yield _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict)
 
 
 def _convert_rows(rows, line_nos, header, label_idx, path, mapping, strict) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of CSV rows as (features, label ids), converted in one go;
-    a batch holding any bad row is redone row by row by ``parse_csv_row``,
-    whose error names the file line and column."""
-    n_features = len(header) - 1
-    if all(len(row) == len(header) for row in rows):
-        cells = chain.from_iterable(row[:label_idx] + row[label_idx + 1:] for row in rows)
-        try:
-            x = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * n_features)
+    """A batch of CSV rows, raw lines or ``csv.reader`` cells, as (features,
+    label ids). ``np.loadtxt`` parses the lines, or the cells joined by commas
+    if every row has the header's field count (a short row whose cell holds a
+    comma would otherwise read as whole), with ``float``'s conversion; its
+    batch stands if all values are finite, no label is blank and, with
+    ``strict``, all labels are known. Other batches go row by row through
+    ``parse_csv_row``, whose error names the file line and column."""
+    as_lines = isinstance(rows[0], str)
+    if as_lines or all(len(row) == len(header) for row in rows):
+        dtype = np.dtype([("head", np.float64, (label_idx,)), ("label", object),
+                          ("tail", np.float64, (len(header) - 1 - label_idx,))])
+        try:  # fails on another field count, a line break in a cell, or a cell loadtxt does not read
+            table = np.loadtxt(rows if as_lines else [",".join(row) for row in rows], dtype=dtype, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
         except ValueError:
-            x = None
-        raw_labels = [row[label_idx].strip() for row in rows]
-        known = not strict or all(label in mapping for label in raw_labels)
-        if x is not None and np.isfinite(x).all() and "" not in raw_labels and known:
-            ids = [mapping.setdefault(label, len(mapping)) for label in raw_labels]
-            return x.reshape(len(rows), n_features), np.array(ids, dtype=np.int64)
+            pass
+        else:
+            x = np.concatenate((table["head"], table["tail"]), axis=1)
+            labels = list(map(str.strip, table["label"].tolist()))
+            seen = dict.fromkeys(labels)  # in order of first appearance
+            if np.isfinite(x).all() and "" not in seen and (not strict or mapping.keys() >= seen.keys()):
+                for label in seen:
+                    mapping.setdefault(label, len(mapping))
+                return x, np.fromiter(map(mapping.__getitem__, labels), dtype=np.int64, count=len(labels))
     feature_idx = [j for j in range(len(header)) if j != label_idx]
     values, ids = [], []
-    for line_no, row in zip(line_nos, rows):
+    for line_no, row in zip(line_nos, csv.reader(rows) if as_lines else rows):
         v, raw_label = parse_csv_row(row, header, label_idx, feature_idx, path, line_no)
         if raw_label not in mapping:
             if strict:
@@ -180,10 +216,9 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
     """
     mapping = {name: i for i, name in enumerate(label_names or ())}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = read_csv_header(reader, path)
+        header = read_csv_header(fh, path)
         label_idx = resolve_label_column(header, label_column, path)
-        batches = list(csv_batches(reader, header, label_idx, path, LOAD_BATCH_ROWS, mapping, label_names is not None))
+        batches = list(csv_batches(fh, header, label_idx, path, LOAD_BATCH_ROWS, mapping, label_names is not None))
 
     n_rows = sum(y.shape[0] for _, y in batches)
     if n_rows < 2:
@@ -233,8 +268,7 @@ def split_train_test(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if train_idx.size < 1 or test_idx.size < 1:
         raise ValueError(f"train_fraction {spec.train_fraction} leaves an empty split for {s} samples")
 
-    train = _take(d, train_idx)
-    test = _take(d, test_idx)
+    train, test = (replace(d, features=d.features[idx], labels=d.labels[idx]) for idx in (train_idx, test_idx))
     for name, part in (("train", train), ("test", test)):
         present = np.bincount(part.labels, minlength=d.c) > 0
         missing = np.nonzero(~present)[0]
@@ -259,16 +293,6 @@ def _stratified_indices(labels, c, train_fraction, rng):
     # Interleave classes back into a shuffled order so downstream batching
     # does not see label-sorted data.
     return train_idx[rng.permutation(train_idx.size)], test_idx[rng.permutation(test_idx.size)]
-
-
-def _take(d: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(
-        features=d.features[idx],
-        labels=d.labels[idx],
-        c=d.c,
-        feature_names=d.feature_names,
-        label_names=d.label_names,
-    )
 
 
 def make_synthetic(s: int, n: int, c: int, separation: float, seed: int) -> Dataset:

@@ -496,16 +496,25 @@ def write_encoded(path, width: int, records: Iterable[tuple[Bitstring, int]]) ->
     return count
 
 
+# Row b holds the two hex digits of byte value b.
+_HEX_PAIRS = np.array([list(f"{b:02x}".encode()) for b in range(256)], dtype=np.uint8)
+
+
 def write_packed(path, width: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> int:
     """``write_encoded`` for chunks of (``pack_codes`` words, labels): the same
-    bytes, formatted a chunk at a time without a ``Bitstring`` per record."""
+    bytes, formatted from arrays, with each class's `` <label>\\n`` made once."""
     count = 0
+    digits = hex_digits(width)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ENCODED_FILE_MAGIC} width={width}\n")
-        digits = hex_digits(width)
         for words, labels in chunks:
-            fh.write("".join(f"{v:0{digits}x} {label}\n"
-                             for v, label in zip(packed_values(words), labels.tolist())))
+            pairs = _HEX_PAIRS[words.astype(">u8").view(np.uint8)]  # top word first, each big-endian
+            hexes = np.ascontiguousarray(pairs.reshape(words.shape[0], 16 * words.shape[1])[:, -digits:])
+            classes, inverse = np.unique(labels, return_inverse=True)
+            suffixes = np.array([f" {label}\n".encode() for label in classes.tolist()], dtype=bytes)
+            lines = np.char.add(hexes.view(f"S{digits}").ravel(), suffixes[inverse.ravel()])
+            # Fixed-width byte strings pad short lines with NULs, which no line holds.
+            fh.write(lines.tobytes().replace(b"\0", b"").decode("ascii"))
             count += len(labels)
     return count
 

@@ -22,7 +22,6 @@ CSV is read only by its rank pass.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,7 @@ class CsvBatchSource:
     def n_features(self) -> int:
         """The number of feature columns in the header; reads only the header row."""
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
-            header = read_csv_header(csv.reader(fh), self.path)
+            header = read_csv_header(fh, self.path)
         resolve_label_column(header, self.label_column, self.path)
         return len(header) - 1
 
@@ -77,10 +76,9 @@ class CsvBatchSource:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = read_csv_header(reader, self.path)
+            header = read_csv_header(fh, self.path)
             label_idx = resolve_label_column(header, self.label_column, self.path)
-            yield from csv_batches(reader, header, label_idx, self.path, batch_size, self.label_mapping, self._strict)
+            yield from csv_batches(fh, header, label_idx, self.path, batch_size, self.label_mapping, self._strict)
 
 
 class ArrayBatchSource:

@@ -127,11 +127,46 @@ class TestEstimateCommand:
         assert report_without_timestamp(seq) == report_without_timestamp(par)
 
 
+@pytest.mark.parametrize("command,where", [
+    ("estimate", "header"), ("estimate", "row"),
+    ("stream-estimate", "header"), ("stream-estimate", "row"), ("stream-estimate", "test row"),
+])
+def test_oversized_csv_field_is_one_error_line(tmp_path, capsys, command, where):
+    """A field past csv.field_size_limit() fails with one line naming the file
+    line, whichever path reads it."""
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    field = "1" * 200_000
+    small.write_text("f0,label\n1.0,x\n2.0,y\n", encoding="utf-8")
+    if where == "header":
+        big.write_text(f"{field},label\n1.0,x\n2.0,y\n", encoding="utf-8")
+    else:
+        big.write_text(f"f0,label\n1.0,x\n{field},y\n2.0,x\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "estimate":
+        argv = ["estimate", "--input", big, "--output", out / "r.json"]
+    else:
+        train, test = (small, big) if where == "test row" else (big, small)
+        argv = ["stream-estimate", "--train-input", train, "--test-input", test, "--batch-size", "2",
+                "--work-dir", out, "--output", out / "r.json"]
+    assert run_cli(*argv) == 1
+    line = 1 if where == "header" else 3
+    assert capsys.readouterr().err == f"error: {big}: line {line}: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 class TestStreamEstimateCommand:
     def test_usage_error_without_batch_size(self, tmp_path, capsys):
         assert run_cli("stream-estimate", "--train-input", "x.csv", "--test-input", "y.csv",
                        "--output", tmp_path / "r.json") == 1
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.err == "error: the following arguments are required: --batch-size\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["stream-estimate", "--help"]])
+    def test_help_exits_zero_on_stdout(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: bitbit") and captured.err == ""
 
     def test_streamed_flag_and_artifacts(self, tmp_path, separable_2d_csv):
         train_csv, test_csv = tmp_path / "tr.csv", tmp_path / "te.csv"
@@ -995,8 +1030,5 @@ class TestArgvFuzz:
             assert "Traceback" not in err.getvalue()
             assert len(errors) == (1 if code == 1 else 0), err.getvalue()
             if code == 1:
-                lines = err.getvalue().splitlines()
-                if lines[0].startswith("usage: "):  # argparse prints its usage text before its error line
-                    lines = lines[-1:]
-                assert lines == errors, err.getvalue()
+                assert err.getvalue().splitlines() == errors, err.getvalue()
                 assert not (Path(tmp) / "out").exists(), argv

@@ -29,6 +29,7 @@ from bitbit.encoder import (
     persist_model,
     read_encoded,
     write_encoded,
+    write_packed,
 )
 from bitbit.stream import DEFAULT_RESERVOIR_SIZE
 
@@ -483,3 +484,20 @@ class TestEncodedFiles:
     def test_wrong_width_record_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             write_encoded(tmp_path / "r.enc", 4, [(Bitstring(5, 1), 0)])
+
+    @pytest.mark.parametrize("width", [1, 4, 63, 64, 65, 128, 129])
+    def test_packed_writer_matches_bitstring_writer(self, tmp_path, width):
+        """write_packed's array formatting gives write_encoded's bytes over
+        Bitstrings, across word edges, for labels up to 12 and an empty chunk."""
+        rng = np.random.default_rng(width)
+        n_words = -(-width // 64)
+        words = rng.integers(0, 2**64, size=(300, n_words), dtype=np.uint64)
+        words[0] = 0
+        words[1] = np.iinfo(np.uint64).max
+        words[:, 0] >>= np.uint64(64 * n_words - width)  # the top word holds the bits past the others
+        labels = rng.integers(0, 13, size=300)
+        chunks = [(words[:120], labels[:120]), (words[:0], labels[:0]), (words[120:], labels[120:])]
+        assert write_packed(tmp_path / "packed.enc", width, chunks) == 300
+        records = [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())]
+        write_encoded(tmp_path / "bitstrings.enc", width, records)
+        assert (tmp_path / "packed.enc").read_bytes() == (tmp_path / "bitstrings.enc").read_bytes()

@@ -1,7 +1,11 @@
 import csv
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bitbit.data
 from bitbit.coverage import build_table, coverage_metrics
@@ -508,6 +512,98 @@ class TestStreamSweep:
         assert list(work.iterdir()) == []
 
 
+FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # shortest repr
+ODD_FEATURE_CELLS = ["1_000", " 1.5 ", "\xa01.5", "\u0661\u0662", "nan", "inf", "-inf", "", " ", "-0.0", "1e-3",
+                     "abc", "#1", '"2.5"', '" 3"', '"1\n.5"', "1\x00", "1" * 60]
+LABEL_CELLS = ["x", "y", " y ", "z", "", "  ", "#x", '"x"', '"x\ny"', '"a,b"', '"x\n\ny"', "x\x00", "w" * 60]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """(label column index, file text): two feature columns and a label, then
+    rows of shortest-repr floats, blank and whitespace-only lines and, in
+    about half the files, some of: an odd feature or label cell (one of each
+    per file), quoted cells (some holding a newline), lines that begin with
+    ``#``, rows with a field too few (some with two cells quoted as one) or
+    too many."""
+    label_idx = draw(st.integers(0, 2))
+    names = ["f0", "f1"]
+    names.insert(label_idx, "label")
+    clean = draw(st.booleans())
+    odd_cells = [draw(st.sampled_from(ODD_FEATURE_CELLS)), draw(st.sampled_from(LABEL_CELLS))]
+    kinds = ["row"] * 4 + ["blank", "space"] + 3 * [
+        kind for kind in ("odd", "quoted", "comment", "short", "long") if not clean and draw(st.booleans())]
+    text = ",".join(names) + draw(LINE_ENDS)
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            body = ""
+        elif kind == "space":
+            body = draw(st.sampled_from([" ", "\t", "  "]))
+        else:
+            cells = [draw(FLOAT_CELLS) for _ in range(2)]
+            cells.insert(label_idx, draw(st.sampled_from(["x", "y", " y ", "z"])))
+            j = draw(st.integers(0, 2))
+            if kind == "odd":
+                cells[j] = odd_cells[j == label_idx]
+            elif kind == "quoted":
+                cells[j] = '"' + cells[j] + ("\n" if draw(st.booleans()) else "") + '"'
+            elif kind == "short" and draw(st.booleans()):  # a comma too few, but not a character
+                cells[:2] = ['"' + ",".join(cells[:2]) + '"']
+            elif kind == "short":
+                cells.pop(j)
+            elif kind == "long":
+                cells.append(draw(FLOAT_CELLS))
+            body = ("#" if kind == "comment" else "") + ",".join(cells)
+        text += body + draw(LINE_ENDS)
+    return label_idx, text
+
+
+def oracle_batches(path, label_idx, batch_size, mapping, strict):
+    """``csv.reader`` + ``parse_csv_row``, row by row: the (features, label ids)
+    batches yielded before the first error, and its message (None if none).
+    A batch's rows are all read before the first is converted."""
+    batches = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        feature_idx = [j for j in range(3) if j != label_idx]
+
+        def convert(rows):
+            values, ids = [], []
+            for line_no, row in rows:
+                v, label = parse_csv_row(row, header, label_idx, feature_idx, path, line_no)
+                if label not in mapping:
+                    if strict:
+                        raise ValueError(f"{path}: line {line_no}: label {label!r} was not seen in training")
+                    mapping[label] = len(mapping)
+                values.append(v)
+                ids.append(mapping[label])
+            return np.asarray(values, dtype=np.float64), ids
+
+        rows, line_no = [], 1
+        try:
+            while True:
+                line_no += 1
+                try:
+                    row = next(reader)
+                except StopIteration:
+                    break
+                except csv.Error as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                if row:
+                    rows.append((line_no, row))
+                if len(rows) == batch_size:
+                    batches.append(convert(rows))
+                    rows = []
+            if rows:
+                batches.append(convert(rows))
+        except ValueError as exc:
+            return batches, str(exc)
+    return batches, None
+
+
 GOOD_ROWS = ["0.5,1.5,x", "-2.0,3.25,y", "1e-3,4,x", "7,8,z", "0.0,-0.0,y", "2,3,x", "9,9,y", "4,5,z",
              "1,1,x", "2,2,y", "3,3,z"]
 
@@ -589,3 +685,56 @@ class TestCsvIngestParity:
             assert d.labels.tolist() == expected_y and d.label_names == tuple(mapping)
         assert src.label_mapping == mapping
         assert calls == []  # good batches never fall back to the row parser
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=csv_files(), strict=st.booleans())
+    @example(case=(2, 'f0,f1,label\n1,2,x\n3,4,"x\ny"\n5,6,y\n7,8,x\n'), strict=False)  # a quoted newline on a batch edge
+    @example(case=(0, "label,f0,f1\r\nx,1,2\r\ny\x00,3,4\r\nx,5,6\r\n"), strict=False)  # NUL in a label
+    @example(case=(1, "f0,label,f1\r1,x,2\r3\x00,y,4\r5,y,6\r"), strict=True)  # NUL in a feature cell
+    @example(case=(2, 'f0,f1,label\n"1,2",x\n3,4,y\n'), strict=False)  # a field short, its comma quoted
+    @example(case=(2, 'f0,f1,label\n1,2,x\n""\n3,4,y\n'), strict=False)  # a quoted empty record
+    @example(case=(1, "f0,label,f1\n1,x,2\n" + "1" * 60 + ",y,2\n3,x,4\n"), strict=False)  # a field over the limit
+    @example(case=(0, "label,f0,f1\nx,1,2\ny,nan,2\nx,3,4\n"), strict=False)  # a non-finite cell
+    def test_batches_match_csv_reader_oracle(self, tmp_path_factory, case, strict):
+        """Row by row against csv.reader + parse_csv_row, under CsvBatchSource
+        and load_csv: features bit-equal, equal label ids, batch sizes and
+        errors. The field size limit is lowered so that a 60-character cell
+        exceeds it."""
+        label_idx, text = case
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        known = {"x": 0, "y": 1} if strict else {}
+        limit = csv.field_size_limit(50)
+        try:
+            for batch_size in (1, 2, 7, 256):
+                mapping = dict(known)
+                expected, expected_error = oracle_batches(path, label_idx, batch_size, mapping, strict)
+                src = CsvBatchSource(path, "label", label_mapping=known if strict else None)
+                got, error = [], None
+                try:
+                    got.extend(src.batches(batch_size))
+                except ValueError as exc:
+                    error = str(exc)
+                assert error == expected_error
+                assert [y.tolist() for _, y in got] == [ids for _, ids in expected]
+                for (x, _), (ex, _) in zip(got, expected):
+                    assert x.shape == ex.shape and x.tobytes() == ex.tobytes()
+
+                n_rows = sum(len(ids) for _, ids in expected)
+                if expected_error is None and n_rows < 2:
+                    expected_error = f"{path}: need at least 2 data rows, got {n_rows}"
+                elif expected_error is None and len(mapping) < 2:
+                    expected_error = f"{path}: fewer than 2 classes in column 'label'"
+                with mock.patch.object(bitbit.data, "LOAD_BATCH_ROWS", batch_size), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        d = load_csv(path, "label", tuple(known) if strict else None)
+                    except ValueError as exc:
+                        assert str(exc) == expected_error
+                    else:
+                        assert expected_error is None
+                        assert d.features.tobytes() == np.concatenate([x for x, _ in expected]).tobytes()
+                        assert d.labels.tolist() == [i for _, ids in expected for i in ids]
+        finally:
+            csv.field_size_limit(limit)
