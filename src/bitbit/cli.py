@@ -204,6 +204,22 @@ def _check_flags(cfg: RunConfig) -> None:
         raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
     if cfg.input is not None and (cfg.train_input or cfg.test_input):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
+    for flag, path in (("--output", cfg.output), ("--model-output", cfg.model_output),
+                       ("--output-dir", cfg.output_dir), ("--work-dir", cfg.work_dir)):
+        if path is not None:
+            _check_output(flag, Path(path), is_dir=flag.endswith("-dir"))
+    if cfg.command == "stream-estimate" and cfg.work_dir is None and cfg.output is not None:
+        _check_output("--output's work directory", Path(cfg.output).with_suffix(".work"), is_dir=True)
+
+
+def _check_output(flag: str, path: Path, is_dir: bool) -> None:
+    """Reject an output path no run could write, creating nothing: an existing path must be
+    a directory iff ``is_dir``, and its nearest existing ancestor a writable directory."""
+    if path.exists() and path.is_dir() != is_dir:
+        raise ValueError(f"{flag} {path}: {'not a directory' if is_dir else 'is a directory'}")
+    home = next(p for p in ((path, *path.parents) if is_dir else path.parents) if p.exists())
+    if not (home.is_dir() and os.access(home, os.W_OK)):
+        raise ValueError(f"{flag} {path}: {home} is not a writable directory")
 
 
 def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None = None) -> None:

@@ -172,22 +172,54 @@ def estimate_mutual_information(column, labels, bins: int | None = None) -> floa
     bins = _mi_bins(s) if bins is None else bins
     if bins < 1:
         raise ValueError("bins must be positive")
-    return 0.0 if col.max() == col.min() else _plugin_mi(col, np.quantile(col, np.arange(1, bins) / bins), labs)
+    return float(_mutual_information(col[:, None], labs, bins)[0])
 
 
 def _mi_bins(s: int) -> int:
     return min(max(int(math.isqrt(s)), 8), 256)
 
 
-def _plugin_mi(col: np.ndarray, cuts: np.ndarray, labs: np.ndarray) -> float:
-    """Plug-in MI in bits of the (bin, label) table of a nonconstant column cut at ``cuts``."""
-    edges = np.unique(cuts)
-    n_classes = int(labs.max()) + 1
-    cells = np.searchsorted(edges, col, side="right") * n_classes + labs
-    joint = np.bincount(cells, minlength=(edges.shape[0] + 1) * n_classes).reshape(-1, n_classes) / col.shape[0]
+def _quantile_cuts(ordered: np.ndarray, bins: int) -> np.ndarray:
+    """``np.quantile(x, np.arange(1, bins) / bins, axis=0)`` from ``ordered``, the
+    columns of ``x`` sorted: numpy's linear method and its ``_lerp``, written out."""
+    n = ordered.shape[0]
+    virtual = (n - 1) * (np.arange(1, bins) / bins)
+    end = virtual >= n - 1  # numpy's rule: both neighbours are then the maximum
+    below = np.where(end, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(end, -1, below + 1)
+    t = (virtual - below)[:, None]
+    a, b = ordered[below], ordered[above]
+    cuts = a + (b - a) * t
+    np.subtract(b, (b - a) * (1 - t), out=cuts, where=t >= 0.5)
+    return cuts
+
+
+def _mutual_information(x: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
+    """``estimate_mutual_information`` of each column of ``x``: one sort, one ``np.bincount``
+    over the stacked (bin, label) tables. Bin ids count distinct cuts, as ``np.unique``
+    edges do. Sums stay per table, since numpy sums a one-class table pairwise."""
+    s, d = x.shape
+    ordered = np.sort(x, axis=0)
+    constant = ordered[0] == ordered[-1]
+    cuts = np.sort(_quantile_cuts(ordered, bins), axis=0)
+    del ordered  # so that the batch is held at most twice: as given, then as cells
+    first = np.ones(cuts.shape, dtype=bool)
+    first[1:] = cuts[1:] != cuts[:-1]
+    distinct = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(first, axis=0)])  # among the first i cuts
+    offsets = np.concatenate([[0], np.cumsum(distinct[-1] + 1)])  # table j is rows offsets[j]:offsets[j + 1]
+    n_classes = int(labels.max()) + 1
+    cells = np.empty((s, d), dtype=np.int64)
+    for j in range(d):
+        cells[:, j] = distinct[np.searchsorted(cuts[:, j], x[:, j], side="right"), j] + offsets[j]
+    cells *= n_classes
+    cells += labels[:, None]
+    joint = np.bincount(cells.ravel(), minlength=offsets[-1] * n_classes).reshape(-1, n_classes) / s
+    by_class = np.repeat([joint[a:b].sum(axis=0) for a, b in zip(offsets[:-1], offsets[1:])], np.diff(offsets), axis=0)
     nz = joint > 0
-    ratio = joint[nz] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
-    return max(float(np.sum(joint[nz] * np.log2(ratio))), 0.0)
+    terms = joint[nz] * np.log2(joint[nz] / (joint.sum(axis=1)[:, None] * by_class)[nz])
+    ends = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])[offsets]
+    scores = [max(float(np.sum(terms[a:b])), 0.0) for a, b in zip(ends[:-1], ends[1:])]
+    return np.where(constant, 0.0, scores)
 
 
 def allocate_bits(imp: ImportanceScores, n_x: int) -> BitAllocation:
@@ -332,16 +364,12 @@ def fit_batches(reducer: FittedReducer, batches, reservoir_size: int,
             score_sum = np.zeros(d)
         count += x.shape[0]
         reduced = transform(reducer, x)
-        lo, hi = reduced.min(axis=0), reduced.max(axis=0)
-        mins, maxs = np.minimum(mins, lo), np.maximum(maxs, hi)
+        mins, maxs = np.minimum(mins, reduced.min(axis=0)), np.maximum(maxs, reduced.max(axis=0))
         for j in range(d):
             reservoirs[j].add(reduced[:, j])
         if x.shape[0] >= 2:  # single-row batches carry no label information
             w = float(x.shape[0]) if weighted_mi else 1.0
-            bins = _mi_bins(x.shape[0])  # estimate_mutual_information per column, edges from one call
-            cuts = np.quantile(reduced, np.arange(1, bins) / bins, axis=0)
-            score_sum += w * np.array([0.0 if lo[j] == hi[j] else _plugin_mi(reduced[:, j], cuts[:, j], y)
-                                       for j in range(d)])
+            score_sum += w * _mutual_information(reduced, y, _mi_bins(x.shape[0]))
             score_weight += w
     check_train_count(count)
     if score_weight == 0.0:
@@ -386,25 +414,29 @@ def pack_codes(unit: np.ndarray, bits) -> np.ndarray:
     """Floor-discretize column j of ``unit`` to ``bits[j]`` bits and concatenate the
     codes, component 0 first, into rows of uint64 words, most significant word
     first. Fields are cut into pieces inside 32-bit boundaries; each piece is the
-    exact floor of the remaining fraction times a power of two, so any width works."""
-    width = sum(bits)
-    n_words = max(1, -(-width // 64))
-    words = np.zeros((unit.shape[0], n_words), dtype=np.uint64)
-    top = width
-    for j, b in enumerate(bits):
-        x = unit[:, j]
-        saturated = x >= 1.0  # floor would overflow the field: all ones instead
-        low = top - b
-        while top > low:
-            cut = max(low, (top - 1) // 32 * 32)
-            x = x * float(1 << (top - cut))
-            piece = np.floor(x)
-            x -= piece
-            code = piece.astype(np.uint64)
-            code[saturated] = (1 << (top - cut)) - 1
-            words[:, n_words - 1 - cut // 64] |= code << np.uint64(cut % 64)
-            top = cut
-    return words
+    exact floor of the remaining fraction times a power of two, so any width works.
+    Each round cuts the next piece of every field that has one left."""
+    bits = np.asarray(bits, dtype=np.int64)
+    width = int(bits.sum())
+    words = np.zeros((max(1, -(-width // 64)), unit.shape[0]), dtype=np.uint64)
+    live = np.flatnonzero(bits)
+    low = (width - np.cumsum(bits))[live]
+    top = low + bits[live]
+    x = np.array(unit[:, live].T, dtype=np.float64, order="C")  # one row per field
+    while top.size:
+        cut = np.maximum(low, (top - 1) // 32 * 32)
+        scale = np.ldexp(1.0, top - cut)[:, None]
+        x *= scale
+        piece = np.floor(x)
+        np.minimum(piece, scale - 1.0, out=piece)  # x >= 1: all ones, and x stays >= 1 for the next piece
+        x -= piece
+        code = piece.astype(np.uint64) << (cut % 64).astype(np.uint64)[:, None]
+        word = len(words) - 1 - cut // 64
+        for w in set(word.tolist()):
+            words[w] |= np.bitwise_or.reduce(code[word == w], axis=0)
+        more = cut > low
+        top, low, x = cut[more], low[more], x[more]
+    return np.ascontiguousarray(words.T)
 
 
 def packed_values(words: np.ndarray) -> list[int]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bitbit.encoder import (
     CopulaModel,
     EncoderModel,
     ImportanceScores,
+    _quantile_cuts,
     allocate_bits,
     apply_copula,
     discretize_value,
@@ -89,14 +91,33 @@ class TestMutualInformation:
         assert abs(a - b) < 1e-12
 
 
+def oracle_mutual_information(column, labels, bins: int | None = None) -> float:
+    """Reference for ``estimate_mutual_information``, one column at a time: edges
+    from ``np.quantile``, deduplicated by ``np.unique``, and a fresh (bin, label)
+    table per column."""
+    col = np.asarray(column, dtype=np.float64)
+    labs = np.asarray(labels, dtype=np.int64)
+    bins = min(max(math.isqrt(col.shape[0]), 8), 256) if bins is None else bins
+    if col.max() == col.min():
+        return 0.0
+    edges = np.unique(np.quantile(col, np.arange(1, bins) / bins))
+    n_classes = int(labs.max()) + 1
+    cells = np.searchsorted(edges, col, side="right") * n_classes + labs
+    joint = np.bincount(cells, minlength=(edges.shape[0] + 1) * n_classes).reshape(-1, n_classes) / col.shape[0]
+    nz = joint > 0
+    ratio = joint[nz] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz]
+    return max(float(np.sum(joint[nz] * np.log2(ratio))), 0.0)
+
+
 def _mi_matrix(rng, s: int) -> np.ndarray:
-    """Columns with ties, a constant column and continuous columns."""
+    """Columns with ties, a constant column, continuous columns and signed zeros."""
     return np.column_stack([
         rng.integers(0, 3, s).astype(float),
         rng.integers(0, max(2, s // 4), s) * 0.5,
         np.full(s, 1.25),
         rng.standard_normal(s),
         np.round(rng.standard_normal(s), 1),
+        rng.choice([-0.0, 0.0, 1.0], s),
     ])
 
 
@@ -105,9 +126,45 @@ def identity(x):
     return fit_reducer(ReducerSpec("none"), [x])
 
 
+def per_column_oracle(x, y, bins=None) -> np.ndarray:
+    return np.array([oracle_mutual_information(x[:, j], y, bins) for j in range(x.shape[1])])
+
+
+class TestQuantileCuts:
+    """The MI bin edges come from one sort per batch and numpy's own linear
+    interpolation; they must equal ``np.quantile``'s, value for value."""
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 455, 6000])
+    def test_equal_to_np_quantile(self, n):
+        rng = np.random.default_rng(n)
+        x = np.column_stack([_mi_matrix(rng, n), rng.choice([-0.0, 0.0], n), rng.standard_normal(n) * 1e-300])
+        for bins in sorted({1, 2, 3, 8, 21, 77, 256, min(max(math.isqrt(n), 8), 256)}):
+            q = np.arange(1, bins) / bins
+            cuts = _quantile_cuts(np.sort(x, axis=0), bins)
+            assert cuts.shape == (bins - 1, x.shape[1])
+            assert (cuts == np.quantile(x, q, axis=0)).all(), bins
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n, d = int(rng.integers(2, 400)), int(rng.integers(1, 4))
+            x = rng.integers(-3, 4, (n, d)) * rng.choice([1.0, 0.1, 1e-9, 1e9]) + rng.choice([0.0, 1.0]) * rng.random((n, d))
+            bins = int(rng.integers(1, 40))
+            assert (_quantile_cuts(np.sort(x, axis=0), bins) == np.quantile(x, np.arange(1, bins) / bins, axis=0)).all()
+
+
 class TestBatchedMutualInformation:
-    """``fit_batches`` takes every column's bin edges from one ``np.quantile``
-    call per batch; each score must equal the per-column oracle bit for bit."""
+    """``fit_batches`` scores every component of a batch in one pass: one sort
+    for the bin edges and one ``np.bincount`` for all the (bin, label) tables.
+    Each score must equal the per-column ``np.quantile`` oracle bit for bit."""
+
+    def test_single_column_function_matches_oracle(self, rng):
+        for s in (2, 3, 10, 100, 455):
+            x = _mi_matrix(rng, s)
+            y = rng.integers(0, 3, s)
+            for j in range(x.shape[1]):
+                for bins in (None, 1, 2, 5):
+                    assert estimate_mutual_information(x[:, j], y, bins) == oracle_mutual_information(x[:, j], y, bins)
 
     @pytest.mark.parametrize("s", [2, 3, 63, 64, 65, 455, 1000, 70000])
     def test_one_batch_equals_per_column_calls(self, s):
@@ -116,8 +173,7 @@ class TestBatchedMutualInformation:
             x = _mi_matrix(rng, s)
             y = rng.integers(0, 3, s)
             scores = fit_batches(identity(x), [(x, y)], s, None).importances.scores
-            oracle = [estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])]
-            assert scores.tolist() == oracle
+            assert scores.tolist() == per_column_oracle(x, y).tolist()
             assert scores[2] == 0.0
 
     def test_default_bins_clamp_at_8_and_256(self):
@@ -126,7 +182,7 @@ class TestBatchedMutualInformation:
             x = _mi_matrix(rng, s)
             y = rng.integers(0, 4, s)
             scores = fit_batches(identity(x), [(x, y)], s, None).importances.scores
-            assert scores.tolist() == [estimate_mutual_information(x[:, j], y, bins) for j in range(x.shape[1])]
+            assert scores.tolist() == per_column_oracle(x, y, bins).tolist()
 
     def test_class_absent_from_a_batch(self):
         rng = np.random.default_rng(5)
@@ -134,17 +190,31 @@ class TestBatchedMutualInformation:
             (_mi_matrix(rng, 200), rng.integers(0, 3, 200)),
             (_mi_matrix(rng, 150), 2 * rng.integers(0, 2, 150)),  # class 1 absent
             (_mi_matrix(rng, 90), rng.integers(0, 2, 90)),  # the top class absent
+            (_mi_matrix(rng, 120), np.zeros(120, dtype=np.int64)),  # one class: a one-column table
+            (_mi_matrix(rng, 80), np.full(80, 2)),  # one class, the lower ones absent
         ]
         scores = fit_batches(identity(batches[0][0]), batches, 1000, None).importances.scores
-        a, b, c = (np.array([estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])])
-                   for x, y in batches)
-        assert scores.tolist() == ((a + b + c) / 3.0).tolist()
+        per_batch = [per_column_oracle(x, y) for x, y in batches]
+        assert scores.tolist() == (sum(per_batch) / len(batches)).tolist()
+
+    def test_one_class_batches_keep_their_rounding(self):
+        # numpy sums a one-column table pairwise and a wider one row by row, so
+        # empty bins padded into the tables would move these scores.
+        rng = np.random.default_rng(7)
+        nonzero = 0
+        for _ in range(200):
+            s = int(rng.integers(2, 300))
+            x = rng.integers(0, int(rng.integers(2, 40)), (s, 3)) * 0.25
+            y = np.zeros(s, dtype=np.int64)
+            scores = fit_batches(identity(x), [(x, y)], s, None).importances.scores
+            assert scores.tolist() == per_column_oracle(x, y).tolist()
+            nonzero += int(np.count_nonzero(scores))
+        assert nonzero > 0  # some one-class scores round above zero
 
     def test_weighted_mi_weights_batches_by_rows(self):
         rng = np.random.default_rng(6)
         batches = [(_mi_matrix(rng, s), rng.integers(0, 3, s)) for s in (300, 40, 9)]
-        per_batch = np.array([[estimate_mutual_information(x[:, j], y) for j in range(x.shape[1])]
-                              for x, y in batches])
+        per_batch = np.array([per_column_oracle(x, y) for x, y in batches])
         rows = np.array([len(y) for _, y in batches], dtype=float)
         weighted = fit_batches(identity(batches[0][0]), batches, 1000, None, weighted_mi=True).importances.scores
         assert np.abs(weighted - rows @ per_batch / rows.sum()).max() < 1e-12
@@ -318,7 +388,41 @@ def reference_pack(unit, bits) -> list[int]:
     return values
 
 
+def loop_pack_codes(unit, bits) -> np.ndarray:
+    """Reference for ``pack_codes``: one field at a time, one 32-bit-bounded piece at a time."""
+    width = sum(bits)
+    n_words = max(1, -(-width // 64))
+    words = np.zeros((unit.shape[0], n_words), dtype=np.uint64)
+    top = width
+    for j, b in enumerate(bits):
+        x = unit[:, j]
+        saturated = x >= 1.0
+        low = top - b
+        while top > low:
+            cut = max(low, (top - 1) // 32 * 32)
+            x = x * float(1 << (top - cut))
+            piece = np.floor(x)
+            x -= piece
+            code = piece.astype(np.uint64)
+            code[saturated] = (1 << (top - cut)) - 1
+            words[:, n_words - 1 - cut // 64] |= code << np.uint64(cut % 64)
+            top = cut
+    return words
+
+
 class TestPackCodes:
+    @pytest.mark.parametrize("field", [31, 32, 33, 63, 64, 65, 128, 129, 191])
+    def test_equal_to_the_field_loop(self, rng, field):
+        edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 2.0 ** -40, 0.5, 1.0 - 2.0 ** -33]
+        unit = np.vstack([rng.random((30, 5)), np.array(edges)[:, None].repeat(5, axis=1)])
+        unit[rng.random(unit.shape) < 0.1] = 1.0  # saturated
+        for bits in [(0, field, 3, field, 0), (field, 0, 0, 1, field), (0, 0, field, 0, 0), (5, field, 7, 0, 2)]:
+            for rows in (unit, unit[:0]):
+                words = pack_codes(rows, bits)
+                assert words.flags.c_contiguous and words.dtype == np.uint64
+                assert np.array_equal(words, loop_pack_codes(rows, bits)), bits
+            assert packed_values(pack_codes(unit, bits)) == reference_pack(unit, bits), bits
+
     def test_matches_scalar_oracle_at_any_width(self, rng):
         edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 2.0 ** -40, 0.5, 0.75]
         unit = np.vstack([rng.random((40, 4)), np.array(edges)[:, None].repeat(4, axis=1)])
