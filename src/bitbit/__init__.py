@@ -37,6 +37,7 @@ from bitbit.coverage import (
     CoverageMetrics,
     QubitEstimate,
     build_table,
+    code_coverage,
     compute_q_y,
     coverage_metrics,
     sweep_qubits,
@@ -53,4 +54,4 @@ from bitbit.qsim import (
     rotosolve_step,
     train_sweeps,
 )
-from bitbit.stream import batched_coverage, stream_fit_base, stream_sweep_curve
+from bitbit.stream import stream_fit_base, stream_sweep_curve

@@ -24,10 +24,10 @@ from bitbit import __version__
 from bitbit.coverage import (
     CoverageMetrics,
     QubitEstimate,
+    code_coverage,
     compute_q_y,
-    count_codes,
+    count_table,
     estimate_from_curve,
-    split_coverage,
     sweep_curve,
 )
 from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, split_train_test
@@ -208,8 +208,17 @@ def _check_flags(cfg: RunConfig) -> None:
                        ("--output-dir", cfg.output_dir), ("--work-dir", cfg.work_dir)):
         if path is not None:
             _check_output(flag, Path(path), is_dir=flag.endswith("-dir"))
-    if cfg.command == "stream-estimate" and cfg.work_dir is None and cfg.output is not None:
-        _check_output("--output's work directory", Path(cfg.output).with_suffix(".work"), is_dir=True)
+    # Paths a command derives from a flag, named after it.
+    if cfg.command in ("estimate", "stream-estimate") and (cfg.output or cfg.work_dir):
+        report = Path(cfg.output or Path(cfg.work_dir) / "report.json")
+        if cfg.command == "stream-estimate" and cfg.work_dir is None:
+            _check_output("--output's work directory", report.with_suffix(".work"), is_dir=True)
+        if cfg.output is None:
+            _check_output("--work-dir's report", report, is_dir=False)
+        flag = "--output" if cfg.output else "--work-dir"
+        _check_output(f"{flag}'s curves file", report.with_suffix(".curves.csv"), is_dir=False)
+    if cfg.command == "train" and cfg.model_output is None:
+        _check_output("--output's model file", Path(cfg.output).with_suffix(".model.json"), is_dir=False)
 
 
 def _check_output(flag: str, path: Path, is_dir: bool) -> None:
@@ -238,11 +247,19 @@ def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None 
         raise ValueError(f"--components {cfg.components} exceeds the {n_rows} training rows of {path}")
 
 
-def _check_test_width(cfg: RunConfig, n_train: int, n_test: int) -> None:
-    """Reject a test input whose feature count differs from the training input's, naming both files."""
-    if n_test != n_train:
-        raise ValueError(f"--test-input {cfg.test_input} has {n_test} features, "
-                         f"but the training input {cfg.train_input} has {n_train}")
+def _check_test_columns(cfg: RunConfig) -> tuple[str, ...]:
+    """Reject a ``--test-input`` whose feature columns (the header without the
+    label column) are not the training input's in the same order, naming both
+    files and the first column that differs; reads only the two headers, and
+    returns the training input's feature names."""
+    train_names, test_names = (CsvBatchSource(path, cfg.label_column).feature_names()
+                               for path in (cfg.train_input, cfg.test_input))
+    if test_names != train_names:
+        i, pair = next((i, p) for i, p in enumerate(zip((*test_names, None), (*train_names, None))) if p[0] != p[1])
+        test_name, train_name = ("absent" if name is None else repr(name) for name in pair)
+        raise ValueError(f"--test-input {cfg.test_input}: feature column {i + 1} is {test_name}, "
+                         f"but in the training input {cfg.train_input} it is {train_name}")
+    return train_names
 
 
 # --- in-memory front end: estimate --input, encode, train ---
@@ -279,27 +296,29 @@ def run_estimate(cfg: RunConfig) -> int:
         if cfg.train_input or cfg.test_input:
             if not (cfg.train_input and cfg.test_input):
                 raise ValueError("pre-split mode needs both --train-input and --test-input")
+            _check_test_columns(cfg)
             train = load_csv(cfg.train_input, cfg.label_column)
             test = load_csv(cfg.test_input, cfg.label_column, train.label_names)
-            _check_test_width(cfg, train.n_features, test.n_features)
             _check_components(cfg, train.n_features, cfg.train_input, train.n_samples)
             label_names = train.label_names
-            pairs = [(train, test, None)]
+            seeds = [None]
         else:
             if cfg.input is None:
                 raise ValueError("estimate requires --input (or --train-input/--test-input)")
             dataset = _load_input(cfg)
             label_names = dataset.label_names
-            pairs = [(*_split(cfg, dataset, cfg.seed + r), cfg.seed + r) for r in range(cfg.replicates)]
+            # Each worker makes its own split; sizes do not depend on the seed, so one check covers all.
+            _split(cfg, dataset, cfg.seed)
+            seeds = [cfg.seed + r for r in range(cfg.replicates)]
 
-        def worker(pair):
-            tr, te, seed = pair
+        def worker(seed):
             # Sweep to the strictest reported threshold so every threshold's
             # first crossing can be read off one curve.
-            return sweep_curve(tr, te, spec, 1.0, cfg.n_x_max, cfg.step), seed
+            split = (train, test) if seed is None else _split(cfg, dataset, seed)
+            return sweep_curve(*split, spec, 1.0, cfg.n_x_max, cfg.step), seed
 
         with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
-            results = list(pool.map(worker, pairs))
+            results = list(pool.map(worker, seeds))
 
     config = _config_echo(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
                                 "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
@@ -320,9 +339,8 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
         if not Path(path).is_file():
             raise ValueError(f"{flag}: no such file {path!r}")
+    n_features = len(_check_test_columns(cfg))
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
-    n_features = train_csv.n_features()
-    _check_test_width(cfg, n_features, CsvBatchSource(cfg.test_input, cfg.label_column).n_features())
     _check_components(cfg, n_features, cfg.train_input)
     with open(cfg.test_input, newline="", encoding="utf-8-sig") as fh:
         if not any(row for _, row in islice(csv_records(fh, cfg.test_input), 1, None)):  # none converted
@@ -408,11 +426,12 @@ def _train(cfg: RunConfig) -> int:
         )
     train, test = _split(cfg, dataset, cfg.seed)
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
-    train_table, test_keys, ceiling = split_coverage(
-        copula_units(model_enc, train.features), train,
-        copula_units(model_enc, test.features), test, model_enc.allocation.bits,
+    train_table, test_table = (
+        count_table([(pack_codes(copula_units(model_enc, split.features), model_enc.allocation.bits), split.labels)],
+                    train.c, model_enc.width)
+        for split in (train, test)
     )
-    test_table = count_codes(test_keys, test.labels, test.c, model_enc.width)
+    ceiling = code_coverage(train_table, test_table)
     batch = training_batch_from_table(
         train_table, weighting="uniform" if cfg.uniform_weights else "frequency"
     )

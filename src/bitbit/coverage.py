@@ -77,7 +77,8 @@ def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTa
             raise ValueError(f"label {label} out of range for c={c}")
         values.append(z.value)
         labels.append(label)
-    return count_codes(_value_keys(values, width), np.array(labels, dtype=np.int64), c, width)
+    keys = np.array(values, dtype=np.uint64 if width is None or width <= 64 else object)
+    return count_codes(keys, np.array(labels, dtype=np.int64), c, width)
 
 
 def train_collision_incidence(t: BitstringTable) -> float:
@@ -119,18 +120,12 @@ class CoverageMetrics:
 
 
 def coverage_metrics(table: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> CoverageMetrics:
-    """Per-sample rule: each test sample is judged against its training bucket."""
-    values, labels = [], []
-    for z, label in encoded_test:
-        if table.width is not None and z.width != table.width:
-            raise ValueError(f"test width {z.width} != table width {table.width}")
-        values.append(z.value)
-        labels.append(int(label))
-    return code_coverage(table, _value_keys(values, table.width), np.array(labels, dtype=np.int64))
-
-
-def _value_keys(values: list[int], width: int | None) -> np.ndarray:
-    return np.array(values, dtype=np.uint64 if width is None or width <= 64 else object)
+    """Per-sample rule over (bitstring, label) test records, whose labels are
+    class ids below ``table.c``."""
+    test = build_table(encoded_test, table.c)
+    if None not in (table.width, test.width) and test.width != table.width:
+        raise ValueError(f"test width {test.width} != table width {table.width}")
+    return code_coverage(table, test)
 
 
 def count_codes(keys: np.ndarray, labels: np.ndarray, c: int, width: int | None) -> BitstringTable:
@@ -138,6 +133,19 @@ def count_codes(keys: np.ndarray, labels: np.ndarray, c: int, width: int | None)
     codes, inverse = np.unique(keys, return_inverse=True)
     counts = np.bincount(inverse * c + labels, minlength=codes.shape[0] * c)
     return BitstringTable(codes, counts.reshape(codes.shape[0], c), width)
+
+
+def count_table(chunks: Iterable[tuple[np.ndarray, np.ndarray]], c: int, width: int) -> BitstringTable:
+    """The count table of ``(pack_codes words, label ids)`` chunks, at least
+    one. Per-chunk tables are merged once they hold as many codes as the
+    merged table, so memory stays within about twice the distinct codes plus
+    one chunk."""
+    tables: list[BitstringTable] = []
+    for words, labels in chunks:
+        tables.append(count_codes(code_keys(words), labels, c, width))
+        if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
+            tables = [merge_counts(tables)]
+    return tables[0] if len(tables) == 1 else merge_counts(tables)
 
 
 def merge_counts(tables: Sequence[BitstringTable]) -> BitstringTable:
@@ -148,26 +156,28 @@ def merge_counts(tables: Sequence[BitstringTable]) -> BitstringTable:
     return BitstringTable(codes, counts, tables[0].width)
 
 
-def code_coverage(table: BitstringTable, test_keys, test_labels, test_weights=None) -> CoverageMetrics:
-    """Coverage of test records, given as code keys, against a training table.
-
-    A record found in training errs iff its label is not the training majority
-    (ties go to the smallest class). Each record stands for ``test_weights``
-    samples, default 1: the per-sample rule. Test buckets weighted by their
-    size and labelled with their own majority give the batched streaming rule.
-    """
-    train_incidence = train_collision_incidence(table)
-    codes, counts = table.codes, table.counts
-    weights = np.ones(test_keys.shape[0], dtype=np.int64) if test_weights is None else test_weights
-    pos = np.minimum(np.searchsorted(codes, test_keys), codes.shape[0] - 1)
-    hit = codes[pos] == test_keys
-    wrong = hit & (counts.argmax(axis=1)[pos] != test_labels)
+def code_coverage(train: BitstringTable, test: BitstringTable, batched: bool = False) -> CoverageMetrics:
+    """Coverage of a test count table against a training one; test codes not
+    in training neither err nor overlap. Per-sample rule: a test record errs
+    iff its label is not its code's training majority (ties go to the
+    smallest class). With ``batched``, the streaming rule: a test bucket errs
+    as a whole iff its own majority is not the training majority."""
+    train_incidence = train_collision_incidence(train)
+    pos = np.minimum(np.searchsorted(train.codes, test.codes), train.codes.shape[0] - 1)
+    hit = train.codes[pos] == test.codes
+    majority = train.counts.argmax(axis=1)[pos]
+    sizes = test.counts.sum(axis=1)
+    # Records of each test code judged right: those of its training majority's
+    # class, or with ``batched`` the whole bucket when its own majority is that class.
+    right = (np.where(test.counts.argmax(axis=1) == majority, sizes, 0) if batched
+             else test.counts[np.arange(sizes.shape[0]), majority])
+    overlapping = int(sizes[hit].sum())
     return CoverageMetrics.from_counts(
         train_incidence=train_incidence,
-        n_train=table.total,
-        errors=int(weights[wrong].sum()),
-        overlapping=int(weights[hit].sum()),
-        n_test=int(weights.sum()),
+        n_train=train.total,
+        errors=overlapping - int(right[hit].sum()),
+        overlapping=overlapping,
+        n_test=int(sizes.sum()),
     )
 
 
@@ -256,27 +266,20 @@ def sweep_curve(
     step: int,
 ) -> list[tuple[int, CoverageMetrics]]:
     """``sweep_widths`` over in-memory data: the encoder is fitted and both
-    sets ranked once, then each width packs, counts and compares codes."""
+    sets ranked once, then each width packs and counts both splits' codes and
+    applies the per-sample rule."""
     _check_sweep(stop_threshold, n_x_max, step)
     model = fit_encoder(train, spec, 1)
-    unit_train = copula_units(model, train.features)
-    unit_test = copula_units(model, test.features)
+    # Both splits' rows in one array, so each width pays pack_codes' fixed cost once.
+    units = np.concatenate([copula_units(model, train.features), copula_units(model, test.features)])
+    n = train.n_samples
 
     def measure(bits):
-        return split_coverage(unit_train, train, unit_test, test, bits)[2]
+        words = pack_codes(units, bits)
+        return code_coverage(*(count_table([(part, labels)], train.c, sum(bits))
+                               for part, labels in ((words[:n], train.labels), (words[n:], test.labels))))
 
     return sweep_widths(model.importances, measure, stop_threshold, n_x_max, step)
-
-
-def split_coverage(
-    unit_train: np.ndarray, train: Dataset, unit_test: np.ndarray, test: Dataset, bits
-) -> tuple[BitstringTable, np.ndarray, CoverageMetrics]:
-    """The train count table and the test code keys of the codes packed with
-    ``bits`` from each split's copula units (``copula_units``), and the
-    per-sample coverage of test against train."""
-    train_table = count_codes(code_keys(pack_codes(unit_train, bits)), train.labels, train.c, sum(bits))
-    test_keys = code_keys(pack_codes(unit_test, bits))
-    return train_table, test_keys, code_coverage(train_table, test_keys, test.labels)
 
 
 def code_keys(words: np.ndarray) -> np.ndarray:

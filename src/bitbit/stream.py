@@ -26,15 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bitbit.coverage import (
-    BitstringTable,
-    CoverageMetrics,
-    code_coverage,
-    code_keys,
-    count_codes,
-    merge_counts,
-    sweep_widths,
-)
+from bitbit.coverage import CoverageMetrics, code_coverage, count_table, sweep_widths
 from bitbit.data import csv_batches, read_csv_header, resolve_label_column
 from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
 from bitbit.dimred import ReducerSpec, fit_reducer
@@ -65,12 +57,12 @@ class CsvBatchSource:
         self._strict = label_mapping is not None
         self.label_mapping: dict[str, int] = dict(label_mapping) if label_mapping else {}
 
-    def n_features(self) -> int:
-        """The number of feature columns in the header; reads only the header row."""
+    def feature_names(self) -> tuple[str, ...]:
+        """The header's feature column names, in order; reads only the header row."""
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
             header = read_csv_header(fh, self.path)
-        resolve_label_column(header, self.label_column, self.path)
-        return len(header) - 1
+        label_idx = resolve_label_column(header, self.label_column, self.path)
+        return tuple(header[:label_idx] + header[label_idx + 1:])
 
     def batches(self, batch_size: int):
         if batch_size < 1:
@@ -149,18 +141,6 @@ def _spill_codes(spill: Spill, copula, bits, batch_size: int):
         yield pack_codes(rank_units(copula, ranks), bits), labels
 
 
-def _count_table(spill: Spill, copula, bits, c: int, batch_size: int) -> BitstringTable:
-    """``count_codes`` over a rank spill. Per-chunk tables are merged once they
-    hold as many codes as the merged table, so memory stays within about twice
-    the distinct codes plus one chunk."""
-    tables: list[BitstringTable] = []
-    for words, labels in _spill_codes(spill, copula, bits, batch_size):
-        tables.append(count_codes(code_keys(words), labels, c, sum(bits)))
-        if len(tables) > 1 and sum(t.codes.shape[0] for t in tables[1:]) >= tables[0].codes.shape[0]:
-            tables = [merge_counts(tables)]
-    return tables[0] if len(tables) == 1 else merge_counts(tables)
-
-
 def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, batch_size: int, work_dir,
                        stop_threshold: float, n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
     """``sweep_widths`` over ``train_source`` and ``test_source`` with the
@@ -178,8 +158,8 @@ def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, ba
             spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(batch_size))
 
         def measure(bits):
-            return batched_coverage(_count_table(spills["train"], copula, bits, c, batch_size),
-                                    _count_table(spills["test"], copula, bits, c, batch_size))
+            return code_coverage(*(count_table(_spill_codes(spill, copula, bits, batch_size), c, sum(bits))
+                                   for spill in spills.values()), batched=True)
 
         curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
         model = base.at_width(curve[-1][0])
@@ -191,10 +171,3 @@ def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, ba
         for spill in spills.values():
             spill.path.unlink(missing_ok=True)
     return curve
-
-
-def batched_coverage(train_table: BitstringTable, test_table: BitstringTable) -> CoverageMetrics:
-    """The batched rule: a test bucket whose code occurs in training errs as a
-    whole iff its majority test label differs from the training majority."""
-    counts = test_table.counts
-    return code_coverage(train_table, test_table.codes, counts.argmax(axis=1), counts.sum(axis=1))

@@ -119,6 +119,23 @@ class TestEstimateCommand:
                 "--replicates", "1", "--n-x-max", "12", "--output", out)
         assert json.loads(out.read_text())["label_mapping"] == {"cat": 0, "dog": 1}
 
+    def test_peak_memory_does_not_grow_with_replicates(self, tmp_path):
+        """Each replicate's split is made in its worker, so one worker holds one split at a time."""
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, make_synthetic(4000, 30, 2, 1.0, seed=5))
+        peaks = []
+        for replicates in (2, 12):
+            tracemalloc.start()
+            try:
+                code = run_cli("estimate", "--input", path, "--replicates", replicates, "--n-x-max", "1",
+                               "--jobs", "1", "--output", tmp_path / f"r{replicates}.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 2  # one width covers nothing
+        # Ten more splits held at once would add 10 * 4000 * 30 * 8 bytes, 9.6 MB, to a peak of about 5 MB.
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
     def test_parallel_jobs_match_sequential(self, tmp_path, separable_2d_csv):
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
         for out, jobs in ((seq, 1), (par, 4)):
@@ -584,6 +601,16 @@ def split_csvs(tmp_path, separable_2d_csv):
 COMPONENT_COMMANDS = ("estimate", "estimate-split", "encode", "train", "stream-estimate")
 
 
+# (command, output flag) pairs.
+OUTPUT_FLAGS = [("estimate", "--output"), ("stream-estimate", "--output"), ("stream-estimate", "--work-dir"),
+                ("train", "--output"), ("train", "--model-output"), ("encode", "--output-dir")]
+# Files a command names after a flag. Each lies beside or inside its flag's
+# path, so only an existing directory in its place makes it unusable.
+DERIVED_FLAGS = [("estimate", "--output's curves file"), ("stream-estimate", "--output's curves file"),
+                 ("stream-estimate", "--work-dir's report"), ("stream-estimate", "--work-dir's curves file"),
+                 ("train", "--output's model file")]
+
+
 class TestFlagValidation:
     """Bad flag values exit 1 with one error line naming the flag, and write nothing."""
 
@@ -682,11 +709,9 @@ class TestFlagValidation:
         self._assert_flag_error(code, capsys, named)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,flag", [
-        ("estimate", "--output"), ("stream-estimate", "--output"), ("stream-estimate", "--work-dir"),
-        ("train", "--output"), ("train", "--model-output"), ("encode", "--output-dir"),
-    ])
-    @pytest.mark.parametrize("where", ["under-a-file", "wrong-kind"])
+    @pytest.mark.parametrize("where,command,flag", [(where, *pair) for where in ("under-a-file", "wrong-kind")
+                                                    for pair in OUTPUT_FLAGS]
+                             + [("wrong-kind", *pair) for pair in DERIVED_FLAGS])
     def test_unusable_output_fails_before_any_read(self, tmp_path, split_csvs, capsys, monkeypatch,
                                                    command, flag, where):
         def never(*args, **kwargs):
@@ -710,6 +735,17 @@ class TestFlagValidation:
         }[command]
         outputs = {"estimate": ("--output",), "stream-estimate": ("--output", "--work-dir"),
                    "train": ("--output", "--model-output"), "encode": ("--output-dir",)}[command]
+        derived = {"--output's curves file": good["--output"].with_suffix(".curves.csv"),
+                   "--output's model file": good["--output"].with_suffix(".model.json"),
+                   "--work-dir's report": good["--work-dir"] / "report.json",
+                   "--work-dir's curves file": good["--work-dir"] / "report.curves.csv"}
+        if flag in derived:
+            bad = derived[flag]
+            bad.mkdir(parents=True)
+            # Leave out the flag that would take the derived file's place.
+            replaced_by = {"--work-dir's report": "--output", "--work-dir's curves file": "--output",
+                           "--output's model file": "--model-output"}.get(flag)
+            outputs = tuple(f for f in outputs if f != replaced_by)
         before = sorted(tmp_path.rglob("*"))
         code = run_cli(command, *base, *[a for f in outputs for a in (f, bad if f == flag else good[f])])
         self._assert_flag_error(code, capsys, f"{flag} {bad}")
@@ -903,11 +939,50 @@ class TestFlagValidation:
         flags = ("--batch-size", "8", "--work-dir", out / "w") if command == "stream-estimate" else ()
         code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--label-column", "label",
                        *flags, "--output", out / "r.json")
-        self._assert_flag_error(code, capsys,
-                                f"--test-input {test_csv} has 3 features, but the training input {train_csv} has 2")
+        self._assert_flag_error(code, capsys, f"--test-input {test_csv}: feature column 3 is 'f2', "
+                                              f"but in the training input {train_csv} it is absent")
         assert not out.exists()
-        if command == "stream-estimate":
-            assert counts == []  # checked from the two headers, before any row is read
+        assert counts == []  # checked from the two headers, before any row is read
+
+    @pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
+    @pytest.mark.parametrize("header,column,names", [
+        ("f1,f0,label", 1, ("'f1'", "'f0'")),  # the same columns in another order
+        ("f0,g1,label", 2, ("'g1'", "'f1'")),  # a renamed column
+        ("f0,label", 2, ("absent", "'f1'")),   # a missing column
+    ], ids=["permuted", "renamed", "missing"])
+    def test_test_input_columns_differ(self, tmp_path, split_csvs, capsys, monkeypatch, command, header,
+                                       column, names):
+        """Test columns are matched by name: a test CSV whose features are the
+        training ones in another order, or under another name, fails from the
+        two headers, before any row is read."""
+        counts = count_converted_rows(monkeypatch)
+        train_csv, test_csv = split_csvs[0], tmp_path / "te_cols.csv"
+        rows = [line.split(",") for line in split_csvs[1].read_text().splitlines()[1:]]
+        source = {"f0": 0, "f1": 1, "g1": 1, "label": 2}  # the te.csv column each test column is copied from
+        lines = [header] + [",".join(row[source[h]] for h in header.split(",")) for row in rows]
+        test_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        flags = ("--batch-size", "8", "--work-dir", out / "w") if command == "stream-estimate" else ()
+        code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, *flags,
+                       "--output", out / "r.json")
+        self._assert_flag_error(code, capsys, f"--test-input {test_csv}: feature column {column} is {names[0]}, "
+                                              f"but in the training input {train_csv} it is {names[1]}")
+        assert not out.exists()
+        assert counts == []
+
+    @pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
+    def test_test_input_label_column_may_move(self, tmp_path, split_csvs, command):
+        """Only the feature columns are compared: the label column may sit elsewhere."""
+        train_csv, test_csv = split_csvs[0], tmp_path / "te_label_first.csv"
+        lines = [line.split(",") for line in split_csvs[1].read_text().splitlines()]
+        test_csv.write_text("".join(",".join([row[-1], *row[:-1]]) + "\n" for row in lines))
+        flags = ("--batch-size", "8") if command == "stream-estimate" else ()
+        outputs = []
+        for name, test in (("moved", test_csv), ("same", split_csvs[1])):
+            out = tmp_path / name / "r.json"
+            assert run_cli(command, "--train-input", train_csv, "--test-input", test, *flags, "--output", out) == 0
+            outputs.append(out.with_suffix(".curves.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["estimate", "encode", "train"])
     def test_stratified_split_left_empty(self, tmp_path, capsys, command):

@@ -8,7 +8,9 @@ import pytest
 from bitbit.coverage import (
     CoverageMetrics,
     build_table,
+    code_coverage,
     compute_q_y,
+    count_table,
     coverage_metrics,
     estimate_from_curve,
     merge_counts,
@@ -20,7 +22,6 @@ from bitbit.data import Dataset, make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, copula_units, discretize_value, encode_samples, fit_encoder
 from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
-from bitbit.stream import batched_coverage
 from tests.conftest import all_pure_1d_dataset
 
 
@@ -457,7 +458,22 @@ class TestArrayTable:
         assert coverage_metrics(t, test) == dict_coverage(o, [(z, label, 1) for z, label in test])
         test_dict = dict_build_table(test, 3)
         batched = [(z, dict_majority_label(test_dict, z), int(n.sum())) for z, n in test_dict.entries.items()]
-        assert batched_coverage(t, build_table(test, 3)) == dict_coverage(o, batched)
+        assert code_coverage(t, build_table(test, 3), batched=True) == dict_coverage(o, batched)
+
+    @pytest.mark.parametrize("width", [1, 64, 65, 130])
+    def test_chunked_count_table_matches_build_table(self, width):
+        """``count_table`` over packed-word chunks, merging as it goes, equals one table of every record."""
+        train, test = record_sets(width, seed=width)
+        records = train + test
+        n_words = -(-width // 64)
+        words = np.array([[(z.value >> 64 * (n_words - 1 - w)) & (2**64 - 1) for w in range(n_words)]
+                          for z, _ in records], dtype=np.uint64)
+        labels = np.array([label for _, label in records], dtype=np.int64)
+        expected = build_table(records, 3)
+        for cuts in ([], [0], [1, 2, 50], [200, 399, 400], list(range(0, len(records), 7))):
+            t = count_table(zip(np.split(words, cuts), np.split(labels, cuts)), 3, width)
+            assert t.codes.dtype == expected.codes.dtype and t.codes.tolist() == expected.codes.tolist()
+            assert np.array_equal(t.counts, expected.counts) and t.width == width
 
     def test_majority_tie_goes_to_smallest_class(self):
         for width in (1, 64, 65, 130):
@@ -487,7 +503,7 @@ class TestArrayTable:
         for call in (
             lambda: train_collision_incidence(empty),
             lambda: coverage_metrics(empty, [(bs("01"), 0)]),
-            lambda: batched_coverage(empty, full),
+            lambda: code_coverage(empty, full, batched=True),
             lambda: training_batch_from_table(empty),
             lambda: classification_accuracy(fresh_model(2, 1, 1), empty),
         ):

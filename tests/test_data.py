@@ -213,7 +213,7 @@ class TestValidate:
         path = write(tmp_path, text)
         message = f"^{re.escape(f'{path}: no feature column in header {header!r}')}$"
         source = CsvBatchSource(path, "y")
-        for read in (lambda: load_csv(path, "y"), source.n_features, lambda: next(source.batches(4))):
+        for read in (lambda: load_csv(path, "y"), source.feature_names, lambda: next(source.batches(4))):
             with pytest.raises(ValueError, match=message):
                 read()
 

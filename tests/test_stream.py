@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitbit.data
-from bitbit.coverage import build_table, coverage_metrics
+from bitbit.coverage import build_table, code_coverage, coverage_metrics
 from bitbit.data import Dataset, load_csv, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
@@ -28,7 +28,6 @@ from bitbit.stream import (
     CsvBatchSource,
     Spill,
     _spill_codes,
-    batched_coverage,
     stream_fit_base,
     stream_sweep_curve,
 )
@@ -328,14 +327,14 @@ class TestStreamCoverage:
     def test_batched_rule_hand_count(self):
         train = [(bs("01"), 0)] * 3 + [(bs("01"), 1)]
         test = [(bs("01"), 1), (bs("01"), 1), (bs("01"), 0)]
-        m = batched_coverage(build_table(train, 2), build_table(test, 2))
+        m = code_coverage(build_table(train, 2), build_table(test, 2), batched=True)
         # test majority at 01 is 1, train majority is 0: the whole bucket errs
         assert m.test_overlap_incidence == 1.0
         assert m.theoretical_test_accuracy == 0.0
 
     def test_disjoint_test(self):
-        m = batched_coverage(build_table([(bs("00"), 0), (bs("01"), 1)], 2),
-                             build_table([(bs("10"), 0), (bs("11"), 1)], 2))
+        m = code_coverage(build_table([(bs("00"), 0), (bs("01"), 1)], 2),
+                          build_table([(bs("10"), 0), (bs("11"), 1)], 2), batched=True)
         assert m.test_overlap_incidence == 0.0
         assert m.test_train_overlap_fraction == 0.0
 
@@ -346,7 +345,7 @@ class TestStreamCoverage:
         values = rng.permutation(8)[:5]
         test = [(Bitstring(3, int(v)), int(rng.integers(0, 2))) for v in values]
         table = build_table(train, 2)
-        streamed = batched_coverage(table, build_table(test, 2))
+        streamed = code_coverage(table, build_table(test, 2), batched=True)
         in_memory = coverage_metrics(table, test)
         assert streamed == in_memory
 
@@ -378,7 +377,7 @@ class TestStreamEquivalence:
             zip(encode_samples(model, train_rows), train_labels.tolist()), 2
         )
         in_memory = coverage_metrics(table, encoded_test)
-        streamed = batched_coverage(table, build_table(encoded_test, 2))
+        streamed = code_coverage(table, build_table(encoded_test, 2), batched=True)
         assert streamed == in_memory
 
 
@@ -427,7 +426,7 @@ class TestFitPasses:
 
 def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, work):
     """The per-width path the spill sweep replaces: encode both splits to
-    files with one Bitstring per record, then ``batched_coverage`` over the
+    files with one Bitstring per record, then the batched ``code_coverage`` over the
     tables read back from them."""
     work.mkdir(parents=True, exist_ok=True)
     curve = []
@@ -438,8 +437,8 @@ def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, 
             records = ((z, label) for x, y in source.batches(batch_size)
                        for z, label in zip(encode_samples(model, x), y.tolist()))
             write_encoded(work / f"{name}.enc", model.width, records)
-        metrics = batched_coverage(build_table(iter_encoded(work / "train.enc"), c),
-                                   build_table(iter_encoded(work / "test.enc"), c))
+        metrics = code_coverage(build_table(iter_encoded(work / "train.enc"), c),
+                                build_table(iter_encoded(work / "test.enc"), c), batched=True)
         curve.append((n_x, metrics))
         train_met = train_met or metrics.theoretical_train_accuracy >= 1.0
         test_met = test_met or metrics.theoretical_test_accuracy >= 1.0
