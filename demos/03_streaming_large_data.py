@@ -44,8 +44,7 @@ with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
     train, test = BlobSource(40_000, 4, 2, seed=1), BlobSource(10_000, 4, 2, seed=2)
     tracemalloc.start()
     base = stream_fit_base(train, ReducerSpec("pca"), batch_size=2_000)
-    curve = stream_sweep_curve(train, test, base, c=2, batch_size=2_000, work_dir=work,
-                               stop_threshold=1.0, n_x_max=32, step=4)
+    curve = stream_sweep_curve(train, test, base, c=2, batch_size=2_000, work_dir=work, n_x_max=32, step=4)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # The batched test rule judges each test bucket by its own majority label,

@@ -32,7 +32,7 @@ from bitbit.coverage import (
 )
 from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import SCHEMES, ReducerSpec
-from bitbit.encoder import copula_units, fit_encoder, pack_codes, persist_model, write_packed
+from bitbit.encoder import fit_encoder, split_codes, write_encoding
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
     classification_accuracy,
@@ -204,21 +204,40 @@ def _check_flags(cfg: RunConfig) -> None:
         raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
     if cfg.input is not None and (cfg.train_input or cfg.test_input):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
-    for flag, path in (("--output", cfg.output), ("--model-output", cfg.model_output),
-                       ("--output-dir", cfg.output_dir), ("--work-dir", cfg.work_dir)):
-        if path is not None:
-            _check_output(flag, Path(path), is_dir=flag.endswith("-dir"))
+    inputs = [(flag, path) for flag, path in (("--input", cfg.input), ("--train-input", cfg.train_input),
+                                              ("--test-input", cfg.test_input)) if path is not None]
+    for flag, path in inputs:
+        if not Path(path).is_file():
+            raise ValueError(f"{flag}: no such file {str(path)!r}")
+    outputs = [(flag, Path(path), flag.endswith("-dir")) for flag, path in (
+        ("--output", cfg.output), ("--model-output", cfg.model_output), ("--output-dir", cfg.output_dir),
+        ("--work-dir", cfg.work_dir)) if path is not None]
     # Paths a command derives from a flag, named after it.
     if cfg.command in ("estimate", "stream-estimate") and (cfg.output or cfg.work_dir):
         report = Path(cfg.output or Path(cfg.work_dir) / "report.json")
-        if cfg.command == "stream-estimate" and cfg.work_dir is None:
-            _check_output("--output's work directory", report.with_suffix(".work"), is_dir=True)
-        if cfg.output is None:
-            _check_output("--work-dir's report", report, is_dir=False)
         flag = "--output" if cfg.output else "--work-dir"
-        _check_output(f"{flag}'s curves file", report.with_suffix(".curves.csv"), is_dir=False)
+        if cfg.command == "stream-estimate":
+            work_dir = Path(cfg.work_dir or report.with_suffix(".work"))
+            if cfg.work_dir is None:
+                outputs.append(("--output's work directory", work_dir, True))
+            # The encoding it writes, and the row spill it removes again.
+            outputs += [(f"{'--work-dir' if cfg.work_dir else '--output'}'s {name}", work_dir / name, False)
+                        for name in ("model.json", "train.enc", "test.enc", "train.rows")]
+        if cfg.output is None:
+            outputs.append(("--work-dir's report", report, False))
+        outputs.append((f"{flag}'s curves file", report.with_suffix(".curves.csv"), False))
+    if cfg.command == "encode":
+        outputs += [(f"--output-dir's {name}", Path(cfg.output_dir) / name, False)
+                    for name in ("model.json", "train.enc", "test.enc", "labels.json")]
     if cfg.command == "train" and cfg.model_output is None:
-        _check_output("--output's model file", Path(cfg.output).with_suffix(".model.json"), is_dir=False)
+        outputs.append(("--output's model file", Path(cfg.output).with_suffix(".model.json"), False))
+    # No output may land on an input or on another output; two inputs may be one file.
+    seen = {Path(path).resolve(): flag for flag, path in reversed(inputs)}
+    for flag, path, is_dir in outputs:
+        _check_output(flag, path, is_dir)
+        other = seen.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise ValueError(f"{other} and {flag} are the same file {path}")
 
 
 def _check_output(flag: str, path: Path, is_dir: bool) -> None:
@@ -312,10 +331,9 @@ def run_estimate(cfg: RunConfig) -> int:
             seeds = [cfg.seed + r for r in range(cfg.replicates)]
 
         def worker(seed):
-            # Sweep to the strictest reported threshold so every threshold's
-            # first crossing can be read off one curve.
+            # Every sweep runs to full coverage, so each threshold's first crossing is on one curve.
             split = (train, test) if seed is None else _split(cfg, dataset, seed)
-            return sweep_curve(*split, spec, 1.0, cfg.n_x_max, cfg.step), seed
+            return sweep_curve(*split, spec, cfg.n_x_max, cfg.step), seed
 
         with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
             results = list(pool.map(worker, seeds))
@@ -336,9 +354,6 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     a spill, then pack and measure coverage at each swept width from the spill."""
     if cfg.output is None and cfg.work_dir is None:
         raise ValueError("stream-estimate requires --output or --work-dir")
-    for flag, path in (("--train-input", cfg.train_input), ("--test-input", cfg.test_input)):
-        if not Path(path).is_file():
-            raise ValueError(f"{flag}: no such file {path!r}")
     n_features = len(_check_test_columns(cfg))
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
     _check_components(cfg, n_features, cfg.train_input)
@@ -366,7 +381,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
                                    cfg.reservoir_size, cfg.seed, cfg.weighted_mi)
             test_csv = CsvBatchSource(cfg.test_input, cfg.label_column, label_mapping=label_mapping)
             curve = stream_sweep_curve(train_rows, test_csv, base, len(label_mapping), cfg.batch_size, work_dir,
-                                       1.0, cfg.n_x_max, cfg.step)
+                                       cfg.n_x_max, cfg.step)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
@@ -390,11 +405,7 @@ def run_encode(cfg: RunConfig) -> int:
     train, test = _split(cfg, dataset, cfg.seed)
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    persist_model(model, out / "model.json")
-    for name, split in (("train", train), ("test", test)):
-        words = pack_codes(copula_units(model, split.features), model.allocation.bits)
-        write_packed(out / f"{name}.enc", model.width, [(words, split.labels)])
+    write_encoding(out, model, split_codes(model, train, test))
     _write_json(out / "labels.json", {name: i for i, name in enumerate(dataset.label_names)})
     print(f"wrote {out / 'model.json'}, {out / 'train.enc'}, {out / 'test.enc'}, {out / 'labels.json'}")
     return 0
@@ -426,15 +437,10 @@ def _train(cfg: RunConfig) -> int:
         )
     train, test = _split(cfg, dataset, cfg.seed)
     model_enc = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
-    train_table, test_table = (
-        count_table([(pack_codes(copula_units(model_enc, split.features), model_enc.allocation.bits), split.labels)],
-                    train.c, model_enc.width)
-        for split in (train, test)
-    )
+    train_table, test_table = (count_table(chunks, train.c, model_enc.width)
+                               for chunks in split_codes(model_enc, train, test)(model_enc.allocation.bits))
     ceiling = code_coverage(train_table, test_table)
-    batch = training_batch_from_table(
-        train_table, weighting="uniform" if cfg.uniform_weights else "frequency"
-    )
+    batch = training_batch_from_table(train_table, weighting="uniform" if cfg.uniform_weights else "frequency")
     qmodel = fresh_model(cfg.n_x, q_y, cfg.layers, init_seed=cfg.seed)
 
     rows = [(0, evaluate_loss(qmodel, batch),

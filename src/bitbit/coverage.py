@@ -21,10 +21,9 @@ from bitbit.encoder import (
     Bitstring,
     ImportanceScores,
     allocate_bits,
-    copula_units,
     fit_encoder,
-    pack_codes,
     packed_values,
+    split_codes,
 )
 
 
@@ -233,53 +232,34 @@ def estimate_from_curve(
     )
 
 
-def sweep_widths(
-    importances: ImportanceScores,
-    measure: Callable[[tuple[int, ...]], CoverageMetrics],
-    stop_threshold: float,
-    n_x_max: int,
-    step: int,
-) -> list[tuple[int, CoverageMetrics]]:
-    """Coverage at widths 1, 1+step, ..., stopping early once the train and
-    test accuracies have each crossed ``stop_threshold`` at least once.
-    Only the bit allocation depends on the width: ``measure`` maps it to the
-    coverage of codes packed with it."""
-    _check_sweep(stop_threshold, n_x_max, step)
+def sweep_widths(importances: ImportanceScores, codes: Callable[[tuple[int, ...]], tuple[Iterable, Iterable]],
+                 c: int, batched: bool, n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
+    """Coverage at widths 1, 1+step, ..., up to ``n_x_max``, stopping once the
+    train and test accuracies have each reached 1.0. Only the bit allocation
+    depends on the width: ``codes`` maps it to the training and test
+    ``(pack_codes words, label ids)`` chunks, which are counted with
+    ``count_table`` and judged by ``code_coverage`` with ``batched``."""
+    check_sweep(n_x_max, step)
     curve: list[tuple[int, CoverageMetrics]] = []
     train_met = test_met = False
     for n_x in range(1, n_x_max + 1, step):
-        metrics = measure(allocate_bits(importances, n_x).bits)
+        splits = codes(allocate_bits(importances, n_x).bits)
+        metrics = code_coverage(*(count_table(chunks, c, n_x) for chunks in splits), batched=batched)
         curve.append((n_x, metrics))
-        train_met = train_met or metrics.theoretical_train_accuracy >= stop_threshold
-        test_met = test_met or metrics.theoretical_test_accuracy >= stop_threshold
+        train_met = train_met or metrics.theoretical_train_accuracy >= 1.0
+        test_met = test_met or metrics.theoretical_test_accuracy >= 1.0
         if train_met and test_met:
             break
     return curve
 
 
-def sweep_curve(
-    train: Dataset,
-    test: Dataset,
-    spec: ReducerSpec,
-    stop_threshold: float,
-    n_x_max: int,
-    step: int,
-) -> list[tuple[int, CoverageMetrics]]:
-    """``sweep_widths`` over in-memory data: the encoder is fitted and both
-    sets ranked once, then each width packs and counts both splits' codes and
-    applies the per-sample rule."""
-    _check_sweep(stop_threshold, n_x_max, step)
+def sweep_curve(train: Dataset, test: Dataset, spec: ReducerSpec, n_x_max: int,
+                step: int) -> list[tuple[int, CoverageMetrics]]:
+    """``sweep_widths`` over in-memory data with the per-sample rule: the
+    encoder is fitted and both splits ranked once, then each width packs them."""
+    check_sweep(n_x_max, step)
     model = fit_encoder(train, spec, 1)
-    # Both splits' rows in one array, so each width pays pack_codes' fixed cost once.
-    units = np.concatenate([copula_units(model, train.features), copula_units(model, test.features)])
-    n = train.n_samples
-
-    def measure(bits):
-        words = pack_codes(units, bits)
-        return code_coverage(*(count_table([(part, labels)], train.c, sum(bits))
-                               for part, labels in ((words[:n], train.labels), (words[n:], test.labels))))
-
-    return sweep_widths(model.importances, measure, stop_threshold, n_x_max, step)
+    return sweep_widths(model.importances, split_codes(model, train, test), train.c, False, n_x_max, step)
 
 
 def code_keys(words: np.ndarray) -> np.ndarray:
@@ -287,21 +267,14 @@ def code_keys(words: np.ndarray) -> np.ndarray:
     return words[:, 0] if words.shape[1] == 1 else np.array(packed_values(words), dtype=object)
 
 
-def sweep_qubits(
-    train: Dataset,
-    test: Dataset,
-    spec: ReducerSpec,
-    threshold: float = 1.0,
-    n_x_max: int = 128,
-    step: int = 1,
-) -> QubitEstimate:
-    """Sweep encoder widths and report the qubit requirement at ``threshold``."""
-    curve = sweep_curve(train, test, spec, threshold, n_x_max, step)
-    return estimate_from_curve(curve, threshold, train.c)
+def sweep_qubits(train: Dataset, test: Dataset, spec: ReducerSpec, threshold: float = 1.0, n_x_max: int = 128,
+                 step: int = 1) -> QubitEstimate:
+    """Sweep encoder widths to full coverage and report the qubit requirement at ``threshold``."""
+    _check_threshold(threshold)
+    return estimate_from_curve(sweep_curve(train, test, spec, n_x_max, step), threshold, train.c)
 
 
-def _check_sweep(stop_threshold: float, n_x_max: int, step: int) -> None:
-    _check_threshold(stop_threshold)
+def check_sweep(n_x_max: int, step: int) -> None:
     if step < 1:
         raise ValueError("step must be >= 1")
     if n_x_max < 1:

@@ -212,7 +212,7 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
     cell is an error naming the file line and column. A leading byte-order
     mark is skipped. Given a training set's ``label_names`` (for a separate
     test CSV), labels take their training ids, an unseen label is an error
-    naming the file line, and one class present suffices.
+    naming the file line, and one class and one row present suffice.
     """
     mapping = {name: i for i, name in enumerate(label_names or ())}
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -221,8 +221,9 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
         batches = list(csv_batches(fh, header, label_idx, path, LOAD_BATCH_ROWS, mapping, label_names is not None))
 
     n_rows = sum(y.shape[0] for _, y in batches)
-    if n_rows < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {n_rows}")
+    least = 2 if label_names is None else 1
+    if n_rows < least:
+        raise ValueError(f"{path}: need at least {least} data row{'s' * (least > 1)}, got {n_rows}")
     if len(mapping) < 2:
         raise ValueError(f"{path}: fewer than 2 classes in column {header[label_idx]!r}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -410,6 +411,19 @@ def copula_units(model: EncoderModel, features: np.ndarray) -> np.ndarray:
     return rank_units(model.copula, copula_ranks(model, features))
 
 
+def split_codes(model: EncoderModel, train: Dataset, test: Dataset):
+    """``codes(bits)`` over in-memory splits, both ranked once: each call
+    returns one ``(pack_codes words, label ids)`` chunk per split. Both splits'
+    rows are packed in one call, so each width pays ``pack_codes``' fixed cost once."""
+    units = np.concatenate([copula_units(model, train.features), copula_units(model, test.features)])
+
+    def codes(bits):
+        words = pack_codes(units, bits)
+        return [(words[:train.n_samples], train.labels)], [(words[train.n_samples:], test.labels)]
+
+    return codes
+
+
 def pack_codes(unit: np.ndarray, bits) -> np.ndarray:
     """Floor-discretize column j of ``unit`` to ``bits[j]`` bits and concatenate the
     codes, component 0 first, into rows of uint64 words, most significant word
@@ -549,6 +563,16 @@ def write_packed(path, width: int, chunks: Iterable[tuple[np.ndarray, np.ndarray
             fh.write(lines.tobytes().replace(b"\0", b"").decode("ascii"))
             count += len(labels)
     return count
+
+
+def write_encoding(directory, model: EncoderModel, codes) -> None:
+    """Write ``model.json``, ``train.enc`` and ``test.enc`` to ``directory``, the
+    two files from the chunks ``codes(model.allocation.bits)`` gives each split."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    persist_model(model, directory / "model.json")
+    for name, chunks in zip(("train", "test"), codes(model.allocation.bits)):
+        write_packed(directory / f"{name}.enc", model.width, chunks)
 
 
 def read_encoded_header(path) -> int:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bitbit.coverage import CoverageMetrics, code_coverage, count_table, sweep_widths
+from bitbit.coverage import CoverageMetrics, check_sweep, sweep_widths
 from bitbit.data import csv_batches, read_csv_header, resolve_label_column
 from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
 from bitbit.dimred import ReducerSpec, fit_reducer
@@ -35,9 +35,8 @@ from bitbit.encoder import (
     copula_ranks,
     fit_batches,
     pack_codes,
-    persist_model,
     rank_units,
-    write_packed,
+    write_encoding,
 )
 
 DEFAULT_RESERVOIR_SIZE = 100_000
@@ -142,11 +141,12 @@ def _spill_codes(spill: Spill, copula, bits, batch_size: int):
 
 
 def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, batch_size: int, work_dir,
-                       stop_threshold: float, n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
+                       n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
     """``sweep_widths`` over ``train_source`` and ``test_source`` with the
     batched test rule, after one rank pass over each. Writes ``train.enc``,
     ``test.enc`` and ``model.json`` to ``work_dir`` at the last swept width;
     the rank spill files there are removed on success and error."""
+    check_sweep(n_x_max, step)
     work_dir = Path(work_dir)
     copula = base.copula
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -157,16 +157,11 @@ def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, ba
         for name, source in (("train", train_source), ("test", test_source)):
             spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(batch_size))
 
-        def measure(bits):
-            return code_coverage(*(count_table(_spill_codes(spill, copula, bits, batch_size), c, sum(bits))
-                                   for spill in spills.values()), batched=True)
+        def codes(bits):
+            return tuple(_spill_codes(spill, copula, bits, batch_size) for spill in spills.values())
 
-        curve = sweep_widths(base.importances, measure, stop_threshold, n_x_max, step)
-        model = base.at_width(curve[-1][0])
-        for name, spill in spills.items():
-            write_packed(work_dir / f"{name}.enc", model.width,
-                         _spill_codes(spill, copula, model.allocation.bits, batch_size))
-        persist_model(model, work_dir / "model.json")
+        curve = sweep_widths(base.importances, codes, c, True, n_x_max, step)
+        write_encoding(work_dir, base.at_width(curve[-1][0]), codes)
     finally:
         for spill in spills.values():
             spill.path.unlink(missing_ok=True)

@@ -203,7 +203,7 @@ def table1_run(dataset: Dataset):
     q10, q99 = [], []
     for r in range(10):
         train, test = split_train_test(dataset, SplitSpec(0.8, seed=r))
-        curve = sweep_curve(train, test, ReducerSpec("pca"), 1.0, 128, 1)
+        curve = sweep_curve(train, test, ReducerSpec("pca"), 128, 1)
         est10 = estimate_from_curve(curve, 1.0, dataset.c)
         est99 = estimate_from_curve(curve, 0.99, dataset.c)
         assert est10.covered and est99.covered

@@ -284,6 +284,29 @@ class TestPreSplitLabels:
             assert report["replicates"][0]["curve"][-1]["n_test"] == 2
         capsys.readouterr()
 
+    def test_one_row_test_csv(self, tmp_path, train_csv, capsys):
+        test_csv = tmp_path / "one.csv"
+        test_csv.write_text("a,label\n5.5,y\n", encoding="utf-8")
+        for command, flags in self.COMMANDS.items():
+            out = tmp_path / command / "r.json"
+            code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--scheme", "none",
+                           "--n-x-max", "4", "--step", "1", *flags, "--output", out)
+            assert code == 0, capsys.readouterr().err
+            assert json.loads(out.read_text())["replicates"][0]["curve"][-1]["n_test"] == 1
+        capsys.readouterr()
+
+    def test_empty_test_csv(self, tmp_path, train_csv, capsys):
+        test_csv = tmp_path / "empty.csv"
+        test_csv.write_text("a,label\n", encoding="utf-8")
+        for command, flags in self.COMMANDS.items():
+            out = tmp_path / command / "r.json"
+            code = run_cli(command, "--train-input", train_csv, "--test-input", test_csv, "--scheme", "none",
+                           "--n-x-max", "4", *flags, "--output", out)
+            assert code == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and str(test_csv) in line
+            assert not (tmp_path / command).exists()
+
     def test_conflicting_test_rows_name_the_test_csv(self, tmp_path, train_csv, capsys):
         test_csv = tmp_path / "te2.csv"
         test_csv.write_text("a,label\n0.5,x\n0.5,y\n", encoding="utf-8")
@@ -1055,6 +1078,66 @@ class TestFlagValidation:
         ]
         assert not out.exists()
         assert counts == []  # found in the header, before any row is converted
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command,flag", [
+        ("estimate", "--input"), ("estimate", "--train-input"), ("estimate", "--test-input"),
+        ("stream-estimate", "--train-input"), ("stream-estimate", "--test-input"),
+        ("encode", "--input"), ("train", "--input"), ("report", "--input"),
+    ])
+    def test_unusable_input_is_named_before_any_read(self, tmp_path, split_csvs, capsys, monkeypatch,
+                                                     command, flag, kind):
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the input paths were checked")
+
+        monkeypatch.setattr("bitbit.cli.load_csv", never)
+        monkeypatch.setattr("bitbit.cli.CsvBatchSource", never)
+        bad = tmp_path / ("absent.csv" if kind == "missing" else "folder")
+        if kind == "directory":
+            bad.mkdir()
+        out = tmp_path / "out"
+        inputs = ({"--input": split_csvs[0]} if flag == "--input"
+                  else {"--train-input": split_csvs[0], "--test-input": split_csvs[1]})
+        inputs[flag] = bad
+        rest = {"estimate": ("--output", out / "r.json"),
+                "stream-estimate": ("--batch-size", "16", "--output", out / "r.json"),
+                "encode": ("--n-x", "2", "--output-dir", out), "train": ("--n-x", "2", "--output", out / "t.csv"),
+                "report": ()}[command]
+        before = sorted(tmp_path.rglob("*"))
+        code = run_cli(command, *[a for kv in inputs.items() for a in kv], *rest)
+        self._assert_flag_error(code, capsys, f"{flag}: no such file {str(bad)!r}")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv,first,second", [
+        ("estimate --input v.csv --output v.csv", "--input", "--output"),
+        ("estimate --input v.csv --output sub/../v.csv", "--input", "--output"),
+        ("estimate --input v.curves.csv --output v.json", "--input", "--output's curves file"),
+        ("train --input v.csv --n-x 2 --output t.csv --model-output v.csv", "--input", "--model-output"),
+        ("train --input v.csv --n-x 2 --output t.csv --model-output t.csv", "--output", "--model-output"),
+        ("train --input t.model.json --n-x 2 --output t.csv", "--input", "--output's model file"),
+        ("encode --input enc/model.json --n-x 2 --output-dir enc", "--input", "--output-dir's model.json"),
+        ("stream-estimate --train-input v.csv --test-input v.csv --batch-size 16 --work-dir w --output w/model.json",
+         "--output", "--work-dir's model.json"),
+        ("stream-estimate --train-input v.csv --test-input r.work/test.enc --batch-size 16 --output r.json",
+         "--test-input", "--output's test.enc"),
+        ("stream-estimate --train-input w/train.rows --test-input v.csv --batch-size 16 --work-dir w",
+         "--train-input", "--work-dir's train.rows"),
+        ("stream-estimate --train-input v.csv --test-input w/report.json --batch-size 16 --work-dir w",
+         "--test-input", "--work-dir's report"),
+    ])
+    def test_same_file_twice(self, tmp_path, separable_2d_csv, capsys, monkeypatch, argv, first, second):
+        """Two of a run's paths that are one file exit 1 naming both, before any
+        input is read and with nothing created; an output never replaces an input."""
+        monkeypatch.chdir(tmp_path)
+        argv = argv.split()
+        inputs = {argv[i + 1] for i, a in enumerate(argv) if a.endswith("input")}
+        for name in inputs:
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes(separable_2d_csv.read_bytes())
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        code = main(argv)
+        self._assert_flag_error(code, capsys, f"{first} and {second} are the same file")
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
     @staticmethod
     def _assert_flag_error(code, capsys, named):

@@ -16,11 +16,20 @@ from bitbit.coverage import (
     merge_counts,
     sweep_curve,
     sweep_qubits,
+    sweep_widths,
     train_collision_incidence,
 )
 from bitbit.data import Dataset, make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import Bitstring, copula_units, discretize_value, encode_samples, fit_encoder
+from bitbit.encoder import (
+    Bitstring,
+    ImportanceScores,
+    copula_units,
+    discretize_value,
+    encode_samples,
+    fit_encoder,
+    split_codes,
+)
 from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
 from tests.conftest import all_pure_1d_dataset
 
@@ -296,14 +305,14 @@ class TestFitOnceSweep:
         d = make_synthetic(150, 4, 3, 1.0, seed=5)
         train, test = split_train_test(d, SplitSpec(0.8, seed=2))
         spec = ReducerSpec(scheme)
-        curve = sweep_curve(train, test, spec, 1.0, 128, step)
+        curve = sweep_curve(train, test, spec, 128, step)
         assert curve == per_width_oracle(train, test, spec, 128, step)
 
     @pytest.mark.parametrize("step", [1, 3])
     def test_curve_crossing_64_bits(self, step):
         train, test = conflicting_dataset(3, seed=7)
         spec = ReducerSpec("none")
-        curve = sweep_curve(train, test, spec, 1.0, 80, step)
+        curve = sweep_curve(train, test, spec, 80, step)
         assert curve[-1][0] > 64
         assert curve == per_width_oracle(train, test, spec, 80, step)
 
@@ -316,12 +325,12 @@ class TestFitOnceSweep:
         python_ints = [discretize_value(u, 100) for u in unit[:, 0].tolist()]
         assert [z.value for z in encode_samples(model, test.features)] == python_ints
         assert max(python_ints) >= 1 << 64
-        assert sweep_curve(train, test, spec, 1.0, 100, 33) == per_width_oracle(train, test, spec, 100, 33)
+        assert sweep_curve(train, test, spec, 100, 33) == per_width_oracle(train, test, spec, 100, 33)
 
     def test_majority_tie_goes_to_smallest_class(self):
         train, test = conflicting_dataset(2, seed=11)
         spec = ReducerSpec("none")
-        curve = sweep_curve(train, test, spec, 1.0, 20, 1)
+        curve = sweep_curve(train, test, spec, 20, 1)
         assert curve == per_width_oracle(train, test, spec, 20, 1)
         for n_x, m in curve:
             enc_train, enc_test = encode_pair(train, test, spec, n_x)
@@ -334,6 +343,69 @@ class TestFitOnceSweep:
         z = enc_test[0][0]
         assert table.entries[z].tolist() == [1, 1]
         assert not majority_errs(table, z, 0) and majority_errs(table, z, 1)
+
+
+def scheduled_codes(train_from, test_at, calls):
+    """``codes(bits)`` for one component: two training records that share a
+    code with labels 0 and 1 below width ``train_from`` and part from it on,
+    and one test record on the first training code, labelled 0 (right) at
+    the widths in ``test_at`` and 1 (wrong) elsewhere. Records each call."""
+    def codes(bits):
+        calls.append(bits)
+        (n_x,) = bits
+        train = np.array([[0], [int(n_x >= train_from)]], dtype=np.uint64), np.array([0, 1])
+        test = np.array([[0]], dtype=np.uint64), np.array([int(n_x not in test_at)])
+        return [train], [test]
+
+    return codes
+
+
+class TestSweepWidths:
+    """The one width step: count both splits, judge them, stop at full coverage."""
+
+    @pytest.mark.parametrize("train_from,test_at,stop", [
+        (3, range(5, 99), 5),  # train reaches 1.0 first
+        (6, range(2, 99), 6),  # test reaches 1.0 first
+        (4, {1}, 4),  # test reaches 1.0 at width 1 only, then dips: a first crossing still counts
+        (2, range(2, 99), 2),  # both at once
+    ])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_stops_once_both_accuracies_reached_one(self, train_from, test_at, stop, batched):
+        calls = []
+        curve = sweep_widths(ImportanceScores([1.0]), scheduled_codes(train_from, test_at, calls), 2, batched, 40, 1)
+        assert [n_x for n_x, _ in curve] == list(range(1, stop + 1))
+        assert calls == [(n_x,) for n_x in range(1, stop + 1)]
+        train_acc = [m.theoretical_train_accuracy for _, m in curve]
+        test_acc = [m.theoretical_test_accuracy for _, m in curve]
+        assert train_acc == [0.5] * (min(train_from, stop + 1) - 1) + [1.0] * (stop + 1 - train_from)
+        assert test_acc == [1.0 if n_x in test_at else 0.0 for n_x in range(1, stop + 1)]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_conflicting_rows_run_to_the_cap(self, batched, step):
+        train, test = conflicting_dataset(2, seed=13)
+        model = fit_encoder(train, ReducerSpec("none"), 1)
+        curve = sweep_widths(model.importances, split_codes(model, train, test), 2, batched, 20, step)
+        assert [n_x for n_x, _ in curve] == list(range(1, 21, step))
+        assert all(m.theoretical_train_accuracy < 1.0 for _, m in curve)
+        if not batched:
+            assert curve == per_width_oracle(train, test, ReducerSpec("none"), 20, step)
+
+    @pytest.mark.parametrize("n_x_max,step,message", [(10, 0, "step must be >= 1"), (0, 1, "n_x_max must be >= 1")])
+    def test_bad_arguments(self, n_x_max, step, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_widths(ImportanceScores([1.0]), scheduled_codes(1, (), []), 2, False, n_x_max, step)
+
+    def test_sweep_qubits_sweeps_to_full_coverage(self):
+        d = make_synthetic(120, 3, 3, 2.0, seed=0)
+        train, test = split_train_test(d, SplitSpec(0.8, seed=1))
+        full = sweep_curve(train, test, ReducerSpec("pca"), 128, 1)
+        expected = estimate_from_curve(full, 0.9, train.c)
+        est = sweep_qubits(train, test, ReducerSpec("pca"), threshold=0.9)
+        assert (est.q_train, est.q_test, est.q_dataset) == (expected.q_train, expected.q_test, expected.q_dataset)
+        assert est.curve == tuple(full)
+        # The 0.9 crossings come well before the full-coverage stop.
+        assert est.q_dataset is not None and max(est.q_train, est.q_test) < len(full) - 1
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitbit.data import Dataset, make_synthetic
+from bitbit.data import Dataset, SplitSpec, make_synthetic, split_train_test
 from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer
 from bitbit.encoder import (
     BitAllocation,
@@ -18,6 +18,7 @@ from bitbit.encoder import (
     _quantile_cuts,
     allocate_bits,
     apply_copula,
+    copula_units,
     discretize_value,
     encode_samples,
     estimate_mutual_information,
@@ -30,7 +31,9 @@ from bitbit.encoder import (
     packed_values,
     persist_model,
     read_encoded,
+    split_codes,
     write_encoded,
+    write_encoding,
     write_packed,
 )
 from bitbit.stream import DEFAULT_RESERVOIR_SIZE
@@ -605,3 +608,37 @@ class TestEncodedFiles:
         records = [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())]
         write_encoded(tmp_path / "bitstrings.enc", width, records)
         assert (tmp_path / "packed.enc").read_bytes() == (tmp_path / "bitstrings.enc").read_bytes()
+
+
+class TestSplitCodes:
+    """Both splits' codes at a bit allocation: the one producer of in-memory
+    words for the sweep, ``encode`` and ``train``, and the one writer."""
+
+    @staticmethod
+    def fitted_split():
+        d = make_synthetic(90, 3, 3, 1.0, seed=17)
+        train, test = split_train_test(d, SplitSpec(0.7, seed=3))
+        return fit_encoder(train, ReducerSpec("pca"), 1), train, test
+
+    @pytest.mark.parametrize("n_x", [1, 64, 65, 130])
+    def test_matches_per_split_packing(self, n_x):
+        model, train, test = self.fitted_split()
+        bits = allocate_bits(model.importances, n_x).bits
+        for chunks, split in zip(split_codes(model, train, test)(bits), (train, test)):
+            [(words, labels)] = chunks
+            assert np.array_equal(words, pack_codes(copula_units(model, split.features), bits))
+            assert words.shape[1] == -(-n_x // 64) and np.array_equal(labels, split.labels)
+
+    @pytest.mark.parametrize("n_x", [5, 70])
+    def test_write_encoding_matches_bitstring_writers(self, tmp_path, n_x):
+        model, train, test = self.fitted_split()
+        model = model.at_width(n_x)
+        write_encoding(tmp_path / "new" / "enc", model, split_codes(model, train, test))
+        (tmp_path / "old").mkdir()
+        persist_model(model, tmp_path / "old" / "model.json")
+        for name, split in (("train", train), ("test", test)):
+            records = zip(encode_samples(model, split.features), split.labels.tolist())
+            write_encoded(tmp_path / "old" / f"{name}.enc", model.width, records)
+        assert sorted(p.name for p in (tmp_path / "new" / "enc").iterdir()) == ["model.json", "test.enc", "train.enc"]
+        for name in ("model.json", "train.enc", "test.enc"):
+            assert (tmp_path / "new" / "enc" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()

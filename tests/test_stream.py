@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitbit.data
+import bitbit.stream
 from bitbit.coverage import build_table, code_coverage, coverage_metrics
 from bitbit.data import Dataset, load_csv, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
@@ -286,7 +287,7 @@ class TestStreamFit:
         d = make_synthetic(30, 2, 2, 2.0, seed=5)
         base = stream_fit_base(source(d), ReducerSpec("pca"), 8)
         curve = stream_sweep_curve(source(d), ArrayBatchSource(d.features[:10], d.labels[:10]), base, 2, 8,
-                                   tmp_path / "work", 1.0, 4, 3)
+                                   tmp_path / "work", 4, 3)
         assert (tmp_path / "work" / "model.json").exists()
         width, records = read_encoded(tmp_path / "work" / "train.enc")
         assert width == curve[-1][0] == 4 and len(records) == 30
@@ -483,7 +484,7 @@ class TestStreamSweep:
         base = stream_fit_base(train_source, ReducerSpec(scheme), 7, reservoir_size=reservoir)
         c = int(train_source.labels.max()) + 1
         curve = stream_sweep_curve(train_source, test_source, base, c, batch_size, tmp_path / "new",
-                                   1.0, n_x_max, step)
+                                   n_x_max, step)
         expected = oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, tmp_path / "old")
         assert curve == expected
         last = range(1, n_x_max + 1, step)[-1]
@@ -496,7 +497,7 @@ class TestStreamSweep:
         d = make_synthetic(30, 2, 2, 2.0, seed=14)
         empty = ArrayBatchSource(np.empty((0, 2)), np.empty(0, dtype=np.int64))
         base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
-        curve = stream_sweep_curve(source(d), empty, base, 2, 10, tmp_path / "new", 1.0, 12, 5)
+        curve = stream_sweep_curve(source(d), empty, base, 2, 10, tmp_path / "new", 12, 5)
         assert curve == oracle_sweep(base, source(d), empty, 2, 10, 12, 5, tmp_path / "old")
 
     def test_failure_at_test_source_leaves_no_spill(self, tmp_path):
@@ -507,8 +508,21 @@ class TestStreamSweep:
         test_source = CsvBatchSource(path, "label", label_mapping={"0": 0, "1": 1})
         base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
         with pytest.raises(ValueError, match="line 3: label '7' was not seen in training"):
-            stream_sweep_curve(source(d), test_source, base, 2, 10, work, 1.0, 12, 5)
+            stream_sweep_curve(source(d), test_source, base, 2, 10, work, 12, 5)
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("n_x_max,step,message", [(12, 0, "step must be >= 1"), (0, 5, "n_x_max must be >= 1")])
+    def test_sweep_arguments_checked_before_the_rank_pass(self, tmp_path, monkeypatch, n_x_max, step, message):
+        d = make_synthetic(30, 2, 2, 2.0, seed=16)
+        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+
+        def never(*args):
+            raise AssertionError("ranked before the sweep arguments were checked")
+
+        monkeypatch.setattr(bitbit.stream, "copula_ranks", never)
+        with pytest.raises(ValueError, match=message):
+            stream_sweep_curve(source(d), source(d), base, 2, 10, tmp_path / "work", n_x_max, step)
+        assert list(tmp_path.iterdir()) == []
 
 
 FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # shortest repr
@@ -726,8 +740,9 @@ class TestCsvIngestParity:
                     assert x.shape == ex.shape and x.tobytes() == ex.tobytes()
 
                 n_rows = sum(len(ids) for _, ids in expected)
-                if expected_error is None and n_rows < 2:
-                    expected_error = f"{path}: need at least 2 data rows, got {n_rows}"
+                least = 1 if strict else 2  # a test CSV (known labels) may hold one row
+                if expected_error is None and n_rows < least:
+                    expected_error = f"{path}: need at least {least} data row{'s' * (least > 1)}, got {n_rows}"
                 elif expected_error is None and len(mapping) < 2:
                     expected_error = f"{path}: fewer than 2 classes in column 'label'"
                 with mock.patch.object(bitbit.data, "LOAD_BATCH_ROWS", batch_size), warnings.catch_warnings():
