@@ -19,11 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 from bitbit import __version__
 from bitbit.coverage import (
     CoverageMetrics,
-    QubitEstimate,
     code_coverage,
     compute_q_y,
     count_table,
@@ -32,7 +32,7 @@ from bitbit.coverage import (
 )
 from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import SCHEMES, ReducerSpec
-from bitbit.encoder import fit_encoder, split_codes, write_encoding
+from bitbit.encoder import ENCODING_FILES, fit_encoder, split_codes, write_encoding
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
     classification_accuracy,
@@ -43,7 +43,8 @@ from bitbit.qsim import (
     train_sweeps,
     training_batch_from_table,
 )
-from bitbit.stream import DEFAULT_RESERVOIR_SIZE, CsvBatchSource, Spill, stream_fit_base, stream_sweep_curve
+from bitbit.stream import DEFAULT_RESERVOIR_SIZE, RANK_SPILLS, CsvBatchSource, Spill
+from bitbit.stream import stream_fit_base, stream_sweep_curve
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -64,20 +65,6 @@ class RunConfig(argparse.Namespace):
 
 
 # --- report plumbing ---
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _estimate_dict(est: QubitEstimate) -> dict:
-    return {
-        "q_train": est.q_train,
-        "q_test": est.q_test,
-        "q_y": est.q_y,
-        "q_dataset": est.q_dataset,
-        "covered": est.covered,
-    }
 
 
 def _aggregate(values: list[int | None]) -> dict:
@@ -108,39 +95,23 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_curves_csv(report: dict, output: str) -> Path:
-    path = Path(output).with_suffix(".curves.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,n_x,train_acc,test_acc,overlap_fraction\n")
-        for rep in report["replicates"]:
-            for point in rep["curve"]:
-                fh.write(
-                    f"{rep['replicate']},{point['n_x']},"
-                    f"{point['theoretical_train_accuracy']!r},"
-                    f"{point['theoretical_test_accuracy']!r},"
-                    f"{point['test_train_overlap_fraction']!r}\n"
-                )
-    return path
-
-
-def _config_echo(cfg: RunConfig, fields: tuple[str, ...], **resolved) -> dict:
-    """The report's ``config``: the named flags as given, plus values resolved at run time."""
-    return {**{field: getattr(cfg, field) for field in fields}, **resolved}
+def _fields(obj, names: tuple[str, ...], **resolved) -> dict:
+    """``obj``'s attributes ``names``, plus ``resolved``: a report's ``config`` is flags as given, plus these."""
+    return {**{name: getattr(obj, name) for name in names}, **resolved}
 
 
 def _write_estimate_report(
     cfg: RunConfig, config: dict, streamed: bool, label_mapping: dict[str, int],
     results: list[tuple[list[tuple[int, CoverageMetrics]], int | None]], caught: list[warnings.WarningMessage],
-    output: str,
+    paths: dict[str, _PlannedPath],
 ) -> int:
-    """Write the report and its ``.curves.csv`` for swept ``(curve, split_seed)``
+    """Write the report and its curves file, as ``paths`` names them, for swept ``(curve, split_seed)``
     results; the exit code is 2 when any replicate is uncovered at ``--threshold``."""
     c = len(label_mapping)
     # The 0.99-vs-1.0 gap is always reported; the configured threshold rides along.
     thresholds = sorted({cfg.threshold, 0.99, 1.0})
     replicates = []
     per_threshold: dict[float, list[int | None]] = {t: [] for t in thresholds}
-    uncovered_at_configured = False
     for r, (curve, seed) in enumerate(results):
         entry = {
             "replicate": r,
@@ -150,17 +121,15 @@ def _write_estimate_report(
         }
         for t in thresholds:
             est = estimate_from_curve(curve, t, c)
-            entry["thresholds"][str(t)] = _estimate_dict(est)
+            entry["thresholds"][str(t)] = _fields(est, ("q_train", "q_test", "q_y", "q_dataset", "covered"))
             per_threshold[t].append(est.q_dataset)
-            if t == cfg.threshold and not est.covered:
-                uncovered_at_configured = True
         replicates.append(entry)
 
-    exit_code = 2 if uncovered_at_configured else 0
+    exit_code = 2 if None in per_threshold[cfg.threshold] else 0  # a replicate is uncovered
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "bitbit", "version": __version__},
-        "timestamp": _timestamp(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": cfg.command,
         "streamed": streamed,
         "config": config,
@@ -172,13 +141,59 @@ def _write_estimate_report(
         "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
         "exit_code": exit_code,
     }
+    output, curves = paths["output"].path, paths["curves"].path
     _write_json(output, report)
-    curves = _write_curves_csv(report, output)
+    with open(curves, "w", encoding="utf-8") as fh:
+        fh.write("replicate,n_x,train_acc,test_acc,overlap_fraction\n")
+        for rep in replicates:
+            for point in rep["curve"]:
+                fh.write(f"{rep['replicate']},{point['n_x']},{point['theoretical_train_accuracy']!r},"
+                         f"{point['theoretical_test_accuracy']!r},{point['test_train_overlap_fraction']!r}\n")
     print(f"wrote {output} and {curves}")
     return exit_code
 
 
 # --- flag checks ---
+
+# Each flag that gives a path, and the kind of path it gives.
+_PATH_FLAGS = {"input": "input", "train_input": "input", "test_input": "input", "output": "file",
+               "model_output": "file", "output_dir": "directory", "work_dir": "directory"}
+# The files this module names inside a directory; the others belong to the module that writes them.
+_LABELS_FILE = "labels.json"
+_ROWS_SPILL = "train.rows"
+
+
+# One path of a command: the flag it is named after, as messages give it, and its kind: "input", "file" or "directory".
+_PlannedPath = NamedTuple("_PlannedPath", [("flag", str), ("path", Path), ("kind", str)])
+
+
+def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
+    """Every path ``command`` reads or writes, each once, inputs first: keyed by the field of the flag
+    that gives it or that it stands in for, by ``"curves"``, or by its name inside a directory."""
+    paths = {field: _PlannedPath(f"--{field.replace('_', '-')}", Path(getattr(cfg, field)), kind)
+             for field, kind in _PATH_FLAGS.items() if getattr(cfg, field) is not None}
+
+    def derive(key, base, what, path, kind="file"):
+        owner = paths[base].flag.partition("'")[0]  # the flag the base path is named after
+        paths.setdefault(key, _PlannedPath(f"{owner}'s {what}", path, kind))
+
+    if command == "stream-estimate":
+        if cfg.output is None and cfg.work_dir is None:
+            raise ValueError("stream-estimate requires --output or --work-dir")
+        if cfg.work_dir is None:
+            derive("work_dir", "output", "work directory", paths["output"].path.with_suffix(".work"), "directory")
+        for name in (*ENCODING_FILES, _ROWS_SPILL, *RANK_SPILLS):
+            derive(name, "work_dir", name, paths["work_dir"].path / name)
+        derive("output", "work_dir", "report", paths["work_dir"].path / "report.json")
+    if command in ("estimate", "stream-estimate"):
+        derive("curves", "output", "curves file", paths["output"].path.with_suffix(".curves.csv"))
+    if command == "encode":
+        for name in (*ENCODING_FILES, _LABELS_FILE):
+            derive(name, "output_dir", name, paths["output_dir"].path / name)
+    if command == "train":
+        derive("model_output", "output", "model file", paths["output"].path.with_suffix(".model.json"))
+    return paths
+
 
 # Least value of each numeric flag. Fields a command lacks take another
 # command's default, which every check accepts; None means the flag is unset.
@@ -204,40 +219,21 @@ def _check_flags(cfg: RunConfig) -> None:
         raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
     if cfg.input is not None and (cfg.train_input or cfg.test_input):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
-    inputs = [(flag, path) for flag, path in (("--input", cfg.input), ("--train-input", cfg.train_input),
-                                              ("--test-input", cfg.test_input)) if path is not None]
-    for flag, path in inputs:
-        if not Path(path).is_file():
-            raise ValueError(f"{flag}: no such file {str(path)!r}")
-    outputs = [(flag, Path(path), flag.endswith("-dir")) for flag, path in (
-        ("--output", cfg.output), ("--model-output", cfg.model_output), ("--output-dir", cfg.output_dir),
-        ("--work-dir", cfg.work_dir)) if path is not None]
-    # Paths a command derives from a flag, named after it.
-    if cfg.command in ("estimate", "stream-estimate") and (cfg.output or cfg.work_dir):
-        report = Path(cfg.output or Path(cfg.work_dir) / "report.json")
-        flag = "--output" if cfg.output else "--work-dir"
-        if cfg.command == "stream-estimate":
-            work_dir = Path(cfg.work_dir or report.with_suffix(".work"))
-            if cfg.work_dir is None:
-                outputs.append(("--output's work directory", work_dir, True))
-            # The encoding it writes, and the row spill it removes again.
-            outputs += [(f"{'--work-dir' if cfg.work_dir else '--output'}'s {name}", work_dir / name, False)
-                        for name in ("model.json", "train.enc", "test.enc", "train.rows")]
-        if cfg.output is None:
-            outputs.append(("--work-dir's report", report, False))
-        outputs.append((f"{flag}'s curves file", report.with_suffix(".curves.csv"), False))
-    if cfg.command == "encode":
-        outputs += [(f"--output-dir's {name}", Path(cfg.output_dir) / name, False)
-                    for name in ("model.json", "train.enc", "test.enc", "labels.json")]
-    if cfg.command == "train" and cfg.model_output is None:
-        outputs.append(("--output's model file", Path(cfg.output).with_suffix(".model.json"), False))
     # No output may land on an input or on another output; two inputs may be one file.
-    seen = {Path(path).resolve(): flag for flag, path in reversed(inputs)}
-    for flag, path, is_dir in outputs:
-        _check_output(flag, path, is_dir)
-        other = seen.setdefault(path.resolve(), flag)
-        if other != flag:
+    seen = {}
+    for flag, path, kind in _paths(cfg, cfg.command).values():
+        if kind == "input" and not path.is_file():
+            raise ValueError(f"{flag}: no such file {str(path)!r}")
+        if kind != "input":
+            _check_output(flag, path, kind == "directory")
+        if (other := seen.setdefault(_file_id(path), flag)) != flag and kind != "input":
             raise ValueError(f"{other} and {flag} are the same file {path}")
+
+
+def _file_id(path: Path):
+    """Two paths are one file when they resolve to the same device and inode, or to the same absent path."""
+    path = path.resolve()
+    return (path.stat().st_dev, path.stat().st_ino) if path.exists() else path
 
 
 def _check_output(flag: str, path: Path, is_dir: bool) -> None:
@@ -308,6 +304,7 @@ def _split(cfg: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Datase
 def run_estimate(cfg: RunConfig) -> int:
     """Replicated split-sweep-estimate protocol over one CSV, or a single run
     over a pre-split train/test pair."""
+    paths = _paths(cfg, "estimate")
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -338,11 +335,11 @@ def run_estimate(cfg: RunConfig) -> int:
         with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
             results = list(pool.map(worker, seeds))
 
-    config = _config_echo(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
-                                "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
-                          replicates=len(results))
+    config = _fields(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
+                           "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
+                     replicates=len(results))
     label_mapping = {name: i for i, name in enumerate(label_names)}
-    return _write_estimate_report(cfg, config, False, label_mapping, results, caught, cfg.output)
+    return _write_estimate_report(cfg, config, False, label_mapping, results, caught, paths)
 
 
 # --- stream-estimate ---
@@ -352,8 +349,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     """Streaming protocol over pre-split CSVs: parse the training CSV once into
     a row spill, fit once in batched passes over it, rank each split once into
     a spill, then pack and measure coverage at each swept width from the spill."""
-    if cfg.output is None and cfg.work_dir is None:
-        raise ValueError("stream-estimate requires --output or --work-dir")
+    paths = _paths(cfg, "stream-estimate")
     n_features = len(_check_test_columns(cfg))
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
     _check_components(cfg, n_features, cfg.train_input)
@@ -361,12 +357,11 @@ def run_stream_estimate(cfg: RunConfig) -> int:
         if not any(row for _, row in islice(csv_records(fh, cfg.test_input), 1, None)):  # none converted
             raise ValueError(f"--test-input {cfg.test_input} holds no data rows")
 
-    work_dir = Path(cfg.work_dir) if cfg.work_dir else Path(cfg.output).with_suffix(".work")
-    output = cfg.output if cfg.output else str(work_dir / "report.json")
+    work_dir = paths["work_dir"].path
     # The outermost directory this run creates, removed again if the run fails.
     created = next((d for d in reversed((work_dir, *work_dir.parents)) if not d.exists()), None)
     work_dir.mkdir(parents=True, exist_ok=True)
-    train_rows = Spill(work_dir / "train.rows", "float64", n_features + 1)
+    train_rows = Spill(paths[_ROWS_SPILL].path, "float64", n_features + 1)
 
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -389,25 +384,25 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     finally:
         train_rows.path.unlink(missing_ok=True)
 
-    config = _config_echo(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
-                                "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
-                          work_dir=str(work_dir))
-    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], caught, output)
+    config = _fields(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
+                           "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
+                     work_dir=str(work_dir))
+    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], caught, paths)
 
 
 # --- encode ---
 
 
 def run_encode(cfg: RunConfig) -> int:
-    """Split, fit at a fixed width, and write model.json, train.enc, test.enc,
-    and labels.json into the output directory."""
+    """Split, fit at a fixed width, and write the encoding and the label
+    mapping into the output directory."""
+    paths = _paths(cfg, "encode")
     dataset = _load_input(cfg)
     train, test = _split(cfg, dataset, cfg.seed)
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
-    out = Path(cfg.output_dir)
-    write_encoding(out, model, split_codes(model, train, test))
-    _write_json(out / "labels.json", {name: i for i, name in enumerate(dataset.label_names)})
-    print(f"wrote {out / 'model.json'}, {out / 'train.enc'}, {out / 'test.enc'}, {out / 'labels.json'}")
+    write_encoding(paths["output_dir"].path, model, split_codes(model, train, test))
+    _write_json(paths[_LABELS_FILE].path, {name: i for i, name in enumerate(dataset.label_names)})
+    print(f"wrote {', '.join(str(paths[name].path) for name in (*ENCODING_FILES, _LABELS_FILE))}")
     return 0
 
 
@@ -429,6 +424,7 @@ def _train(cfg: RunConfig) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
+    paths = _paths(cfg, "train")
     dataset = _load_input(cfg)
     q_y = compute_q_y(dataset.c)
     if cfg.n_x + q_y > cfg.max_qubits:
@@ -452,7 +448,7 @@ def _train(cfg: RunConfig) -> int:
                      classification_accuracy(qmodel, train_table),
                      classification_accuracy(qmodel, test_table)))
 
-    trace_path = Path(cfg.output)
+    trace_path, model_path = paths["output"].path, paths["model_output"].path
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(f"# theoretical_train_accuracy={ceiling.theoretical_train_accuracy!r}\n")
@@ -461,7 +457,6 @@ def _train(cfg: RunConfig) -> int:
         for sweep, loss, tr_acc, te_acc in rows:
             fh.write(f"{sweep},{loss!r},{tr_acc!r},{te_acc!r}\n")
 
-    model_path = Path(cfg.model_output) if cfg.model_output else trace_path.with_suffix(".model.json")
     _write_json(model_path, {"n_x": cfg.n_x, "n_y": q_y, "layers": cfg.layers, "theta": qmodel.theta.tolist()})
     print(f"wrote {trace_path} and {model_path}")
     return 0
@@ -520,7 +515,7 @@ def run_make_synthetic(cfg: RunConfig) -> int:
     """Write a seeded Gaussian-blob classification CSV (the scaling-study
     recipe: generate wide/tall synthetics here, then stream-estimate them)."""
     dataset = make_synthetic(cfg.samples, cfg.features, cfg.classes, cfg.separation, cfg.seed)
-    path = Path(cfg.output)
+    path = _paths(cfg, "make-synthetic")["output"].path
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([f"f{j}" for j in range(dataset.n_features)] + ["label"]) + "\n")
@@ -581,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reservoir-size", type=int, default=DEFAULT_RESERVOIR_SIZE)
     p.add_argument("--weighted-mi", action="store_true",
                    help="weight batch importance scores by record count instead of plain averaging")
-    p.add_argument("--work-dir", default=None, help="directory for model.json/train.enc/test.enc")
+    p.add_argument("--work-dir", default=None, help=f"directory for {'/'.join(ENCODING_FILES)}")
     p.add_argument("--output", default=None, help="report JSON path (default: <work-dir>/report.json)")
 
     p = sub.add_parser("encode", help="fit one encoder and write encoded record files")

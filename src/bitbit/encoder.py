@@ -25,6 +25,7 @@ from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
 ENCODED_FILE_MAGIC = "bitbit v1"
+ENCODING_FILES = ("model.json", "train.enc", "test.enc")
 
 
 @dataclass(frozen=True)
@@ -566,13 +567,13 @@ def write_packed(path, width: int, chunks: Iterable[tuple[np.ndarray, np.ndarray
 
 
 def write_encoding(directory, model: EncoderModel, codes) -> None:
-    """Write ``model.json``, ``train.enc`` and ``test.enc`` to ``directory``, the
-    two files from the chunks ``codes(model.allocation.bits)`` gives each split."""
+    """Write ``ENCODING_FILES`` to ``directory``: the model, then the training and
+    test records from the chunks ``codes(model.allocation.bits)`` gives each split."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    persist_model(model, directory / "model.json")
-    for name, chunks in zip(("train", "test"), codes(model.allocation.bits)):
-        write_packed(directory / f"{name}.enc", model.width, chunks)
+    persist_model(model, directory / ENCODING_FILES[0])
+    for name, chunks in zip(ENCODING_FILES[1:], codes(model.allocation.bits)):
+        write_packed(directory / name, model.width, chunks)
 
 
 def read_encoded_header(path) -> int:

@@ -7,12 +7,12 @@ reservoir. Scheme ``lsa`` streams only as one non-empty batch.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
 writes every record's integer copula ranks and its label to a uint32
-``Spill`` in ``work_dir``, 4 * (D + 1) bytes per record. Ranks do not depend
-on the width, so each swept width packs its codes from the spill a batch at a
-time and merges per-batch code counts; memory grows with distinct codes, not
-record count. The final ``train.enc``, ``test.enc`` and ``model.json`` are
-written from the spill at the last swept width, and the spill files are
-removed on success and on error.
+``Spill`` in ``work_dir`` (``RANK_SPILLS``: training, then test), 4 * (D + 1)
+bytes per record. Ranks do not depend on the width, so each swept width packs
+its codes from the spill a batch at a time and merges per-batch code counts;
+memory grows with distinct codes, not record count. The final encoding
+(``encoder.write_encoding``) is written from the spills at the last swept
+width, and the spill files are removed on success and on error.
 
 ``Spill`` is the one on-disk batch format: per record, its values, then its
 label id. ``stream-estimate`` parses the training CSV once, before the fit,
@@ -40,6 +40,7 @@ from bitbit.encoder import (
 )
 
 DEFAULT_RESERVOIR_SIZE = 100_000
+RANK_SPILLS = ("train.ranks", "test.ranks")
 
 
 class CsvBatchSource:
@@ -143,26 +144,28 @@ def _spill_codes(spill: Spill, copula, bits, batch_size: int):
 def stream_sweep_curve(train_source, test_source, base: EncoderModel, c: int, batch_size: int, work_dir,
                        n_x_max: int, step: int) -> list[tuple[int, CoverageMetrics]]:
     """``sweep_widths`` over ``train_source`` and ``test_source`` with the
-    batched test rule, after one rank pass over each. Writes ``train.enc``,
-    ``test.enc`` and ``model.json`` to ``work_dir`` at the last swept width;
-    the rank spill files there are removed on success and error."""
+    batched test rule, after one rank pass over each into ``RANK_SPILLS``.
+    Writes the encoding at the last swept width to ``work_dir``; the rank
+    spills there are removed on success and error."""
     check_sweep(n_x_max, step)
-    work_dir = Path(work_dir)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     copula = base.copula
+    if max(col.shape[0] for col in copula.columns) >= 2**32:
+        raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
+    work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    spills = {name: Spill(work_dir / f"{name}.ranks", np.uint32, len(copula) + 1) for name in ("train", "test")}
+    spills = [Spill(work_dir / name, np.uint32, len(copula) + 1) for name in RANK_SPILLS]
     try:
-        if max(col.shape[0] for col in copula.columns) >= 2**32:
-            raise ValueError("copula columns of 2**32 or more values do not fit a uint32 rank")
-        for name, source in (("train", train_source), ("test", test_source)):
-            spills[name].write((copula_ranks(base, x), y) for x, y in source.batches(batch_size))
+        for spill, source in zip(spills, (train_source, test_source)):
+            spill.write((copula_ranks(base, x), y) for x, y in source.batches(batch_size))
 
         def codes(bits):
-            return tuple(_spill_codes(spill, copula, bits, batch_size) for spill in spills.values())
+            return tuple(_spill_codes(spill, copula, bits, batch_size) for spill in spills)
 
         curve = sweep_widths(base.importances, codes, c, True, n_x_max, step)
         write_encoding(work_dir, base.at_width(curve[-1][0]), codes)
     finally:
-        for spill in spills.values():
+        for spill in spills:
             spill.path.unlink(missing_ok=True)
     return curve

@@ -1124,6 +1124,10 @@ class TestFlagValidation:
          "--train-input", "--work-dir's train.rows"),
         ("stream-estimate --train-input v.csv --test-input w/report.json --batch-size 16 --work-dir w",
          "--test-input", "--work-dir's report"),
+        ("stream-estimate --train-input v.csv --test-input w/test.ranks --batch-size 16 --work-dir w",
+         "--test-input", "--work-dir's test.ranks"),
+        ("stream-estimate --train-input w/train.ranks --test-input v.csv --batch-size 16 --work-dir w",
+         "--train-input", "--work-dir's train.ranks"),
     ])
     def test_same_file_twice(self, tmp_path, separable_2d_csv, capsys, monkeypatch, argv, first, second):
         """Two of a run's paths that are one file exit 1 naming both, before any
@@ -1134,9 +1138,24 @@ class TestFlagValidation:
         for name in inputs:
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_bytes(separable_2d_csv.read_bytes())
+        self._assert_same_file_error(tmp_path, capsys, monkeypatch, argv, f"{first} and {second} are the same file")
+
+    def test_hard_link_is_the_same_file(self, tmp_path, separable_2d_csv, capsys, monkeypatch):
+        """One file is one device and inode: a hard link of the input is no place for the report."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.csv").write_bytes(separable_2d_csv.read_bytes())
+        os.link(tmp_path / "v.csv", tmp_path / "h.csv")
+        self._assert_same_file_error(tmp_path, capsys, monkeypatch, "estimate --input v.csv --output h.csv".split(),
+                                     "--input and --output are the same file h.csv")
+
+    def _assert_same_file_error(self, tmp_path, capsys, monkeypatch, argv, named):
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the paths were checked")
+
+        monkeypatch.setattr("bitbit.cli.load_csv", never)
+        monkeypatch.setattr("bitbit.cli.CsvBatchSource", never)
         before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
-        code = main(argv)
-        self._assert_flag_error(code, capsys, f"{first} and {second} are the same file")
+        self._assert_flag_error(main(argv), capsys, named)
         assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
     @staticmethod

@@ -1,11 +1,13 @@
-"""Every name a ``bitbit`` module imports is used in that module, and every
-module-level function or class is named somewhere in the code.
+"""Every name a ``bitbit`` module imports is used in that module, every
+module-level function or class is named somewhere in the code, and every
+function the benchmark's tracer looks up by name exists.
 
 The package ``__init__`` is exempt from the import check: its imports are the
 public API. An import line that carries ``# noqa: F401`` is kept on purpose.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,22 @@ def test_checker_finds_an_unnamed_definition():
     module = "def _write_json(path, doc):\n    pass\n\ndef _write_report(report, output):\n    pass\n"
     caller = "import json\nfrom m import _write_json\n_write_json('r.json', {})\n"
     assert unnamed_definitions({"m.py": module}, [module, caller]) == ["m.py: _write_report"]
+
+
+def test_benchmark_hook_names_resolve():
+    """Every ``module:qualname`` the benchmark's tracer hangs a counter on, and
+    the sweep whose time it reads as ``cli.parallelism``, names a function in
+    ``bitbit``; a renamed one would make its metric come out absent."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    keys = {key for targets in tracer.COUNTERS.values() for key, _ in targets} | {"coverage:sweep_curve"}
+    missing = []
+    for key in sorted(keys):
+        module, _, qualname = key.partition(":")
+        owner = importlib.import_module(f"bitbit.{module}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(key)
+    assert missing == []

@@ -524,6 +524,13 @@ class TestStreamSweep:
             stream_sweep_curve(source(d), source(d), base, 2, 10, tmp_path / "work", n_x_max, step)
         assert list(tmp_path.iterdir()) == []
 
+    def test_batch_size_checked_before_the_work_dir_is_made(self, tmp_path):
+        d = make_synthetic(30, 2, 2, 2.0, seed=16)
+        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            stream_sweep_curve(source(d), source(d), base, 2, 0, tmp_path / "work", 12, 5)
+        assert list(tmp_path.iterdir()) == []
+
 
 FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # shortest repr
 ODD_FEATURE_CELLS = ["1_000", " 1.5 ", "\xa01.5", "\u0661\u0662", "nan", "inf", "-inf", "", " ", "-0.0", "1e-3",
