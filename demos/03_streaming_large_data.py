@@ -15,7 +15,7 @@ import numpy as np
 
 from bitbit import ReducerSpec, fit_encoder, make_synthetic
 from bitbit.coverage import estimate_from_curve
-from bitbit.encoder import read_encoded_header
+from bitbit.encoder import read_packed
 from bitbit.stream import ArrayBatchSource, stream_fit_base, stream_sweep_curve
 
 
@@ -55,7 +55,7 @@ with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
               f"overlap {m.test_train_overlap_fraction:.4f}")
     est = estimate_from_curve(curve, 0.99, c=2)
     print(f"at threshold 0.99: q_train {est.q_train}, q_test {est.q_test}, q_dataset {est.q_dataset}")
-    print(f"written at width {read_encoded_header(work / 'train.enc')}: "
+    print(f"written at width {read_packed(work / 'train.enc')[0]}: "
           f"{', '.join(sorted(p.name for p in work.iterdir()))}")
     print(f"peak traced allocation over 50k streamed records: {peak / 2**20:.1f} MB")
 

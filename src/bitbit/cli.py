@@ -172,6 +172,9 @@ def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
     that gives it or that it stands in for, by ``"curves"``, or by its name inside a directory."""
     paths = {field: _PlannedPath(f"--{field.replace('_', '-')}", Path(getattr(cfg, field)), kind)
              for field, kind in _PATH_FLAGS.items() if getattr(cfg, field) is not None}
+    for flag, path, kind in paths.values():
+        if kind == "file" and not path.name:  # "." or "/": a directory, and no name to derive files from
+            _check_output(flag, path, False)
 
     def derive(key, base, what, path, kind="file"):
         owner = paths[base].flag.partition("'")[0]  # the flag the base path is named after

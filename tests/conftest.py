@@ -3,6 +3,7 @@ import pytest
 
 import bitbit.data
 from bitbit.data import Dataset
+from bitbit.encoder import ENCODED_FILE_MAGIC, Bitstring, hex_digits
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
@@ -27,6 +28,32 @@ def count_converted_rows(monkeypatch, on_call=None) -> list[int]:
 
     monkeypatch.setattr(bitbit.data, "_convert_rows", counting)
     return counts
+
+
+def iter_encoded(path):
+    """Stream (Bitstring, label) records from an encoded-record file, one line
+    at a time: the scalar oracle for ``read_packed``."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        width = parts[2].removeprefix("width=") if len(parts) == 3 and parts[2].startswith("width=") else ""
+        if " ".join(parts[:2]) != ENCODED_FILE_MAGIC or not (width.isascii() and width.isdigit()):
+            raise ValueError(f"{path}: not an encoded-record file (bad header {header.strip()!r})")
+        width = int(width)
+        digits = hex_digits(width)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}: malformed record at line {line_no}")
+            try:
+                if len(parts[0]) != digits:
+                    raise ValueError(f"expected {digits} hex digits for width {width}, got {len(parts[0])}")
+                yield Bitstring(width, int(parts[0], 16)), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed record at line {line_no}: {exc}") from None
 
 
 def all_pure_1d_dataset() -> tuple[Dataset, Dataset]:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 import bitbit.encoder
 import bitbit.stream
 from bitbit.cli import main
+from bitbit.coverage import code_coverage, count_table
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
-from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from bitbit.encoder import Bitstring, encode_samples, fit_encoder, read_packed
 from bitbit.qsim import fresh_model, get_qubit_cap
 from tests.conftest import count_converted_rows, write_dataset_csv
 
@@ -576,6 +578,49 @@ class TestNoBitstringPerRecord:
         assert counts == {"encode": 0, "estimate": 0, "stream-estimate": 0, "train": unique_train_codes}
 
 
+class TestWrittenEncodingsRecount:
+    """The train.enc and test.enc a command writes, read back and counted, give
+    the coverage its report gives at their width."""
+
+    @staticmethod
+    def recount(directory, c, batched):
+        tables = []
+        for name in ("train.enc", "test.enc"):
+            width, words, labels = read_packed(directory / name)
+            tables.append(count_table([(words, labels)], c, width))
+        return {"n_x": width, **dataclasses.asdict(code_coverage(*tables, batched=batched))}
+
+    @pytest.fixture
+    def overlapping(self):
+        return make_synthetic(200, 3, 3, 1.0, seed=2)
+
+    def test_stream_estimate_files_give_the_last_curve_point(self, tmp_path, overlapping):
+        train, test = split_train_test(overlapping, SplitSpec(0.8, seed=4))
+        write_dataset_csv(tmp_path / "tr.csv", train)
+        write_dataset_csv(tmp_path / "te.csv", test)
+        work, out = tmp_path / "work", tmp_path / "r.json"
+        assert run_cli("stream-estimate", "--train-input", tmp_path / "tr.csv", "--test-input", tmp_path / "te.csv",
+                       "--batch-size", "32", "--work-dir", work, "--output", out) == 0
+        report = json.loads(out.read_text())
+        curve = report["replicates"][0]["curve"]
+        assert len(curve) > 1 and curve[0]["theoretical_train_accuracy"] < 1.0
+        assert self.recount(work, report["n_classes"], batched=True) == curve[-1]
+
+    def test_encode_files_give_the_estimate_curve_point(self, tmp_path, overlapping):
+        write_dataset_csv(tmp_path / "d.csv", overlapping)
+        out = tmp_path / "r.json"
+        assert run_cli("estimate", "--input", tmp_path / "d.csv", "--replicates", "1", "--seed", "5",
+                       "--output", out) == 0
+        report = json.loads(out.read_text())
+        curve = report["replicates"][0]["curve"]
+        assert len(curve) > 2 and curve[0]["theoretical_test_accuracy"] < 1.0
+        for point in (curve[0], curve[len(curve) // 2], curve[-1]):
+            enc = tmp_path / f"enc{point['n_x']}"
+            assert run_cli("encode", "--input", tmp_path / "d.csv", "--n-x", point["n_x"], "--seed", "5",
+                           "--output-dir", enc) == 0
+            assert self.recount(enc, report["n_classes"], batched=False) == point
+
+
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, separable_1d_csv, capsys):
         out = tmp_path / "r.json"
@@ -734,7 +779,9 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("where,command,flag", [(where, *pair) for where in ("under-a-file", "wrong-kind")
                                                     for pair in OUTPUT_FLAGS]
-                             + [("wrong-kind", *pair) for pair in DERIVED_FLAGS])
+                             + [("wrong-kind", *pair) for pair in DERIVED_FLAGS]
+                             + [(where, *pair) for where in ("dot", "root") for pair in OUTPUT_FLAGS
+                                if not pair[1].endswith("-dir")])
     def test_unusable_output_fails_before_any_read(self, tmp_path, split_csvs, capsys, monkeypatch,
                                                    command, flag, where):
         def never(*args, **kwargs):
@@ -745,8 +792,9 @@ class TestFlagValidation:
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
         wants_dir = flag.endswith("-dir")
-        # A path inside a regular file, or an existing path of the other kind.
-        bad = blocker / "new" / "x" if where == "under-a-file" else (blocker if wants_dir else tmp_path)
+        # A path inside a regular file, an existing path of the other kind, or a file path with an empty name.
+        bad = {"under-a-file": blocker / "new" / "x", "wrong-kind": blocker if wants_dir else tmp_path,
+               "dot": Path("."), "root": Path("/")}[where]
         good = {"--output": tmp_path / "new" / "r.json", "--model-output": tmp_path / "new" / "m.json",
                 "--output-dir": tmp_path / "new" / "enc", "--work-dir": tmp_path / "new" / "work"}
         train_csv, test_csv = split_csvs
@@ -771,7 +819,7 @@ class TestFlagValidation:
             outputs = tuple(f for f in outputs if f != replaced_by)
         before = sorted(tmp_path.rglob("*"))
         code = run_cli(command, *base, *[a for f in outputs for a in (f, bad if f == flag else good[f])])
-        self._assert_flag_error(code, capsys, f"{flag} {bad}")
+        self._assert_flag_error(code, capsys, f"{flag} {bad}: ")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_stream_estimate_default_work_dir_is_checked(self, tmp_path, split_csvs, capsys):

@@ -25,18 +25,18 @@ from bitbit.encoder import (
     fit_batches,
     fit_copula,
     fit_encoder,
-    iter_encoded,
     load_model,
     pack_codes,
     packed_values,
     persist_model,
-    read_encoded,
+    read_packed,
     split_codes,
     write_encoded,
     write_encoding,
     write_packed,
 )
 from bitbit.stream import DEFAULT_RESERVOIR_SIZE
+from tests.conftest import iter_encoded
 
 
 def unpack_codes(bs: Bitstring, bits) -> list[int]:
@@ -65,7 +65,7 @@ class TestBitstring:
 
     def test_wide_values_supported(self):
         wide = Bitstring(130, (1 << 129) | 1)
-        assert Bitstring.from_hex(wide.to_hex(), 130) == wide
+        assert wide.to_hex() == "2" + "0" * 31 + "1"
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
@@ -572,8 +572,9 @@ class TestEncodedFiles:
         records = [(Bitstring(5, 3), 0), (Bitstring(5, 31), 2), (Bitstring(5, 0), 1)]
         path = tmp_path / "r.enc"
         assert write_encoded(path, 5, records) == 3
-        width, back = read_encoded(path)
-        assert width == 5 and back == records
+        width, words, labels = read_packed(path)
+        assert width == 5 and words.dtype == np.uint64 and labels.dtype == np.int64
+        assert words.tolist() == [[3], [31], [0]] and labels.tolist() == [0, 2, 1]
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "r.enc"
@@ -582,20 +583,63 @@ class TestEncodedFiles:
         assert lines[0] == "bitbit v1 width=6"
         assert lines[1] == "09 1"
 
-    def test_malformed_record_names_line(self, tmp_path):
+    @pytest.mark.parametrize("record,detail", [("zz 1", "expected 1 hex digits for width 4, got 2"),
+                                               (f"3 {1 << 63}", f"label {1 << 63} does not fit in int64")])
+    def test_malformed_record_names_line(self, tmp_path, record, detail):
         path = tmp_path / "r.enc"
-        path.write_text("bitbit v1 width=4\n3 0\nzz 1\n")
-        with pytest.raises(ValueError, match="line 3"):
-            list(iter_encoded(path))
+        path.write_text(f"bitbit v1 width=4\n3 0\n{record}\n")
+        with pytest.raises(ValueError, match=f"malformed record at line 3: {detail}"):
+            read_packed(path)
+
+    @pytest.mark.parametrize("text,error", [
+        ("bitbit v1 width=6\n09 1\n09\n", "at line 3$"),
+        ("bitbit v1 width=6\n09 1 2\n", "at line 2$"),
+        ("bitbit v1 width=6\n9 1\n", "line 2: expected 2 hex digits for width 6, got 1"),
+        ("bitbit v1 width=6\n009 1\n", "line 2: expected 2 hex digits"),
+        ("bitbit v1 width=6\n0g 1\n", "line 2: invalid literal"),
+        ("bitbit v1 width=6\n40 1\n", "line 2: value 64 does not fit in 6 bits"),
+        ("bitbit v1 width=6\n09 x\n", "line 2: invalid literal"),
+        ("bitbit v1 width=6\n09 1.0\n", "line 2: invalid literal"),
+        ("bitbit v1 width=abc\n09 1\n", "bad header"),
+        ("bitbit v1 width=-3\n09 1\n", "bad header"),
+        ("bitbit v1 width=\n", "bad header"),
+        ("bitbit v2 width=6\n09 1\n", "bad header"),
+        ("bitbit v1 width=6 x\n", "bad header"),
+        ("", "bad header"),
+        ("bitbit v1 width=6\n\n09 1\n   \n3f 0\n\n", None),
+        ("bitbit v1 width=6\n3F 0\n0a 2\n", None),
+        ("bitbit  v1\twidth=06 \r\n  09\t-1  \r\n3f 0", None),
+        ("bitbit v1 width=6\n", None),
+        ("bitbit v1 width=130\n3" + "f" * 32 + " 1\n2" + "0" * 31 + "1 0\n", None),
+    ], ids=["fields-1", "fields-3", "short-hex", "long-hex", "non-hex", "too-wide", "bad-label", "float-label",
+            "width-abc", "width-negative", "width-empty", "bad-magic", "header-fields", "empty-file",
+            "blank-lines", "uppercase-hex", "whitespace", "no-records", "wide"])
+    def test_read_packed_matches_scalar_reader(self, tmp_path, text, error):
+        """read_packed accepts what the line-at-a-time oracle accepts, with the
+        same records, and rejects the rest with the oracle's message."""
+        path = tmp_path / "r.enc"
+        path.write_bytes(text.encode())
+        if error is not None:
+            with pytest.raises(ValueError, match=error) as expected:
+                list(iter_encoded(path))
+            with pytest.raises(ValueError) as got:
+                read_packed(path)
+            assert str(got.value) == str(expected.value) and str(path) in str(got.value)
+            return
+        records = list(iter_encoded(path))
+        width, words, labels = read_packed(path)
+        assert words.shape == (len(records), max(1, -(-width // 64)))
+        assert [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())] == records
 
     def test_wrong_width_record_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             write_encoded(tmp_path / "r.enc", 4, [(Bitstring(5, 1), 0)])
 
-    @pytest.mark.parametrize("width", [1, 4, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("width", [1, 4, 63, 64, 65, 128, 129, 130])
     def test_packed_writer_matches_bitstring_writer(self, tmp_path, width):
         """write_packed's array formatting gives write_encoded's bytes over
-        Bitstrings, across word edges, for labels up to 12 and an empty chunk."""
+        Bitstrings, across word edges, for labels up to 12 and an empty chunk;
+        read_packed gives back the words and labels, of a file without records too."""
         rng = np.random.default_rng(width)
         n_words = -(-width // 64)
         words = rng.integers(0, 2**64, size=(300, n_words), dtype=np.uint64)
@@ -608,6 +652,11 @@ class TestEncodedFiles:
         records = [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())]
         write_encoded(tmp_path / "bitstrings.enc", width, records)
         assert (tmp_path / "packed.enc").read_bytes() == (tmp_path / "bitstrings.enc").read_bytes()
+        back_width, back_words, back_labels = read_packed(tmp_path / "packed.enc")
+        assert back_width == width and np.array_equal(back_words, words) and np.array_equal(back_labels, labels)
+        assert write_packed(tmp_path / "empty.enc", width, [(words[:0], labels[:0])]) == 0
+        _, empty_words, empty_labels = read_packed(tmp_path / "empty.enc")
+        assert empty_words.shape == (0, n_words) and empty_labels.shape == (0,)
 
 
 class TestSplitCodes:

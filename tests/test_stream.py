@@ -18,9 +18,9 @@ from bitbit.encoder import (
     copula_ranks,
     encode_samples,
     fit_encoder,
-    iter_encoded,
+    packed_values,
     persist_model,
-    read_encoded,
+    read_packed,
     write_encoded,
     write_packed,
 )
@@ -32,7 +32,7 @@ from bitbit.stream import (
     stream_fit_base,
     stream_sweep_curve,
 )
-from tests.conftest import count_converted_rows, write_dataset_csv
+from tests.conftest import count_converted_rows, iter_encoded, write_dataset_csv
 
 
 def bs(bits):
@@ -289,8 +289,8 @@ class TestStreamFit:
         curve = stream_sweep_curve(source(d), ArrayBatchSource(d.features[:10], d.labels[:10]), base, 2, 8,
                                    tmp_path / "work", 4, 3)
         assert (tmp_path / "work" / "model.json").exists()
-        width, records = read_encoded(tmp_path / "work" / "train.enc")
-        assert width == curve[-1][0] == 4 and len(records) == 30
+        width, words, labels = read_packed(tmp_path / "work" / "train.enc")
+        assert width == curve[-1][0] == 4 and words.shape == (30, 1) and len(labels) == 30
         assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["model.json", "test.enc", "train.enc"]
 
 
@@ -319,9 +319,9 @@ class TestStreamEncode:
         path = tmp_path / "x.enc"
         spill = self.rank_spill(tmp_path / "x.ranks", model, ArrayBatchSource(d.features, d.labels), 13)
         write_packed(path, model.width, _spill_codes(spill, model.copula, model.allocation.bits, 13))
-        _, records = read_encoded(path)
-        direct = list(zip(encode_samples(model, d.features), d.labels.tolist()))
-        assert records == direct
+        width, words, labels = read_packed(path)
+        assert [Bitstring(width, v) for v in packed_values(words)] == encode_samples(model, d.features)
+        assert np.array_equal(labels, d.labels)
 
 
 class TestStreamCoverage:
