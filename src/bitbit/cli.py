@@ -35,7 +35,7 @@ from bitbit.dimred import SCHEMES, ReducerSpec
 from bitbit.encoder import ENCODING_FILES, fit_encoder, split_codes, write_encoding
 from bitbit.qsim import (
     DEFAULT_QUBIT_CAP,
-    classification_accuracy,
+    classification_accuracies,
     evaluate_loss,
     fresh_model,
     get_qubit_cap,
@@ -68,23 +68,12 @@ class RunConfig(argparse.Namespace):
 
 
 def _aggregate(values: list[int | None]) -> dict:
+    """Mean and sample standard deviation (0.0 for one) of the covered replicates' q_dataset."""
     covered = [v for v in values if v is not None]
-    out = {
-        "n_replicates": len(values),
-        "n_covered": len(covered),
-        "mean_q_dataset": None,
-        "std_q_dataset": None,
-    }
-    if covered:
-        mean = sum(covered) / len(covered)
-        out["mean_q_dataset"] = mean
-        if len(covered) > 1:
-            out["std_q_dataset"] = (
-                sum((v - mean) ** 2 for v in covered) / (len(covered) - 1)
-            ) ** 0.5
-        else:
-            out["std_q_dataset"] = 0.0
-    return out
+    mean = sum(covered) / len(covered) if covered else None
+    std = None if mean is None else 0.0 if len(covered) == 1 else (
+        sum((v - mean) ** 2 for v in covered) / (len(covered) - 1)) ** 0.5
+    return {"n_replicates": len(values), "n_covered": len(covered), "mean_q_dataset": mean, "std_q_dataset": std}
 
 
 def _write_json(path, doc: dict) -> None:
@@ -442,14 +431,10 @@ def _train(cfg: RunConfig) -> int:
     batch = training_batch_from_table(train_table, weighting="uniform" if cfg.uniform_weights else "frequency")
     qmodel = fresh_model(cfg.n_x, q_y, cfg.layers, init_seed=cfg.seed)
 
-    rows = [(0, evaluate_loss(qmodel, batch),
-             classification_accuracy(qmodel, train_table),
-             classification_accuracy(qmodel, test_table))]
-    for sweep in range(1, cfg.sweeps + 1):
-        loss = train_sweeps(qmodel, batch, 1)[-1]
-        rows.append((sweep, loss,
-                     classification_accuracy(qmodel, train_table),
-                     classification_accuracy(qmodel, test_table)))
+    rows = []
+    for sweep in range(cfg.sweeps + 1):
+        loss = train_sweeps(qmodel, batch, 1)[-1] if sweep else evaluate_loss(qmodel, batch)
+        rows.append((sweep, loss, *classification_accuracies(qmodel, (train_table, test_table))))
 
     trace_path, model_path = paths["output"].path, paths["model_output"].path
     trace_path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,10 @@ Conventions, used everywhere in this module:
 - A batch of k statevectors is a (2^n, k) array, one column per state, so
   every kernel's inner loop runs over at least k contiguous amplitudes. A
   dense circuit matrix U is stored as U^T, for the same kernels to update.
+- A layer of the ansatz takes three kinds of pass: each RY is one real 2x2
+  product on the float64 view of the states; the layer's RZs, which commute
+  with the other qubits' RYs, are one length-2^n diagonal; the CNOT ring is
+  one row permutation.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -16,6 +20,7 @@ Conventions, used everywhere in this module:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -72,23 +77,13 @@ def _check_cap(n_qubits: int) -> None:
 # --- gate kernels (in place, batched over the trailing axis) ---
 
 
-def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
-    view = states.reshape(1 << qubit, 2, -1)
-    a0, a1 = view[:, 0], view[:, 1]
-    # Each pair turns by phi = angle / 2, done as three shears in place with
-    # one half-size temporary. -R(phi) = R(phi - pi) keeps |phi| <= pi / 2,
-    # so the shear factor tan(phi / 2) stays within [-1, 1].
-    phi = math.remainder(angle / 2, 2 * math.pi)
-    if abs(phi) > math.pi / 2:
-        states *= -1
-        phi -= math.copysign(math.pi, phi)
-    t, s = math.tan(phi / 2), math.sin(phi)
-    scratch = a1 * t
-    a0 -= scratch
-    np.multiply(a0, s, out=scratch)
-    a1 += scratch
-    np.multiply(a1, t, out=scratch)
-    a0 -= scratch
+def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float, out: np.ndarray | None = None) -> None:
+    # RY is real, so it turns the real and imaginary parts alike: one real
+    # 2x2 product on the float64 view, written to out (in place by default).
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    view = states.view(np.float64).reshape(1 << qubit, 2, -1)
+    target = view if out is None else out.view(np.float64).reshape(1 << qubit, 2, -1)
+    np.matmul(np.array([[c, -s], [s, c]]), view, out=target)
 
 
 def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
@@ -113,18 +108,25 @@ def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) ->
     view = states.reshape((2,) * n_qubits + (-1,))
     rest = [q for q in range(n_qubits + 1) if q not in (control, target)]
     pair = view.transpose([control, target] + rest)[1]  # the control-1 half, by target bit
-    tmp = pair[0].copy()
-    pair[0] = pair[1]
-    pair[1] = tmp
+    pair[[0, 1]] = pair[[1, 0]]
 
 
-_ROTATIONS = {"ry": _apply_ry, "rz": _apply_rz}
+@functools.cache
+def _ring(n_qubits: int) -> np.ndarray:
+    """The CNOT ring (qubit i controls i+1 mod n, in order of i) as a row
+    permutation: it maps states to states[_ring(n)]. One qubit has no ring."""
+    rows = np.arange(1 << n_qubits)[:, None]
+    for i in range(n_qubits if n_qubits > 1 else 0):
+        _apply_cnot(rows, n_qubits, i, (i + 1) % n_qubits)
+    rows.setflags(write=False)
+    return rows[:, 0]
 
 
 @dataclass(frozen=True)
 class Ansatz:
     """Hardware-efficient circuit: per layer, an RY and an RZ on every qubit,
-    then a ring of CNOTs (qubit i controls i+1 mod n). 2 * n * layers parameters."""
+    then a ring of CNOTs (qubit i controls i+1 mod n). 2 * n * layers parameters;
+    parameter 2 * n * layer + 2 * q is qubit q's RY angle, the next its RZ angle."""
 
     n_qubits: int
     layers: int
@@ -137,27 +139,23 @@ class Ansatz:
     def parameter_count(self) -> int:
         return 2 * self.n_qubits * self.layers
 
-    def gates(self) -> list[tuple[str, int, int]]:
-        """The circuit in application order: ("ry" or "rz", qubit, parameter
-        index) for a rotation, ("cnot", control, target) for a CNOT. Parameters
-        appear in index order."""
-        n = self.n_qubits
-        gates = []
-        for layer in range(self.layers):
-            p = 2 * n * layer
-            for q in range(n):
-                gates += [("ry", q, p + 2 * q), ("rz", q, p + 2 * q + 1)]
-            if n > 1:
-                gates += [("cnot", i, (i + 1) % n) for i in range(n)]
-        return gates
-
     def apply_batch(self, states: np.ndarray, theta: np.ndarray) -> None:
-        n = self.n_qubits
-        for kind, a, b in self.gates():
-            if kind == "cnot":
-                _apply_cnot(states, n, a, b)
-            else:
-                _ROTATIONS[kind](states, n, a, theta[b])
+        """Advance a (2^n, k) batch in place, one layer at a time: the RYs, then
+        the RZs and the ring in one pass. The kernels reinterpret the buffer as
+        float64 pairs, so C order and complex128 are preconditions."""
+        n, ring = self.n_qubits, _ring(self.n_qubits)
+        wrong = [f"shape {states.shape}"] if states.ndim != 2 or states.shape[0] != 1 << n else []
+        wrong += [f"dtype {states.dtype}"] if states.dtype != np.complex128 else []
+        wrong += [] if states.flags.c_contiguous else ["not C-contiguous"]
+        if wrong:
+            raise ValueError(
+                f"states must be a C-contiguous complex128 array of shape ({1 << n}, k); got {', '.join(wrong)}")
+        for p in range(0, self.parameter_count, 2 * n):
+            diagonal = np.ones((1 << n, 1), dtype=np.complex128)
+            for q in range(n):
+                _apply_ry(states, n, q, theta[p + 2 * q])
+                _apply_rz(diagonal, n, q, theta[p + 2 * q + 1])
+            np.multiply(states[ring], diagonal[ring], out=states)
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,7 @@ class QuantumModel:
         _check_cap(self.n_qubits)
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.shape != (self.ansatz.parameter_count,):
-            raise ValueError(
-                f"theta must have {self.ansatz.parameter_count} entries, got shape {theta.shape}"
-            )
+            raise ValueError(f"theta must have {self.ansatz.parameter_count} entries, got shape {theta.shape}")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -203,10 +199,8 @@ def fresh_model(n_x: int, n_y: int, layers: int, init_seed: int | None = None) -
     for actual training runs.
     """
     ansatz = Ansatz(n_qubits=n_x + n_y, layers=layers)
-    if init_seed is None:
-        theta = np.zeros(ansatz.parameter_count)
-    else:
-        theta = np.random.default_rng(init_seed).uniform(-math.pi, math.pi, ansatz.parameter_count)
+    count = ansatz.parameter_count
+    theta = np.zeros(count) if init_seed is None else np.random.default_rng(init_seed).uniform(-math.pi, math.pi, count)
     return QuantumModel(n_x=n_x, n_y=n_y, ansatz=ansatz, theta=theta)
 
 
@@ -404,21 +398,23 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     A = (|alpha|^2 + |beta|^2) / 2, B = (|alpha|^2 - |beta|^2) / 2 and
     C = Re <alpha, beta>. beta takes one matmul per class; alpha is carried
     from gate to gate, since moving the rotation to t0 + d turns it into
-    cos(d/2) alpha + sin(d/2) beta and a CNOT leaves it alone. Each gate is
+    cos(d/2) alpha + sin(d/2) beta and the ring leaves it alone. Each gate is
     then peeled off V at its old angle and pushed onto psi at its new one.
-    V is stored as its transpose (U^T at the start), so V_y is a block of its columns.
+
+    The kernels act on columns (M -> G M), so V is kept as V^T (U^T at the
+    start, V_y a block of its columns), and peeling G off the front of V
+    applies (G^-1)^T: RY(t), RZ(-t), the ring itself. A layer's RZ peels wait
+    for its end: the kept suffix is V D, where the diagonal D holds the RZs
+    visited so far at their old angles. D commutes with the layer's later
+    RYs, which still peel off V D, and beta = (V D)_y (D^-1 (-iP psi)), so
+    ``d_inv`` multiplies the turned states before the matmul. At the layer's
+    end V^T takes ``d_inv`` and then the ring, in two passes.
     """
     n, dim, rows = model.n_qubits, 1 << model.n_qubits, 1 << model.n_x
-    theta, gates = model.theta, model.ansatz.gates()
-    # The kernels act on columns (M -> G M), so V^T = U^T is the identity times
-    # the transposed gates in reverse order (RY(t)^T = RY(-t); RZ and CNOT are
-    # symmetric), and peeling G off the front of V applies (G^-1)^T: RY(t), RZ(-t).
-    suffix = np.eye(dim, dtype=np.complex128)
-    for kind, a, b in reversed(gates):
-        if kind == "cnot":
-            _apply_cnot(suffix, n, a, b)
-        else:
-            _ROTATIONS[kind](suffix, n, a, -theta[b] if kind == "ry" else theta[b])
+    theta, ring = model.theta, _ring(model.n_qubits)
+    spare = np.eye(dim, dtype=np.complex128)
+    model.apply_batch(spare)
+    suffix = spare.T.copy()
 
     # Samples grouped by target class.
     order = np.argsort(batch._targets, kind="stable")
@@ -432,26 +428,35 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     classes, starts = np.unique(targets, return_index=True)
     groups = list(zip(classes.tolist(), starts.tolist(), starts[1:].tolist() + [k]))
 
-    for kind, a, b in gates:
-        if kind == "cnot":
-            _apply_cnot(suffix, n, a, b)
-            _apply_cnot(prefix, n, a, b)
-            continue
-        _minus_i_pauli(turned, prefix, n, kind, a)
-        for y, lo, hi in groups:
-            np.matmul(turned[:, lo:hi].T, suffix[:, y * rows:(y + 1) * rows], out=beta[lo:hi])
-        alpha2 = float((alpha.real ** 2 + alpha.imag ** 2).sum(axis=1) @ weights)
-        beta2 = float((beta.real ** 2 + beta.imag ** 2).sum(axis=1) @ weights)
-        overlap = float(np.vdot(alpha, beta * weights[:, None]).real)
-        t0 = float(theta[b])
-        # L(t0 + d) = 1 - sum_i w_i p_i(t0 + d)
-        t_new, loss = _slice_update(t0, 1.0 - (alpha2 + beta2) / 2.0, (beta2 - alpha2) / 2.0, -overlap)
-        if t_new != t0:
-            theta[b] = t_new
-            alpha *= math.cos((t_new - t0) / 2)
-            alpha += math.sin((t_new - t0) / 2) * beta
-        _ROTATIONS[kind](suffix, n, a, t0 if kind == "ry" else -t0)
-        _ROTATIONS[kind](prefix, n, a, t_new)
+    for p in range(0, theta.shape[0], 2 * n):
+        d_inv = np.ones((dim, 1), dtype=np.complex128)
+        for j in range(p, p + 2 * n):
+            kind, q = ("ry", "rz")[j % 2], (j - p) // 2
+            _minus_i_pauli(turned, prefix, n, kind, q)
+            turned *= d_inv
+            for y, lo, hi in groups:
+                np.matmul(turned[:, lo:hi].T, suffix[:, y * rows:(y + 1) * rows], out=beta[lo:hi])
+            alpha2 = float((alpha.real ** 2 + alpha.imag ** 2).sum(axis=1) @ weights)
+            beta2 = float((beta.real ** 2 + beta.imag ** 2).sum(axis=1) @ weights)
+            overlap = float(np.vdot(alpha, beta * weights[:, None]).real)
+            t0 = float(theta[j])
+            # L(t0 + d) = 1 - sum_i w_i p_i(t0 + d)
+            t_new, loss = _slice_update(t0, 1.0 - (alpha2 + beta2) / 2.0, (beta2 - alpha2) / 2.0, -overlap)
+            if t_new != t0:
+                theta[j] = t_new
+                alpha *= math.cos((t_new - t0) / 2)
+                alpha += math.sin((t_new - t0) / 2) * beta
+            if kind == "ry":
+                _apply_ry(suffix, n, q, t0, out=spare)
+                suffix, spare = spare, suffix
+                _apply_ry(prefix, n, q, t_new)
+            else:
+                _apply_rz(d_inv, n, q, -t0)
+                _apply_rz(prefix, n, q, t_new)
+        suffix *= d_inv
+        np.take(suffix, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
+        suffix, spare = spare, suffix
+        prefix = prefix[ring]
     return loss
 
 
@@ -483,15 +488,24 @@ def predict_many(model, z_values: np.ndarray) -> np.ndarray:
 
 
 def classification_accuracy(model, table: BitstringTable) -> float:
-    """Per-sample accuracy of the model over the multiset behind a count table.
+    """``classification_accuracies`` of one table."""
+    return classification_accuracies(model, [table])[0]
 
-    Equals sum_z count(z, predict(z)) / total, so it can never exceed the
+
+def classification_accuracies(model, tables) -> list[float]:
+    """Per-sample accuracy of the model over the multiset behind each count
+    table: sum_z count(z, predict(z)) / total, so it can never exceed the
     table's theoretical accuracy (attained exactly when the model reproduces
-    every majority label).
-    """
-    total = table.total
-    if total == 0:
+    every majority label). One readout serves the union of the tables' codes;
+    readout columns are independent, so each accuracy equals its table's alone."""
+    if any(table.total == 0 for table in tables):
         raise ValueError("empty table")
-    preds = predict_many(model, table.codes.astype(np.int64))
-    rows = np.nonzero(preds < table.c)[0]
-    return int(table.counts[rows, preds[rows]].sum()) / total
+    codes = np.sort(np.concatenate([table.codes.astype(np.int64) for table in tables]))
+    union = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    union_preds = predict_many(model, union)
+    accuracies = []
+    for table in tables:
+        preds = union_preds[np.searchsorted(union, table.codes.astype(np.int64))]
+        rows = np.nonzero(preds < table.c)[0]
+        accuracies.append(int(table.counts[rows, preds[rows]].sum()) / table.total)
+    return accuracies

@@ -17,6 +17,7 @@ from bitbit.qsim import (
     _apply_ry,
     _apply_rz,
     build_exact_classifier,
+    classification_accuracies,
     classification_accuracy,
     evaluate_loss,
     fresh_model,
@@ -543,3 +544,146 @@ class TestCachedSweep:
         batch = TrainingBatch(records=((Bitstring(2, 0), 2, 1.0),))
         with pytest.raises(ValueError, match="does not fit"):
             train_sweeps(model, batch, 1)
+
+
+def gates(ansatz):
+    """The circuit in application order: ("ry" or "rz", qubit, parameter
+    index) for a rotation, ("cnot", control, target) for a CNOT. Parameters
+    appear in index order."""
+    n = ansatz.n_qubits
+    out = []
+    for layer in range(ansatz.layers):
+        p = 2 * n * layer
+        for q in range(n):
+            out += [("ry", q, p + 2 * q), ("rz", q, p + 2 * q + 1)]
+        if n > 1:
+            out += [("cnot", i, (i + 1) % n) for i in range(n)]
+    return out
+
+
+def shear_ry(states, n_qubits, qubit, angle):
+    """RY as three shears in place: each pair turns by phi = angle / 2, and
+    -R(phi) = R(phi - pi) keeps |phi| <= pi / 2, so the shear factor
+    tan(phi / 2) stays within [-1, 1]."""
+    view = states.reshape(1 << qubit, 2, -1)
+    a0, a1 = view[:, 0], view[:, 1]
+    phi = math.remainder(angle / 2, 2 * math.pi)
+    if abs(phi) > math.pi / 2:
+        states *= -1
+        phi -= math.copysign(math.pi, phi)
+    t, s = math.tan(phi / 2), math.sin(phi)
+    scratch = a1 * t
+    a0 -= scratch
+    np.multiply(a0, s, out=scratch)
+    a1 += scratch
+    np.multiply(a1, t, out=scratch)
+    a0 -= scratch
+
+
+def gate_walk(ansatz, states, theta):
+    """The ansatz one gate at a time, in ``gates`` order: the oracle for the
+    layer-fused ``Ansatz.apply_batch``."""
+    n = ansatz.n_qubits
+    for kind, a, b in gates(ansatz):
+        if kind == "cnot":
+            _apply_cnot(states, n, a, b)
+        elif kind == "ry":
+            shear_ry(states, n, a, theta[b])
+        else:
+            _apply_rz(states, n, a, theta[b])
+
+
+class TestLayerFusion:
+    """apply_batch (per layer: the RYs, then the RZs as one diagonal and the
+    ring as one permutation) against the gate-by-gate walk."""
+
+    def test_walk_order(self):
+        assert gates(Ansatz(1, 1)) == [("ry", 0, 0), ("rz", 0, 1)]
+        assert gates(Ansatz(2, 1)) == [("ry", 0, 0), ("rz", 0, 1), ("ry", 1, 2), ("rz", 1, 3),
+                                       ("cnot", 0, 1), ("cnot", 1, 0)]
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_gate_walk(self, rng, n, k):
+        for layers in range(1, 5):
+            ansatz = Ansatz(n_qubits=n, layers=layers)
+            theta = rng.uniform(-2 * math.pi, 2 * math.pi, ansatz.parameter_count)
+            states = _random_states(rng, n, k)
+            expected = states.copy()
+            gate_walk(ansatz, expected, theta)
+            ansatz.apply_batch(states, theta)
+            assert np.abs(states - expected).max() < 1e-12
+
+    def test_ry_into_out_leaves_input(self, rng):
+        states = _random_states(rng, 3, 2)
+        before, out = states.copy(), np.empty_like(states)
+        _apply_ry(states, 3, 1, 0.7, out=out)
+        expected = before.copy()
+        shear_ry(expected, 3, 1, 0.7)
+        assert np.array_equal(states, before) and np.abs(out - expected).max() < 1e-13
+
+
+class TestApplyBatchPreconditions:
+    """A batch the float64 view cannot advance as it stands is refused, never
+    advanced into a wrong result."""
+
+    @staticmethod
+    def _both(model, states, match):
+        for apply in (model.apply_batch, lambda s: model.ansatz.apply_batch(s, model.theta)):
+            before = states.copy()
+            with pytest.raises(ValueError, match=match):
+                apply(states)
+            assert np.array_equal(states, before)
+
+    def test_fortran_order(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        states = np.asfortranarray(_random_states(np.random.default_rng(1), 3, 3))
+        self._both(model, states, "not C-contiguous")
+
+    def test_strided_column_view(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        self._both(model, _random_states(np.random.default_rng(1), 3, 4)[:, ::2], "not C-contiguous")
+
+    def test_complex64(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        self._both(model, _random_states(np.random.default_rng(1), 3, 3).astype(np.complex64), "dtype complex64")
+
+    def test_wrong_row_count(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        self._both(model, _random_states(np.random.default_rng(1), 2, 3), r"shape \(4, 3\)")
+        self._both(model, np.zeros(8, dtype=np.complex128), r"shape \(8,\)")
+
+    def test_every_fault_named_at_once(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        states = np.asfortranarray(_random_states(np.random.default_rng(1), 2, 3).astype(np.complex64))
+        self._both(model, states, r"got shape \(4, 3\), dtype complex64, not C-contiguous$")
+
+    def test_c_ordered_batch_advances(self):
+        model = fresh_model(2, 1, 2, init_seed=0)
+        states = _random_states(np.random.default_rng(1), 3, 3)
+        expected = states.copy()
+        gate_walk(model.ansatz, expected, model.theta)
+        model.apply_batch(states)
+        assert np.abs(states - expected).max() < 1e-12
+
+
+class TestOneReadout:
+    @pytest.mark.parametrize("chunk_inputs", [None, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_union_readout_equals_separate_calls(self, seed, chunk_inputs, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 4, 2, 3)
+        if chunk_inputs:
+            monkeypatch.setattr(qsim, "_CHUNK_AMPLITUDES", chunk_inputs << model.n_qubits)
+        tables = [build_table([(Bitstring(4, int(z)), int(y)) for z, y in
+                               zip(rng.integers(0, 16, size), rng.integers(0, 3, size))], 4)
+                  for size in (40, 7, 1)]
+        separate = [classification_accuracy(model, t) for t in tables]
+        assert classification_accuracies(model, tables) == separate
+        assert classification_accuracies(model, tables[::-1]) == separate[::-1]
+        assert classification_accuracies(model, [tables[0], tables[0]]) == [separate[0]] * 2
+
+    def test_empty_table_rejected(self):
+        full = build_table([(Bitstring(2, 1), 0)], 2)
+        with pytest.raises(ValueError, match="empty"):
+            classification_accuracies(fresh_model(2, 1, 1), [full, build_table([], 2)])
