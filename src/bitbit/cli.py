@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import os
 import shutil
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -51,11 +51,11 @@ REPORT_SCHEMA_VERSION = "1"
 
 class RunConfig(argparse.Namespace):
     """Flat bag of CLI options; each command reads the fields it needs. A field
-    not given takes its flag's default in ``build_parser()``, from the first
+    not given takes its flag's default in the parser, from the first
     command that has the flag, so there is one table of defaults."""
 
     def __init__(self, **fields):
-        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
         defaults = {"command": None}
         for command_parser in subparsers.choices.values():
             for action in command_parser._actions:
@@ -124,7 +124,7 @@ def _write_estimate_report(
         "config": config,
         "label_mapping": label_mapping,
         "n_classes": c,
-        # Sorted and deduplicated, so report bytes do not depend on thread interleaving.
+        # Sorted and deduplicated: replicates repeat the same warning.
         "warnings": sorted({str(w.message) for w in caught}),
         "replicates": replicates,
         "aggregates": {str(t): _aggregate(per_threshold[t]) for t in thresholds},
@@ -315,17 +315,12 @@ def run_estimate(cfg: RunConfig) -> int:
                 raise ValueError("estimate requires --input (or --train-input/--test-input)")
             dataset = _load_input(cfg)
             label_names = dataset.label_names
-            # Each worker makes its own split; sizes do not depend on the seed, so one check covers all.
-            _split(cfg, dataset, cfg.seed)
             seeds = [cfg.seed + r for r in range(cfg.replicates)]
-
-        def worker(seed):
-            # Every sweep runs to full coverage, so each threshold's first crossing is on one curve.
-            split = (train, test) if seed is None else _split(cfg, dataset, seed)
-            return sweep_curve(*split, spec, cfg.n_x_max, cfg.step), seed
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
-            results = list(pool.map(worker, seeds))
+        # Replicates run in turn, each split made just before its sweep, so one split is held at a time.
+        # Split sizes do not depend on the seed: replicate 0's split fails a bad split before any sweep.
+        # Every sweep runs to full coverage, so each threshold's first crossing is on one curve.
+        results = [(sweep_curve(*((train, test) if seed is None else _split(cfg, dataset, seed)), spec,
+                                cfg.n_x_max, cfg.step), seed) for seed in seeds]
 
     config = _fields(cfg, ("input", "train_input", "test_input", "label_column", "scheme", "components",
                            "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
@@ -549,8 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-x-max", type=int, default=128)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--stratify", action="store_true")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel replicates (default: available parallelism)")
+    p.add_argument("--jobs", type=int, default=None, help="ignored: replicates run one after another")
     p.add_argument("--output", required=True, help="report JSON path (curves CSV lands beside it)")
 
     p = sub.add_parser("stream-estimate", help="batched streaming qubit estimate over pre-split CSVs")
@@ -603,6 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: main reads argv with it, RunConfig its defaults
+
 _COMMANDS = {
     "estimate": run_estimate,
     "stream-estimate": run_stream_estimate,
@@ -618,7 +614,7 @@ def main(argv=None) -> int:
         # Warnings no report collects go to stderr as one line each, once the
         # command has succeeded; a failed run prints only its error.
         with warnings.catch_warnings(record=True) as caught:
-            cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+            cfg = RunConfig(**vars(_parser().parse_args(argv)))
             _check_flags(cfg)
             code = _COMMANDS[cfg.command](cfg)
     except SystemExit as exc:  # --help and --version; usage errors raise ValueError

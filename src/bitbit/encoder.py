@@ -192,24 +192,25 @@ def _quantile_cuts(ordered: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _mutual_information(x: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
-    """``estimate_mutual_information`` of each column of ``x``: one sort, one ``np.bincount``
-    over the stacked (bin, label) tables. Bin ids count distinct cuts, as ``np.unique``
-    edges do. Sums stay per table, since numpy sums a one-class table pairwise."""
+    """``estimate_mutual_information`` of each column of ``x``: one argsort, one ``np.bincount``
+    over the stacked (bin, label) tables. Columns are binned in sorted order, where the binary
+    search is cheap; the tables count (bin, label) pairs, which the order does not change.
+    Bin ids count distinct cuts, as ``np.unique`` edges do. Sums stay per table, since numpy
+    sums a one-class table pairwise."""
     s, d = x.shape
-    ordered = np.sort(x, axis=0)
+    n_classes = int(labels.max()) + 1
+    cells = np.argsort(x, axis=0)  # the row order, then, column by column, the cells
+    ordered = np.take_along_axis(x, cells, axis=0)
     constant = ordered[0] == ordered[-1]
     cuts = np.sort(_quantile_cuts(ordered, bins), axis=0)
-    del ordered  # so that the batch is held at most twice: as given, then as cells
     first = np.ones(cuts.shape, dtype=bool)
     first[1:] = cuts[1:] != cuts[:-1]
     distinct = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(first, axis=0)])  # among the first i cuts
     offsets = np.concatenate([[0], np.cumsum(distinct[-1] + 1)])  # table j is rows offsets[j]:offsets[j + 1]
-    n_classes = int(labels.max()) + 1
-    cells = np.empty((s, d), dtype=np.int64)
+    # The batch is held at most three times: as given, sorted, and as the order that becomes the cells.
     for j in range(d):
-        cells[:, j] = distinct[np.searchsorted(cuts[:, j], x[:, j], side="right"), j] + offsets[j]
-    cells *= n_classes
-    cells += labels[:, None]
+        bin_ids = distinct[np.searchsorted(cuts[:, j], ordered[:, j], side="right"), j] + offsets[j]
+        cells[:, j] = bin_ids * n_classes + labels[cells[:, j]]
     joint = np.bincount(cells.ravel(), minlength=offsets[-1] * n_classes).reshape(-1, n_classes) / s
     by_class = np.repeat([joint[a:b].sum(axis=0) for a, b in zip(offsets[:-1], offsets[1:])], np.diff(offsets), axis=0)
     nz = joint > 0
@@ -393,12 +394,14 @@ def fit_encoder(train: Dataset, spec: ReducerSpec, n_x: int) -> EncoderModel:
 
 def copula_ranks(model: EncoderModel, features: np.ndarray) -> np.ndarray:
     """Width-independent part of the encoding as integers: per row and component,
-    the number of training copula values <= the normalized reduced value."""
+    the number of training copula values <= the normalized reduced value. Each
+    column is searched in sorted order, where the binary search is cheap."""
     reduced = transform(model.reducer, np.asarray(features, dtype=np.float64))
     normalized = _normalize(reduced, model.mins, model.maxs)
+    order = np.argsort(normalized, axis=0)
     ranks = np.empty(normalized.shape, dtype=np.int64)
     for j, col in enumerate(model.copula.columns):
-        ranks[:, j] = np.searchsorted(col, normalized[:, j], side="right")
+        ranks[order[:, j], j] = np.searchsorted(col, normalized[order[:, j], j], side="right")
     return ranks
 
 

@@ -140,9 +140,10 @@ class Ansatz:
         return 2 * self.n_qubits * self.layers
 
     def apply_batch(self, states: np.ndarray, theta: np.ndarray) -> None:
-        """Advance a (2^n, k) batch in place, one layer at a time: the RYs, then
-        the RZs and the ring in one pass. The kernels reinterpret the buffer as
-        float64 pairs, so C order and complex128 are preconditions."""
+        """Advance a (2^n, k) batch in place, one layer at a time: the RYs, each
+        written into a spare buffer of the batch's shape before the two swap,
+        then the ring and the RZs back into ``states``. The kernels reinterpret
+        the buffer as float64 pairs, so C order and complex128 are preconditions."""
         n, ring = self.n_qubits, _ring(self.n_qubits)
         wrong = [f"shape {states.shape}"] if states.ndim != 2 or states.shape[0] != 1 << n else []
         wrong += [f"dtype {states.dtype}"] if states.dtype != np.complex128 else []
@@ -150,12 +151,16 @@ class Ansatz:
         if wrong:
             raise ValueError(
                 f"states must be a C-contiguous complex128 array of shape ({1 << n}, k); got {', '.join(wrong)}")
+        other = np.empty_like(states)
         for p in range(0, self.parameter_count, 2 * n):
+            current, spare = states, other
             diagonal = np.ones((1 << n, 1), dtype=np.complex128)
             for q in range(n):
-                _apply_ry(states, n, q, theta[p + 2 * q])
+                _apply_ry(current, n, q, theta[p + 2 * q], out=spare)
+                current, spare = spare, current
                 _apply_rz(diagonal, n, q, theta[p + 2 * q + 1])
-            np.multiply(states[ring], diagonal[ring], out=states)
+            np.take(current, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
+            np.multiply(spare, diagonal[ring], out=states)
 
 
 @dataclass(frozen=True)
@@ -449,7 +454,8 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
             if kind == "ry":
                 _apply_ry(suffix, n, q, t0, out=spare)
                 suffix, spare = spare, suffix
-                _apply_ry(prefix, n, q, t_new)
+                _apply_ry(prefix, n, q, t_new, out=turned)  # turned is free until the next parameter
+                prefix, turned = turned, prefix
             else:
                 _apply_rz(d_inv, n, q, -t0)
                 _apply_rz(prefix, n, q, t_new)

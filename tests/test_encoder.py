@@ -18,6 +18,7 @@ from bitbit.encoder import (
     _quantile_cuts,
     allocate_bits,
     apply_copula,
+    copula_ranks,
     copula_units,
     discretize_value,
     encode_samples,
@@ -29,6 +30,7 @@ from bitbit.encoder import (
     pack_codes,
     packed_values,
     persist_model,
+    rank_units,
     read_packed,
     split_codes,
     write_encoded,
@@ -289,6 +291,18 @@ class TestCopula:
     def test_monotone(self, train, v, delta):
         m = fit_copula(np.array(train).reshape(-1, 1))
         assert apply_copula(m, v, 0) <= apply_copula(m, v + delta, 0)
+
+    def test_batched_ranks_equal_the_scalar_rule(self, rng):
+        """``copula_ranks`` searches each column in sorted order; its units equal ``apply_copula``
+        on every value: ties, queries equal to copula values, and values normalized past 0 or 1."""
+        x = np.column_stack([rng.integers(0, 5, 40), rng.standard_normal(40), np.full(40, 2.0)])
+        model = fit_encoder(Dataset(features=x, labels=np.arange(40) % 2, c=2), ReducerSpec("none"), 6)
+        lo, hi = model.mins, model.maxs
+        queries = np.vstack([x, x[::-1], lo - 1.0, hi + 1.0, rng.normal(0.0, 3.0, (30, 3))])
+        units = rank_units(model.copula, copula_ranks(model, queries))
+        for i, j in np.ndindex(queries.shape):
+            normalized = min(max((queries[i, j] - lo[j]) / (hi[j] - lo[j]), 0.0), 1.0) if hi[j] > lo[j] else 0.0
+            assert units[i, j] == apply_copula(model.copula, normalized, j)
 
     def test_uniformity_on_own_training_column(self, rng):
         s = 1000
