@@ -8,7 +8,6 @@ reaching the configured threshold, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -30,7 +29,8 @@ from bitbit.coverage import (
     estimate_from_curve,
     sweep_curve,
 )
-from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, split_train_test
+from bitbit.data import Dataset, SplitSpec, check_train_count, csv_records, load_csv, make_synthetic, open_text
+from bitbit.data import split_train_test
 from bitbit.dimred import SCHEMES, ReducerSpec
 from bitbit.encoder import ENCODING_FILES, fit_encoder, split_codes, write_encoding
 from bitbit.qsim import (
@@ -105,7 +105,7 @@ def _write_estimate_report(
         entry = {
             "replicate": r,
             "split_seed": seed,
-            "curve": [{"n_x": n_x, **dataclasses.asdict(m)} for n_x, m in curve],
+            "curve": [{"n_x": n_x, **vars(m)} for n_x, m in curve],
             "thresholds": {},
         }
         for t in thresholds:
@@ -340,7 +340,7 @@ def run_stream_estimate(cfg: RunConfig) -> int:
     n_features = len(_check_test_columns(cfg))
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
     _check_components(cfg, n_features, cfg.train_input)
-    with open(cfg.test_input, newline="", encoding="utf-8-sig") as fh:
+    with open_text(cfg.test_input) as fh:
         if not any(row for _, row in islice(csv_records(fh, cfg.test_input), 1, None)):  # none converted
             raise ValueError(f"--test-input {cfg.test_input} holds no data rows")
 

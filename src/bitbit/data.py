@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, count, islice
 
@@ -71,6 +72,30 @@ def csv_records(lines, path, line_no: int = 1):
             yield next(line_nos), row
     except csv.Error as exc:
         raise ValueError(f"{path}: line {next(line_nos)}: {exc}") from None
+
+
+def _first_non_utf8_line(path) -> int | None:
+    """The number of the first line of a file that is not UTF-8 text, with lines
+    ended as a file opened with ``newline=""`` ends them; None if every line is."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate((line for chunk in fh for line in chunk.splitlines()), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
+
+
+@contextmanager
+def open_text(path, at: str = "line", encoding: str = "utf-8-sig"):
+    """``path`` opened to read as UTF-8 text with ``newline=""``, by default past
+    any byte-order mark, as CSV files are read. A byte that does not decode, whenever
+    it is read, is a ValueError naming its line N: ``{path}: {at} N: not UTF-8 text``."""
+    with open(path, newline="", encoding=encoding) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {at} {_first_non_utf8_line(path)}: not UTF-8 text") from None
 
 
 def read_csv_header(fh, path) -> list[str]:
@@ -215,7 +240,7 @@ def load_csv(path, label_column, label_names: tuple[str, ...] | None = None) -> 
     naming the file line, and one class and one row present suffice.
     """
     mapping = {name: i for i, name in enumerate(label_names or ())}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         header = read_csv_header(fh, path)
         label_idx = resolve_label_column(header, label_column, path)
         batches = list(csv_batches(fh, header, label_idx, path, LOAD_BATCH_ROWS, mapping, label_names is not None))

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from bitbit.data import Dataset, check_train_count
+from bitbit.data import Dataset, check_train_count, open_text
 from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
@@ -224,32 +224,24 @@ def allocate_bits(imp: ImportanceScores, n_x: int) -> BitAllocation:
     """Split ``n_x`` bits across components proportionally to their scores.
 
     Ideal shares are rounded half-to-even, then repaired to sum exactly to
-    n_x. Repair favors lower indices holding bits: increments go to the
-    largest shortfall (ties to the lowest index), decrements to the largest
-    surplus (ties to the highest index). All-zero scores fall back to a
-    uniform split with the remainder on the lowest indices.
+    n_x by one stable sort: the largest shortfalls gain a bit (ties to the
+    lowest index), or the largest surpluses lose one (ties to the highest).
+    Rounding leaves every share within half a bit, so a repair moves a share
+    a whole bit past every other and no component moves twice: the sort
+    picks what a one-bit-at-a-time repair would. All-zero scores split as
+    equal scores do, with the remainder on the lowest indices.
     """
     if n_x < 1:
         raise ValueError("n_x must be positive")
-    scores = imp.scores
-    d = scores.shape[0]
-    total = float(scores.sum())
-    if total <= 0.0:
-        base, rem = divmod(n_x, d)
-        return BitAllocation(tuple(base + (1 if i < rem else 0) for i in range(d)), n_x)
-
-    ideal = n_x * (scores / total)
+    scores = imp.scores if imp.scores.sum() > 0.0 else np.ones(len(imp))  # all zero: as equal scores
+    ideal = n_x * (scores / scores.sum())
     bits = np.rint(ideal).astype(np.int64)  # round half to even
     deficit = n_x - int(bits.sum())
-    while deficit > 0:
-        j = int(np.argmax(ideal - bits))
-        bits[j] += 1
-        deficit -= 1
-    while deficit < 0:
-        surplus = bits - ideal
-        j = d - 1 - int(np.argmax(surplus[::-1]))
-        bits[j] -= 1
-        deficit += 1
+    order = np.argsort(bits - ideal, kind="stable")  # largest shortfall first, ties in index order
+    if deficit > 0:
+        bits[order[:deficit]] += 1
+    elif deficit < 0:
+        bits[order[deficit:]] -= 1
     return BitAllocation(tuple(int(b) for b in bits), n_x)
 
 
@@ -295,49 +287,49 @@ def _normalize(reduced: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.nd
 
 
 class _Reservoir:
-    """Uniform reservoir sample (algorithm R). When the stream fits within
-    capacity no randomness is consumed and the sample is the whole stream in
-    arrival order, which is what makes small-data streaming exact. The buffer
-    grows with the stream and never past ``capacity``."""
+    """Uniform reservoir sample (algorithm R) of d-component rows, in one ``(d, capacity)``
+    array. When the stream fits within capacity no randomness is consumed and the
+    sample is the whole stream in arrival order, which is what makes small-data
+    streaming exact. Past it, each component draws its own replacements, in
+    component order. The buffer grows with the stream and never past ``capacity``."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator | None):
+    def __init__(self, capacity: int, d: int, rng: np.random.Generator | None):
         if capacity < 1:
             raise ValueError("reservoir_size must be >= 1")
         self.capacity = capacity
         self.rng = rng
-        self.values = np.empty(0, dtype=np.float64)
+        self.values = np.empty((d, 0), dtype=np.float64)
         self.size = 0
         self.seen = 0
 
-    def grow(self, fill: int) -> None:
-        """Make room for ``fill`` more values, at least doubling the buffer, up to ``capacity``."""
-        if self.size + fill > self.values.shape[0]:
-            grown = np.empty(min(self.capacity, max(self.size + fill, 2 * self.values.shape[0])))
-            grown[:self.size] = self.values[:self.size]
-            self.values = grown
-
-    def add(self, vals: np.ndarray) -> None:
-        m = vals.shape[0]
+    def add(self, rows: np.ndarray) -> None:
+        """Add a ``(rows, d)`` batch; a full buffer at least doubles, up to ``capacity``."""
+        m = rows.shape[0]
         fill = min(self.capacity - self.size, m)
-        if fill:
-            self.grow(fill)
-            self.values[self.size:self.size + fill] = vals[:fill]
-            self.size += fill
-            self.seen += fill
+        d, held = self.values.shape
+        if self.size + fill > held:
+            grown = np.empty((d, min(self.capacity, max(self.size + fill, 2 * held))))
+            grown[:, :self.size] = self.values[:, :self.size]
+            self.values = grown
+        self.values[:, self.size:self.size + fill] = rows[:fill].T
+        self.size += fill
+        self.seen += fill
         rest = m - fill
         if rest:
             highs = np.arange(self.seen + 1, self.seen + rest + 1)
-            draws = self.rng.integers(0, highs)
-            hits = np.nonzero(draws < self.capacity)[0]
-            # A slot drawn more than once keeps its last value; fancy assignment
-            # leaves the order of repeated indices undefined, so keep only the
-            # last hit on each slot.
-            slots, from_end = np.unique(draws[hits][::-1], return_index=True)
-            self.values[slots] = vals[fill + hits[hits.shape[0] - 1 - from_end]]
+            for values, column in zip(self.values, rows[fill:].T):
+                draws = self.rng.integers(0, highs)
+                hits = np.nonzero(draws < self.capacity)[0]
+                # A slot drawn more than once keeps its last value; fancy assignment
+                # leaves the order of repeated indices undefined, so keep only the
+                # last hit on each slot.
+                slots, from_end = np.unique(draws[hits][::-1], return_index=True)
+                values[slots] = column[hits[hits.shape[0] - 1 - from_end]]
             self.seen += rest
 
     def result(self) -> np.ndarray:
-        return self.values[:self.size]  # a view: valid until the next add
+        """The ``(size, d)`` sample, each column contiguous; a view, valid until the next add."""
+        return self.values[:, :self.size].T
 
 
 def fit_batches(reducer: FittedReducer, batches, reservoir_size: int,
@@ -349,22 +341,17 @@ def fit_batches(reducer: FittedReducer, batches, reservoir_size: int,
     draws only once the stream outgrows it. ``reducer`` comes from
     ``fit_reducer`` over the same rows. The model comes back at width 1, and
     ``EncoderModel.at_width`` re-derives the allocation for any other width."""
-    count = 0
-    score_weight = 0.0
+    d = reducer.n_components
+    reservoir = _Reservoir(reservoir_size, d, rng)
+    mins, maxs, score_sum = np.full(d, np.inf), np.full(d, -np.inf), np.zeros(d)
+    count, score_weight = 0, 0.0
     for x, y in batches:
         if x.shape[0] == 0:
             continue
-        if count == 0:
-            d = reducer.n_components
-            reservoirs = [_Reservoir(reservoir_size, rng) for _ in range(d)]
-            mins = np.full(d, np.inf)
-            maxs = np.full(d, -np.inf)
-            score_sum = np.zeros(d)
         count += x.shape[0]
         reduced = transform(reducer, x)
         mins, maxs = np.minimum(mins, reduced.min(axis=0)), np.maximum(maxs, reduced.max(axis=0))
-        for j in range(d):
-            reservoirs[j].add(reduced[:, j])
+        reservoir.add(reduced)
         if x.shape[0] >= 2:  # single-row batches carry no label information
             w = float(x.shape[0]) if weighted_mi else 1.0
             score_sum += w * _mutual_information(reduced, y, _mi_bins(x.shape[0]))
@@ -373,14 +360,10 @@ def fit_batches(reducer: FittedReducer, batches, reservoir_size: int,
     if score_weight == 0.0:
         raise ValueError("no batch held 2 or more samples; cannot score importances")
     importances = ImportanceScores(score_sum / score_weight)
-    # Every reservoir holds min(count, reservoir_size) values, so they stack; as
-    # rows, so that each component stays contiguous through normalizing and
-    # sorting. The last batch and the reservoirs are dropped first, so the copula
-    # fit holds at most two copies of the sample: stacked and sorted.
+    # The last batch is dropped first, so the copula fit holds at most two copies
+    # of the sample: the reservoir, normalized in place, and the sorted columns.
     del reduced
-    sample = np.stack([r.result() for r in reservoirs]).T
-    del reservoirs
-    copula = fit_copula(_normalize(sample, mins, maxs))
+    copula = fit_copula(_normalize(reservoir.result(), mins, maxs))
     return EncoderModel(reducer, mins, maxs, copula, allocate_bits(importances, 1), importances)
 
 
@@ -503,7 +486,7 @@ def load_model(path) -> EncoderModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: truncated or invalid model file ({exc})") from None
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
@@ -579,7 +562,7 @@ def write_encoding(directory, model: EncoderModel, codes) -> None:
 def read_packed(path) -> tuple[int, np.ndarray, np.ndarray]:
     """The inverse of ``write_packed``, read whole into memory: the width, the ``pack_codes``
     words and the int64 labels. Blank lines are skipped; a malformed record names its line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "malformed record at line", "utf-8") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 3 or " ".join(parts[:2]) != ENCODED_FILE_MAGIC or not re.fullmatch("width=[0-9]+", parts[2]):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from bitbit.coverage import CoverageMetrics, check_sweep, sweep_widths
-from bitbit.data import csv_batches, read_csv_header, resolve_label_column
+from bitbit.data import csv_batches, open_text, read_csv_header, resolve_label_column
 from bitbit.data import parse_csv_row  # noqa: F401  importable here: the benchmark's tracer test looks it up
 from bitbit.dimred import ReducerSpec, fit_reducer
 from bitbit.encoder import (
@@ -59,7 +59,7 @@ class CsvBatchSource:
 
     def feature_names(self) -> tuple[str, ...]:
         """The header's feature column names, in order; reads only the header row."""
-        with open(self.path, newline="", encoding="utf-8-sig") as fh:
+        with open_text(self.path) as fh:
             header = read_csv_header(fh, self.path)
         label_idx = resolve_label_column(header, self.label_column, self.path)
         return tuple(header[:label_idx] + header[label_idx + 1:])
@@ -67,7 +67,7 @@ class CsvBatchSource:
     def batches(self, batch_size: int):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        with open(self.path, newline="", encoding="utf-8-sig") as fh:
+        with open_text(self.path) as fh:
             header = read_csv_header(fh, self.path)
             label_idx = resolve_label_column(header, self.label_column, self.path)
             yield from csv_batches(fh, header, label_idx, self.path, batch_size, self.label_mapping, self._strict)

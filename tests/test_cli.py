@@ -322,6 +322,33 @@ class TestPreSplitLabels:
         ]
 
 
+@pytest.mark.parametrize("line", [4, 1500])  # in the first chunk read, or far past the header and checks
+@pytest.mark.parametrize("command,side", [
+    ("estimate", "input"), ("encode", "input"), ("train", "input"),
+    ("stream-estimate", "train"), ("stream-estimate", "test"),
+])
+def test_non_utf8_csv_is_one_error_line(tmp_path, capsys, command, side, line):
+    """A byte that is not UTF-8 fails with one line naming the file line, whichever
+    read meets it, and leaves no output: a failed stream-estimate removes its work directory."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    rows = [f"{i}.0,{-i}.0,{'xy'[i % 2]}\n".encode() for i in range(2000)]
+    good.write_bytes(b"f0,f1,label\n" + b"".join(rows))
+    rows[line - 2] = b"3.0,\xff,x\n"
+    bad.write_bytes(b"f0,f1,label\n" + b"".join(rows))
+    out = tmp_path / "out"
+    if command == "stream-estimate":
+        train, test = (bad, good) if side == "train" else (good, bad)
+        argv = ["stream-estimate", "--train-input", train, "--test-input", test, "--batch-size", "64",
+                "--scheme", "none", "--n-x-max", "4", "--work-dir", out / "work", "--output", out / "r.json"]
+    else:
+        target = {"estimate": ("--replicates", "1", "--output", out / "r.json"), "encode": ("--n-x", "2", "--output-dir", out),
+                  "train": ("--n-x", "2", "--output", out / "trace.csv")}[command]
+        argv = [command, "--input", bad, "--scheme", "none", *target]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "stream-estimate"])
 def test_byte_order_mark_before_header(tmp_path, capsys, command):
     # Excel's "CSV UTF-8" export starts with a UTF-8 byte-order mark.

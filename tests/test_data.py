@@ -79,6 +79,18 @@ class TestLoadCsv:
         d = load_csv(path, "y")
         assert d.label_names == ("cat", "dog") and d.feature_names == ("a",)
 
+    @pytest.mark.parametrize("text,line", [
+        (b"a,y\n0.1,cat\n0.2,dog\n0.3,\xffcat\n", 4),
+        (b"a,y\r0.1,cat\r\n\r\n0.2,d\xc3og\r", 4),  # lines end as with newline=""; a cut-off sequence
+        (b"\xef\xbb\xbfa,y\n" + b"0.1,cat\n0.2,dog\n" * 1000 + b"0.2,\xe9\n", 2002),  # past the first chunk
+    ], ids=["line-4", "carriage-returns", "late"])
+    def test_non_utf8_byte_names_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as got:
+            load_csv(path, "y")
+        assert str(got.value) == f"{path}: line {line}: not UTF-8 text"
+
 
 def conflicts_by_loop(features, labels) -> int:
     """Rows whose label differs from the first label of their group of equal

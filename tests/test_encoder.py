@@ -226,6 +226,38 @@ class TestBatchedMutualInformation:
         assert np.abs(weighted - per_batch.mean(axis=0)).max() > 1e-3
 
 
+def _loop_allocate_bits(scores: np.ndarray, n_x: int) -> tuple[int, ...]:
+    """``allocate_bits`` as it was, kept as the oracle for its sorted repair: an
+    even split for all-zero scores, else one bit per ``argmax`` call."""
+    d = scores.shape[0]
+    total = float(scores.sum())
+    if total <= 0.0:
+        base, rem = divmod(n_x, d)
+        return tuple(base + (1 if i < rem else 0) for i in range(d))
+    ideal = n_x * (scores / total)
+    bits = np.rint(ideal).astype(np.int64)
+    deficit = n_x - int(bits.sum())
+    while deficit > 0:
+        j = int(np.argmax(ideal - bits))
+        bits[j] += 1
+        deficit -= 1
+    while deficit < 0:
+        surplus = bits - ideal
+        j = d - 1 - int(np.argmax(surplus[::-1]))
+        bits[j] -= 1
+        deficit += 1
+    return tuple(int(b) for b in bits)
+
+
+def _score_vectors(d: int):
+    """Scores with zeros, ties and shares of exactly x.5 (small integers), all-equal scores, and any scores."""
+    return st.one_of(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=d, max_size=d),
+        st.floats(min_value=0.0, max_value=100.0).map(lambda v: [v] * d),
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=100.0), min_size=d, max_size=d),
+    )
+
+
 class TestAllocateBits:
     @pytest.mark.parametrize(
         "scores,n_x,expected",
@@ -259,6 +291,14 @@ class TestAllocateBits:
         base = allocate_bits(ImportanceScores(np.array(scores)), n_x)
         scaled = allocate_bits(ImportanceScores(alpha * np.array(scores)), n_x)
         assert base.bits == scaled.bits
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_one_bit_at_a_time_repair(self, data):
+        d = data.draw(st.integers(min_value=1, max_value=8))
+        scores = np.array(data.draw(_score_vectors(d)))
+        n_x = data.draw(st.integers(min_value=1, max_value=4 * d + 1))
+        assert allocate_bits(ImportanceScores(scores), n_x).bits == _loop_allocate_bits(scores, n_x)
 
     def test_allocation_validates_total(self):
         with pytest.raises(ValueError, match="sum"):
@@ -570,6 +610,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="truncated or invalid"):
             load_model(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        train = make_synthetic(20, 2, 2, 2.0, seed=8)
+        path = tmp_path / "m.json"
+        persist_model(fit_encoder(train, ReducerSpec("none"), 3), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:40] + b"\xff" + data[41:])
+        with pytest.raises(ValueError) as got:
+            load_model(path)
+        assert str(got.value).startswith(f"{path}: truncated or invalid model file (")
+
     def test_version_mismatch_rejected(self, tmp_path):
         train = make_synthetic(20, 2, 2, 2.0, seed=8)
         path = tmp_path / "m.json"
@@ -644,6 +694,18 @@ class TestEncodedFiles:
         width, words, labels = read_packed(path)
         assert words.shape == (len(records), max(1, -(-width // 64)))
         assert [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())] == records
+
+    @pytest.mark.parametrize("text,line", [
+        (b"bitbit v1 width=4\n3 0\n\xff 1\n", 3),
+        (b"bitbit v1 width=4\r3 0\r\n\r\n3 \xfe\n", 4),
+        (b"bitbit v1 width=4\n" + b"3 0\n" * 3000 + b"3 \xc3\n", 3002),  # past the first chunk decoded
+    ], ids=["line-3", "carriage-returns", "late"])
+    def test_non_utf8_record_names_line(self, tmp_path, text, line):
+        path = tmp_path / "r.enc"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as got:
+            read_packed(path)
+        assert str(got.value) == f"{path}: malformed record at line {line}: not UTF-8 text"
 
     def test_wrong_width_record_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="width"):

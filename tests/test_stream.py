@@ -182,26 +182,77 @@ class TestRankSpill:
         assert_same_batches(list(spill.batches(batch_size)), expected, batch_size, np.uint32)
 
 
+class _ColumnReservoir:
+    """The one-column reservoir that ``_Reservoir`` replaced, kept as its oracle:
+    d of these, fed column by column from one generator, are the ``(d, capacity)`` reservoir."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator | None):
+        self.capacity = capacity
+        self.rng = rng
+        self.values = np.empty(0, dtype=np.float64)
+        self.size = 0
+        self.seen = 0
+
+    def grow(self, fill: int) -> None:
+        """Make room for ``fill`` more values, at least doubling the buffer, up to ``capacity``."""
+        if self.size + fill > self.values.shape[0]:
+            grown = np.empty(min(self.capacity, max(self.size + fill, 2 * self.values.shape[0])))
+            grown[:self.size] = self.values[:self.size]
+            self.values = grown
+
+    def add(self, vals: np.ndarray) -> None:
+        m = vals.shape[0]
+        fill = min(self.capacity - self.size, m)
+        if fill:
+            self.grow(fill)
+            self.values[self.size:self.size + fill] = vals[:fill]
+            self.size += fill
+            self.seen += fill
+        rest = m - fill
+        if rest:
+            highs = np.arange(self.seen + 1, self.seen + rest + 1)
+            draws = self.rng.integers(0, highs)
+            hits = np.nonzero(draws < self.capacity)[0]
+            slots, from_end = np.unique(draws[hits][::-1], return_index=True)
+            self.values[slots] = vals[fill + hits[hits.shape[0] - 1 - from_end]]
+            self.seen += rest
+
+    def result(self) -> np.ndarray:
+        return self.values[:self.size]
+
+
+class _RecordingGenerator:
+    """A generator whose ``integers`` draws are kept, to count repeated slots."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, low, high):
+        self.draws.append(self.rng.integers(low, high))
+        return self.draws[-1]
+
+
 class TestReservoir:
     def test_identity_below_capacity(self, rng):
-        res = _Reservoir(100, rng)
-        res.add(np.arange(30.0))
-        res.add(np.arange(30.0, 60.0))
-        assert np.array_equal(res.result(), np.arange(60.0))
+        res = _Reservoir(100, 1, rng)
+        res.add(np.arange(30.0)[:, None])
+        res.add(np.arange(30.0, 60.0)[:, None])
+        assert np.array_equal(res.result(), np.arange(60.0)[:, None])
 
     def test_capacity_bound(self, rng):
-        res = _Reservoir(50, rng)
+        res = _Reservoir(50, 1, rng)
         for lo in range(0, 1000, 100):
-            res.add(np.arange(float(lo), float(lo + 100)))
+            res.add(np.arange(float(lo), float(lo + 100))[:, None])
         out = res.result()
-        assert out.shape == (50,)
-        assert set(out.tolist()) <= set(np.arange(1000.0).tolist())
+        assert out.shape == (50, 1)
+        assert set(out.ravel().tolist()) <= set(np.arange(1000.0).tolist())
 
     def test_deterministic_for_fixed_seed(self):
-        a = _Reservoir(20, np.random.default_rng(7))
-        b = _Reservoir(20, np.random.default_rng(7))
+        a = _Reservoir(20, 1, np.random.default_rng(7))
+        b = _Reservoir(20, 1, np.random.default_rng(7))
         for lo in range(0, 200, 37):
-            chunk = np.arange(float(lo), float(min(lo + 37, 200)))
+            chunk = np.arange(float(lo), float(min(lo + 37, 200)))[:, None]
             a.add(chunk)
             b.add(chunk)
         assert np.array_equal(a.result(), b.result())
@@ -209,8 +260,8 @@ class TestReservoir:
     @staticmethod
     def _loop_add(res, vals) -> int:
         """The per-replacement loop (algorithm R, one value at a time in arrival
-        order), kept as the oracle for the vectorized add; returns how many
-        replacements hit a slot already replaced in the same call."""
+        order) over a ``_ColumnReservoir``, kept as the oracle for the vectorized
+        add; returns how many replacements hit a slot already replaced in the same call."""
         m = vals.shape[0]
         fill = min(res.capacity - res.size, m)
         res.grow(fill)
@@ -230,18 +281,39 @@ class TestReservoir:
 
     @pytest.mark.parametrize("capacity,chunk", [(1, 50), (3, 40), (3, 1), (5, 7), (40, 300)])
     def test_matches_loop_with_repeated_slots(self, capacity, chunk):
-        fast = _Reservoir(capacity, np.random.default_rng(11))
-        slow = _Reservoir(capacity, np.random.default_rng(11))
+        fast = _Reservoir(capacity, 1, np.random.default_rng(11))
+        slow = _ColumnReservoir(capacity, np.random.default_rng(11))
         stream = np.random.default_rng(12).standard_normal(2000)
         repeats = 0
         for lo in range(0, stream.shape[0], chunk):
             vals = stream[lo:lo + chunk]
-            fast.add(vals)
+            fast.add(vals[:, None])
             repeats += self._loop_add(slow, vals)
-            assert np.array_equal(fast.result(), slow.result())
+            assert np.array_equal(fast.result()[:, 0], slow.result())
             assert (fast.size, fast.seen) == (slow.size, slow.seen)
         assert fast.rng.integers(0, 2**62) == slow.rng.integers(0, 2**62)
         assert repeats > 0 or chunk == 1
+
+    @pytest.mark.parametrize("capacity", [1, 3, 40])
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    def test_matches_one_column_reservoirs(self, capacity, batch):
+        """The ``(d, capacity)`` reservoir is d one-column reservoirs fed column by
+        column in component order, value for value, and consumes the generator as they do."""
+        d = 3
+        stream = np.random.default_rng(14).standard_normal((2000, d))
+        res = _Reservoir(capacity, d, np.random.default_rng(13))
+        oracle = _RecordingGenerator(13)
+        columns = [_ColumnReservoir(capacity, oracle) for _ in range(d)]
+        for lo in range(0, stream.shape[0], batch):
+            res.add(stream[lo:lo + batch])
+            for j, column in enumerate(columns):
+                column.add(stream[lo:lo + batch, j])
+            assert np.array_equal(res.result(), np.column_stack([column.result() for column in columns]))
+            assert all((res.size, res.seen) == (column.size, column.seen) for column in columns)
+        assert res.result().shape == (capacity, d) and res.result()[:, 0].flags.c_contiguous
+        assert res.rng.integers(0, 2**62) == oracle.rng.integers(0, 2**62)
+        repeats = sum(hits.size - np.unique(hits).size for hits in (draws[draws < capacity] for draws in oracle.draws))
+        assert repeats > 0 or batch == 1
 
 
 class TestStreamFit:
