@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from bitbit.data import Dataset, check_train_count, open_text
+from bitbit.data import Dataset, _first_non_utf8_line, check_train_count, open_text
 from bitbit.dimred import FittedReducer, ReducerSpec, fit_reducer, transform
 
 MODEL_FORMAT_VERSION = "1"
@@ -563,7 +563,13 @@ def read_packed(path) -> tuple[int, np.ndarray, np.ndarray]:
     """The inverse of ``write_packed``, read whole into memory: the width, the ``pack_codes``
     words and the int64 labels. Blank lines are skipped; a malformed record names its line."""
     with open_text(path, "malformed record at line", "utf-8") as fh:
-        header = fh.readline()
+        try:
+            header = fh.readline()
+        except UnicodeDecodeError:  # raised for any line of the first chunk decoded
+            if _first_non_utf8_line(path) != 1:
+                raise
+            with open(path, "rb") as raw:
+                header = raw.readline().splitlines()[0].decode("utf-8", "backslashreplace")
         parts = header.split()
         if len(parts) != 3 or " ".join(parts[:2]) != ENCODED_FILE_MAGIC or not re.fullmatch("width=[0-9]+", parts[2]):
             raise ValueError(f"{path}: not an encoded-record file (bad header {header.strip()!r})")

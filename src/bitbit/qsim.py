@@ -11,7 +11,9 @@ Conventions, used everywhere in this module:
 - A layer of the ansatz takes three kinds of pass: each RY is one real 2x2
   product on the float64 view of the states; the layer's RZs, which commute
   with the other qubits' RYs, are one length-2^n diagonal; the CNOT ring is
-  one row permutation.
+  one row permutation. The training sweep's dense matrices take the RYs of up
+  to 4 qubits as one real Kronecker block instead; readouts keep one product
+  per RY, so each readout column is independent of the batch width.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -41,8 +43,8 @@ _qubit_cap = DEFAULT_QUBIT_CAP
 # untouched.
 _FLAT_SLICE = 1e-13
 
-# Up to this many qubits train_sweeps keeps a dense 2^n x 2^n suffix matrix
-# (16 * 4^n bytes: 16 MB at 10 qubits); larger models probe full circuits.
+# Up to this many qubits train_sweeps keeps a dense 2^n x 2^n suffix matrix and
+# a spare (16 * 4^n bytes each: 16 MB at 10 qubits); larger models probe full circuits.
 _CACHED_SWEEP_QUBITS = 10
 
 # Readouts run at most this many amplitudes (32 MB) through the circuit at once.
@@ -90,6 +92,34 @@ def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> No
     view = states.reshape(1 << qubit, 2, -1)
     view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
     view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
+
+
+def _apply_ry_block(states: np.ndarray, first: int, angles, out: np.ndarray) -> None:
+    """out = states after RY(angles[i]) on qubit first + i, for up to 4 qubits,
+    as one real 2^b x 2^b Kronecker block on the float64 view."""
+    block = np.ones((1, 1))
+    for angle in angles:
+        c, s = math.cos(angle / 2), math.sin(angle / 2)
+        block = np.kron(block, [[c, -s], [s, c]])
+    view = states.view(np.float64).reshape(1 << first, block.shape[0], -1)
+    np.matmul(block, view, out=out.view(np.float64).reshape(view.shape))
+
+
+def _apply_ry_layer(states: np.ndarray, spare: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """RY(angles[q]) on every qubit q, 4 qubits a block, each block written into
+    the other buffer; returns (the result, the free buffer)."""
+    for first in range(0, len(angles), 4):
+        _apply_ry_block(states, first, angles[first:first + 4], spare)
+        states, spare = spare, states
+    return states, spare
+
+
+def _rz_diagonal(n_qubits: int, angles) -> np.ndarray:
+    """RZ(angles[q]) on every qubit q, as one (2^n, 1) diagonal."""
+    diagonal = np.ones((1 << n_qubits, 1), dtype=np.complex128)
+    for q, angle in enumerate(angles):
+        _apply_rz(diagonal, n_qubits, q, angle)
+    return diagonal
 
 
 def _minus_i_pauli(out: np.ndarray, states: np.ndarray, n_qubits: int, kind: str, qubit: int) -> None:
@@ -154,13 +184,11 @@ class Ansatz:
         other = np.empty_like(states)
         for p in range(0, self.parameter_count, 2 * n):
             current, spare = states, other
-            diagonal = np.ones((1 << n, 1), dtype=np.complex128)
             for q in range(n):
                 _apply_ry(current, n, q, theta[p + 2 * q], out=spare)
                 current, spare = spare, current
-                _apply_rz(diagonal, n, q, theta[p + 2 * q + 1])
             np.take(current, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
-            np.multiply(spare, diagonal[ring], out=states)
+            np.multiply(spare, _rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring], out=states)
 
 
 @dataclass(frozen=True)
@@ -391,84 +419,102 @@ def rotosolve_step(
     return t_new, loss
 
 
+def _circuit_transpose(n_qubits: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U^T for the ansatz U = L_m-1 ... L_0 at theta, built backward from the
+    identity as L_0^T (... (L_m-1^T I)), where a layer L = ring D RYs has
+    L^T = RYs(-t) D ring^-1; returns it and a spare buffer of its shape."""
+    n, dim, ring = n_qubits, 1 << n_qubits, _ring(n_qubits)
+    out, spare = np.eye(dim, dtype=np.complex128), np.empty((dim, dim), dtype=np.complex128)
+    for p in range(theta.shape[0] - 2 * n, -1, -2 * n):
+        np.take(out, np.argsort(ring), axis=0, out=spare, mode="clip")  # "raise" would buffer out
+        spare *= _rz_diagonal(n, theta[p + 1:p + 2 * n:2])
+        out, spare = _apply_ry_layer(spare, out, -theta[p:p + 2 * n:2])
+    return out, spare
+
+
+def _flat_rz(j: int, n_qubits: int, count: int) -> bool:
+    """Whether parameter j is a last-layer RZ. Only the ring (a permutation) and the basis
+    readout follow those diagonal phases, so their slices are exactly flat: no sweep visits them."""
+    return j % 2 == 1 and j >= count - 2 * n_qubits
+
+
 def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
-    """One sweep of ``_slice_update`` over every parameter, without probes;
-    returns the loss after the sweep.
+    """One sweep of ``_slice_update`` over every parameter but the last
+    layer's RZs (``_flat_rz``), without probes; returns the loss after it.
 
-    Split the circuit before a rotation R(t) = cos(t/2) + sin(t/2)(-iP) into
-    prefix states psi (one per sample) and a suffix matrix V that still holds
-    R at its current angle t0. With alpha = V_y psi and beta = V_y (-iP psi),
-    where V_y holds the rows of V in the sample's target class y, the
-    probability of reading y at t0 + d is A + B cos d + C sin d, with
+    At a layer's start the circuit splits into prefix states psi, one per
+    sample and scaled by the square root of its weight, and a suffix matrix X
+    that holds the whole layer at its old angles and stays fixed until the
+    layer ends. The prefix is carried as psi~ = K^-1 psi, K being the layer's
+    gates visited so far at their old angles, so X psi~ is the output at the
+    new angles. Moving a rotation R(t) = cos(t/2) + sin(t/2)(-iP) from t0 to
+    t0 + d turns psi~ into cos(d/2) psi~ + sin(d/2) u, u = K^-1 (-iP) K psi~.
+    K acts on other qubits but for an RZ's own RY, at old angle a, and
+    RY(-a)(-iZ)RY(a) = RY(-2a)(-iZ) = (-iZ)RY(2a); so u = -iY psi~ for an RY
+    and u = (-iZ)RY(2a) psi~ for an RZ. With alpha = X_y psi~ and
+    beta = X_y u, X_y the rows of X in the sample's target class, the summed
+    probability of reading the targets at t0 + d is A + B cos d + C sin d:
     A = (|alpha|^2 + |beta|^2) / 2, B = (|alpha|^2 - |beta|^2) / 2 and
-    C = Re <alpha, beta>. beta takes one matmul per class; alpha is carried
-    from gate to gate, since moving the rotation to t0 + d turns it into
-    cos(d/2) alpha + sin(d/2) beta and the ring leaves it alone. Each gate is
-    then peeled off V at its old angle and pushed onto psi at its new one.
-
-    The kernels act on columns (M -> G M), so V is kept as V^T (U^T at the
-    start, V_y a block of its columns), and peeling G off the front of V
-    applies (G^-1)^T: RY(t), RZ(-t), the ring itself. A layer's RZ peels wait
-    for its end: the kept suffix is V D, where the diagonal D holds the RZs
-    visited so far at their old angles. D commutes with the layer's later
-    RYs, which still peel off V D, and beta = (V D)_y (D^-1 (-iP psi)), so
-    ``d_inv`` multiplies the turned states before the matmul. At the layer's
-    end V^T takes ``d_inv`` and then the ring, in two passes.
+    C = Re <alpha, beta>. beta takes one matmul per class; alpha moves as
+    psi~ does. At the layer's end psi takes the layer at its old angles, and
+    X^T (``_circuit_transpose``) peels it: (L^-1)^T = ring D^-1 RYs. The
+    last layer has no end: its RZs are skipped and nothing follows it.
     """
     n, dim, rows = model.n_qubits, 1 << model.n_qubits, 1 << model.n_x
-    theta, ring = model.theta, _ring(model.n_qubits)
-    spare = np.eye(dim, dtype=np.complex128)
-    model.apply_batch(spare)
-    suffix = spare.T.copy()
+    theta, ring, count = model.theta, _ring(model.n_qubits), model.theta.shape[0]
+    suffix, spare = _circuit_transpose(n, theta)
 
     # Samples grouped by target class.
     order = np.argsort(batch._targets, kind="stable")
     targets, weights, z_values = batch._targets[order], batch._weights[order], batch._z_values[order]
     k = targets.shape[0]
     prefix = np.zeros((dim, k), dtype=np.complex128)
-    prefix[z_values, np.arange(k)] = 1.0
-    turned = np.empty_like(prefix)  # -iP psi
-    alpha = suffix.reshape(dim, -1, rows)[z_values, targets]
+    prefix[z_values, np.arange(k)] = roots = np.sqrt(weights)
+    turned = np.empty_like(prefix)  # u
+    alpha = np.ascontiguousarray(suffix.reshape(dim, -1, rows)[z_values, targets].T) * roots
     beta = np.empty_like(alpha)
     classes, starts = np.unique(targets, return_index=True)
     groups = list(zip(classes.tolist(), starts.tolist(), starts[1:].tolist() + [k]))
 
-    for p in range(0, theta.shape[0], 2 * n):
-        d_inv = np.ones((dim, 1), dtype=np.complex128)
+    for p in range(0, count, 2 * n):
+        old = theta[p:p + 2 * n].copy()
+        x_rows = [(suffix[:, y * rows:(y + 1) * rows].T, lo, hi) for y, lo, hi in groups]  # X_y per group
         for j in range(p, p + 2 * n):
+            if _flat_rz(j, n, count):
+                continue
             kind, q = ("ry", "rz")[j % 2], (j - p) // 2
-            _minus_i_pauli(turned, prefix, n, kind, q)
-            turned *= d_inv
-            for y, lo, hi in groups:
-                np.matmul(turned[:, lo:hi].T, suffix[:, y * rows:(y + 1) * rows], out=beta[lo:hi])
-            alpha2 = float((alpha.real ** 2 + alpha.imag ** 2).sum(axis=1) @ weights)
-            beta2 = float((beta.real ** 2 + beta.imag ** 2).sum(axis=1) @ weights)
-            overlap = float(np.vdot(alpha, beta * weights[:, None]).real)
+            if kind == "ry":
+                _minus_i_pauli(turned, prefix, n, kind, q)
+            else:  # (-iZ)RY(2a) psi~, a the old angle of this qubit's RY
+                _apply_ry(prefix, n, q, 2.0 * old[2 * q], out=turned)
+                _minus_i_pauli(turned, turned, n, kind, q)
+            for x_y, lo, hi in x_rows:
+                np.matmul(x_y, turned[:, lo:hi], out=beta[:, lo:hi])
+            alpha2, beta2 = float(np.vdot(alpha, alpha).real), float(np.vdot(beta, beta).real)
+            overlap = float(np.vdot(alpha, beta).real)
             t0 = float(theta[j])
             # L(t0 + d) = 1 - sum_i w_i p_i(t0 + d)
             t_new, loss = _slice_update(t0, 1.0 - (alpha2 + beta2) / 2.0, (beta2 - alpha2) / 2.0, -overlap)
             if t_new != t0:
                 theta[j] = t_new
-                alpha *= math.cos((t_new - t0) / 2)
-                alpha += math.sin((t_new - t0) / 2) * beta
-            if kind == "ry":
-                _apply_ry(suffix, n, q, t0, out=spare)
-                suffix, spare = spare, suffix
-                _apply_ry(prefix, n, q, t_new, out=turned)  # turned is free until the next parameter
-                prefix, turned = turned, prefix
-            else:
-                _apply_rz(d_inv, n, q, -t0)
-                _apply_rz(prefix, n, q, t_new)
-        suffix *= d_inv
-        np.take(suffix, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
-        suffix, spare = spare, suffix
-        prefix = prefix[ring]
+                c, s = math.cos((t_new - t0) / 2), math.sin((t_new - t0) / 2)
+                for carried, step in ((alpha, beta), (prefix, turned)):
+                    carried *= c
+                    step *= s
+                    carried += step
+        if p + 2 * n < count:
+            Ansatz(n, 1).apply_batch(prefix, old)
+            suffix, spare = _apply_ry_layer(suffix, spare, old[0::2])
+            suffix *= _rz_diagonal(n, -old[1::2])
+            np.take(suffix, ring, axis=0, out=spare, mode="clip")
+            suffix, spare = spare, suffix
     return loss
 
 
 def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list[float]:
-    """Cycle coordinate updates over all parameters in index order; returns the
-    loss after each sweep. The loss never increases beyond rounding noise.
+    """Cycle coordinate updates over all parameters in index order, but the
+    last layer's RZs (``_flat_rz``); returns the loss after each sweep. The
+    loss never increases beyond rounding noise.
 
     Up to _CACHED_SWEEP_QUBITS qubits each sweep runs from cached states
     (``_cached_sweep``); larger models take three-probe ``rotosolve_step``s.
@@ -482,7 +528,8 @@ def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list
     last = evaluate_loss(model, batch)
     for _ in range(sweeps):
         for j in range(model.theta.shape[0]):
-            _, last = rotosolve_step(model, batch, j, loss_0=last)
+            if not _flat_rz(j, model.n_qubits, model.theta.shape[0]):
+                _, last = rotosolve_step(model, batch, j, loss_0=last)
         history.append(last)
     return history
 

@@ -696,16 +696,29 @@ class TestEncodedFiles:
         assert [(Bitstring(width, v), label) for v, label in zip(packed_values(words), labels.tolist())] == records
 
     @pytest.mark.parametrize("text,line", [
+        (b"bitbit v1 width=4\n\xff 1\n", 2),
         (b"bitbit v1 width=4\n3 0\n\xff 1\n", 3),
         (b"bitbit v1 width=4\r3 0\r\n\r\n3 \xfe\n", 4),
         (b"bitbit v1 width=4\n" + b"3 0\n" * 3000 + b"3 \xc3\n", 3002),  # past the first chunk decoded
-    ], ids=["line-3", "carriage-returns", "late"])
+    ], ids=["line-2", "line-3", "carriage-returns", "late"])
     def test_non_utf8_record_names_line(self, tmp_path, text, line):
         path = tmp_path / "r.enc"
         path.write_bytes(text)
         with pytest.raises(ValueError) as got:
             read_packed(path)
         assert str(got.value) == f"{path}: malformed record at line {line}: not UTF-8 text"
+
+    @pytest.mark.parametrize("text,header", [
+        (b"bitbit v1 width=\xff\n3 0\n", "bitbit v1 width=\\xff"),
+        (b"\xfebitbit v1 width=4\r3 0\r\n", "\\xfebitbit v1 width=4"),
+        (b"bitbit v1 width=4 \xc3\n3 \xff\n" + b"3 0\n" * 3000, "bitbit v1 width=4 \\xc3"),
+    ], ids=["width", "carriage-return", "later-line-too"])
+    def test_non_utf8_header_is_bad_header(self, tmp_path, text, header):
+        path = tmp_path / "r.enc"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as got:
+            read_packed(path)
+        assert str(got.value) == f"{path}: not an encoded-record file (bad header {header!r})"
 
     def test_wrong_width_record_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="width"):

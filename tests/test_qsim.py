@@ -545,6 +545,69 @@ class TestCachedSweep:
         with pytest.raises(ValueError, match="does not fit"):
             train_sweeps(model, batch, 1)
 
+    def test_zero_weight_records(self, rng):
+        # a zero weight gives its sample a zero prefix column
+        model = random_model(rng, 4, 2, 2)
+        self._check(model, self._batch(4, [0, 1, 2, 3, 1, 0], np.array([0.3, 0.0, 0.2, 0.0, 0.5, 0.0])), 3)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    def test_last_layer_rz_angles_kept(self, rng, n_qubits, layers):
+        n_y = 1 if n_qubits < 4 else 2
+        model = random_model(rng, n_qubits - n_y, n_y, layers)
+        before = model.theta.copy()
+        train_sweeps(model, random_batch(rng, n_qubits - n_y, n_classes=1 << n_y, k=8), 1)
+        last_rz = slice(model.theta.shape[0] - 2 * n_qubits + 1, None, 2)
+        assert model.theta[last_rz].tobytes() == before[last_rz].tobytes()
+        assert not np.array_equal(model.theta, before)
+
+    def test_probe_loop_skips_last_layer_rzs(self, rng, monkeypatch):
+        calls = []
+
+        def counted(model, batch):
+            calls.append(None)
+            return evaluate_loss(model, batch)
+
+        monkeypatch.setattr(qsim, "evaluate_loss", counted)
+        model = random_model(rng, 10, 1, 2)
+        before = model.theta.copy()
+        train_sweeps(model, self._batch(10, [0, 1, 1, 0]), 1)
+        assert len(calls) == 2 * (model.theta.shape[0] - 11) + 1
+        last_rz = slice(model.theta.shape[0] - 2 * 11 + 1, None, 2)
+        assert model.theta[last_rz].tobytes() == before[last_rz].tobytes()
+
+
+class TestSuffixKernels:
+    """The sweep's dense-matrix kernels against the single-qubit ones."""
+
+    @pytest.mark.parametrize("n", [5, 7, 10])
+    def test_ry_blocks_match_single_rys(self, rng, n):
+        states = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+        angles = rng.uniform(-math.pi, math.pi, n)
+        for first in range(n):
+            for width in range(1, min(4, n - first) + 1):
+                want = states.copy()
+                for q in range(first, first + width):
+                    _apply_ry(want, n, q, angles[q])
+                got = np.empty_like(states)
+                qsim._apply_ry_block(states, first, angles[first:first + width], got)
+                assert np.abs(got - want).max() <= 1e-12
+        want = states.copy()
+        for q in range(n):
+            _apply_ry(want, n, q, angles[q])
+        got, _ = qsim._apply_ry_layer(states.copy(), np.empty_like(states), angles)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_backward_build_matches_circuit(self, rng, n, layers):
+        model = random_model(rng, n - 1, 1, layers)
+        want = np.eye(1 << n, dtype=np.complex128)
+        model.apply_batch(want)
+        got, spare = qsim._circuit_transpose(n, model.theta)
+        assert spare.shape == got.shape and spare is not got
+        assert np.abs(got - want.T).max() <= 1e-12
+
 
 def gates(ansatz):
     """The circuit in application order: ("ry" or "rz", qubit, parameter
