@@ -622,6 +622,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's error names the allocation it refused
+        print(f"error: out of memory ({str(exc) or 'no detail'})", file=sys.stderr)
+        return 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return code

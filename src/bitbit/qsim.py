@@ -6,14 +6,13 @@ Conventions, used everywhere in this module:
   the N_y most significant qubits, the data register the remaining N_x, so
   the basis index of |y>|z> is y * 2^N_x + z.
 - A batch of k statevectors is a (2^n, k) array, one column per state, so
-  every kernel's inner loop runs over at least k contiguous amplitudes. A
-  dense circuit matrix U is stored as U^T, for the same kernels to update.
+  every kernel's inner loop runs over at least k contiguous amplitudes.
 - A layer of the ansatz takes three kinds of pass: each RY is one real 2x2
   product on the float64 view of the states; the layer's RZs, which commute
   with the other qubits' RYs, are one length-2^n diagonal; the CNOT ring is
-  one row permutation. The training sweep's dense matrices take the RYs of up
-  to 4 qubits as one real Kronecker block instead; readouts keep one product
-  per RY, so each readout column is independent of the batch width.
+  one row permutation. The training sweep takes the RYs of up to 4 qubits as
+  one real Kronecker block instead; readouts keep one product per RY, so
+  each readout column is independent of the batch width.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -39,13 +38,9 @@ DEFAULT_QUBIT_CAP = 20
 _qubit_cap = DEFAULT_QUBIT_CAP
 
 # Below this slice amplitude a coordinate update is numerically meaningless
-# (the three probes differ only by rounding noise), so the parameter is left
+# (the slice's coefficients are rounding noise), so the parameter is left
 # untouched.
 _FLAT_SLICE = 1e-13
-
-# Up to this many qubits train_sweeps keeps a dense 2^n x 2^n suffix matrix and
-# a spare (16 * 4^n bytes each: 16 MB at 10 qubits); larger models probe full circuits.
-_CACHED_SWEEP_QUBITS = 10
 
 # Readouts run at most this many amplitudes (32 MB) through the circuit at once.
 _CHUNK_AMPLITUDES = 1 << 21
@@ -79,7 +74,7 @@ def _check_cap(n_qubits: int) -> None:
 # --- gate kernels (in place, batched over the trailing axis) ---
 
 
-def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float, out: np.ndarray | None = None) -> None:
+def _apply_ry(states: np.ndarray, qubit: int, angle: float, out: np.ndarray | None = None) -> None:
     # RY is real, so it turns the real and imaginary parts alike: one real
     # 2x2 product on the float64 view, written to out (in place by default).
     c, s = math.cos(angle / 2), math.sin(angle / 2)
@@ -88,41 +83,34 @@ def _apply_ry(states: np.ndarray, n_qubits: int, qubit: int, angle: float, out: 
     np.matmul(np.array([[c, -s], [s, c]]), view, out=target)
 
 
-def _apply_rz(states: np.ndarray, n_qubits: int, qubit: int, angle: float) -> None:
+def _apply_rz(states: np.ndarray, qubit: int, angle: float) -> None:
     view = states.reshape(1 << qubit, 2, -1)
     view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
     view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
 
 
-def _apply_ry_block(states: np.ndarray, first: int, angles, out: np.ndarray) -> None:
-    """out = states after RY(angles[i]) on qubit first + i, for up to 4 qubits,
-    as one real 2^b x 2^b Kronecker block on the float64 view."""
-    block = np.ones((1, 1))
-    for angle in angles:
-        c, s = math.cos(angle / 2), math.sin(angle / 2)
-        block = np.kron(block, [[c, -s], [s, c]])
-    view = states.view(np.float64).reshape(1 << first, block.shape[0], -1)
-    np.matmul(block, view, out=out.view(np.float64).reshape(view.shape))
-
-
-def _apply_ry_layer(states: np.ndarray, spare: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
-    """RY(angles[q]) on every qubit q, 4 qubits a block, each block written into
-    the other buffer; returns (the result, the free buffer)."""
+def _ry_blocks(angles) -> list[tuple[int, np.ndarray]]:
+    """RY(angles[q]) on every qubit q as (first qubit, block) pairs: each block is the
+    real Kronecker product of the RYs on qubits first to first + 3 (or the last)."""
+    pairs = []
     for first in range(0, len(angles), 4):
-        _apply_ry_block(states, first, angles[first:first + 4], spare)
-        states, spare = spare, states
-    return states, spare
+        block = np.ones((1, 1))
+        for angle in angles[first:first + 4]:
+            c, s = math.cos(angle / 2), math.sin(angle / 2)
+            block = np.kron(block, [[c, -s], [s, c]])
+        pairs.append((first, block))
+    return pairs
 
 
 def _rz_diagonal(n_qubits: int, angles) -> np.ndarray:
     """RZ(angles[q]) on every qubit q, as one (2^n, 1) diagonal."""
     diagonal = np.ones((1 << n_qubits, 1), dtype=np.complex128)
     for q, angle in enumerate(angles):
-        _apply_rz(diagonal, n_qubits, q, angle)
+        _apply_rz(diagonal, q, angle)
     return diagonal
 
 
-def _minus_i_pauli(out: np.ndarray, states: np.ndarray, n_qubits: int, kind: str, qubit: int) -> None:
+def _minus_i_pauli(out: np.ndarray, states: np.ndarray, kind: str, qubit: int) -> None:
     """out = -iP states, with P = Y for "ry" and Z for "rz" on one qubit; a
     rotation is exp(-i t P / 2) = cos(t/2) + sin(t/2) (-iP)."""
     src, dst = states.reshape(1 << qubit, 2, -1), out.reshape(1 << qubit, 2, -1)
@@ -185,7 +173,7 @@ class Ansatz:
         for p in range(0, self.parameter_count, 2 * n):
             current, spare = states, other
             for q in range(n):
-                _apply_ry(current, n, q, theta[p + 2 * q], out=spare)
+                _apply_ry(current, q, theta[p + 2 * q], out=spare)
                 current, spare = spare, current
             np.take(current, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
             np.multiply(spare, _rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring], out=states)
@@ -419,77 +407,77 @@ def rotosolve_step(
     return t_new, loss
 
 
-def _circuit_transpose(n_qubits: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U^T for the ansatz U = L_m-1 ... L_0 at theta, built backward from the
-    identity as L_0^T (... (L_m-1^T I)), where a layer L = ring D RYs has
-    L^T = RYs(-t) D ring^-1; returns it and a spare buffer of its shape."""
-    n, dim, ring = n_qubits, 1 << n_qubits, _ring(n_qubits)
-    out, spare = np.eye(dim, dtype=np.complex128), np.empty((dim, dim), dtype=np.complex128)
-    for p in range(theta.shape[0] - 2 * n, -1, -2 * n):
-        np.take(out, np.argsort(ring), axis=0, out=spare, mode="clip")  # "raise" would buffer out
-        spare *= _rz_diagonal(n, theta[p + 1:p + 2 * n:2])
-        out, spare = _apply_ry_layer(spare, out, -theta[p:p + 2 * n:2])
-    return out, spare
-
-
 def _flat_rz(j: int, n_qubits: int, count: int) -> bool:
     """Whether parameter j is a last-layer RZ. Only the ring (a permutation) and the basis
     readout follow those diagonal phases, so their slices are exactly flat: no sweep visits them."""
     return j % 2 == 1 and j >= count - 2 * n_qubits
 
 
-def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
+def _run_layers(states: np.ndarray, layers, buffers) -> np.ndarray:
+    """The layers, each given as (its ``_ry_blocks``, its ring-permuted RZ
+    diagonal), over a (2^n, k) batch that is left as it is. Every pass writes
+    into the one of the two buffers it does not read. The last layer stops
+    after its RYs. Returns the buffer that holds the result."""
+    ring, (one, other) = _ring(states.shape[0].bit_length() - 1), buffers
+    for i, (blocks, diagonal) in enumerate(layers):
+        for first, block in blocks:
+            out = other if states is one else one
+            view = states.view(np.float64).reshape(1 << first, block.shape[0], -1)
+            np.matmul(block, view, out=out.view(np.float64).reshape(view.shape))
+            states = out
+        if i + 1 < len(layers):
+            out = other if states is one else one
+            np.take(states, ring, axis=0, out=out, mode="clip")  # "raise" would buffer out
+            states = np.multiply(out, diagonal, out=out)
+    return states
+
+
+def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     """One sweep of ``_slice_update`` over every parameter but the last
     layer's RZs (``_flat_rz``), without probes; returns the loss after it.
 
     At a layer's start the circuit splits into prefix states psi, one per
-    sample and scaled by the square root of its weight, and a suffix matrix X
-    that holds the whole layer at its old angles and stays fixed until the
-    layer ends. The prefix is carried as psi~ = K^-1 psi, K being the layer's
-    gates visited so far at their old angles, so X psi~ is the output at the
-    new angles. Moving a rotation R(t) = cos(t/2) + sin(t/2)(-iP) from t0 to
-    t0 + d turns psi~ into cos(d/2) psi~ + sin(d/2) u, u = K^-1 (-iP) K psi~.
-    K acts on other qubits but for an RZ's own RY, at old angle a, and
-    RY(-a)(-iZ)RY(a) = RY(-2a)(-iZ) = (-iZ)RY(2a); so u = -iY psi~ for an RY
-    and u = (-iZ)RY(2a) psi~ for an RZ. With alpha = X_y psi~ and
-    beta = X_y u, X_y the rows of X in the sample's target class, the summed
-    probability of reading the targets at t0 + d is A + B cos d + C sin d:
-    A = (|alpha|^2 + |beta|^2) / 2, B = (|alpha|^2 - |beta|^2) / 2 and
-    C = Re <alpha, beta>. beta takes one matmul per class; alpha moves as
-    psi~ does. At the layer's end psi takes the layer at its old angles, and
-    X^T (``_circuit_transpose``) peels it: (L^-1)^T = ring D^-1 RYs. The
-    last layer has no end: its RZs are skipped and nothing follows it.
+    sample and scaled by the square root of its weight, and a suffix X: the
+    layer at its old angles, then the later layers. The prefix is carried as
+    psi~ = K^-1 psi, K the layer's gates visited so far at their old angles,
+    so X psi~ is the output at the new angles. Moving a rotation
+    R(t) = cos(t/2) + sin(t/2)(-iP) from t0 to t0 + d turns psi~ into
+    cos(d/2) psi~ + sin(d/2) u, u = K^-1 (-iP) K psi~. K acts on other qubits
+    but for an RZ's own RY, at old angle a, and RY(-a)(-iZ)RY(a) = (-iZ)RY(2a);
+    so u = -iY psi~ for an RY and u = (-iZ)RY(2a) psi~ for an RZ. With
+    alpha = X_y psi~ and beta = X_y u, X_y the rows of X in the sample's
+    target class, the summed probability of reading the targets at t0 + d is
+    A + B cos d + C sin d: A = (|alpha|^2 + |beta|^2) / 2,
+    B = (|alpha|^2 - |beta|^2) / 2 and C = Re <alpha, beta>. beta runs X as a
+    circuit over u (``_run_layers``); alpha moves as psi~ does. X leaves out
+    the last layer's RZ diagonal, a phase per row that alpha and beta share.
+    At the layer's end psi takes the layer at its old angles. The last layer
+    has no end: its RZs are skipped and nothing follows it.
     """
-    n, dim, rows = model.n_qubits, 1 << model.n_qubits, 1 << model.n_x
-    theta, ring, count = model.theta, _ring(model.n_qubits), model.theta.shape[0]
-    suffix, spare = _circuit_transpose(n, theta)
+    theta, count, n = model.theta, model.theta.shape[0], model.n_qubits
+    ring, k = _ring(n), batch._targets.shape[0]
+    # Every layer at its angles at the sweep's start, the old angles of the layers not yet visited.
+    layers = [(_ry_blocks(theta[p:p + 2 * n:2]), _rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring])
+              for p in range(0, count, 2 * n)]
+    prefix = np.zeros((1 << n, k), dtype=np.complex128)
+    prefix[batch._z_values, np.arange(k)] = np.sqrt(batch._weights)
+    turned, buffers = np.empty_like(prefix), (np.empty_like(prefix), np.empty_like(prefix))  # u
+    # Each sample's target-class output rows, as flat indices into the state before the last ring.
+    readout = ring[(batch._targets << model.n_x) + np.arange(1 << model.n_x)[:, None]] * k + np.arange(k)
+    alpha = np.take(_run_layers(prefix, layers, buffers), readout)
 
-    # Samples grouped by target class.
-    order = np.argsort(batch._targets, kind="stable")
-    targets, weights, z_values = batch._targets[order], batch._weights[order], batch._z_values[order]
-    k = targets.shape[0]
-    prefix = np.zeros((dim, k), dtype=np.complex128)
-    prefix[z_values, np.arange(k)] = roots = np.sqrt(weights)
-    turned = np.empty_like(prefix)  # u
-    alpha = np.ascontiguousarray(suffix.reshape(dim, -1, rows)[z_values, targets].T) * roots
-    beta = np.empty_like(alpha)
-    classes, starts = np.unique(targets, return_index=True)
-    groups = list(zip(classes.tolist(), starts.tolist(), starts[1:].tolist() + [k]))
-
-    for p in range(0, count, 2 * n):
+    for layer, p in enumerate(range(0, count, 2 * n)):
         old = theta[p:p + 2 * n].copy()
-        x_rows = [(suffix[:, y * rows:(y + 1) * rows].T, lo, hi) for y, lo, hi in groups]  # X_y per group
         for j in range(p, p + 2 * n):
             if _flat_rz(j, n, count):
                 continue
             kind, q = ("ry", "rz")[j % 2], (j - p) // 2
             if kind == "ry":
-                _minus_i_pauli(turned, prefix, n, kind, q)
+                _minus_i_pauli(turned, prefix, kind, q)
             else:  # (-iZ)RY(2a) psi~, a the old angle of this qubit's RY
-                _apply_ry(prefix, n, q, 2.0 * old[2 * q], out=turned)
-                _minus_i_pauli(turned, turned, n, kind, q)
-            for x_y, lo, hi in x_rows:
-                np.matmul(x_y, turned[:, lo:hi], out=beta[:, lo:hi])
+                _apply_ry(prefix, q, 2.0 * old[2 * q], out=turned)
+                _minus_i_pauli(turned, turned, kind, q)
+            beta = np.take(_run_layers(turned, layers[layer:], buffers), readout)
             alpha2, beta2 = float(np.vdot(alpha, alpha).real), float(np.vdot(beta, beta).real)
             overlap = float(np.vdot(alpha, beta).real)
             t0 = float(theta[j])
@@ -504,34 +492,18 @@ def _cached_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
                     carried += step
         if p + 2 * n < count:
             Ansatz(n, 1).apply_batch(prefix, old)
-            suffix, spare = _apply_ry_layer(suffix, spare, old[0::2])
-            suffix *= _rz_diagonal(n, -old[1::2])
-            np.take(suffix, ring, axis=0, out=spare, mode="clip")
-            suffix, spare = spare, suffix
     return loss
 
 
 def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list[float]:
     """Cycle coordinate updates over all parameters in index order, but the
-    last layer's RZs (``_flat_rz``); returns the loss after each sweep. The
-    loss never increases beyond rounding noise.
-
-    Up to _CACHED_SWEEP_QUBITS qubits each sweep runs from cached states
-    (``_cached_sweep``); larger models take three-probe ``rotosolve_step``s.
-    """
+    last layer's RZs (``_flat_rz``), one ``_rotosolve_sweep`` at a time;
+    returns the loss after each sweep. The loss never increases beyond
+    rounding noise."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    if model.n_qubits <= _CACHED_SWEEP_QUBITS:
-        _check_batch(model, batch)
-        return [_cached_sweep(model, batch) for _ in range(sweeps)]
-    history = []
-    last = evaluate_loss(model, batch)
-    for _ in range(sweeps):
-        for j in range(model.theta.shape[0]):
-            if not _flat_rz(j, model.n_qubits, model.theta.shape[0]):
-                _, last = rotosolve_step(model, batch, j, loss_0=last)
-        history.append(last)
-    return history
+    _check_batch(model, batch)
+    return [_rotosolve_sweep(model, batch) for _ in range(sweeps)]
 
 
 def predict_many(model, z_values: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitbit.cli
 import bitbit.encoder
 import bitbit.stream
 from bitbit.cli import main
@@ -171,6 +172,21 @@ def test_oversized_csv_field_is_one_error_line(tmp_path, capsys, command, where)
     line = 1 if where == "header" else 3
     assert capsys.readouterr().err == f"error: {big}: line {line}: field larger than field limit (131072)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type int64"),
+    MemoryError(),
+])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, error):
+    """A failed allocation in any command ends in one stderr line and exit 1."""
+    def refuse(cfg):
+        raise error
+
+    monkeypatch.setitem(bitbit.cli._COMMANDS, "make-synthetic", refuse)
+    assert run_cli("make-synthetic", "--samples", 10, "--output", tmp_path / "d.csv") == 1
+    assert capsys.readouterr().err == f"error: out of memory ({str(error) or 'no detail'})\n"
+    assert not (tmp_path / "d.csv").exists()
 
 
 class TestStreamEstimateCommand:

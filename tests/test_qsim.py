@@ -38,7 +38,7 @@ class SingleRyOnClass:
         self.theta = np.zeros(1)
 
     def apply_batch(self, states):
-        _apply_ry(states, self.n_x + self.n_y, 0, self.theta[0])
+        _apply_ry(states, 0, self.theta[0])
 
 
 def random_model(rng, n_x=2, n_y=1, layers=2):
@@ -116,9 +116,9 @@ class TestGateKernels:
             kind = rng.integers(0, 3)
             q = int(rng.integers(0, n))
             if kind == 0:
-                _apply_ry(states, n, q, float(rng.uniform(-math.pi, math.pi)))
+                _apply_ry(states, q, float(rng.uniform(-math.pi, math.pi)))
             elif kind == 1:
-                _apply_rz(states, n, q, float(rng.uniform(-math.pi, math.pi)))
+                _apply_rz(states, q, float(rng.uniform(-math.pi, math.pi)))
             else:
                 t = int(rng.integers(0, n - 1))
                 _apply_cnot(states, n, q, t if t < q else t + 1)
@@ -135,7 +135,7 @@ class TestGateKernels:
                 c, s = math.cos(angle / 2), math.sin(angle / 2)
                 gate = np.kron(np.kron(np.eye(1 << q), [[c, -s], [s, c]]), np.eye(1 << (n - q - 1)))
                 expected = gate @ states
-                _apply_ry(states, n, q, angle)
+                _apply_ry(states, q, angle)
                 assert np.abs(states - expected).max() < 1e-13
 
     def test_cnot_truth_table(self):
@@ -188,7 +188,7 @@ class TestCircuitOracle:
                 angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
                 states = _random_states(rng, n, k)
                 expected = _on(n, {q: matrix(angle)}) @ states
-                kernel(states, n, q, angle)
+                kernel(states, q, angle)
                 assert np.abs(states - expected).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -504,7 +504,7 @@ class TestCachedSweep:
         ))
 
     @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    @pytest.mark.parametrize("n_qubits", range(2, 13))
     def test_matches_probe_loop(self, rng, n_qubits, layers):
         n_y = 1 if n_qubits < 4 else 2
         model = random_model(rng, n_qubits - n_y, n_y, layers)
@@ -531,13 +531,15 @@ class TestCachedSweep:
         weights = rng.random(6)
         self._check(model, self._batch(4, [0, 2, 2, 0, 2, 0], weights / weights.sum()), 3)
 
-    def test_above_cap_takes_probe_loop(self, rng, monkeypatch):
-        def refuse(model, batch):
-            raise AssertionError("the cached sweep ran above its qubit cap")
+    @pytest.mark.parametrize("n_x", [3, 10])
+    def test_no_probes_at_any_size(self, rng, monkeypatch, n_x):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_sweeps probed a full circuit")
 
-        monkeypatch.setattr(qsim, "_cached_sweep", refuse)
-        model = random_model(rng, 10, 1, 1)
-        self._check(model, self._batch(10, [0, 1, 1, 0]), 2)
+        monkeypatch.setattr(qsim, "evaluate_loss", refuse)
+        monkeypatch.setattr(qsim, "rotosolve_step", refuse)
+        model = random_model(rng, n_x, 1, 2)
+        self._check(model, self._batch(n_x, [0, 1, 1, 0]), 2)
 
     def test_target_beyond_class_register_rejected(self):
         model = fresh_model(2, 1, 1)
@@ -551,7 +553,7 @@ class TestCachedSweep:
         self._check(model, self._batch(4, [0, 1, 2, 3, 1, 0], np.array([0.3, 0.0, 0.2, 0.0, 0.5, 0.0])), 3)
 
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    @pytest.mark.parametrize("n_qubits", range(2, 13))
     def test_last_layer_rz_angles_kept(self, rng, n_qubits, layers):
         n_y = 1 if n_qubits < 4 else 2
         model = random_model(rng, n_qubits - n_y, n_y, layers)
@@ -561,52 +563,43 @@ class TestCachedSweep:
         assert model.theta[last_rz].tobytes() == before[last_rz].tobytes()
         assert not np.array_equal(model.theta, before)
 
-    def test_probe_loop_skips_last_layer_rzs(self, rng, monkeypatch):
-        calls = []
-
-        def counted(model, batch):
-            calls.append(None)
-            return evaluate_loss(model, batch)
-
-        monkeypatch.setattr(qsim, "evaluate_loss", counted)
-        model = random_model(rng, 10, 1, 2)
-        before = model.theta.copy()
-        train_sweeps(model, self._batch(10, [0, 1, 1, 0]), 1)
-        assert len(calls) == 2 * (model.theta.shape[0] - 11) + 1
-        last_rz = slice(model.theta.shape[0] - 2 * 11 + 1, None, 2)
-        assert model.theta[last_rz].tobytes() == before[last_rz].tobytes()
-
 
 class TestSuffixKernels:
-    """The sweep's dense-matrix kernels against the single-qubit ones."""
+    """The sweep's suffix kernels against the single-qubit ones and the circuit."""
 
     @pytest.mark.parametrize("n", [5, 7, 10])
     def test_ry_blocks_match_single_rys(self, rng, n):
         states = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
         angles = rng.uniform(-math.pi, math.pi, n)
-        for first in range(n):
-            for width in range(1, min(4, n - first) + 1):
-                want = states.copy()
-                for q in range(first, first + width):
-                    _apply_ry(want, n, q, angles[q])
-                got = np.empty_like(states)
-                qsim._apply_ry_block(states, first, angles[first:first + width], got)
-                assert np.abs(got - want).max() <= 1e-12
-        want = states.copy()
-        for q in range(n):
-            _apply_ry(want, n, q, angles[q])
-        got, _ = qsim._apply_ry_layer(states.copy(), np.empty_like(states), angles)
-        assert np.abs(got - want).max() <= 1e-12
+        blocks = qsim._ry_blocks(angles)
+        assert [first for first, _ in blocks] == list(range(0, n, 4))
+        want, got = states.copy(), states.copy()
+        for first, block in blocks:
+            width = block.shape[0].bit_length() - 1
+            assert width == min(4, n - first)
+            for q in range(first, first + width):
+                _apply_ry(want, q, angles[q])
+            view = got.view(np.float64).reshape(1 << first, block.shape[0], -1)
+            view[:] = block @ view
+            assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_backward_build_matches_circuit(self, rng, n, layers):
+    def test_suffix_run_matches_circuit(self, rng, n, layers):
+        # the last layer's ring and RZ diagonal are left to the reader
         model = random_model(rng, n - 1, 1, layers)
-        want = np.eye(1 << n, dtype=np.complex128)
+        theta, ring = model.theta, qsim._ring(n)
+        plan = [(qsim._ry_blocks(theta[p:p + 2 * n:2]), qsim._rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring])
+                for p in range(0, theta.shape[0], 2 * n)]
+        states = _random_states(rng, n, 3)
+        before = states.copy()
+        buffers = (np.empty_like(states), np.empty_like(states))
+        got = qsim._run_layers(states, plan, buffers)
+        assert states.tobytes() == before.tobytes() and any(got is b for b in buffers)
+        want = states.copy()
         model.apply_batch(want)
-        got, spare = qsim._circuit_transpose(n, model.theta)
-        assert spare.shape == got.shape and spare is not got
-        assert np.abs(got - want.T).max() <= 1e-12
+        want = (want / plan[-1][1])[np.argsort(ring)]
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def gates(ansatz):
@@ -653,7 +646,7 @@ def gate_walk(ansatz, states, theta):
         elif kind == "ry":
             shear_ry(states, n, a, theta[b])
         else:
-            _apply_rz(states, n, a, theta[b])
+            _apply_rz(states, a, theta[b])
 
 
 class TestLayerFusion:
@@ -680,7 +673,7 @@ class TestLayerFusion:
     def test_ry_into_out_leaves_input(self, rng):
         states = _random_states(rng, 3, 2)
         before, out = states.copy(), np.empty_like(states)
-        _apply_ry(states, 3, 1, 0.7, out=out)
+        _apply_ry(states, 1, 0.7, out=out)
         expected = before.copy()
         shear_ry(expected, 3, 1, 0.7)
         assert np.array_equal(states, before) and np.abs(out - expected).max() < 1e-13
