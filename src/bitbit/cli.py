@@ -38,8 +38,6 @@ from bitbit.qsim import (
     classification_accuracies,
     evaluate_loss,
     fresh_model,
-    get_qubit_cap,
-    set_qubit_cap,
     train_sweeps,
     training_batch_from_table,
 )
@@ -397,20 +395,12 @@ def run_encode(cfg: RunConfig) -> int:
 
 
 def run_train(cfg: RunConfig) -> int:
-    """``_train`` under the qubit cap ``--max-qubits``; the previous cap is
-    restored afterwards, on errors too."""
-    previous = get_qubit_cap()
-    set_qubit_cap(cfg.max_qubits)
-    try:
-        return _train(cfg)
-    finally:
-        set_qubit_cap(previous)
-
-
-def _train(cfg: RunConfig) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
+    if cfg.max_qubits > DEFAULT_QUBIT_CAP:
+        warnings.warn(f"raising the qubit cap to {cfg.max_qubits}: statevectors take "
+                      f"{(2 ** cfg.max_qubits * 16) / 2**20:.0f} MB each")
     paths = _paths(cfg, "train")
     dataset = _load_input(cfg)
     q_y = compute_q_y(dataset.c)
@@ -424,7 +414,7 @@ def _train(cfg: RunConfig) -> int:
                                for chunks in split_codes(model_enc, train, test)(model_enc.allocation.bits))
     ceiling = code_coverage(train_table, test_table)
     batch = training_batch_from_table(train_table, weighting="uniform" if cfg.uniform_weights else "frequency")
-    qmodel = fresh_model(cfg.n_x, q_y, cfg.layers, init_seed=cfg.seed)
+    qmodel = fresh_model(cfg.n_x, q_y, cfg.layers, init_seed=cfg.seed, max_qubits=cfg.max_qubits)
 
     rows = []
     for sweep in range(cfg.sweeps + 1):

@@ -234,7 +234,7 @@ def allocate_bits(imp: ImportanceScores, n_x: int) -> BitAllocation:
     if n_x < 1:
         raise ValueError("n_x must be positive")
     scores = imp.scores if imp.scores.sum() > 0.0 else np.ones(len(imp))  # all zero: as equal scores
-    ideal = n_x * (scores / scores.sum())
+    ideal = np.round(n_x * (scores / scores.sum()), 9)  # above rounding noise: exact ties tie at any scale
     bits = np.rint(ideal).astype(np.int64)  # round half to even
     deficit = n_x - int(bits.sum())
     order = np.argsort(bits - ideal, kind="stable")  # largest shortfall first, ties in index order
@@ -586,7 +586,10 @@ def read_packed(path) -> tuple[int, np.ndarray, np.ndarray]:
             try:
                 if len(code) != digits:
                     raise ValueError(f"expected {digits} hex digits for width {width}, got {len(code)}")
-                rows.append(Bitstring(width, int(code, 16)).value.to_bytes(n_bytes, "big"))
+                value = int(code, 16)
+                if not 0 <= value < 1 << width:
+                    raise ValueError(f"value {value} does not fit in {width} bits")
+                rows.append(value.to_bytes(n_bytes, "big"))
                 labels.append(int(label))
                 if not -(1 << 63) <= labels[-1] < 1 << 63:
                     raise ValueError(f"label {labels[-1]} does not fit in int64")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -32,10 +31,10 @@ import numpy as np
 from bitbit.coverage import BitstringTable
 from bitbit.encoder import Bitstring
 
-# Statevectors above this qubit count are refused by default (16 MB of complex
-# doubles at 20 qubits; each step up doubles it). Raise via set_qubit_cap.
+# Models above this qubit count are refused by default (16 MB of complex
+# doubles per statevector at 20 qubits; each step up doubles it). Raise it
+# per model with fresh_model's max_qubits.
 DEFAULT_QUBIT_CAP = 20
-_qubit_cap = DEFAULT_QUBIT_CAP
 
 # Below this slice amplitude a coordinate update is numerically meaningless
 # (the slice's coefficients are rounding noise), so the parameter is left
@@ -44,31 +43,6 @@ _FLAT_SLICE = 1e-13
 
 # Readouts run at most this many amplitudes (32 MB) through the circuit at once.
 _CHUNK_AMPLITUDES = 1 << 21
-
-
-def set_qubit_cap(n_qubits: int) -> None:
-    global _qubit_cap
-    if n_qubits < 1:
-        raise ValueError("qubit cap must be positive")
-    if n_qubits > DEFAULT_QUBIT_CAP:
-        warnings.warn(
-            f"raising the qubit cap to {n_qubits}: statevectors take "
-            f"{(2 ** n_qubits * 16) / 2**20:.0f} MB each",
-            stacklevel=2,
-        )
-    _qubit_cap = n_qubits
-
-
-def get_qubit_cap() -> int:
-    return _qubit_cap
-
-
-def _check_cap(n_qubits: int) -> None:
-    if n_qubits > _qubit_cap:
-        raise ValueError(
-            f"{n_qubits} qubits exceeds the simulator cap {_qubit_cap}; "
-            "raise it with set_qubit_cap() if you accept the memory cost"
-        )
 
 
 # --- gate kernels (in place, batched over the trailing axis) ---
@@ -197,7 +171,6 @@ class QuantumModel:
             raise ValueError("n_x and n_y must be positive")
         if self.ansatz.n_qubits != self.n_x + self.n_y:
             raise ValueError("ansatz width must equal n_x + n_y")
-        _check_cap(self.n_qubits)
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.shape != (self.ansatz.parameter_count,):
             raise ValueError(f"theta must have {self.ansatz.parameter_count} entries, got shape {theta.shape}")
@@ -211,14 +184,19 @@ class QuantumModel:
         self.ansatz.apply_batch(states, self.theta)
 
 
-def fresh_model(n_x: int, n_y: int, layers: int, init_seed: int | None = None) -> QuantumModel:
-    """A new model: angles all zero, or seeded uniform in (-pi, pi).
+def fresh_model(
+    n_x: int, n_y: int, layers: int, init_seed: int | None = None, max_qubits: int = DEFAULT_QUBIT_CAP
+) -> QuantumModel:
+    """A new model: angles all zero, or seeded uniform in (-pi, pi). More
+    than ``max_qubits`` qubits are refused before anything is allocated.
 
     The zero point makes the circuit purely classical (X/CNOT level), which
     leaves coordinate descent stranded on flat slices for batches with
     symmetric targets; seeded random angles are the reliable starting point
     for actual training runs.
     """
+    if n_x + n_y > max_qubits:
+        raise ValueError(f"{n_x + n_y} qubits exceeds max_qubits={max_qubits}; raise it if you accept the memory cost")
     ansatz = Ansatz(n_qubits=n_x + n_y, layers=layers)
     count = ansatz.parameter_count
     theta = np.zeros(count) if init_seed is None else np.random.default_rng(init_seed).uniform(-math.pi, math.pi, count)
@@ -254,8 +232,8 @@ def build_exact_classifier(c_map: Mapping[Bitstring, int], n_x: int, n_y: int) -
     Applied to |0...0>|z> it yields |C(z)>|z>, so its loss on any batch
     consistent with C vanishes.
     """
-    n_q = n_x + n_y
-    _check_cap(n_q)
+    if n_x + n_y > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"{n_x + n_y} qubits exceeds the simulator cap {DEFAULT_QUBIT_CAP}")
     targets = np.empty(1 << n_x, dtype=np.int64)
     for z in range(1 << n_x):
         key = Bitstring(n_x, z)
@@ -415,9 +393,10 @@ def _flat_rz(j: int, n_qubits: int, count: int) -> bool:
 
 def _run_layers(states: np.ndarray, layers, buffers) -> np.ndarray:
     """The layers, each given as (its ``_ry_blocks``, its ring-permuted RZ
-    diagonal), over a (2^n, k) batch that is left as it is. Every pass writes
-    into the one of the two buffers it does not read. The last layer stops
-    after its RYs. Returns the buffer that holds the result."""
+    diagonal), over a (2^n, k) batch that is left as it is unless it is one of
+    the buffers. Every pass writes into the one of the two buffers it does not
+    read. The last layer stops after its RYs. Returns the buffer that holds
+    the result."""
     ring, (one, other) = _ring(states.shape[0].bit_length() - 1), buffers
     for i, (blocks, diagonal) in enumerate(layers):
         for first, block in blocks:
@@ -490,8 +469,10 @@ def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
                     carried *= c
                     step *= s
                     carried += step
-        if p + 2 * n < count:
-            Ansatz(n, 1).apply_batch(prefix, old)
+        if p + 2 * n < count:  # the layer at its old angles, through the idle buffers
+            advanced = _run_layers(prefix, [layers[layer], ([], None)], (prefix, buffers[0]))
+            if advanced is not prefix:
+                prefix, buffers = advanced, (prefix, buffers[1])
     return loss
 
 

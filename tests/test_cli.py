@@ -23,7 +23,6 @@ from bitbit.coverage import code_coverage, count_table
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder, read_packed
-from bitbit.qsim import fresh_model, get_qubit_cap
 from tests.conftest import count_converted_rows, write_dataset_csv
 
 
@@ -458,17 +457,6 @@ class TestTrainCommand:
         assert code == 1
         assert "cap" in capsys.readouterr().err
 
-    def test_qubit_cap_restored_on_success_and_error(self, tmp_path, separable_2d_csv, capsys):
-        before = get_qubit_cap()
-        assert run_cli("train", "--input", separable_2d_csv, "--label-column", "label", "--n-x", "2",
-                       "--layers", "1", "--sweeps", "1", "--max-qubits", "5", "--output", tmp_path / "t.csv") == 0
-        assert get_qubit_cap() == before
-        fresh_model(4, 2, 1)  # 6 qubits: over the train run's cap, within the one before it
-        assert run_cli("train", "--input", tmp_path / "absent.csv", "--n-x", "2", "--max-qubits", "4",
-                       "--output", tmp_path / "u.csv") == 1
-        assert get_qubit_cap() == before
-        capsys.readouterr()
-
 
 class TestWarningLines:
     """Library warnings that no report collects reach stderr as one
@@ -487,15 +475,25 @@ class TestWarningLines:
                        "--sweeps", "1", "--max-qubits", "21", "--output", tmp_path / "t.csv") == 0
         assert self._stderr_lines(capsys) == [self.CAP_WARNING]
 
-    def test_train_class_absent_from_a_split(self, tmp_path, capsys):
+    @staticmethod
+    def _train_rare_class(tmp_path, *flags) -> int:
         path = tmp_path / "rare.csv"
         path.write_text("a,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(20)) + "99.0,2\n",
                         encoding="utf-8")
-        assert run_cli("train", "--input", path, "--scheme", "none", "--n-x", "2", "--layers", "1",
-                       "--sweeps", "1", "--output", tmp_path / "t.csv") == 0
+        return run_cli("train", "--input", path, "--scheme", "none", "--n-x", "2", "--layers", "1",
+                       "--sweeps", "1", "--output", tmp_path / "t.csv", *flags)
+
+    def test_train_class_absent_from_a_split(self, tmp_path, capsys):
+        assert self._train_rare_class(tmp_path) == 0
         lines = self._stderr_lines(capsys)
         assert len(lines) == 1
         assert re.fullmatch(r"warning: classes \[2\] absent from the (train|test) split", lines[0])
+
+    def test_train_cap_notice_first(self, tmp_path, capsys):
+        assert self._train_rare_class(tmp_path, "--max-qubits", "21") == 0
+        lines = self._stderr_lines(capsys)
+        assert lines[0] == self.CAP_WARNING and len(lines) == 2
+        assert re.fullmatch(r"warning: classes \[2\] absent from the (train|test) split", lines[1])
 
     def test_encode_conflicting_duplicates(self, tmp_path, capsys):
         path = tmp_path / "conflict.csv"

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +427,31 @@ class TestExactClassifier:
             build_exact_classifier(cmap, 1, 1)
 
 
+class TestQubitCap:
+    """fresh_model refuses more than max_qubits qubits, and build_exact_classifier more than
+    DEFAULT_QUBIT_CAP, each before it allocates anything."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: fresh_model(20, 1, 1), "21 qubits exceeds max_qubits=20"),
+        (lambda: fresh_model(4, 2, 1, max_qubits=5), "6 qubits exceeds max_qubits=5"),
+        (lambda: build_exact_classifier({}, 20, 1), "21 qubits exceeds the simulator cap 20"),
+    ], ids=["fresh_model-default", "fresh_model-5", "build_exact_classifier"])
+    def test_refused_before_allocating(self, build, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # 2^20 int64 targets alone would take 8 MiB
+
+    def test_raised_cap_is_per_model(self):
+        assert fresh_model(20, 1, 1, max_qubits=21).n_qubits == 21
+        with pytest.raises(ValueError, match="max_qubits=20"):
+            fresh_model(20, 1, 1)
+
+
 class TestPredict:
     def test_identity_point_zero_input_gives_class_zero(self):
         model = fresh_model(2, 1, 1)
@@ -551,6 +578,21 @@ class TestCachedSweep:
         # a zero weight gives its sample a zero prefix column
         model = random_model(rng, 4, 2, 2)
         self._check(model, self._batch(4, [0, 1, 2, 3, 1, 0], np.array([0.3, 0.0, 0.2, 0.0, 0.5, 0.0])), 3)
+
+    def test_peak_memory_does_not_grow_with_layers(self, rng):
+        # Each layer's end advances the prefix through the sweep's own buffers.
+        peaks = []
+        for layers in (1, 3):
+            model, batch = random_model(rng, 9, 1, layers), random_batch(rng, 9, k=64)
+            train_sweeps(model, batch, 1)  # warms the caches of ring permutations
+            tracemalloc.start()
+            try:
+                train_sweeps(model, batch, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak / (16 * 2**10 * 64))  # in (2^10, 64) complex arrays
+        assert peaks[1] - peaks[0] <= 0.25, peaks
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("n_qubits", range(2, 13))
