@@ -188,15 +188,15 @@ def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
 # Least value of each numeric flag. Fields a command lacks take another
 # command's default, which every check accepts; None means the flag is unset.
 _FLAG_MINIMUMS = {
-    "n_x_max": 1, "step": 1, "replicates": 1, "jobs": 1, "batch_size": 1, "reservoir_size": 1,
+    "n_x_max": 1, "step": 1, "replicates": 1, "jobs": 1, "batch_size": 2, "reservoir_size": 1,
     "components": 1, "n_x": 1, "layers": 1, "sweeps": 0, "max_qubits": 1, "seed": 0,
     "features": 1, "classes": 2, "separation": 0.0,
 }
 
 
-def _check_flags(cfg: RunConfig) -> None:
+def _check_flags(cfg: RunConfig) -> dict[str, _PlannedPath]:
     """Reject flag values no command can run with, before any input is read
-    or any output created; each message names the flag."""
+    or any output created; each message names the flag. Returns ``_paths``."""
     if not 0.0 < cfg.threshold <= 1.0:
         raise ValueError(f"--threshold must be in (0, 1], got {cfg.threshold}")
     if not 0.0 < cfg.train_fraction < 1.0:
@@ -210,14 +210,15 @@ def _check_flags(cfg: RunConfig) -> None:
     if cfg.input is not None and (cfg.train_input or cfg.test_input):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
     # No output may land on an input or on another output; two inputs may be one file.
-    seen = {}
-    for flag, path, kind in _paths(cfg, cfg.command).values():
+    seen, paths = {}, _paths(cfg, cfg.command)
+    for flag, path, kind in paths.values():
         if kind == "input" and not path.is_file():
             raise ValueError(f"{flag}: no such file {str(path)!r}")
         if kind != "input":
             _check_output(flag, path, kind == "directory")
         if (other := seen.setdefault(_file_id(path), flag)) != flag and kind != "input":
             raise ValueError(f"{other} and {flag} are the same file {path}")
+    return paths
 
 
 def _file_id(path: Path):
@@ -291,10 +292,9 @@ def _split(cfg: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Datase
 # --- estimate ---
 
 
-def run_estimate(cfg: RunConfig) -> int:
+def run_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     """Replicated split-sweep-estimate protocol over one CSV, or a single run
     over a pre-split train/test pair."""
-    paths = _paths(cfg, "estimate")
     spec = ReducerSpec(cfg.scheme, cfg.components)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -330,11 +330,10 @@ def run_estimate(cfg: RunConfig) -> int:
 # --- stream-estimate ---
 
 
-def run_stream_estimate(cfg: RunConfig) -> int:
+def run_stream_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     """Streaming protocol over pre-split CSVs: parse the training CSV once into
     a row spill, fit once in batched passes over it, rank each split once into
     a spill, then pack and measure coverage at each swept width from the spill."""
-    paths = _paths(cfg, "stream-estimate")
     n_features = len(_check_test_columns(cfg))
     train_csv = CsvBatchSource(cfg.train_input, cfg.label_column)
     _check_components(cfg, n_features, cfg.train_input)
@@ -378,10 +377,9 @@ def run_stream_estimate(cfg: RunConfig) -> int:
 # --- encode ---
 
 
-def run_encode(cfg: RunConfig) -> int:
+def run_encode(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     """Split, fit at a fixed width, and write the encoding and the label
     mapping into the output directory."""
-    paths = _paths(cfg, "encode")
     dataset = _load_input(cfg)
     train, test = _split(cfg, dataset, cfg.seed)
     model = fit_encoder(train, ReducerSpec(cfg.scheme, cfg.components), cfg.n_x)
@@ -394,14 +392,13 @@ def run_encode(cfg: RunConfig) -> int:
 # --- train ---
 
 
-def run_train(cfg: RunConfig) -> int:
+def run_train(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
     if cfg.max_qubits > DEFAULT_QUBIT_CAP:
         warnings.warn(f"raising the qubit cap to {cfg.max_qubits}: statevectors take "
                       f"{(2 ** cfg.max_qubits * 16) / 2**20:.0f} MB each")
-    paths = _paths(cfg, "train")
     dataset = _load_input(cfg)
     q_y = compute_q_y(dataset.c)
     if cfg.n_x + q_y > cfg.max_qubits:
@@ -438,7 +435,7 @@ def run_train(cfg: RunConfig) -> int:
 # --- report pretty-printer ---
 
 
-def run_report(cfg: RunConfig) -> int:
+def run_report(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     with open(cfg.input, encoding="utf-8") as fh:
         try:
             text = _render_report(json.load(fh))
@@ -484,11 +481,11 @@ def _render_report(report: dict) -> str:
 # --- synthetic data recipe ---
 
 
-def run_make_synthetic(cfg: RunConfig) -> int:
+def run_make_synthetic(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     """Write a seeded Gaussian-blob classification CSV (the scaling-study
     recipe: generate wide/tall synthetics here, then stream-estimate them)."""
     dataset = make_synthetic(cfg.samples, cfg.features, cfg.classes, cfg.separation, cfg.seed)
-    path = _paths(cfg, "make-synthetic")["output"].path
+    path = paths["output"].path
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([f"f{j}" for j in range(dataset.n_features)] + ["label"]) + "\n")
@@ -605,8 +602,7 @@ def main(argv=None) -> int:
         # command has succeeded; a failed run prints only its error.
         with warnings.catch_warnings(record=True) as caught:
             cfg = RunConfig(**vars(_parser().parse_args(argv)))
-            _check_flags(cfg)
-            code = _COMMANDS[cfg.command](cfg)
+            code = _COMMANDS[cfg.command](cfg, _check_flags(cfg))
     except SystemExit as exc:  # --help and --version; usage errors raise ValueError
         return 0 if exc.code in (0, None) else 1
     except (ValueError, KeyError, OSError) as exc:

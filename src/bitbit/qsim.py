@@ -7,12 +7,13 @@ Conventions, used everywhere in this module:
   the basis index of |y>|z> is y * 2^N_x + z.
 - A batch of k statevectors is a (2^n, k) array, one column per state, so
   every kernel's inner loop runs over at least k contiguous amplitudes.
-- A layer of the ansatz takes three kinds of pass: each RY is one real 2x2
-  product on the float64 view of the states; the layer's RZs, which commute
-  with the other qubits' RYs, are one length-2^n diagonal; the CNOT ring is
-  one row permutation. The training sweep takes the RYs of up to 4 qubits as
-  one real Kronecker block instead; readouts keep one product per RY, so
-  each readout column is independent of the batch width.
+- A layer of the ansatz takes three kinds of pass, all planned by
+  ``_layer_plan`` and run by ``_run_layers``: the RYs are real Kronecker
+  blocks applied to the float64 view of the states; the layer's RZs, which
+  commute with the other qubits' RYs, are one length-2^n diagonal; the CNOT
+  ring is one row permutation. The training sweep takes the RYs of up to 4
+  qubits as one block; readouts keep one 2x2 product per RY, so each readout
+  column is independent of the batch width.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -63,25 +64,20 @@ def _apply_rz(states: np.ndarray, qubit: int, angle: float) -> None:
     view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
 
 
-def _ry_blocks(angles) -> list[tuple[int, np.ndarray]]:
-    """RY(angles[q]) on every qubit q as (first qubit, block) pairs: each block is the
-    real Kronecker product of the RYs on qubits first to first + 3 (or the last)."""
-    pairs = []
-    for first in range(0, len(angles), 4):
-        block = np.ones((1, 1))
-        for angle in angles[first:first + 4]:
-            c, s = math.cos(angle / 2), math.sin(angle / 2)
-            block = np.kron(block, [[c, -s], [s, c]])
-        pairs.append((first, block))
-    return pairs
-
-
-def _rz_diagonal(n_qubits: int, angles) -> np.ndarray:
-    """RZ(angles[q]) on every qubit q, as one (2^n, 1) diagonal."""
-    diagonal = np.ones((1 << n_qubits, 1), dtype=np.complex128)
-    for q, angle in enumerate(angles):
-        _apply_rz(diagonal, q, angle)
-    return diagonal
+def _layer_plan(theta, n_qubits: int, size: int = 4) -> list:
+    """Every layer of theta as (its RYs as (first qubit, block) pairs, its RZs
+    as one ring-permuted (2^n, 1) diagonal). Each block is the real Kronecker
+    product of the RYs on qubits first to first + size - 1 (or the last)."""
+    ring, plan = _ring(n_qubits), []
+    for p in range(0, len(theta), 2 * n_qubits):
+        rys = [np.array([[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]])
+               for t in theta[p:p + 2 * n_qubits:2]]
+        diagonal = np.ones((1 << n_qubits, 1), dtype=np.complex128)
+        for q, angle in enumerate(theta[p + 1:p + 2 * n_qubits:2]):
+            _apply_rz(diagonal, q, angle)
+        blocks = [(first, functools.reduce(np.kron, rys[first:first + size])) for first in range(0, n_qubits, size)]
+        plan.append((blocks, diagonal[ring]))
+    return plan
 
 
 def _minus_i_pauli(out: np.ndarray, states: np.ndarray, kind: str, qubit: int) -> None:
@@ -132,25 +128,22 @@ class Ansatz:
         return 2 * self.n_qubits * self.layers
 
     def apply_batch(self, states: np.ndarray, theta: np.ndarray) -> None:
-        """Advance a (2^n, k) batch in place, one layer at a time: the RYs, each
-        written into a spare buffer of the batch's shape before the two swap,
-        then the ring and the RZs back into ``states``. The kernels reinterpret
-        the buffer as float64 pairs, so C order and complex128 are preconditions."""
-        n, ring = self.n_qubits, _ring(self.n_qubits)
+        """Advance a (2^n, k) batch in place: ``_run_layers`` over the
+        ``_layer_plan`` of one-qubit RY blocks, with a spare buffer of the
+        batch's shape. The kernels reinterpret the buffer as float64 pairs, so
+        C order and complex128 are preconditions."""
+        n = self.n_qubits
         wrong = [f"shape {states.shape}"] if states.ndim != 2 or states.shape[0] != 1 << n else []
         wrong += [f"dtype {states.dtype}"] if states.dtype != np.complex128 else []
         wrong += [] if states.flags.c_contiguous else ["not C-contiguous"]
         if wrong:
             raise ValueError(
                 f"states must be a C-contiguous complex128 array of shape ({1 << n}, k); got {', '.join(wrong)}")
-        other = np.empty_like(states)
-        for p in range(0, self.parameter_count, 2 * n):
-            current, spare = states, other
-            for q in range(n):
-                _apply_ry(current, q, theta[p + 2 * q], out=spare)
-                current, spare = spare, current
-            np.take(current, ring, axis=0, out=spare, mode="clip")  # "raise" would buffer out
-            np.multiply(spare, _rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring], out=states)
+        if len(theta) != self.parameter_count:
+            raise ValueError(f"theta must have {self.parameter_count} entries, got {len(theta)}")
+        result = _run_layers(states, _layer_plan(theta, n, 1) + [([], None)], (states, np.empty_like(states)))
+        if result is not states:
+            states[...] = result
 
 
 @dataclass(frozen=True)
@@ -392,11 +385,11 @@ def _flat_rz(j: int, n_qubits: int, count: int) -> bool:
 
 
 def _run_layers(states: np.ndarray, layers, buffers) -> np.ndarray:
-    """The layers, each given as (its ``_ry_blocks``, its ring-permuted RZ
-    diagonal), over a (2^n, k) batch that is left as it is unless it is one of
-    the buffers. Every pass writes into the one of the two buffers it does not
-    read. The last layer stops after its RYs. Returns the buffer that holds
-    the result."""
+    """The layers, each a ``_layer_plan`` entry (its RY blocks, its
+    ring-permuted RZ diagonal), over a (2^n, k) batch that is left as it is
+    unless it is one of the buffers. Every pass writes into the one of the two
+    buffers it does not read. The last layer stops after its RYs. Returns the
+    buffer that holds the result."""
     ring, (one, other) = _ring(states.shape[0].bit_length() - 1), buffers
     for i, (blocks, diagonal) in enumerate(layers):
         for first, block in blocks:
@@ -435,9 +428,7 @@ def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     """
     theta, count, n = model.theta, model.theta.shape[0], model.n_qubits
     ring, k = _ring(n), batch._targets.shape[0]
-    # Every layer at its angles at the sweep's start, the old angles of the layers not yet visited.
-    layers = [(_ry_blocks(theta[p:p + 2 * n:2]), _rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring])
-              for p in range(0, count, 2 * n)]
+    layers = _layer_plan(theta, n)  # the old angles of the layers not yet visited
     prefix = np.zeros((1 << n, k), dtype=np.complex128)
     prefix[batch._z_values, np.arange(k)] = np.sqrt(batch._weights)
     turned, buffers = np.empty_like(prefix), (np.empty_like(prefix), np.empty_like(prefix))  # u

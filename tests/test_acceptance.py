@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitbit.cli import RunConfig, main, run_estimate, run_stream_estimate
+from bitbit.cli import RunConfig, _check_flags, main, run_estimate, run_stream_estimate
 from bitbit.coverage import build_table, coverage_metrics, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec, fit_reducer
@@ -142,8 +142,10 @@ def run_both_paths(tmp_path, scheme, batch_size, n_x_max=40):
         step=1,
         n_x_max=n_x_max,
     )
-    quiet(run_estimate, RunConfig(**cfg, output=str(tmp_path / "a.json")))
-    quiet(run_stream_estimate, RunConfig(**cfg, batch_size=batch_size, output=str(tmp_path / "b.json")))
+    in_memory = RunConfig(**cfg, command="estimate", output=str(tmp_path / "a.json"))
+    streamed = RunConfig(**cfg, command="stream-estimate", batch_size=batch_size, output=str(tmp_path / "b.json"))
+    quiet(run_estimate, in_memory, _check_flags(in_memory))
+    quiet(run_stream_estimate, streamed, _check_flags(streamed))
     a = json.loads((tmp_path / "a.json").read_text())["replicates"][0]
     b = json.loads((tmp_path / "b.json").read_text())["replicates"][0]
     return a, b

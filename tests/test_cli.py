@@ -179,7 +179,7 @@ def test_oversized_csv_field_is_one_error_line(tmp_path, capsys, command, where)
 ])
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, error):
     """A failed allocation in any command ends in one stderr line and exit 1."""
-    def refuse(cfg):
+    def refuse(cfg, paths):
         raise error
 
     monkeypatch.setitem(bitbit.cli._COMMANDS, "make-synthetic", refuse)
@@ -246,6 +246,16 @@ class TestStreamEstimateCommand:
                 report["config"].pop(field)
             outputs.append((report, (out.parent / "r.work" / "model.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_batch_size_one_refused_before_reading(self, tmp_path, split_csvs, monkeypatch, capsys):
+        """A batch of one row carries no label information, so the run is refused
+        before any CSV row is read or any output path created."""
+        counts = count_converted_rows(monkeypatch)
+        out = tmp_path / "out" / "r.json"
+        assert run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                       "--batch-size", "1", "--output", out) == 1
+        assert capsys.readouterr().err == "error: --batch-size must be >= 2, got 1\n"
+        assert counts == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scheme", ["none", "pca"])
     def test_each_csv_row_is_parsed_once(self, tmp_path, split_csvs, monkeypatch, scheme):
@@ -678,6 +688,12 @@ class TestReportCommand:
         assert "mean Q_dataset 2.00" in text
         assert "threshold 1.0" in text
 
+    def test_prints_warnings_last(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text(json.dumps({"warnings": ["classes [2] absent", "second"]}))
+        assert run_cli("report", "--input", out) == 0
+        assert capsys.readouterr().out.endswith("\nwarning: classes [2] absent\nwarning: second\n")
+
 
 class TestMakeSynthetic:
     def test_deterministic_and_loadable(self, tmp_path):
@@ -777,6 +793,19 @@ class TestFlagValidation:
                        "--train-fraction", "1.5", *target)
         self._assert_flag_error(code, capsys, "--train-fraction")
         assert not out.exists()
+
+    def test_stream_estimate_needs_an_output(self, split_csvs, capsys):
+        code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
+                       "--batch-size", "32")
+        self._assert_flag_error(code, capsys, "requires --output or --work-dir")
+
+    @pytest.mark.parametrize("given", ["--train-input", "--test-input"])
+    def test_estimate_pre_split_needs_both(self, tmp_path, split_csvs, capsys, given):
+        out = tmp_path / "r.json"
+        path = split_csvs[0] if given == "--train-input" else split_csvs[1]
+        code = run_cli("estimate", given, path, "--output", out)
+        self._assert_flag_error(code, capsys, "needs both --train-input and --test-input")
+        assert not out.exists() and not out.with_suffix(".curves.csv").exists()
 
     def test_sweep_flags_checked_before_reading_input(self, tmp_path, capsys):
         code = run_cli("estimate", "--input", tmp_path / "absent.csv", "--step", "0",

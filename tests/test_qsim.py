@@ -257,6 +257,15 @@ class TestChunkedReadout:
         assert chunked.widths == [2, 2, 1, 2, 2, 1]
         assert np.array_equal(qsim._basis_class_probs(model, z_values), probs)
 
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    def test_rows_match_one_input_readouts(self, rng, k):
+        # 8 qubits: two full 4-qubit blocks, were readouts to use them
+        model = random_model(rng, 6, 2, 4)
+        z_values = rng.choice(1 << 6, size=k, replace=False)
+        probs = qsim._basis_class_probs(model, z_values)
+        for i in range(k):
+            assert probs[i].tobytes() == qsim._basis_class_probs(model, z_values[i:i + 1])[0].tobytes()
+
 
 class TestEvaluateLoss:
     def test_identity_point_on_zero_input(self):
@@ -612,8 +621,8 @@ class TestSuffixKernels:
     @pytest.mark.parametrize("n", [5, 7, 10])
     def test_ry_blocks_match_single_rys(self, rng, n):
         states = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
-        angles = rng.uniform(-math.pi, math.pi, n)
-        blocks = qsim._ry_blocks(angles)
+        theta = rng.uniform(-math.pi, math.pi, 2 * n)
+        angles, blocks = theta[::2], qsim._layer_plan(theta, n)[0][0]
         assert [first for first, _ in blocks] == list(range(0, n, 4))
         want, got = states.copy(), states.copy()
         for first, block in blocks:
@@ -630,9 +639,7 @@ class TestSuffixKernels:
     def test_suffix_run_matches_circuit(self, rng, n, layers):
         # the last layer's ring and RZ diagonal are left to the reader
         model = random_model(rng, n - 1, 1, layers)
-        theta, ring = model.theta, qsim._ring(n)
-        plan = [(qsim._ry_blocks(theta[p:p + 2 * n:2]), qsim._rz_diagonal(n, theta[p + 1:p + 2 * n:2])[ring])
-                for p in range(0, theta.shape[0], 2 * n)]
+        plan, ring = qsim._layer_plan(model.theta, n), qsim._ring(n)
         states = _random_states(rng, n, 3)
         before = states.copy()
         buffers = (np.empty_like(states), np.empty_like(states))
@@ -755,6 +762,15 @@ class TestApplyBatchPreconditions:
         model = fresh_model(2, 1, 2, init_seed=0)
         states = np.asfortranarray(_random_states(np.random.default_rng(1), 2, 3).astype(np.complex64))
         self._both(model, states, r"got shape \(4, 3\), dtype complex64, not C-contiguous$")
+
+    @pytest.mark.parametrize("entries", [11, 13, 24])
+    def test_theta_of_another_length(self, entries):
+        # a partial or extra layer is refused, never run
+        states = _random_states(np.random.default_rng(1), 3, 3)
+        before = states.copy()
+        with pytest.raises(ValueError, match=f"^theta must have 12 entries, got {entries}$"):
+            Ansatz(3, 2).apply_batch(states, np.zeros(entries))
+        assert np.array_equal(states, before)
 
     def test_c_ordered_batch_advances(self):
         model = fresh_model(2, 1, 2, init_seed=0)

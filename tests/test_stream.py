@@ -483,6 +483,12 @@ class TestFitPasses:
         with pytest.raises(ValueError, match=f"^train source must yield at least 2 samples, got {rows}$"):
             stream_fit_base(src, ReducerSpec(scheme), 16)
 
+    @pytest.mark.parametrize("scheme", ["none", "pca"])
+    def test_single_row_batches_rejected(self, scheme):
+        d = make_synthetic(20, 3, 2, 2.0, seed=9)
+        with pytest.raises(ValueError, match="^no batch held 2 or more samples; cannot score importances$"):
+            stream_fit_base(source(d), ReducerSpec(scheme), 1)
+
     def test_none_component_mismatch(self):
         d = make_synthetic(20, 3, 2, 2.0, seed=9)
         src = CountingSource(source(d))
