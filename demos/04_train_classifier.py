@@ -9,8 +9,8 @@ reaches loss zero outright and serves as the existence witness.
 import numpy as np
 
 from bitbit import ReducerSpec, SplitSpec, make_synthetic, split_train_test
-from bitbit.coverage import build_table, coverage_metrics, compute_q_y
-from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from bitbit.coverage import build_table, code_coverage, compute_q_y
+from bitbit.encoder import encode_samples, fit_encoder
 from bitbit.qsim import (
     build_exact_classifier,
     classification_accuracy,
@@ -27,11 +27,10 @@ n_y = compute_q_y(dataset.c)
 
 enc = fit_encoder(train, ReducerSpec("pca"), n_x)
 train_table = build_table(zip(encode_samples(enc, train.features), train.labels.tolist()), dataset.c)
-encoded_test = list(zip(encode_samples(enc, test.features), test.labels.tolist()))
-test_table = build_table(encoded_test, dataset.c)
-ceiling = coverage_metrics(train_table, encoded_test)
+test_table = build_table(zip(encode_samples(enc, test.features), test.labels.tolist()), dataset.c)
+ceiling = code_coverage(train_table, test_table)
 print(f"encoding: {n_x} data qubits + {n_y} class qubits, "
-      f"{len(train_table.entries)} unique training codes")
+      f"{train_table.codes.shape[0]} unique training codes")
 print(f"theoretical ceilings: train {ceiling.theoretical_train_accuracy:.4f}, "
       f"test {ceiling.theoretical_test_accuracy:.4f}")
 
@@ -55,9 +54,9 @@ print(f"\ntrained accuracy {final:.4f} vs ceiling {ceiling.theoretical_train_acc
       "(the ceiling is a hard bound)")
 
 # The existence witness: the oracle permutation classifies every code exactly.
-# The batch already holds each training code's majority label.
-cmap = {z: target for z, target, _ in batch.records}
-for value in range(1 << n_x):
-    cmap.setdefault(Bitstring(n_x, value), 0)
-oracle = build_exact_classifier(cmap, n_x, n_y)
+# The batch already holds each training code's majority label; codes that
+# never occur in training go to class 0.
+targets = np.zeros(1 << n_x, dtype=np.int64)
+targets[batch.z_values] = batch.targets
+oracle = build_exact_classifier(targets, n_x, n_y)
 print(f"exact-classifier loss on the same batch: {evaluate_loss(oracle, batch):.2e}")

@@ -39,7 +39,6 @@ from bitbit.coverage import (
     build_table,
     code_coverage,
     compute_q_y,
-    coverage_metrics,
     sweep_qubits,
     train_collision_incidence,
 )

@@ -10,8 +10,7 @@ the encoding can achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,14 +48,6 @@ class BitstringTable:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def entries(self) -> Mapping[Bitstring, np.ndarray]:
-        """Read-only view: each code as a ``Bitstring`` with its counts row."""
-        return MappingProxyType(dict(zip(self.bitstrings(), self.counts)))
-
-    def bitstrings(self) -> list[Bitstring]:
-        return [Bitstring(self.width, z) for z in self.codes.tolist()]
 
 
 def build_table(encoded: Iterable[tuple[Bitstring, int]], c: int) -> BitstringTable:
@@ -118,15 +109,6 @@ class CoverageMetrics:
         )
 
 
-def coverage_metrics(table: BitstringTable, encoded_test: Sequence[tuple[Bitstring, int]]) -> CoverageMetrics:
-    """Per-sample rule over (bitstring, label) test records, whose labels are
-    class ids below ``table.c``."""
-    test = build_table(encoded_test, table.c)
-    if None not in (table.width, test.width) and test.width != table.width:
-        raise ValueError(f"test width {test.width} != table width {table.width}")
-    return code_coverage(table, test)
-
-
 def count_codes(keys: np.ndarray, labels: np.ndarray, c: int, width: int | None) -> BitstringTable:
     """The count table of records with these code keys and label ids."""
     codes, inverse = np.unique(keys, return_inverse=True)
@@ -160,7 +142,10 @@ def code_coverage(train: BitstringTable, test: BitstringTable, batched: bool = F
     in training neither err nor overlap. Per-sample rule: a test record errs
     iff its label is not its code's training majority (ties go to the
     smallest class). With ``batched``, the streaming rule: a test bucket errs
-    as a whole iff its own majority is not the training majority."""
+    as a whole iff its own majority is not the training majority. Tables of
+    two widths are refused."""
+    if None not in (train.width, test.width) and test.width != train.width:
+        raise ValueError(f"test width {test.width} != table width {train.width}")
     train_incidence = train_collision_incidence(train)
     pos = np.minimum(np.searchsorted(train.codes, test.codes), train.codes.shape[0] - 1)
     hit = train.codes[pos] == test.codes

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from bitbit.coverage import BitstringTable
-from bitbit.encoder import Bitstring
 
 # Models above this qubit count are refused by default (16 MB of complex
 # doubles per statevector at 20 qubits; each step up doubles it). Raise it
@@ -219,71 +217,73 @@ class ExactClassifier:
         states[self.perm] = states.copy()
 
 
-def build_exact_classifier(c_map: Mapping[Bitstring, int], n_x: int, n_y: int) -> ExactClassifier:
-    """Basis permutation (y, z) -> (y XOR C(z), z) for a total classifier C.
+def build_exact_classifier(targets, n_x: int, n_y: int) -> ExactClassifier:
+    """Basis permutation (y, z) -> (y XOR C(z), z) for a total classifier C,
+    given as the length-2^n_x array ``targets[z] = C(z)``.
 
     Applied to |0...0>|z> it yields |C(z)>|z>, so its loss on any batch
     consistent with C vanishes.
     """
     if n_x + n_y > DEFAULT_QUBIT_CAP:
         raise ValueError(f"{n_x + n_y} qubits exceeds the simulator cap {DEFAULT_QUBIT_CAP}")
-    targets = np.empty(1 << n_x, dtype=np.int64)
-    for z in range(1 << n_x):
-        key = Bitstring(n_x, z)
-        if key not in c_map:
-            raise ValueError(f"classifier map is not total: missing input {key.to_bits()}")
-        t = int(c_map[key])
-        if not 0 <= t < (1 << n_y):
-            raise ValueError(f"class {t} does not fit in {n_y} qubits")
-        targets[z] = t
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (1 << n_x,):
+        raise ValueError(f"classifier is not total: need {1 << n_x} targets, got shape {targets.shape}")
+    bad = targets[(targets < 0) | (targets >= 1 << n_y)]
+    if bad.size:
+        raise ValueError(f"class {bad[0]} does not fit in {n_y} qubits")
     y = np.arange(1 << n_y, dtype=np.int64)
     z = np.arange(1 << n_x, dtype=np.int64)
     perm = ((y[:, None] ^ targets[None, :]) << n_x) + z[None, :]
     return ExactClassifier(n_x=n_x, n_y=n_y, perm=perm.ravel())
 
 
-@dataclass(frozen=True)
-class TrainingBatch:
-    """Distinct encoded inputs with a target class and a nonnegative weight each;
-    weights sum to 1 and collisions are already resolved."""
+def _check_inputs(z_values: np.ndarray, width: int) -> None:
+    # An input past 2^width would read data bits as class bits.
+    bad = z_values[(z_values < 0) | (z_values >= 1 << width)]
+    if bad.size:
+        raise ValueError(f"inputs must fit in {width} bits, got {bad[0]}")
 
-    records: tuple[tuple[Bitstring, int, float], ...]
-    _z_values: np.ndarray = field(repr=False, compare=False, default=None)
-    _targets: np.ndarray = field(repr=False, compare=False, default=None)
-    _weights: np.ndarray = field(repr=False, compare=False, default=None)
+
+@dataclass(frozen=True, eq=False)
+class TrainingBatch:
+    """Distinct ``width``-bit inputs, each with a target class and a nonnegative
+    weight; weights sum to 1 and collisions are already resolved. The arrays
+    are kept as read-only int64, int64 and float64 copies."""
+
+    width: int
+    z_values: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        for name, dtype in (("z_values", np.int64), ("targets", np.int64), ("weights", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        z, targets, weights = self.z_values, self.targets, self.weights
+        if z.ndim != 1 or targets.shape != z.shape or weights.shape != z.shape:
+            raise ValueError(f"batch arrays must be 1-D of one length, got {z.shape}, {targets.shape}, {weights.shape}")
+        if z.shape[0] == 0:
             raise ValueError("batch must be nonempty")
-        width = self.records[0][0].width
-        seen = set()
-        for z, target, weight in self.records:
-            if z.width != width:
-                raise ValueError("all batch bitstrings must share one width")
-            if z in seen:
-                raise ValueError(f"duplicate input {z.to_bits()}; collisions must be pre-resolved")
-            if weight < 0:
-                raise ValueError("weights must be nonnegative")
-            if target < 0:
-                raise ValueError("targets must be nonnegative class ids")
-            seen.add(z)
-        total = math.fsum(w for _, _, w in self.records)
-        if abs(total - 1.0) > 1e-9:
+        _check_inputs(z, self.width)
+        values, counts = np.unique(z, return_counts=True)
+        if counts.max() > 1:
+            raise ValueError(f"duplicate input {values[counts > 1][0]:0{self.width}b}; collisions must be pre-resolved")
+        if weights.min() < 0:
+            raise ValueError("weights must be nonnegative")
+        if targets.min() < 0:
+            raise ValueError("targets must be nonnegative class ids")
+        total = math.fsum(weights.tolist())
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "_z_values", np.array([z.value for z, _, _ in self.records], dtype=np.int64))
-        object.__setattr__(self, "_targets", np.array([t for _, t, _ in self.records], dtype=np.int64))
-        object.__setattr__(self, "_weights", np.array([w for _, _, w in self.records], dtype=np.float64))
-
-    @property
-    def width(self) -> int:
-        return self.records[0][0].width
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.z_values.shape[0]
 
 
 def training_batch_from_table(table: BitstringTable, weighting: str = "frequency") -> TrainingBatch:
-    """Collision-resolved batch from a count table: one record per bitstring,
+    """Collision-resolved batch from a count table: one input per code,
     target = majority class, weight = frequency (or uniform over the uniques)."""
     if weighting not in ("frequency", "uniform"):
         raise ValueError("weighting must be 'frequency' or 'uniform'")
@@ -293,7 +293,7 @@ def training_batch_from_table(table: BitstringTable, weighting: str = "frequency
     sizes = table.counts.sum(axis=1)
     weights = sizes / total if weighting == "frequency" else np.full(sizes.shape[0], 1.0 / sizes.shape[0])
     targets = table.counts.argmax(axis=1)
-    return TrainingBatch(records=tuple(zip(table.bitstrings(), targets.tolist(), weights.tolist())))
+    return TrainingBatch(table.width, table.codes, targets, weights)
 
 
 def _class_probs_batch(model, states: np.ndarray) -> np.ndarray:
@@ -320,17 +320,17 @@ def _basis_class_probs(model, z_values: np.ndarray) -> np.ndarray:
 def _check_batch(model, batch: TrainingBatch) -> None:
     if batch.width != model.n_x:
         raise ValueError(f"batch width {batch.width} != model data width {model.n_x}")
-    if batch._targets.max() >= 1 << model.n_y:
-        raise ValueError(f"target class {batch._targets.max()} does not fit in {model.n_y} class qubit(s)")
+    if batch.targets.max() >= 1 << model.n_y:
+        raise ValueError(f"target class {batch.targets.max()} does not fit in {model.n_y} class qubit(s)")
 
 
 def evaluate_loss(model, batch: TrainingBatch) -> float:
     """1 - sum_z f(z) * P(correct class | z): the probability the model answers
     a weighted random query wrongly."""
     _check_batch(model, batch)
-    probs = _basis_class_probs(model, batch._z_values)
-    p_correct = probs[np.arange(probs.shape[0]), batch._targets]
-    loss = 1.0 - float(batch._weights @ p_correct)
+    probs = _basis_class_probs(model, batch.z_values)
+    p_correct = probs[np.arange(probs.shape[0]), batch.targets]
+    loss = 1.0 - float(batch.weights @ p_correct)
     return min(max(loss, 0.0), 1.0)
 
 
@@ -427,13 +427,13 @@ def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     has no end: its RZs are skipped and nothing follows it.
     """
     theta, count, n = model.theta, model.theta.shape[0], model.n_qubits
-    ring, k = _ring(n), batch._targets.shape[0]
+    ring, k = _ring(n), len(batch)
     layers = _layer_plan(theta, n)  # the old angles of the layers not yet visited
     prefix = np.zeros((1 << n, k), dtype=np.complex128)
-    prefix[batch._z_values, np.arange(k)] = np.sqrt(batch._weights)
+    prefix[batch.z_values, np.arange(k)] = np.sqrt(batch.weights)
     turned, buffers = np.empty_like(prefix), (np.empty_like(prefix), np.empty_like(prefix))  # u
     # Each sample's target-class output rows, as flat indices into the state before the last ring.
-    readout = ring[(batch._targets << model.n_x) + np.arange(1 << model.n_x)[:, None]] * k + np.arange(k)
+    readout = ring[(batch.targets << model.n_x) + np.arange(1 << model.n_x)[:, None]] * k + np.arange(k)
     alpha = np.take(_run_layers(prefix, layers, buffers), readout)
 
     for layer, p in enumerate(range(0, count, 2 * n)):
@@ -479,8 +479,9 @@ def train_sweeps(model: QuantumModel, batch: TrainingBatch, sweeps: int) -> list
 
 
 def predict_many(model, z_values: np.ndarray) -> np.ndarray:
-    """Most probable class-register readout for each basis-state input |z>;
-    ties go to the smallest class id."""
+    """Most probable class-register readout for each basis-state input |z>,
+    z in [0, 2^n_x); ties go to the smallest class id."""
+    _check_inputs(z_values, model.n_x)
     return np.argmax(_basis_class_probs(model, z_values), axis=1)
 
 
@@ -497,6 +498,9 @@ def classification_accuracies(model, tables) -> list[float]:
     readout columns are independent, so each accuracy equals its table's alone."""
     if any(table.total == 0 for table in tables):
         raise ValueError("empty table")
+    for table in tables:
+        if table.width != model.n_x:
+            raise ValueError(f"table width {table.width} != model data width {model.n_x}")
     codes = np.sort(np.concatenate([table.codes.astype(np.int64) for table in tables]))
     union = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     union_preds = predict_many(model, union)

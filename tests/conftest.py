@@ -56,6 +56,17 @@ def iter_encoded(path):
                 raise ValueError(f"{path}: malformed record at line {line_no}: {exc}") from None
 
 
+def table_entries(table) -> dict:
+    """A count table as ``{Bitstring: counts row}``, one entry per code."""
+    return {Bitstring(table.width, z): row for z, row in zip(table.codes.tolist(), table.counts)}
+
+
+def batch_records(batch) -> tuple:
+    """A training batch as its ``(Bitstring, target, weight)`` records, in input order."""
+    return tuple((Bitstring(batch.width, z), t, w)
+                 for z, t, w in zip(batch.z_values.tolist(), batch.targets.tolist(), batch.weights.tolist()))
+
+
 def all_pure_1d_dataset() -> tuple[Dataset, Dataset]:
     """Hand-enumerable 1-D pair: class 0 on [0, 0.5), class 1 on [0.5, 1),
     train balanced 3/3, test values chosen so each sits strictly inside its

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from bitbit.cli import RunConfig, _check_flags, main, run_estimate, run_stream_estimate
-from bitbit.coverage import build_table, coverage_metrics, estimate_from_curve, sweep_curve
+from bitbit.coverage import build_table, code_coverage, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec, fit_reducer
-from bitbit.encoder import Bitstring, apply_copula, copula_ranks, encode_samples, fit_copula, fit_encoder, write_packed
+from bitbit.encoder import apply_copula, copula_ranks, encode_samples, fit_copula, fit_encoder, write_packed
 from bitbit.qsim import (
     TrainingBatch,
     build_exact_classifier,
@@ -69,7 +69,7 @@ def test_criterion_01_coverage_oracle_equivalence(rng):
         model = fit_encoder(train, ReducerSpec("none"), n_x)
         enc_train = list(zip(encode_samples(model, train.features), train.labels.tolist()))
         enc_test = list(zip(encode_samples(model, test.features), test.labels.tolist()))
-        metrics = coverage_metrics(build_table(enc_train, c), enc_test)
+        metrics = code_coverage(build_table(enc_train, c), build_table(enc_test, c))
         assert metrics.train_collision_incidence == brute_train_incidence(enc_train)
         assert (
             metrics.test_overlap_incidence,
@@ -292,15 +292,13 @@ def test_criterion_07_exact_classifier_witness(rng):
     for trial in range(20):
         n_x = int(rng.integers(1, 6))
         n_y = int(rng.integers(1, 3))
-        cmap = {Bitstring(n_x, z): int(rng.integers(0, 1 << n_y)) for z in range(1 << n_x)}
-        ec = build_exact_classifier(cmap, n_x, n_y)
+        targets = np.array([int(rng.integers(0, 1 << n_y)) for _ in range(1 << n_x)])
+        ec = build_exact_classifier(targets, n_x, n_y)
         assert sorted(ec.perm.tolist()) == list(range(1 << (n_x + n_y)))
         size = 1 << n_x
         weights = rng.random(size)
         weights /= weights.sum()
-        batch = TrainingBatch(
-            records=tuple((z, c, float(weights[z.value])) for z, c in cmap.items())
-        )
+        batch = TrainingBatch(n_x, np.arange(size), targets, weights)
         assert evaluate_loss(ec, batch) <= 1e-12
     print("ACCEPTANCE criterion 7 (exact-classifier witness, loss <= 1e-12): PASS")
 
@@ -318,12 +316,7 @@ def random_triple(rng):
     values = rng.choice(1 << n_x, size=k, replace=False)
     weights = rng.random(k)
     weights /= weights.sum()
-    batch = TrainingBatch(
-        records=tuple(
-            (Bitstring(n_x, int(v)), int(rng.integers(0, 1 << n_y)), float(w))
-            for v, w in zip(values, weights)
-        )
-    )
+    batch = TrainingBatch(n_x, values, [int(rng.integers(0, 1 << n_y)) for _ in values], weights)
     j = int(rng.integers(0, model.theta.shape[0]))
     return model, batch, j
 
@@ -371,7 +364,7 @@ def test_criterion_09_convergence_ceiling():
             zip(encode_samples(enc, train.features), train.labels.tolist()), d.c
         )
         theoretical = 1.0 - (
-            sum(int(v.sum() - v.max()) for v in table.entries.values()) / table.total
+            sum(int(v.sum() - v.max()) for v in table.counts) / table.total
         )
         batch = training_batch_from_table(table)
         model = fresh_model(n_x, 2, layers=4, init_seed=1)

@@ -425,7 +425,7 @@ class TestTrainCommand:
         assert len(model_doc["theta"]) == 2 * 3 * 3
 
     def test_trace_ceiling_matches_coverage_module(self, tmp_path, separable_2d_csv):
-        from bitbit.coverage import build_table, coverage_metrics
+        from bitbit.coverage import build_table
         from bitbit.data import SplitSpec, split_train_test
         from bitbit.dimred import ReducerSpec
         from bitbit.encoder import encode_samples, fit_encoder
@@ -440,7 +440,7 @@ class TestTrainCommand:
         model = fit_encoder(train, ReducerSpec("pca"), 2)
         table = build_table(zip(encode_samples(model, train.features), train.labels.tolist()), d.c)
         encoded_test = list(zip(encode_samples(model, test.features), test.labels.tolist()))
-        assert header_value == coverage_metrics(table, encoded_test).theoretical_train_accuracy
+        assert header_value == code_coverage(table, build_table(encoded_test, table.c)).theoretical_train_accuracy
 
     def test_deterministic_outputs(self, tmp_path, separable_2d_csv):
         bodies = []
@@ -598,8 +598,8 @@ class TestNoMaskedArrayImport:
 
 
 class TestNoBitstringPerRecord:
-    """Commands work on packed codes: no Bitstring per record, and train makes
-    one per unique training code, for its TrainingBatch."""
+    """Commands work on packed codes and make no Bitstring at all, train's
+    TrainingBatch included."""
 
     def test_bitstrings_made_per_command(self, tmp_path, separable_2d_csv, split_csvs, monkeypatch, capsys):
         made = []
@@ -626,11 +626,20 @@ class TestNoBitstringPerRecord:
             counts[name] = len(made)
         monkeypatch.undo()
         capsys.readouterr()
+        assert counts == {"encode": 0, "estimate": 0, "stream-estimate": 0, "train": 0}
 
-        d = load_csv(separable_2d_csv, "label")
-        train, _ = split_train_test(d, SplitSpec(0.8, seed=1))
-        unique_train_codes = len(set(encode_samples(fit_encoder(train, ReducerSpec("pca"), 3), train.features)))
-        assert counts == {"encode": 0, "estimate": 0, "stream-estimate": 0, "train": unique_train_codes}
+    def test_train_runs_with_bitstrings_refused(self, tmp_path, separable_2d_csv, monkeypatch, capsys):
+        argv = ("train", "--input", separable_2d_csv, "--n-x", "3", "--layers", "2", "--sweeps", "2", "--seed", "1")
+        assert run_cli(*argv, "--output", tmp_path / "plain.csv") == 0
+
+        def refuse(self):
+            raise AssertionError("a Bitstring was built")
+
+        monkeypatch.setattr(bitbit.encoder.Bitstring, "__post_init__", refuse)
+        assert run_cli(*argv, "--output", tmp_path / "refused.csv") == 0
+        for suffix in (".csv", ".model.json"):
+            assert (tmp_path / f"refused{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+        capsys.readouterr()
 
 
 class TestWrittenEncodingsRecount:

@@ -11,7 +11,6 @@ from bitbit.coverage import (
     code_coverage,
     compute_q_y,
     count_table,
-    coverage_metrics,
     estimate_from_curve,
     merge_counts,
     sweep_curve,
@@ -31,7 +30,7 @@ from bitbit.encoder import (
     split_codes,
 )
 from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
-from tests.conftest import all_pure_1d_dataset
+from tests.conftest import all_pure_1d_dataset, batch_records, table_entries
 
 
 def bs(bits):
@@ -67,7 +66,7 @@ def brute_test_incidence(encoded_train, encoded_test):
 def majority_errs(table, z, label) -> bool:
     """Whether the per-sample rule counts a test record (z, label) as wrong:
     z occurs in training and label is not its training majority."""
-    return coverage_metrics(table, [(z, label)]).n_test_overlap_errors == 1
+    return code_coverage(table, build_table([(z, label)], table.c)).n_test_overlap_errors == 1
 
 
 def encode_pair(train, test, spec, n_x):
@@ -81,12 +80,12 @@ class TestBuildTable:
     def test_counting(self):
         t = build_table([(bs("01"), 0), (bs("01"), 0), (bs("01"), 1), (bs("10"), 1)], 2)
         assert t.total == 4
-        assert t.entries[bs("01")].tolist() == [2, 1]
-        assert t.entries[bs("10")].tolist() == [0, 1]
+        assert table_entries(t)[bs("01")].tolist() == [2, 1]
+        assert table_entries(t)[bs("10")].tolist() == [0, 1]
 
     def test_empty(self):
         t = build_table([], 2)
-        assert t.total == 0 and t.entries == {}
+        assert t.total == 0 and table_entries(t) == {}
 
     def test_large_recount(self, rng):
         records = [(Bitstring(6, int(v)), int(lab))
@@ -94,9 +93,10 @@ class TestBuildTable:
         t = build_table(records, 3)
         assert t.total == len(records)
         naive = Counter(records)
+        entries = table_entries(t)
         for (z, lab), n in naive.items():
-            assert t.entries[z][lab] >= 1
-        for z, counts in t.entries.items():
+            assert entries[z][lab] >= 1
+        for z, counts in entries.items():
             for lab in range(3):
                 assert counts[lab] == naive.get((z, lab), 0)
 
@@ -126,7 +126,7 @@ class TestMajorityLabel:
 
     def test_absent_bitstring(self):
         t = build_table([(bs("0"), 0)], 2)
-        m = coverage_metrics(t, [(bs("1"), 1)])
+        m = code_coverage(t, build_table([(bs("1"), 1)], t.c))
         assert m.n_test_overlapping == 0 and m.n_test_overlap_errors == 0
 
 
@@ -158,12 +158,12 @@ class TestTrainCollisionIncidence:
 class TestTestOverlapIncidence:
     def test_hand_count(self):
         t = build_table([(bs("01"), 0)] * 3 + [(bs("01"), 1)], 2)
-        m = coverage_metrics(t, [(bs("01"), 1), (bs("11"), 0)])
+        m = code_coverage(t, build_table([(bs("01"), 1), (bs("11"), 0)], t.c))
         assert m.test_overlap_incidence == 0.5 and m.test_train_overlap_fraction == 0.5
 
     def test_disjoint_test(self):
         t = build_table([(bs("00"), 0)], 2)
-        m = coverage_metrics(t, [(bs("01"), 0), (bs("11"), 1)])
+        m = code_coverage(t, build_table([(bs("01"), 0), (bs("11"), 1)], t.c))
         assert m.test_overlap_incidence == 0.0 and m.test_train_overlap_fraction == 0.0
 
     def test_test_equals_train(self, rng):
@@ -172,7 +172,7 @@ class TestTestOverlapIncidence:
             for v, lab in zip(rng.integers(0, 4, 40), rng.integers(0, 2, 40))
         ]
         t = build_table(records, 2)
-        m = coverage_metrics(t, records)
+        m = code_coverage(t, build_table(records, t.c))
         assert m.test_overlap_incidence == train_collision_incidence(t)
         assert m.test_train_overlap_fraction == 1.0
 
@@ -187,13 +187,13 @@ class TestTestOverlapIncidence:
                 for v, lab in zip(rng.integers(0, 8, 30), rng.integers(0, 2, 30))
             ]
             t = build_table(train, 2)
-            m = coverage_metrics(t, test)
+            m = code_coverage(t, build_table(test, t.c))
             assert (m.test_overlap_incidence, m.test_train_overlap_fraction) == brute_test_incidence(train, test)
 
     def test_width_mismatch(self):
         t = build_table([(bs("01"), 0)], 2)
         with pytest.raises(ValueError, match="width"):
-            coverage_metrics(t, [(bs("011"), 0)])
+            code_coverage(t, build_table([(bs("011"), 0)], t.c))
 
 
 class TestQy:
@@ -251,7 +251,7 @@ class TestSweep:
             for n_x in (1, 3, 5):
                 enc_train, enc_test = encode_pair(train, test, ReducerSpec("pca"), n_x)
                 t = build_table(enc_train, d.c)
-                m = coverage_metrics(t, enc_test)
+                m = code_coverage(t, build_table(enc_test, t.c))
                 assert m.train_collision_incidence == brute_train_incidence(enc_train)
                 brute = brute_test_incidence(enc_train, enc_test)
                 assert (m.test_overlap_incidence, m.test_train_overlap_fraction) == brute
@@ -273,7 +273,7 @@ def per_width_oracle(train, test, spec, n_x_max, step):
         model = fit_encoder(train, spec, n_x)
         table = build_table(zip(encode_samples(model, train.features), train.labels.tolist()), train.c)
         encoded_test = list(zip(encode_samples(model, test.features), test.labels.tolist()))
-        m = coverage_metrics(table, encoded_test)
+        m = code_coverage(table, build_table(encoded_test, table.c))
         curve.append((n_x, m))
         train_met = train_met or m.theoretical_train_accuracy >= 1.0
         test_met = test_met or m.theoretical_test_accuracy >= 1.0
@@ -341,7 +341,7 @@ class TestFitOnceSweep:
         # at the widest point the duplicated rows form a bucket of their own, tied 1-1
         table = build_table(enc_train, 2)
         z = enc_test[0][0]
-        assert table.entries[z].tolist() == [1, 1]
+        assert table_entries(table)[z].tolist() == [1, 1]
         assert not majority_errs(table, z, 0) and majority_errs(table, z, 1)
 
 
@@ -474,8 +474,8 @@ def dict_training_batch(t: DictTable, weighting: str) -> TrainingBatch:
     records = []
     for z, counts in items:
         weight = int(counts.sum()) / t.total if weighting == "frequency" else 1.0 / len(items)
-        records.append((z, int(np.argmax(counts)), weight))
-    return TrainingBatch(records=tuple(records))
+        records.append((z.value, int(np.argmax(counts)), weight))
+    return TrainingBatch(t.width, *zip(*records))
 
 
 def dict_classification_accuracy(model, t: DictTable) -> float:
@@ -516,8 +516,8 @@ class TestArrayTable:
         assert t.codes.dtype == codes.dtype and t.codes.tolist() == codes.tolist()
         assert np.array_equal(t.counts, counts)
         assert (t.c, t.width, t.total) == (o.c, o.width, o.total)
-        assert t.entries.keys() == o.entries.keys()
-        assert all(np.array_equal(t.entries[z], o.entries[z]) for z in o.entries)
+        assert table_entries(t).keys() == o.entries.keys()
+        assert all(np.array_equal(table_entries(t)[z], o.entries[z]) for z in o.entries)
 
         half = len(train) // 2
         merged = merge_counts([build_table(train[:half], 3), build_table(train[half:], 3)])
@@ -525,9 +525,9 @@ class TestArrayTable:
 
         for z in {z for z, _ in train + test}:
             for label in range(3):
-                assert coverage_metrics(t, [(z, label)]) == dict_coverage(o, [(z, label, 1)])
+                assert code_coverage(t, build_table([(z, label)], t.c)) == dict_coverage(o, [(z, label, 1)])
         assert train_collision_incidence(t) == dict_train_collision_incidence(o)
-        assert coverage_metrics(t, test) == dict_coverage(o, [(z, label, 1) for z, label in test])
+        assert code_coverage(t, build_table(test, t.c)) == dict_coverage(o, [(z, label, 1) for z, label in test])
         test_dict = dict_build_table(test, 3)
         batched = [(z, dict_majority_label(test_dict, z), int(n.sum())) for z, n in test_dict.entries.items()]
         assert code_coverage(t, build_table(test, 3), batched=True) == dict_coverage(o, batched)
@@ -562,7 +562,8 @@ class TestArrayTable:
         predicted = set()
         for records in (train, test):
             t, o = build_table(records, 3), dict_build_table(records, 3)
-            assert training_batch_from_table(t, weighting).records == dict_training_batch(o, weighting).records
+            batch, oracle = training_batch_from_table(t, weighting), dict_training_batch(o, weighting)
+            assert batch_records(batch) == batch_records(oracle)
             for init_seed in range(16):
                 model = fresh_model(width, 2, 2, init_seed=init_seed)
                 assert classification_accuracy(model, t) == dict_classification_accuracy(model, o)
@@ -574,7 +575,7 @@ class TestArrayTable:
         assert empty.width is None and empty.codes.shape == (0,) and empty.counts.shape == (0, 2)
         for call in (
             lambda: train_collision_incidence(empty),
-            lambda: coverage_metrics(empty, [(bs("01"), 0)]),
+            lambda: code_coverage(empty, build_table([(bs("01"), 0)], empty.c)),
             lambda: code_coverage(empty, full, batched=True),
             lambda: training_batch_from_table(empty),
             lambda: classification_accuracy(fresh_model(2, 1, 1), empty),
@@ -582,10 +583,8 @@ class TestArrayTable:
             with pytest.raises(ValueError, match="^empty table$"):
                 call()
 
-    def test_entries_view_is_read_only(self):
+    def test_counts_are_read_only(self):
         t = build_table([(bs("01"), 0), (bs("01"), 1)], 2)
-        with pytest.raises(TypeError):
-            t.entries[bs("10")] = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
-            t.entries[bs("01")][0] = 5
+            t.counts[0, 0] = 5
         assert t.counts.tolist() == [[1, 1]]

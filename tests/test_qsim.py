@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bitbit import qsim
-from bitbit.coverage import build_table, coverage_metrics
+from bitbit.coverage import build_table, code_coverage, count_codes
 from bitbit.data import make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder
+from tests.conftest import batch_records
 from bitbit.qsim import (
     Ansatz,
     QuantumModel,
@@ -53,11 +54,7 @@ def random_batch(rng, n_x=2, n_classes=2, k=4):
     values = rng.choice(1 << n_x, size=min(k, 1 << n_x), replace=False)
     weights = rng.random(values.shape[0])
     weights /= weights.sum()
-    records = tuple(
-        (Bitstring(n_x, int(v)), int(rng.integers(0, n_classes)), float(w))
-        for v, w in zip(values, weights)
-    )
-    return TrainingBatch(records=records)
+    return TrainingBatch(n_x, values, [int(rng.integers(0, n_classes)) for _ in values], weights)
 
 
 class RecordingModel:
@@ -87,7 +84,7 @@ class TestStatevector:
 
     def test_norm_is_one(self):
         model = RecordingModel(3, 1)
-        batch = TrainingBatch(records=((Bitstring.from_bits("101"), 0, 1.0),))
+        batch = TrainingBatch(3, [Bitstring.from_bits("101").value], [0], [1.0])
         assert evaluate_loss(model, batch) == 0.0
         assert np.sum(np.abs(model.seen[0]) ** 2) == 1.0
 
@@ -243,7 +240,7 @@ class TestChunkedReadout:
     def test_chunks_match_one_chunk_bit_for_bit(self, rng, monkeypatch):
         model = random_model(rng, 3, 2, 2)
         batch = random_batch(rng, 3, n_classes=4, k=5)
-        z_values = batch._z_values
+        z_values = batch.z_values
         one = ChunkWidths(model)
         loss, preds = evaluate_loss(one, batch), predict_many(one, z_values)
         probs = qsim._basis_class_probs(model, z_values)
@@ -270,12 +267,12 @@ class TestChunkedReadout:
 class TestEvaluateLoss:
     def test_identity_point_on_zero_input(self):
         model = fresh_model(2, 1, 1)
-        batch = TrainingBatch(records=((Bitstring(2, 0), 0, 1.0),))
+        batch = TrainingBatch(2, [0], [0], [1.0])
         assert evaluate_loss(model, batch) == pytest.approx(0.0, abs=1e-15)
 
     def test_closed_form_single_rotation(self):
         model = SingleRyOnClass()
-        batch = TrainingBatch(records=((Bitstring(1, 0), 1, 1.0),))
+        batch = TrainingBatch(1, [0], [1], [1.0])
         for theta in (0.0, 0.7, math.pi / 2, math.pi, -1.2):
             model.theta[0] = theta
             expected = 1.0 - math.sin(theta / 2) ** 2
@@ -289,7 +286,7 @@ class TestEvaluateLoss:
 
     def test_width_mismatch(self):
         model = fresh_model(2, 1, 1)
-        batch = TrainingBatch(records=((Bitstring(3, 0), 0, 1.0),))
+        batch = TrainingBatch(3, [0], [0], [1.0])
         with pytest.raises(ValueError, match="width"):
             evaluate_loss(model, batch)
 
@@ -297,32 +294,77 @@ class TestEvaluateLoss:
 class TestTrainingBatch:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            TrainingBatch(records=((Bitstring(1, 0), 0, 0.4),))
+            TrainingBatch(1, [0], [0], [0.4])
 
     def test_duplicate_inputs_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            TrainingBatch(records=((Bitstring(1, 0), 0, 0.5), (Bitstring(1, 0), 1, 0.5)))
+            TrainingBatch(1, [0, 0], [0, 1], [0.5, 0.5])
 
     def test_from_table_frequency_weighting(self):
         t = build_table([(Bitstring(2, 0), 0)] * 3 + [(Bitstring(2, 1), 1)], 2)
         batch = training_batch_from_table(t)
-        assert batch.records == ((Bitstring(2, 0), 0, 0.75), (Bitstring(2, 1), 1, 0.25))
+        assert batch_records(batch) == ((Bitstring(2, 0), 0, 0.75), (Bitstring(2, 1), 1, 0.25))
 
     def test_from_table_uniform_weighting(self):
         t = build_table([(Bitstring(2, 0), 0)] * 3 + [(Bitstring(2, 1), 1)], 2)
         batch = training_batch_from_table(t, weighting="uniform")
-        assert [w for _, _, w in batch.records] == [0.5, 0.5]
+        assert [w for _, _, w in batch_records(batch)] == [0.5, 0.5]
 
     def test_from_table_resolves_collisions_to_majority(self):
         t = build_table([(Bitstring(1, 0), 1)] * 3 + [(Bitstring(1, 0), 0)], 2)
         batch = training_batch_from_table(t)
-        assert batch.records[0][1] == 1
+        assert batch_records(batch)[0][1] == 1
+
+    def test_arrays_are_read_only_copies(self):
+        z_values, targets, weights = np.array([2, 0]), np.array([1, 0]), np.array([0.25, 0.75])
+        batch = TrainingBatch(2, z_values, targets, weights)
+        z_values[0], targets[0], weights[0] = 3, 0, 0.0
+        assert batch_records(batch) == ((Bitstring(2, 2), 1, 0.25), (Bitstring(2, 0), 0, 0.75))
+        assert [a.dtype for a in (batch.z_values, batch.targets, batch.weights)] == [np.int64, np.int64, np.float64]
+        for array in (batch.z_values, batch.targets, batch.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert len(batch) == 2 and batch != TrainingBatch(2, [2, 0], [1, 0], [0.25, 0.75]) and batch == batch
+
+
+class TestErrorMessages:
+    """Each message of TrainingBatch and build_exact_classifier, and the width
+    check of code_coverage, as the one line a fault raises."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: TrainingBatch(2, [], [], []), "batch must be nonempty"),
+        (lambda: TrainingBatch(2, [0, 1], [0], [0.5, 0.5]),
+         "batch arrays must be 1-D of one length, got (2,), (1,), (2,)"),
+        (lambda: TrainingBatch(2, [[0]], [[0]], [[1.0]]),
+         "batch arrays must be 1-D of one length, got (1, 1), (1, 1), (1, 1)"),
+        (lambda: TrainingBatch(2, [0, 4], [0, 1], [0.5, 0.5]), "inputs must fit in 2 bits, got 4"),
+        (lambda: TrainingBatch(2, [-1, 0], [0, 1], [0.5, 0.5]), "inputs must fit in 2 bits, got -1"),
+        (lambda: TrainingBatch(3, [5, 1, 5], [0, 1, 1], [0.2, 0.4, 0.4]),
+         "duplicate input 101; collisions must be pre-resolved"),
+        (lambda: TrainingBatch(1, [0, 1], [0, 1], [1.5, -0.5]), "weights must be nonnegative"),
+        (lambda: TrainingBatch(1, [0, 1], [0, -1], [0.5, 0.5]), "targets must be nonnegative class ids"),
+        (lambda: TrainingBatch(1, [0, 1], [0, 1], [0.5, 0.25]), "weights must sum to 1, got 0.75"),
+        (lambda: TrainingBatch(1, [0], [0], [math.nan]), "weights must sum to 1, got nan"),
+        (lambda: build_exact_classifier([0, 1], 19, 2), "21 qubits exceeds the simulator cap 20"),
+        (lambda: build_exact_classifier([0, 1, 1], 2, 1), "classifier is not total: need 4 targets, got shape (3,)"),
+        (lambda: build_exact_classifier([[0, 1], [1, 0]], 2, 1),
+         "classifier is not total: need 4 targets, got shape (2, 2)"),
+        (lambda: build_exact_classifier([0, 1, 4, 3], 2, 2), "class 4 does not fit in 2 qubits"),
+        (lambda: build_exact_classifier([0, -1], 1, 1), "class -1 does not fit in 1 qubits"),
+        (lambda: code_coverage(build_table([(Bitstring(2, 1), 0)], 2), build_table([(Bitstring(3, 1), 0)], 2)),
+         "test width 3 != table width 2"),
+    ], ids=["empty", "lengths", "two-dimensional", "input-too-large", "input-negative", "duplicate",
+            "negative-weight", "negative-target", "weight-sum", "nan-weight", "cap", "not-total",
+            "not-one-dimensional", "class-too-large", "class-negative", "coverage-widths"])
+    def test_one_line_names_the_fault(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestRotosolve:
     def test_closed_form_minimizer(self):
         model = SingleRyOnClass()
-        batch = TrainingBatch(records=((Bitstring(1, 0), 1, 1.0),))
+        batch = TrainingBatch(1, [0], [1], [1.0])
         theta, loss = rotosolve_step(model, batch, 0)
         assert theta == pytest.approx(math.pi, abs=1e-12)
         assert loss == pytest.approx(0.0, abs=1e-12)
@@ -370,7 +412,7 @@ class TestRotosolve:
 
     def test_index_out_of_range(self):
         model = fresh_model(1, 1, 1)
-        batch = TrainingBatch(records=((Bitstring(1, 0), 0, 1.0),))
+        batch = TrainingBatch(1, [0], [0], [1.0])
         with pytest.raises(IndexError):
             rotosolve_step(model, batch, 99)
 
@@ -378,13 +420,13 @@ class TestRotosolve:
 class TestTrainSweeps:
     def test_single_record_converges_fast(self):
         model = fresh_model(2, 1, 2)
-        batch = TrainingBatch(records=((Bitstring(2, 2), 1, 1.0),))
+        batch = TrainingBatch(2, [2], [1], [1.0])
         history = train_sweeps(model, batch, 5)
         assert history[-1] < 1e-6
 
     def test_zero_sweeps_rejected(self):
         model = fresh_model(1, 1, 1)
-        batch = TrainingBatch(records=((Bitstring(1, 0), 0, 1.0),))
+        batch = TrainingBatch(1, [0], [0], [1.0])
         with pytest.raises(ValueError):
             train_sweeps(model, batch, 0)
 
@@ -399,41 +441,37 @@ class TestTrainSweeps:
 
 class TestExactClassifier:
     def test_single_bit_identity_map_is_cnot(self):
-        cmap = {Bitstring(1, 0): 0, Bitstring(1, 1): 1}
-        ec = build_exact_classifier(cmap, 1, 1)
+        ec = build_exact_classifier([0, 1], 1, 1)
         assert ec.perm.tolist() == [0, 3, 2, 1]
 
     def test_constant_zero_fixes_ready_sector(self):
-        cmap = {Bitstring(2, z): 0 for z in range(4)}
-        ec = build_exact_classifier(cmap, 2, 1)
+        ec = build_exact_classifier(np.zeros(4, dtype=np.int64), 2, 1)
         assert ec.perm[:4].tolist() == [0, 1, 2, 3]
 
     def test_random_classifier_is_bijective(self, rng):
         for _ in range(5):
-            cmap = {Bitstring(5, z): int(rng.integers(0, 4)) for z in range(32)}
-            ec = build_exact_classifier(cmap, 5, 2)
+            targets = np.array([int(rng.integers(0, 4)) for _ in range(32)])
+            ec = build_exact_classifier(targets, 5, 2)
             assert sorted(ec.perm.tolist()) == list(range(1 << 7))
 
     def test_zero_loss_on_consistent_batch(self, rng):
-        cmap = {Bitstring(3, z): int(rng.integers(0, 2)) for z in range(8)}
-        ec = build_exact_classifier(cmap, 3, 1)
-        records = tuple((z, c, 1 / 8) for z, c in cmap.items())
-        assert evaluate_loss(ec, TrainingBatch(records=records)) <= 1e-12
+        targets = np.array([int(rng.integers(0, 2)) for _ in range(8)])
+        ec = build_exact_classifier(targets, 3, 1)
+        assert evaluate_loss(ec, TrainingBatch(3, np.arange(8), targets, np.full(8, 1 / 8))) <= 1e-12
 
     def test_predictions_match_map(self, rng):
-        cmap = {Bitstring(4, z): int(rng.integers(0, 3)) for z in range(16)}
-        ec = build_exact_classifier(cmap, 4, 2)
-        z_values = np.array([z.value for z in cmap], dtype=np.int64)
-        assert predict_many(ec, z_values).tolist() == list(cmap.values())
+        targets = np.array([int(rng.integers(0, 3)) for _ in range(16)])
+        ec = build_exact_classifier(targets, 4, 2)
+        z_values = np.arange(16, dtype=np.int64)
+        assert predict_many(ec, z_values).tolist() == targets.tolist()
 
     def test_partial_map_rejected(self):
         with pytest.raises(ValueError, match="total"):
-            build_exact_classifier({Bitstring(2, 0): 0}, 2, 1)
+            build_exact_classifier([0], 2, 1)
 
     def test_class_must_fit_register(self):
-        cmap = {Bitstring(1, 0): 0, Bitstring(1, 1): 3}
         with pytest.raises(ValueError, match="fit"):
-            build_exact_classifier(cmap, 1, 1)
+            build_exact_classifier([0, 3], 1, 1)
 
 
 class TestQubitCap:
@@ -443,7 +481,7 @@ class TestQubitCap:
     @pytest.mark.parametrize("build,message", [
         (lambda: fresh_model(20, 1, 1), "21 qubits exceeds max_qubits=20"),
         (lambda: fresh_model(4, 2, 1, max_qubits=5), "6 qubits exceeds max_qubits=5"),
-        (lambda: build_exact_classifier({}, 20, 1), "21 qubits exceeds the simulator cap 20"),
+        (lambda: build_exact_classifier([], 20, 1), "21 qubits exceeds the simulator cap 20"),
     ], ids=["fresh_model-default", "fresh_model-5", "build_exact_classifier"])
     def test_refused_before_allocating(self, build, message):
         tracemalloc.start()
@@ -475,7 +513,7 @@ class TestPredict:
         )
         encoded_test = list(zip(encode_samples(enc_model, test.features), test.labels.tolist()))
         test_table = build_table(encoded_test, 2)
-        ceiling = coverage_metrics(train_table, encoded_test)
+        ceiling = code_coverage(train_table, build_table(encoded_test, train_table.c))
 
         # depth must cover the ring routing distance (about N_q - 1 layers)
         # and a seeded random start avoids the classical-point plateau
@@ -535,9 +573,7 @@ class TestCachedSweep:
         k = len(targets)
         weights = np.full(k, 1.0 / k) if weights is None else weights
         values = np.random.default_rng(k).choice(1 << n_x, size=k, replace=False)
-        return TrainingBatch(records=tuple(
-            (Bitstring(n_x, int(v)), int(t), float(w)) for v, t, w in zip(values, targets, weights)
-        ))
+        return TrainingBatch(n_x, values, targets, weights)
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("n_qubits", range(2, 13))
@@ -579,7 +615,7 @@ class TestCachedSweep:
 
     def test_target_beyond_class_register_rejected(self):
         model = fresh_model(2, 1, 1)
-        batch = TrainingBatch(records=((Bitstring(2, 0), 2, 1.0),))
+        batch = TrainingBatch(2, [0], [2], [1.0])
         with pytest.raises(ValueError, match="does not fit"):
             train_sweeps(model, batch, 1)
 
@@ -779,6 +815,26 @@ class TestApplyBatchPreconditions:
         gate_walk(model.ansatz, expected, model.theta)
         model.apply_batch(states)
         assert np.abs(states - expected).max() < 1e-12
+
+
+class TestReadoutWidths:
+    """Readouts refuse inputs outside the data register instead of reading
+    their high bits as class bits."""
+
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    def test_table_of_another_width_refused(self, width):
+        model = fresh_model(2, 1, 1, init_seed=3)
+        matching = count_codes(np.array([1], dtype=np.uint64), np.array([0]), 2, 2)
+        table = count_codes(np.array([1, 5, 6], dtype=np.uint64) % (1 << width), np.array([0, 1, 1]), 2, width)
+        for call in (lambda: classification_accuracy(model, table),
+                     lambda: classification_accuracies(model, [matching, table])):
+            with pytest.raises(ValueError, match=f"^table width {width} != model data width 2$"):
+                call()
+
+    @pytest.mark.parametrize("z", [-1, 4, 7, 12])
+    def test_inputs_outside_the_data_register_refused(self, z):
+        with pytest.raises(ValueError, match=f"^inputs must fit in 2 bits, got {z}$"):
+            predict_many(fresh_model(2, 1, 1, init_seed=3), np.array([0, 3, z]))
 
 
 class TestOneReadout:

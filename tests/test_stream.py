@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bitbit.data
 import bitbit.stream
-from bitbit.coverage import build_table, code_coverage, coverage_metrics
+from bitbit.coverage import build_table, code_coverage
 from bitbit.data import Dataset, load_csv, make_synthetic, parse_csv_row
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import (
@@ -419,14 +419,14 @@ class TestStreamCoverage:
         test = [(Bitstring(3, int(v)), int(rng.integers(0, 2))) for v in values]
         table = build_table(train, 2)
         streamed = code_coverage(table, build_table(test, 2), batched=True)
-        in_memory = coverage_metrics(table, test)
+        in_memory = code_coverage(table, build_table(test, table.c))
         assert streamed == in_memory
 
     def test_table_memory_tracks_unique_codes(self):
         # many records, few distinct codes: entry count stays at the distinct count
         records = [(Bitstring(4, v % 8), v % 2) for v in range(10_000)]
         table = build_table(records, 2)
-        assert len(table.entries) == 8
+        assert table.codes.shape[0] == 8
         assert table.total == 10_000
 
 
@@ -449,7 +449,7 @@ class TestStreamEquivalence:
         table = build_table(
             zip(encode_samples(model, train_rows), train_labels.tolist()), 2
         )
-        in_memory = coverage_metrics(table, encoded_test)
+        in_memory = code_coverage(table, build_table(encoded_test, table.c))
         streamed = code_coverage(table, build_table(encoded_test, 2), batched=True)
         assert streamed == in_memory
 
