@@ -8,7 +8,6 @@ reaching the configured threshold, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
@@ -47,21 +46,6 @@ from bitbit.stream import stream_fit_base, stream_sweep_curve
 REPORT_SCHEMA_VERSION = "1"
 
 
-class RunConfig(argparse.Namespace):
-    """Flat bag of CLI options; each command reads the fields it needs. A field
-    not given takes its flag's default in the parser, from the first
-    command that has the flag, so there is one table of defaults."""
-
-    def __init__(self, **fields):
-        subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-        defaults = {"command": None}
-        for command_parser in subparsers.choices.values():
-            for action in command_parser._actions:
-                if action.default is not argparse.SUPPRESS:
-                    defaults.setdefault(action.dest, action.default)
-        super().__init__(**{**defaults, **fields})
-
-
 # --- report plumbing ---
 
 
@@ -88,7 +72,7 @@ def _fields(obj, names: tuple[str, ...], **resolved) -> dict:
 
 
 def _write_estimate_report(
-    cfg: RunConfig, config: dict, streamed: bool, label_mapping: dict[str, int],
+    cfg: argparse.Namespace, config: dict, label_mapping: dict[str, int],
     results: list[tuple[list[tuple[int, CoverageMetrics]], int | None]], caught: list[warnings.WarningMessage],
     paths: dict[str, _PlannedPath],
 ) -> int:
@@ -118,7 +102,7 @@ def _write_estimate_report(
         "tool": {"name": "bitbit", "version": __version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": cfg.command,
-        "streamed": streamed,
+        "streamed": cfg.command == "stream-estimate",
         "config": config,
         "label_mapping": label_mapping,
         "n_classes": c,
@@ -154,11 +138,11 @@ _ROWS_SPILL = "train.rows"
 _PlannedPath = NamedTuple("_PlannedPath", [("flag", str), ("path", Path), ("kind", str)])
 
 
-def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
-    """Every path ``command`` reads or writes, each once, inputs first: keyed by the field of the flag
+def _paths(cfg: argparse.Namespace) -> dict[str, _PlannedPath]:
+    """Every path ``cfg.command`` reads or writes, each once, inputs first: keyed by the field of the flag
     that gives it or that it stands in for, by ``"curves"``, or by its name inside a directory."""
     paths = {field: _PlannedPath(f"--{field.replace('_', '-')}", Path(getattr(cfg, field)), kind)
-             for field, kind in _PATH_FLAGS.items() if getattr(cfg, field) is not None}
+             for field, kind in _PATH_FLAGS.items() if getattr(cfg, field, None) is not None}
     for flag, path, kind in paths.values():
         if kind == "file" and not path.name:  # "." or "/": a directory, and no name to derive files from
             _check_output(flag, path, False)
@@ -167,7 +151,7 @@ def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
         owner = paths[base].flag.partition("'")[0]  # the flag the base path is named after
         paths.setdefault(key, _PlannedPath(f"{owner}'s {what}", path, kind))
 
-    if command == "stream-estimate":
+    if cfg.command == "stream-estimate":
         if cfg.output is None and cfg.work_dir is None:
             raise ValueError("stream-estimate requires --output or --work-dir")
         if cfg.work_dir is None:
@@ -175,18 +159,17 @@ def _paths(cfg: RunConfig, command: str) -> dict[str, _PlannedPath]:
         for name in (*ENCODING_FILES, _ROWS_SPILL, *RANK_SPILLS):
             derive(name, "work_dir", name, paths["work_dir"].path / name)
         derive("output", "work_dir", "report", paths["work_dir"].path / "report.json")
-    if command in ("estimate", "stream-estimate"):
+    if cfg.command in ("estimate", "stream-estimate"):
         derive("curves", "output", "curves file", paths["output"].path.with_suffix(".curves.csv"))
-    if command == "encode":
+    if cfg.command == "encode":
         for name in (*ENCODING_FILES, _LABELS_FILE):
             derive(name, "output_dir", name, paths["output_dir"].path / name)
-    if command == "train":
+    if cfg.command == "train":
         derive("model_output", "output", "model file", paths["output"].path.with_suffix(".model.json"))
     return paths
 
 
-# Least value of each numeric flag. Fields a command lacks take another
-# command's default, which every check accepts; None means the flag is unset.
+# Least value of each numeric flag; None means the flag is unset.
 _FLAG_MINIMUMS = {
     "n_x_max": 1, "step": 1, "replicates": 1, "jobs": 1, "batch_size": 2, "reservoir_size": 1,
     "components": 1, "n_x": 1, "layers": 1, "sweeps": 0, "max_qubits": 1, "seed": 0,
@@ -194,23 +177,29 @@ _FLAG_MINIMUMS = {
 }
 
 
-def _check_flags(cfg: RunConfig) -> dict[str, _PlannedPath]:
-    """Reject flag values no command can run with, before any input is read
-    or any output created; each message names the flag. Returns ``_paths``."""
-    if not 0.0 < cfg.threshold <= 1.0:
+def _check_flags(cfg: argparse.Namespace) -> dict[str, _PlannedPath]:
+    """Reject values of ``cfg``'s flags that its command cannot run with, before any input
+    is read or any output created; each message names the flag. Returns ``_paths``."""
+    flags = vars(cfg)
+    if "threshold" in flags and not 0.0 < cfg.threshold <= 1.0:
         raise ValueError(f"--threshold must be in (0, 1], got {cfg.threshold}")
-    if not 0.0 < cfg.train_fraction < 1.0:
+    if "train_fraction" in flags and not 0.0 < cfg.train_fraction < 1.0:
         raise ValueError(f"--train-fraction must be in (0, 1), got {cfg.train_fraction}")
     for field, least in _FLAG_MINIMUMS.items():
-        value = getattr(cfg, field)
+        value = flags.get(field)
         if value is not None and not value >= least:
             raise ValueError(f"--{field.replace('_', '-')} must be >= {least}, got {value}")
-    if cfg.samples < cfg.classes:
-        raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
-    if cfg.input is not None and (cfg.train_input or cfg.test_input):
+    if "samples" in flags:
+        if cfg.samples < cfg.classes:
+            raise ValueError(f"--samples must be >= --classes ({cfg.classes}), got {cfg.samples}")
+        # The last class mean, separation * (classes - 1), must be a finite float; no --classes overflows here.
+        if cfg.separation and cfg.classes - 1 > sys.float_info.max / cfg.separation:
+            raise ValueError(f"--separation {cfg.separation} with --classes {cfg.classes} puts a class mean "
+                             f"past the largest float")
+    if flags.get("input") is not None and (flags.get("train_input") or flags.get("test_input")):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
     # No output may land on an input or on another output; two inputs may be one file.
-    seen, paths = {}, _paths(cfg, cfg.command)
+    seen, paths = {}, _paths(cfg)
     for flag, path, kind in paths.values():
         if kind == "input" and not path.is_file():
             raise ValueError(f"{flag}: no such file {str(path)!r}")
@@ -237,7 +226,7 @@ def _check_output(flag: str, path: Path, is_dir: bool) -> None:
         raise ValueError(f"{flag} {path}: {home} is not a writable directory")
 
 
-def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None = None) -> None:
+def _check_components(cfg: argparse.Namespace, n_features: int, path, n_rows: int | None = None) -> None:
     """Reject a ``--components`` that the ``n_features`` columns of the
     training input ``path`` cannot give, or, for pca and lsa, that exceeds its
     ``n_rows`` training rows when given; each message names the flag."""
@@ -253,7 +242,7 @@ def _check_components(cfg: RunConfig, n_features: int, path, n_rows: int | None 
         raise ValueError(f"--components {cfg.components} exceeds the {n_rows} training rows of {path}")
 
 
-def _check_test_columns(cfg: RunConfig) -> tuple[str, ...]:
+def _check_test_columns(cfg: argparse.Namespace) -> tuple[str, ...]:
     """Reject a ``--test-input`` whose feature columns (the header without the
     label column) are not the training input's in the same order, naming both
     files and the first column that differs; reads only the two headers, and
@@ -271,14 +260,14 @@ def _check_test_columns(cfg: RunConfig) -> tuple[str, ...]:
 # --- in-memory front end: estimate --input, encode, train ---
 
 
-def _load_input(cfg: RunConfig) -> Dataset:
+def _load_input(cfg: argparse.Namespace) -> Dataset:
     """Load ``--input`` and check ``--components`` against its features."""
     dataset = load_csv(cfg.input, cfg.label_column)
     _check_components(cfg, dataset.n_features, cfg.input)
     return dataset
 
 
-def _split(cfg: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+def _split(cfg: argparse.Namespace, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Split ``--input`` with ``seed``, then check the training rows: at least
     2, and for pca and lsa at least ``--components``."""
     train, test = split_train_test(dataset, SplitSpec(cfg.train_fraction, seed, cfg.stratify))
@@ -292,7 +281,7 @@ def _split(cfg: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Datase
 # --- estimate ---
 
 
-def run_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_estimate(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     """Replicated split-sweep-estimate protocol over one CSV, or a single run
     over a pre-split train/test pair."""
     spec = ReducerSpec(cfg.scheme, cfg.components)
@@ -324,13 +313,13 @@ def run_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
                            "threshold", "train_fraction", "seed", "n_x_max", "step", "stratify"),
                      replicates=len(results))
     label_mapping = {name: i for i, name in enumerate(label_names)}
-    return _write_estimate_report(cfg, config, False, label_mapping, results, caught, paths)
+    return _write_estimate_report(cfg, config, label_mapping, results, caught, paths)
 
 
 # --- stream-estimate ---
 
 
-def run_stream_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_stream_estimate(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     """Streaming protocol over pre-split CSVs: parse the training CSV once into
     a row spill, fit once in batched passes over it, rank each split once into
     a spill, then pack and measure coverage at each swept width from the spill."""
@@ -371,13 +360,13 @@ def run_stream_estimate(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
     config = _fields(cfg, ("train_input", "test_input", "label_column", "scheme", "components", "threshold",
                            "n_x_max", "step", "batch_size", "reservoir_size", "seed", "weighted_mi"),
                      work_dir=str(work_dir))
-    return _write_estimate_report(cfg, config, True, label_mapping, [(curve, None)], caught, paths)
+    return _write_estimate_report(cfg, config, label_mapping, [(curve, None)], caught, paths)
 
 
 # --- encode ---
 
 
-def run_encode(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_encode(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     """Split, fit at a fixed width, and write the encoding and the label
     mapping into the output directory."""
     dataset = _load_input(cfg)
@@ -392,7 +381,7 @@ def run_encode(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
 # --- train ---
 
 
-def run_train(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_train(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     """Encode at the requested width, drop collisions (majority label per
     bitstring), train by coordinate updates, and write a per-sweep trace CSV
     plus the final model parameters."""
@@ -435,7 +424,7 @@ def run_train(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
 # --- report pretty-printer ---
 
 
-def run_report(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_report(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     with open(cfg.input, encoding="utf-8") as fh:
         try:
             text = _render_report(json.load(fh))
@@ -481,7 +470,7 @@ def _render_report(report: dict) -> str:
 # --- synthetic data recipe ---
 
 
-def run_make_synthetic(cfg: RunConfig, paths: dict[str, _PlannedPath]) -> int:
+def run_make_synthetic(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) -> int:
     """Write a seeded Gaussian-blob classification CSV (the scaling-study
     recipe: generate wide/tall synthetics here, then stream-estimate them)."""
     dataset = make_synthetic(cfg.samples, cfg.features, cfg.classes, cfg.separation, cfg.seed)
@@ -584,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)  # one per process: main reads argv with it, RunConfig its defaults
-
 _COMMANDS = {
     "estimate": run_estimate,
     "stream-estimate": run_stream_estimate,
@@ -601,7 +588,7 @@ def main(argv=None) -> int:
         # Warnings no report collects go to stderr as one line each, once the
         # command has succeeded; a failed run prints only its error.
         with warnings.catch_warnings(record=True) as caught:
-            cfg = RunConfig(**vars(_parser().parse_args(argv)))
+            cfg = build_parser().parse_args(argv)
             code = _COMMANDS[cfg.command](cfg, _check_flags(cfg))
     except SystemExit as exc:  # --help and --version; usage errors raise ValueError
         return 0 if exc.code in (0, None) else 1

@@ -335,4 +335,6 @@ def make_synthetic(s: int, n: int, c: int, separation: float, seed: int) -> Data
     labels = np.arange(s, dtype=np.int64) % c
     labels = labels[rng.permutation(s)]
     features = rng.standard_normal((s, n)) + separation * labels[:, None].astype(np.float64)
+    if not np.isfinite(features).all():
+        raise ValueError(f"separation {separation} with {c} classes gives non-finite features")
     return Dataset(features=features, labels=labels, c=c)

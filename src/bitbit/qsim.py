@@ -257,6 +257,7 @@ class TrainingBatch:
     weights: np.ndarray
 
     def __post_init__(self):
+        _check_inputs(np.asarray(self.z_values), min(self.width, 63))  # before the int64 copy could wrap one
         for name, dtype in (("z_values", np.int64), ("targets", np.int64), ("weights", np.float64)):
             array = np.array(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
@@ -266,7 +267,6 @@ class TrainingBatch:
             raise ValueError(f"batch arrays must be 1-D of one length, got {z.shape}, {targets.shape}, {weights.shape}")
         if z.shape[0] == 0:
             raise ValueError("batch must be nonempty")
-        _check_inputs(z, self.width)
         values, counts = np.unique(z, return_counts=True)
         if counts.max() > 1:
             raise ValueError(f"duplicate input {values[counts > 1][0]:0{self.width}b}; collisions must be pre-resolved")
@@ -501,6 +501,7 @@ def classification_accuracies(model, tables) -> list[float]:
     for table in tables:
         if table.width != model.n_x:
             raise ValueError(f"table width {table.width} != model data width {model.n_x}")
+    # Sorted and deduplicated by hand: a plain np.unique imports numpy.ma under numpy 2.4.6.
     codes = np.sort(np.concatenate([table.codes.astype(np.int64) for table in tables]))
     union = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     union_preds = predict_many(model, union)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitbit.cli import RunConfig, _check_flags, main, run_estimate, run_stream_estimate
+from bitbit.cli import _check_flags, build_parser, main, run_estimate, run_stream_estimate
 from bitbit.coverage import build_table, code_coverage, estimate_from_curve, sweep_curve
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, split_train_test
 from bitbit.dimred import ReducerSpec, fit_reducer
@@ -134,16 +134,11 @@ def interleaved_1d_pair(seed, train_path, test_path):
 
 
 def run_both_paths(tmp_path, scheme, batch_size, n_x_max=40):
-    cfg = dict(
-        train_input=str(tmp_path / "train.csv"),
-        test_input=str(tmp_path / "test.csv"),
-        label_column="label",
-        scheme=scheme,
-        step=1,
-        n_x_max=n_x_max,
-    )
-    in_memory = RunConfig(**cfg, command="estimate", output=str(tmp_path / "a.json"))
-    streamed = RunConfig(**cfg, command="stream-estimate", batch_size=batch_size, output=str(tmp_path / "b.json"))
+    flags = ["--train-input", str(tmp_path / "train.csv"), "--test-input", str(tmp_path / "test.csv"),
+             "--label-column", "label", "--scheme", scheme, "--step", "1", "--n-x-max", str(n_x_max)]
+    in_memory = build_parser().parse_args(["estimate", *flags, "--output", str(tmp_path / "a.json")])
+    streamed = build_parser().parse_args(["stream-estimate", *flags, "--batch-size", str(batch_size),
+                                          "--output", str(tmp_path / "b.json")])
     quiet(run_estimate, in_memory, _check_flags(in_memory))
     quiet(run_stream_estimate, streamed, _check_flags(streamed))
     a = json.loads((tmp_path / "a.json").read_text())["replicates"][0]

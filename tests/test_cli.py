@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import bitbit.cli
 import bitbit.encoder
 import bitbit.stream
-from bitbit.cli import main
+from bitbit.cli import _check_flags, build_parser, main
 from bitbit.coverage import code_coverage, count_table
 from bitbit.data import Dataset, SplitSpec, load_csv, make_synthetic, parse_csv_row, split_train_test
 from bitbit.dimred import ReducerSpec
@@ -749,6 +749,28 @@ DERIVED_FLAGS = [("estimate", "--output's curves file"), ("stream-estimate", "--
                  ("train", "--output's model file")]
 
 
+class TestOwnFlags:
+    """Each command is checked on the Namespace its own parser gives, which
+    holds no other command's flags."""
+
+    @pytest.mark.parametrize("argv,planned", [
+        (("estimate", "--input", "{csv}", "--output", "{out}/r.json"), {"input", "output", "curves"}),
+        (("stream-estimate", "--train-input", "{csv}", "--test-input", "{csv}", "--batch-size", "8",
+          "--output", "{out}/r.json"),
+         {"train_input", "test_input", "output", "work_dir", "model.json", "train.enc", "test.enc", "train.rows",
+          "train.ranks", "test.ranks", "curves"}),
+        (("encode", "--input", "{csv}", "--n-x", "2", "--output-dir", "{out}/enc"),
+         {"input", "output_dir", "model.json", "train.enc", "test.enc", "labels.json"}),
+        (("train", "--input", "{csv}", "--n-x", "2", "--output", "{out}/t.csv"), {"input", "output", "model_output"}),
+        (("report", "--input", "{csv}"), {"input"}),
+        (("make-synthetic", "--output", "{out}/x.csv"), {"output"}),
+    ], ids=["estimate", "stream-estimate", "encode", "train", "report", "make-synthetic"])
+    def test_check_flags_returns_the_path_plan(self, tmp_path, separable_2d_csv, argv, planned):
+        cfg = build_parser().parse_args([a.format(csv=separable_2d_csv, out=tmp_path / "out") for a in argv])
+        assert set(_check_flags(cfg)) == planned
+        assert not (tmp_path / "out").exists()
+
+
 class TestFlagValidation:
     """Bad flag values exit 1 with one error line naming the flag, and write nothing."""
 
@@ -845,6 +867,9 @@ class TestFlagValidation:
         ("make-synthetic", ("--samples", "0"), "--samples"),
         ("make-synthetic", ("--classes", "1"), "--classes"),
         ("make-synthetic", ("--features", "0"), "--features"),
+        ("make-synthetic", ("--separation", "inf"), "--separation"),
+        ("make-synthetic", ("--separation", "1e308", "--classes", "3"), "--separation"),
+        ("make-synthetic", ("--separation", "1", "--samples", str(10**400), "--classes", str(10**400)), "--separation"),
     ])
     def test_checked_before_any_input_or_output(self, tmp_path, capsys, command, flags, named):
         absent, out = tmp_path / "absent.csv", tmp_path / "out"
@@ -1324,7 +1349,7 @@ FUZZ_VALUES = {
     "--samples": (("4", "30"), ("1", "0")),
     "--features": (("1", "3"), ("0",)),
     "--classes": (("2", "3"), ("1",)),
-    "--separation": (("0", "2.5"), ("-1", "nan")),
+    "--separation": (("0", "2.5"), ("-1", "nan", "inf")),
     "--output": (("out/r.json", "out/a/t.csv"), ()),
     "--output-dir": (("out/enc",), ()),
     "--work-dir": (("out/w",), ()),

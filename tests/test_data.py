@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -209,6 +210,13 @@ class TestMakeSynthetic:
     def test_requires_s_at_least_c(self):
         with pytest.raises(ValueError):
             make_synthetic(2, 1, 3, 1.0, seed=0)
+
+    @pytest.mark.parametrize("separation,c", [(math.inf, 2), (1e308, 3)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_features_refused(self, separation, c):
+        with pytest.raises(ValueError, match="gives non-finite features"):
+            make_synthetic(10, 2, c, separation, seed=0)
 
 
 class TestValidate:

@@ -360,6 +360,12 @@ class TestErrorMessages:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("z", [2**63, 2**63 + 1, 2**64 - 1])
+    def test_input_past_int64_named_unwrapped(self, z):
+        table = count_codes(np.array([1, z], dtype=np.uint64), np.array([0, 1]), 2, 64)
+        with pytest.raises(ValueError, match=f"^inputs must fit in 63 bits, got {z}$"):
+            training_batch_from_table(table)
+
 
 class TestRotosolve:
     def test_closed_form_minimizer(self):
