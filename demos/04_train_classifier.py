@@ -13,7 +13,7 @@ from bitbit.coverage import build_table, code_coverage, compute_q_y
 from bitbit.encoder import encode_samples, fit_encoder
 from bitbit.qsim import (
     build_exact_classifier,
-    classification_accuracy,
+    classification_accuracies,
     evaluate_loss,
     fresh_model,
     train_sweeps,
@@ -44,11 +44,10 @@ model = fresh_model(n_x, n_y, layers=4, init_seed=1)
 print("\nsweep  loss       train_acc  test_acc")
 for sweep in range(1, 11):
     loss = train_sweeps(model, batch, 1)[-1]
-    tr = classification_accuracy(model, train_table)
-    te = classification_accuracy(model, test_table)
+    tr, te = classification_accuracies(model, [train_table, test_table])
     print(f"{sweep:>5}  {loss:>9.6f}  {tr:>9.4f}  {te:>8.4f}")
 
-final = classification_accuracy(model, train_table)
+final = classification_accuracies(model, [train_table])[0]
 assert final <= ceiling.theoretical_train_accuracy + 1e-9
 print(f"\ntrained accuracy {final:.4f} vs ceiling {ceiling.theoretical_train_accuracy:.4f} "
       "(the ceiling is a hard bound)")

@@ -50,7 +50,6 @@ from bitbit.qsim import (
     build_exact_classifier,
     evaluate_loss,
     predict_many,
-    rotosolve_step,
     train_sweeps,
 )
 from bitbit.stream import stream_fit_base, stream_sweep_curve

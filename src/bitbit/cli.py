@@ -196,6 +196,9 @@ def _check_flags(cfg: argparse.Namespace) -> dict[str, _PlannedPath]:
         if cfg.separation and cfg.classes - 1 > sys.float_info.max / cfg.separation:
             raise ValueError(f"--separation {cfg.separation} with --classes {cfg.classes} puts a class mean "
                              f"past the largest float")
+        if cfg.samples * cfg.features * 8 > sys.maxsize:  # bytes of float64 features; numpy cannot size more
+            raise ValueError(f"--samples {cfg.samples} with --features {cfg.features} asks for more than "
+                             f"{sys.maxsize} bytes of features")
     if flags.get("input") is not None and (flags.get("train_input") or flags.get("test_input")):
         raise ValueError("--input cannot be combined with --train-input/--test-input")
     # No output may land on an input or on another output; two inputs may be one file.

@@ -257,7 +257,9 @@ class TrainingBatch:
     weights: np.ndarray
 
     def __post_init__(self):
-        _check_inputs(np.asarray(self.z_values), min(self.width, 63))  # before the int64 copy could wrap one
+        # Checked before the int64 copy could wrap a value; a list as exact ints, which np.asarray may make float64.
+        z = self.z_values if isinstance(self.z_values, np.ndarray) else np.array(self.z_values, dtype=object)
+        _check_inputs(z, min(self.width, 63))
         for name, dtype in (("z_values", np.int64), ("targets", np.int64), ("weights", np.float64)):
             array = np.array(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
@@ -349,33 +351,6 @@ def _slice_update(t0: float, a: float, u: float, v: float) -> tuple[float, float
     if t_star <= -math.pi:
         t_star += 2.0 * math.pi
     return t_star, min(max(a - amplitude, 0.0), 1.0)
-
-
-def rotosolve_step(
-    model: QuantumModel, batch: TrainingBatch, j: int, loss_0: float | None = None
-) -> tuple[float, float]:
-    """Move parameter j to the global minimum of its loss slice.
-
-    Three probes (current, +pi/2, -pi/2) identify the sinusoidal slice
-    exactly, and ``_slice_update`` moves the parameter. Returns
-    (new theta_j, new loss), the loss read off the slice. Pass ``loss_0``
-    when the loss at the current point is already known.
-    """
-    theta = model.theta
-    if not 0 <= j < theta.shape[0]:
-        raise IndexError(f"parameter index {j} out of range")
-    t0 = float(theta[j])
-    if loss_0 is None:
-        loss_0 = evaluate_loss(model, batch)
-    theta[j] = t0 + math.pi / 2
-    loss_plus = evaluate_loss(model, batch)
-    theta[j] = t0 - math.pi / 2
-    loss_minus = evaluate_loss(model, batch)
-
-    a = (loss_plus + loss_minus) / 2.0
-    t_new, loss = _slice_update(t0, a, loss_0 - a, (loss_plus - loss_minus) / 2.0)
-    theta[j] = t_new
-    return t_new, loss
 
 
 def _flat_rz(j: int, n_qubits: int, count: int) -> bool:
@@ -483,11 +458,6 @@ def predict_many(model, z_values: np.ndarray) -> np.ndarray:
     z in [0, 2^n_x); ties go to the smallest class id."""
     _check_inputs(z_values, model.n_x)
     return np.argmax(_basis_class_probs(model, z_values), axis=1)
-
-
-def classification_accuracy(model, table: BitstringTable) -> float:
-    """``classification_accuracies`` of one table."""
-    return classification_accuracies(model, [table])[0]
 
 
 def classification_accuracies(model, tables) -> list[float]:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import bitbit.data
 from bitbit.data import Dataset
 from bitbit.encoder import ENCODED_FILE_MAGIC, Bitstring, hex_digits
+from bitbit.qsim import _slice_update, evaluate_loss
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
@@ -65,6 +68,22 @@ def batch_records(batch) -> tuple:
     """A training batch as its ``(Bitstring, target, weight)`` records, in input order."""
     return tuple((Bitstring(batch.width, z), t, w)
                  for z, t, w in zip(batch.z_values.tolist(), batch.targets.tolist(), batch.weights.tolist()))
+
+
+def probe_update(model, batch, j: int) -> tuple[float, float]:
+    """``_slice_update`` on parameter j, its slice read from three ``evaluate_loss``
+    probes at theta_j and theta_j +/- pi/2. Moves theta_j and returns
+    (new theta_j, new loss), the loss read off the slice."""
+    theta, t0 = model.theta, float(model.theta[j])
+    loss_0 = evaluate_loss(model, batch)
+    theta[j] = t0 + math.pi / 2
+    plus = evaluate_loss(model, batch)
+    theta[j] = t0 - math.pi / 2
+    minus = evaluate_loss(model, batch)
+    a = (plus + minus) / 2.0
+    t_new, loss = _slice_update(t0, a, loss_0 - a, (plus - minus) / 2.0)
+    theta[j] = t_new
+    return t_new, loss
 
 
 def all_pure_1d_dataset() -> tuple[Dataset, Dataset]:

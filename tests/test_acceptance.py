@@ -27,15 +27,14 @@ from bitbit.encoder import apply_copula, copula_ranks, encode_samples, fit_copul
 from bitbit.qsim import (
     TrainingBatch,
     build_exact_classifier,
-    classification_accuracy,
+    classification_accuracies,
     evaluate_loss,
     fresh_model,
-    rotosolve_step,
     train_sweeps,
     training_batch_from_table,
 )
 from bitbit.stream import Spill, _spill_codes
-from tests.conftest import write_dataset_csv
+from tests.conftest import probe_update, write_dataset_csv
 from tests.test_coverage import brute_test_incidence, brute_train_incidence
 
 DATA_DIR = Path(os.environ.get("BITBIT_DATA_DIR", Path(__file__).parent / "data"))
@@ -318,7 +317,8 @@ def random_triple(rng):
 
 def test_criterion_08_exact_coordinate_update(rng):
     """Over 1000 random (model, batch, parameter) triples: sinusoidal slices,
-    monotone steps, and idempotence at the slice minimum."""
+    and monotone, idempotent steps of ``_slice_update`` on the slice read from
+    three probes."""
     for trial in range(1000):
         model, batch, j = random_triple(rng)
 
@@ -334,10 +334,10 @@ def test_criterion_08_exact_coordinate_update(rng):
         assert np.abs(design @ coef - losses).max() < 1e-9, f"trial {trial}: slice not sinusoidal"
 
         before = evaluate_loss(model, batch)
-        theta_1, after = rotosolve_step(model, batch, j)
+        theta_1, after = probe_update(model, batch, j)
         assert after <= before + 1e-10, f"trial {trial}: loss increased"
 
-        theta_2, _ = rotosolve_step(model, batch, j)
+        theta_2, _ = probe_update(model, batch, j)
         # the parameter is an angle: a 2*pi flip at the +/-pi boundary is the
         # same gate, so idempotence is angular distance
         drift = abs(math.remainder(theta_2 - theta_1, 2 * math.pi))
@@ -366,7 +366,7 @@ def test_criterion_09_convergence_ceiling():
         final_acc = None
         for _ in range(sweeps):
             train_sweeps(model, batch, 1)
-            final_acc = classification_accuracy(model, table)
+            final_acc = classification_accuracies(model, [table])[0]
             assert final_acc <= theoretical + 1e-9, f"n_x={n_x}: accuracy above the ceiling"
         assert final_acc >= theoretical - 0.02, (
             f"n_x={n_x}: final accuracy {final_acc} below ceiling {theoretical} - 0.02"
@@ -374,7 +374,7 @@ def test_criterion_09_convergence_ceiling():
         test_table = build_table(
             zip(encode_samples(enc, test.features), test.labels.tolist()), d.c
         )
-        test_acc = classification_accuracy(model, test_table)
+        test_acc = classification_accuracies(model, [test_table])[0]
         print(
             f"ACCEPTANCE criterion 9 (n_x={n_x}): PASS train_acc={final_acc:.4f} "
             f"ceiling={theoretical:.4f} test_acc={test_acc:.4f}"

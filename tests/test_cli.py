@@ -388,6 +388,41 @@ def test_byte_order_mark_before_header(tmp_path, capsys, command):
     assert json.loads(out.read_text())["label_mapping"] == {"x": 0, "y": 1}
 
 
+class TestHeaderErrors:
+    """An input with no header row, or a ``--label-column`` index past its
+    header, exits 1 with one error line naming the file, and creates nothing."""
+
+    RUNS = {
+        "estimate": ("estimate", "--input", "{bad}", "--output", "{out}/r.json"),
+        "encode": ("encode", "--input", "{bad}", "--n-x", "2", "--output-dir", "{out}/enc"),
+        "train": ("train", "--input", "{bad}", "--n-x", "2", "--output", "{out}/t.csv"),
+        "stream-estimate-train": ("stream-estimate", "--train-input", "{bad}", "--test-input", "{good}",
+                                  "--batch-size", "8", "--output", "{out}/r.json"),
+        "stream-estimate-test": ("stream-estimate", "--train-input", "{good}", "--test-input", "{bad}",
+                                 "--batch-size", "8", "--output", "{out}/r.json"),
+    }
+    # fault -> (the bad file's text, --label-column, the error after the path)
+    FAULTS = {
+        "empty": ("", "label", "empty file, expected a header row"),
+        "label-index": ("a,label\n0.5,x\n1.5,y\n", "3", "label column index 3 out of range"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_one_line_and_nothing_created(self, tmp_path, capsys, run, fault):
+        text, label_column, message = self.FAULTS[fault]
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(text, encoding="utf-8")
+        # The label is column 3 and is named "label", so either --label-column reads this header.
+        good.write_text("a,b,c,label\n" + "".join(f"{i}.0,{i}.5,{-i}.0,{'xy'[i % 2]}\n" for i in range(8)),
+                        encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(bad=bad, good=good, out=tmp_path / "out") for a in self.RUNS[run]]
+        assert run_cli(*argv, "--label-column", label_column) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestEncodeCommand:
     def test_writes_artifacts_deterministically(self, tmp_path, separable_2d_csv):
         digests = []
@@ -870,6 +905,8 @@ class TestFlagValidation:
         ("make-synthetic", ("--separation", "inf"), "--separation"),
         ("make-synthetic", ("--separation", "1e308", "--classes", "3"), "--separation"),
         ("make-synthetic", ("--separation", "1", "--samples", str(10**400), "--classes", str(10**400)), "--separation"),
+        ("make-synthetic", ("--samples", str(10**20)), f"--samples {10**20} with --features 4"),
+        ("make-synthetic", ("--samples", str(2**60)), f"--samples {2**60} with --features 4"),
     ])
     def test_checked_before_any_input_or_output(self, tmp_path, capsys, command, flags, named):
         absent, out = tmp_path / "absent.csv", tmp_path / "out"

@@ -29,7 +29,7 @@ from bitbit.encoder import (
     fit_encoder,
     split_codes,
 )
-from bitbit.qsim import TrainingBatch, classification_accuracy, fresh_model, predict_many, training_batch_from_table
+from bitbit.qsim import TrainingBatch, classification_accuracies, fresh_model, predict_many, training_batch_from_table
 from tests.conftest import all_pure_1d_dataset, batch_records, table_entries
 
 
@@ -566,7 +566,7 @@ class TestArrayTable:
             assert batch_records(batch) == batch_records(oracle)
             for init_seed in range(16):
                 model = fresh_model(width, 2, 2, init_seed=init_seed)
-                assert classification_accuracy(model, t) == dict_classification_accuracy(model, o)
+                assert classification_accuracies(model, [t]) == [dict_classification_accuracy(model, o)]
                 predicted.update(predict_many(model, t.codes.astype(np.int64)).tolist())
         assert predicted == {0, 1, 2, 3}  # every class, and a readout (3) that is no class
 
@@ -578,7 +578,7 @@ class TestArrayTable:
             lambda: code_coverage(empty, build_table([(bs("01"), 0)], empty.c)),
             lambda: code_coverage(empty, full, batched=True),
             lambda: training_batch_from_table(empty),
-            lambda: classification_accuracy(fresh_model(2, 1, 1), empty),
+            lambda: classification_accuracies(fresh_model(2, 1, 1), [empty]),
         ):
             with pytest.raises(ValueError, match="^empty table$"):
                 call()

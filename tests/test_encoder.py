@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -631,6 +632,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version '2'"):
             load_model(path)
 
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["mins"].pop(), "mins/maxs must match the reducer output width"),
+        (lambda doc: doc["mins"].__setitem__(0, doc["maxs"][0] + 1.0), "every min must be <= the corresponding max"),
+        (lambda doc: doc["importances"].pop(), "copula, allocation, and importances must all have width D"),
+    ], ids=["bounds-width", "min-above-max", "parts-width"])
+    def test_hand_edited_file_rejected(self, tmp_path, edit, message):
+        train = make_synthetic(20, 2, 2, 2.0, seed=8)
+        path = tmp_path / "m.json"
+        persist_model(fit_encoder(train, ReducerSpec("none"), 3), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
 class TestEncodedFiles:
     def test_round_trip(self, tmp_path):

@@ -10,7 +10,7 @@ from bitbit.coverage import build_table, code_coverage, count_codes
 from bitbit.data import make_synthetic, split_train_test, SplitSpec
 from bitbit.dimred import ReducerSpec
 from bitbit.encoder import Bitstring, encode_samples, fit_encoder
-from tests.conftest import batch_records
+from tests.conftest import batch_records, probe_update
 from bitbit.qsim import (
     Ansatz,
     QuantumModel,
@@ -21,11 +21,9 @@ from bitbit.qsim import (
     _apply_rz,
     build_exact_classifier,
     classification_accuracies,
-    classification_accuracy,
     evaluate_loss,
     fresh_model,
     predict_many,
-    rotosolve_step,
     train_sweeps,
     training_batch_from_table,
 )
@@ -363,15 +361,19 @@ class TestErrorMessages:
     @pytest.mark.parametrize("z", [2**63, 2**63 + 1, 2**64 - 1])
     def test_input_past_int64_named_unwrapped(self, z):
         table = count_codes(np.array([1, z], dtype=np.uint64), np.array([0, 1]), 2, 64)
-        with pytest.raises(ValueError, match=f"^inputs must fit in 63 bits, got {z}$"):
-            training_batch_from_table(table)
+        # From a table's uint64 codes, and from a list that np.asarray would make float64.
+        for call in (lambda: training_batch_from_table(table), lambda: TrainingBatch(64, [1, z], [0, 1], [0.5, 0.5])):
+            with pytest.raises(ValueError, match=f"^inputs must fit in 63 bits, got {z}$"):
+                call()
 
 
 class TestRotosolve:
+    """``_slice_update``, the update ``train_sweeps`` runs, on slices read from three probes (``probe_update``)."""
+
     def test_closed_form_minimizer(self):
         model = SingleRyOnClass()
         batch = TrainingBatch(1, [0], [1], [1.0])
-        theta, loss = rotosolve_step(model, batch, 0)
+        theta, loss = probe_update(model, batch, 0)
         assert theta == pytest.approx(math.pi, abs=1e-12)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -395,7 +397,7 @@ class TestRotosolve:
             batch = random_batch(rng)
             j = int(rng.integers(0, model.theta.shape[0]))
             before = evaluate_loss(model, batch)
-            _, after = rotosolve_step(model, batch, j)
+            _, after = probe_update(model, batch, j)
             assert after <= before + 1e-10
 
     def test_repeat_leaves_parameter_fixed(self, rng):
@@ -403,8 +405,8 @@ class TestRotosolve:
             model = random_model(rng)
             batch = random_batch(rng)
             j = int(rng.integers(0, model.theta.shape[0]))
-            first, _ = rotosolve_step(model, batch, j)
-            second, _ = rotosolve_step(model, batch, j)
+            first, _ = probe_update(model, batch, j)
+            second, _ = probe_update(model, batch, j)
             # angular distance: a 2*pi flip at the +/-pi boundary is the same gate
             assert abs(math.remainder(second - first, 2 * math.pi)) < 1e-9
 
@@ -413,14 +415,8 @@ class TestRotosolve:
             model = random_model(rng)
             batch = random_batch(rng)
             j = int(rng.integers(0, model.theta.shape[0]))
-            theta, _ = rotosolve_step(model, batch, j)
+            theta, _ = probe_update(model, batch, j)
             assert -math.pi < theta <= math.pi
-
-    def test_index_out_of_range(self):
-        model = fresh_model(1, 1, 1)
-        batch = TrainingBatch(1, [0], [0], [1.0])
-        with pytest.raises(IndexError):
-            rotosolve_step(model, batch, 99)
 
 
 class TestTrainSweeps:
@@ -527,8 +523,8 @@ class TestPredict:
         batch = training_batch_from_table(train_table)
         train_sweeps(qmodel, batch, 12)
 
-        train_acc = classification_accuracy(qmodel, train_table)
-        test_acc = classification_accuracy(qmodel, test_table)
+        train_acc = classification_accuracies(qmodel, [train_table])[0]
+        test_acc = classification_accuracies(qmodel, [test_table])[0]
         assert train_acc <= ceiling.theoretical_train_accuracy + 1e-9
         assert train_acc >= ceiling.theoretical_train_accuracy - 0.02
         assert test_acc >= ceiling.theoretical_test_accuracy - 0.02
@@ -615,7 +611,6 @@ class TestCachedSweep:
             raise AssertionError("train_sweeps probed a full circuit")
 
         monkeypatch.setattr(qsim, "evaluate_loss", refuse)
-        monkeypatch.setattr(qsim, "rotosolve_step", refuse)
         model = random_model(rng, n_x, 1, 2)
         self._check(model, self._batch(n_x, [0, 1, 1, 0]), 2)
 
@@ -832,7 +827,7 @@ class TestReadoutWidths:
         model = fresh_model(2, 1, 1, init_seed=3)
         matching = count_codes(np.array([1], dtype=np.uint64), np.array([0]), 2, 2)
         table = count_codes(np.array([1, 5, 6], dtype=np.uint64) % (1 << width), np.array([0, 1, 1]), 2, width)
-        for call in (lambda: classification_accuracy(model, table),
+        for call in (lambda: classification_accuracies(model, [table]),
                      lambda: classification_accuracies(model, [matching, table])):
             with pytest.raises(ValueError, match=f"^table width {width} != model data width 2$"):
                 call()
@@ -854,7 +849,7 @@ class TestOneReadout:
         tables = [build_table([(Bitstring(4, int(z)), int(y)) for z, y in
                                zip(rng.integers(0, 16, size), rng.integers(0, 3, size))], 4)
                   for size in (40, 7, 1)]
-        separate = [classification_accuracy(model, t) for t in tables]
+        separate = [classification_accuracies(model, [t])[0] for t in tables]
         assert classification_accuracies(model, tables) == separate
         assert classification_accuracies(model, tables[::-1]) == separate[::-1]
         assert classification_accuracies(model, [tables[0], tables[0]]) == [separate[0]] * 2
