@@ -488,20 +488,25 @@ def load_model(path) -> EncoderModel:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: truncated or invalid model file ({exc})") from None
-    version = doc.get("version")
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported model format version {version!r}, "
             f"this reader handles version {MODEL_FORMAT_VERSION!r}"
         )
-    return EncoderModel(
-        reducer=FittedReducer.from_json_dict(doc["reducer"]),
-        mins=np.asarray(doc["mins"], dtype=np.float64),
-        maxs=np.asarray(doc["maxs"], dtype=np.float64),
-        copula=CopulaModel(columns=tuple(np.asarray(c, dtype=np.float64) for c in doc["copula"])),
-        allocation=BitAllocation(bits=tuple(doc["allocation"]["bits"]), n_x=int(doc["allocation"]["n_x"])),
-        importances=ImportanceScores(np.asarray(doc["importances"], dtype=np.float64)),
-    )
+    try:
+        return EncoderModel(
+            reducer=FittedReducer.from_json_dict(doc["reducer"]),
+            mins=np.asarray(doc["mins"], dtype=np.float64),
+            maxs=np.asarray(doc["maxs"], dtype=np.float64),
+            copula=CopulaModel(columns=tuple(np.asarray(c, dtype=np.float64) for c in doc["copula"])),
+            allocation=BitAllocation(bits=tuple(doc["allocation"]["bits"]), n_x=int(doc["allocation"]["n_x"])),
+            importances=ImportanceScores(np.asarray(doc["importances"], dtype=np.float64)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- encoded-record files ---

@@ -18,6 +18,9 @@ Conventions, used everywhere in this module:
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
   solves that sinusoid in closed form.
+- The training sweep carries the batch after the layer it sweeps. Moving one
+  of that layer's angles turns it by one row permutation and phase
+  (``_turn``), so each parameter's slice runs only the later layers.
 """
 
 from __future__ import annotations
@@ -47,15 +50,6 @@ _CHUNK_AMPLITUDES = 1 << 21
 # --- gate kernels (in place, batched over the trailing axis) ---
 
 
-def _apply_ry(states: np.ndarray, qubit: int, angle: float, out: np.ndarray | None = None) -> None:
-    # RY is real, so it turns the real and imaginary parts alike: one real
-    # 2x2 product on the float64 view, written to out (in place by default).
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    view = states.view(np.float64).reshape(1 << qubit, 2, -1)
-    target = view if out is None else out.view(np.float64).reshape(1 << qubit, 2, -1)
-    np.matmul(np.array([[c, -s], [s, c]]), view, out=target)
-
-
 def _apply_rz(states: np.ndarray, qubit: int, angle: float) -> None:
     view = states.reshape(1 << qubit, 2, -1)
     view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
@@ -76,18 +70,6 @@ def _layer_plan(theta, n_qubits: int, size: int = 4) -> list:
         blocks = [(first, functools.reduce(np.kron, rys[first:first + size])) for first in range(0, n_qubits, size)]
         plan.append((blocks, diagonal[ring]))
     return plan
-
-
-def _minus_i_pauli(out: np.ndarray, states: np.ndarray, kind: str, qubit: int) -> None:
-    """out = -iP states, with P = Y for "ry" and Z for "rz" on one qubit; a
-    rotation is exp(-i t P / 2) = cos(t/2) + sin(t/2) (-iP)."""
-    src, dst = states.reshape(1 << qubit, 2, -1), out.reshape(1 << qubit, 2, -1)
-    if kind == "ry":  # -iY = [[0, -1], [1, 0]]
-        np.negative(src[:, 1], out=dst[:, 0])
-        dst[:, 1] = src[:, 0]
-    else:  # -iZ = diag(-i, i)
-        np.multiply(src[:, 0], -1j, out=dst[:, 0])
-        np.multiply(src[:, 1], 1j, out=dst[:, 1])
 
 
 def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) -> None:
@@ -379,50 +361,69 @@ def _run_layers(states: np.ndarray, layers, buffers) -> np.ndarray:
     return states
 
 
+def _turn(out: np.ndarray, chi: np.ndarray, ring: np.ndarray, kind: str, qubit: int, b: float) -> None:
+    """out = P D G D^-1 P^-1 chi: how a layer's output chi = P D B psi turns
+    when one of its rotations cos(t/2) + sin(t/2) G, G = -iY ("ry") or -iZ
+    ("rz") on ``qubit``, moves. P is the row permutation
+    (P v)[i] = v[ring[i]] and b the qubit's angle in the RZ diagonal D. -iZ
+    commutes with D: the phase -i or +i by the qubit's bit of ring[i]. -iY
+    flips that bit and takes the phase -e^-ib or e^ib. The last layer passes
+    the identity ring and b = 0, which is -iY on chi."""
+    mask = 1 << (chi.shape[0].bit_length() - 2 - qubit)
+    low = (ring & mask) == 0
+    if kind == "rz":
+        np.multiply(chi, np.where(low, -1j, 1j)[:, None], out=out)
+        return
+    np.take(chi, np.argsort(ring)[ring ^ mask], axis=0, out=out, mode="clip")
+    phase = complex(math.cos(b), math.sin(b))
+    out *= np.where(low, -phase.conjugate(), phase)[:, None]
+
+
 def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
     """One sweep of ``_slice_update`` over every parameter but the last
     layer's RZs (``_flat_rz``), without probes; returns the loss after it.
 
-    At a layer's start the circuit splits into prefix states psi, one per
-    sample and scaled by the square root of its weight, and a suffix X: the
-    layer at its old angles, then the later layers. The prefix is carried as
-    psi~ = K^-1 psi, K the layer's gates visited so far at their old angles,
-    so X psi~ is the output at the new angles. Moving a rotation
-    R(t) = cos(t/2) + sin(t/2)(-iP) from t0 to t0 + d turns psi~ into
-    cos(d/2) psi~ + sin(d/2) u, u = K^-1 (-iP) K psi~. K acts on other qubits
-    but for an RZ's own RY, at old angle a, and RY(-a)(-iZ)RY(a) = (-iZ)RY(2a);
-    so u = -iY psi~ for an RY and u = (-iZ)RY(2a) psi~ for an RZ. With
-    alpha = X_y psi~ and beta = X_y u, X_y the rows of X in the sample's
-    target class, the summed probability of reading the targets at t0 + d is
-    A + B cos d + C sin d: A = (|alpha|^2 + |beta|^2) / 2,
-    B = (|alpha|^2 - |beta|^2) / 2 and C = Re <alpha, beta>. beta runs X as a
-    circuit over u (``_run_layers``); alpha moves as psi~ does. X leaves out
-    the last layer's RZ diagonal, a phase per row that alpha and beta share.
-    At the layer's end psi takes the layer at its old angles. The last layer
-    has no end: its RZs are skipped and nothing follows it.
+    A layer is P D B: its RYs B, its RZ diagonal D, then the ring
+    permutation P. While a layer is swept the sweep carries chi, the batch
+    after that layer at its current angles, one column per sample scaled by
+    the square root of its weight; in the last layer, which has no ring and
+    whose RZs are skipped, chi is the batch after its RYs. A layer's rotations
+    act on distinct qubits, and R(t0 + d) = R(d) R(t0), so moving
+    R(t) = cos(t/2) + sin(t/2) G from t0 to t0 + d turns chi into
+    cos(d/2) chi + sin(d/2) u, u = P D G D^-1 P^-1 chi (``_turn``). With
+    alpha = X_y chi and beta = X_y u, X the later layers and X_y its rows in
+    the sample's target class, the summed probability of reading the targets
+    at t0 + d is A + B cos d + C sin d: A = (|alpha|^2 + |beta|^2) / 2,
+    B = (|alpha|^2 - |beta|^2) / 2 and C = Re <alpha, beta>. beta runs only
+    the later layers over u (``_run_layers``), and in the last layer none;
+    alpha moves as chi does. X leaves out the last layer's RZ diagonal, a
+    phase per row that alpha and beta share. At a layer's start chi advances
+    through it at its old angles, in the sweep's own buffers.
     """
     theta, count, n = model.theta, model.theta.shape[0], model.n_qubits
     ring, k = _ring(n), len(batch)
     layers = _layer_plan(theta, n)  # the old angles of the layers not yet visited
-    prefix = np.zeros((1 << n, k), dtype=np.complex128)
-    prefix[batch.z_values, np.arange(k)] = np.sqrt(batch.weights)
-    turned, buffers = np.empty_like(prefix), (np.empty_like(prefix), np.empty_like(prefix))  # u
+    chi = np.zeros((1 << n, k), dtype=np.complex128)
+    chi[batch.z_values, np.arange(k)] = np.sqrt(batch.weights)
+    turned, buffers = np.empty_like(chi), (np.empty_like(chi), np.empty_like(chi))  # u
     # Each sample's target-class output rows, as flat indices into the state before the last ring.
     readout = ring[(batch.targets << model.n_x) + np.arange(1 << model.n_x)[:, None]] * k + np.arange(k)
-    alpha = np.take(_run_layers(prefix, layers, buffers), readout)
+    alpha = np.take(_run_layers(chi, layers, buffers), readout)
 
     for layer, p in enumerate(range(0, count, 2 * n)):
-        old = theta[p:p + 2 * n].copy()
+        last = p + 2 * n == count
+        advanced = _run_layers(chi, layers[layer:layer + 1] + ([] if last else [([], None)]), (chi, turned))
+        if advanced is not chi:
+            chi, turned = advanced, chi
         for j in range(p, p + 2 * n):
             if _flat_rz(j, n, count):
                 continue
             kind, q = ("ry", "rz")[j % 2], (j - p) // 2
-            if kind == "ry":
-                _minus_i_pauli(turned, prefix, kind, q)
-            else:  # (-iZ)RY(2a) psi~, a the old angle of this qubit's RY
-                _apply_ry(prefix, q, 2.0 * old[2 * q], out=turned)
-                _minus_i_pauli(turned, turned, kind, q)
-            beta = np.take(_run_layers(turned, layers[layer:], buffers), readout)
+            if last:  # chi holds neither the last ring, left to the readout, nor the last RZs
+                _turn(turned, chi, np.arange(1 << n), kind, q, 0.0)
+            else:
+                _turn(turned, chi, ring, kind, q, float(theta[p + 2 * q + 1]))
+            beta = np.take(_run_layers(turned, layers[layer + 1:], buffers), readout)
             alpha2, beta2 = float(np.vdot(alpha, alpha).real), float(np.vdot(beta, beta).real)
             overlap = float(np.vdot(alpha, beta).real)
             t0 = float(theta[j])
@@ -431,14 +432,10 @@ def _rotosolve_sweep(model: QuantumModel, batch: TrainingBatch) -> float:
             if t_new != t0:
                 theta[j] = t_new
                 c, s = math.cos((t_new - t0) / 2), math.sin((t_new - t0) / 2)
-                for carried, step in ((alpha, beta), (prefix, turned)):
+                for carried, step in ((alpha, beta), (chi, turned)):
                     carried *= c
                     step *= s
                     carried += step
-        if p + 2 * n < count:  # the layer at its old angles, through the idle buffers
-            advanced = _run_layers(prefix, [layers[layer], ([], None)], (prefix, buffers[0]))
-            if advanced is not prefix:
-                prefix, buffers = advanced, (prefix, buffers[1])
     return loss
 
 

@@ -645,8 +645,25 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.pop("allocation"), "missing key 'allocation'"),
+        (lambda doc: doc["mins"].pop(), "mins/maxs must match the reducer output width"),
+        (lambda doc: doc["maxs"].__setitem__(0, "x"), "could not convert string to float: 'x'"),
+    ], ids=["missing-key", "short-mins", "string-in-maxs"])
+    def test_malformed_file_named(self, tmp_path, edit, message):
+        # every malformed model is one ValueError that starts with the file it came from
+        train = make_synthetic(20, 2, 2, 2.0, seed=8)
+        path = tmp_path / "m.json"
+        persist_model(fit_encoder(train, ReducerSpec("none"), 3), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as got:
+            load_model(path)
+        assert str(got.value) == f"{path}: {message}"
 
 class TestEncodedFiles:
     def test_round_trip(self, tmp_path):
