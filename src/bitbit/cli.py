@@ -490,9 +490,9 @@ def run_make_synthetic(cfg: argparse.Namespace, paths: dict[str, _PlannedPath]) 
 # --- argument parsing ---
 
 
-def _add_common_data_flags(p: argparse.ArgumentParser, schemes=SCHEMES) -> None:
+def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-column", default="label", help="label column name or 0-based index")
-    p.add_argument("--scheme", choices=schemes, default="pca")
+    p.add_argument("--scheme", choices=SCHEMES, default="pca")
     p.add_argument("--components", type=int, default=None,
                    help="reduced width D (default: number of features, capped at the sample count)")
     p.add_argument("--seed", type=int, default=0)
@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream-estimate", help="batched streaming qubit estimate over pre-split CSVs")
     p.add_argument("--train-input", required=True)
     p.add_argument("--test-input", required=True)
-    _add_common_data_flags(p, ("none", "pca"))  # lsa fits one batch
+    _add_common_data_flags(p)
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--n-x-max", type=int, default=128)
     p.add_argument("--step", type=int, default=10)

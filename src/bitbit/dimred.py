@@ -1,9 +1,9 @@
 """Pluggable dimensionality reduction: identity, PCA, and truncated SVD.
 
-``fit_reducer`` is the one fit, over an iterable of feature batches. PCA adds
-each batch's column sums and n x n Gram matrix, so streaming over batches and
-fitting in one shot agree to float reordering noise. Cost of that choice:
-O(n^2) accumulator memory, fine at desk scale.
+``fit_reducer`` is the one fit, over an iterable of feature batches. PCA and
+LSA add each batch's column sums and n x n Gram matrix, so streaming over
+batches and fitting in one shot agree to float reordering noise. Cost of that
+choice: O(n^2) accumulator memory, fine at desk scale.
 """
 
 from __future__ import annotations
@@ -91,11 +91,13 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
     """Fit a reducer over ``batches``, an iterable of 2-D training feature
     arrays of one width; an in-memory set is ``[x]``.
 
-    none: identity map. pca: eigenvectors of the sample covariance (descending
-    eigenvalue), from column sums and x^T x added batch by batch in arrival
-    order, so a batch partition changes the fit only by float summation order.
-    lsa: right singular vectors of the uncentered matrix (no centering,
-    standard truncated-SVD semantics), which needs exactly one non-empty batch.
+    none: identity map. pca and lsa add column sums and x^T x batch by batch in
+    arrival order, so a batch partition changes the fit only by float summation
+    order, and take eigenvectors (descending eigenvalue) of
+    (x^T x - count c c^T) / (count - 1): c is the mean for pca (the sample
+    covariance) and 0 for lsa (uncentered right singular vectors, standard
+    truncated-SVD semantics). lsa on exactly one non-empty batch, as in every
+    in-memory fit, takes that batch's SVD instead.
     """
     count, n, whole = 0, None, None
     for batch in batches:
@@ -107,13 +109,10 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
             continue
         if count == 0:
             total, gram = np.zeros(n), np.zeros((n, n))
-        elif spec.scheme == "lsa":
-            raise ValueError("lsa fits one batch, got a second non-empty batch")
+        whole = x if count == 0 and spec.scheme == "lsa" else None
         count += x.shape[0]
-        if spec.scheme == "pca":
+        if spec.scheme != "none":
             total, gram = total + x.sum(axis=0), gram + x.T @ x
-        elif spec.scheme == "lsa":
-            whole = x
     check_train_count(count)
 
     if spec.scheme == "none":
@@ -126,27 +125,19 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
     if d > min(count, n):
         raise ValueError(f"n_components={d} exceeds min(s, n)={min(count, n)} for {spec.scheme}")
 
-    if spec.scheme == "pca":
-        mean = total / count
-        cov = (gram - count * np.outer(mean, mean)) / (count - 1)
+    center = total / count if spec.scheme == "pca" else np.zeros(n)
+    if whole is not None:
+        _, sigma, rows = np.linalg.svd(whole, full_matrices=False)
+        variances = sigma**2 / (count - 1)
+    else:
+        cov = (gram - count * np.outer(center, center)) / (count - 1)
         cov = (cov + cov.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(cov)
         order = np.argsort(eigvals)[::-1]
-        variances = np.clip(eigvals[order], 0.0, None)
-        components, variances = _pad_rank_deficient(eigvecs[:, order].T, variances, d, "pca")
-        return FittedReducer(scheme="pca", center=mean, components=_fix_signs(components),
-                             explained_variance=variances)
-
-    # lsa
-    _, sigma, vt = np.linalg.svd(whole, full_matrices=False)
-    variances = sigma**2 / (count - 1)
-    components, variances = _pad_rank_deficient(vt, variances, d, "lsa")
-    return FittedReducer(
-        scheme="lsa",
-        center=np.zeros(n),
-        components=_fix_signs(components),
-        explained_variance=variances,
-    )
+        rows, variances = eigvecs[:, order].T, np.clip(eigvals[order], 0.0, None)
+    components, variances = _pad_rank_deficient(rows, variances, d, spec.scheme)
+    return FittedReducer(scheme=spec.scheme, center=center, components=_fix_signs(components),
+                         explained_variance=variances)
 
 
 def transform(reducer: FittedReducer, features: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 ``stream_fit_base`` is ``fit_encoder`` over batches: two passes over the
 training stream, (1) ``dimred.fit_reducer``, (2) ``encoder.fit_batches``:
 per-component min/max, batch-averaged importance scores, and a copula
-reservoir. Scheme ``lsa`` streams only as one non-empty batch.
+reservoir.
 
 ``stream_sweep_curve`` then reads each split once more (the rank pass) and
 writes every record's integer copula ranks and its label to a uint32

@@ -770,7 +770,7 @@ def split_csvs(tmp_path, separable_2d_csv):
     return paths
 
 
-# Commands that take --components; stream-estimate has no --scheme lsa.
+# Commands that take --components.
 COMPONENT_COMMANDS = ("estimate", "estimate-split", "encode", "train", "stream-estimate")
 
 
@@ -1076,17 +1076,6 @@ class TestFlagValidation:
         ]
         assert not out.exists()
 
-    def test_stream_estimate_rejects_lsa_before_reading(self, tmp_path, split_csvs, capsys, monkeypatch):
-        counts = count_converted_rows(monkeypatch)
-        out = tmp_path / "out"
-        code = run_cli("stream-estimate", "--train-input", split_csvs[0], "--test-input", split_csvs[1],
-                       "--label-column", "label", "--batch-size", "32", "--scheme", "lsa", "--output", out / "r.json")
-        assert code == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "--scheme" in errors[0] and "'lsa'" in errors[0]
-        assert counts == []  # argparse rejects it, before any row is converted
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["estimate", "encode", "train"])
     def test_one_training_row_after_the_split(self, tmp_path, capsys, command):
         path = tmp_path / "three.csv"
@@ -1124,7 +1113,7 @@ class TestFlagValidation:
             "none-above": ("none", "3", "--components 3 exceeds the 2 features of {}"),
             "none-below": ("none", "1", "--scheme none needs --components equal to the 2 features of {}, got 1"),
         }.items()
-        for command in COMPONENT_COMMANDS if (case[0], command) != ("lsa", "stream-estimate")
+        for command in COMPONENT_COMMANDS
     ])
     def test_components_beyond_input_width(self, tmp_path, split_csvs, capsys, monkeypatch,
                                            command, scheme, components, named):
@@ -1223,8 +1212,7 @@ class TestFlagValidation:
         assert not trace.exists() and not trace.with_suffix(".model.json").exists()
 
     @pytest.mark.parametrize("scheme,command", [
-        (scheme, command) for scheme in ("pca", "lsa")
-        for command in COMPONENT_COMMANDS if (scheme, command) != ("lsa", "stream-estimate")
+        (scheme, command) for scheme in ("pca", "lsa") for command in COMPONENT_COMMANDS
     ])
     def test_components_beyond_training_rows(self, tmp_path, capsys, monkeypatch, command, scheme):
         fits = []  # reducer fits, in memory and streaming

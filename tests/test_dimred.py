@@ -109,10 +109,11 @@ class TestIncremental:
 
     def test_stream_matches_batch_within_tolerance(self, rng):
         x = random_matrix(rng, 500, 8)
-        stream = fit_reducer(ReducerSpec("pca"), [x[lo:lo + 50] for lo in range(0, 500, 50)])
-        batch = fit_reducer(ReducerSpec("pca"), [x])
-        assert np.abs(stream.components - batch.components).max() < 1e-6
-        assert np.abs(stream.explained_variance - batch.explained_variance).max() < 1e-6
+        for scheme, tol in (("pca", 1e-6), ("lsa", 1e-10)):
+            stream = fit_reducer(ReducerSpec(scheme), [x[lo:lo + 50] for lo in range(0, 500, 50)])
+            batch = fit_reducer(ReducerSpec(scheme), [x])
+            assert np.abs(stream.components - batch.components).max() < tol
+            assert np.abs(stream.explained_variance - batch.explained_variance).max() < tol
 
     def test_zero_row_batch_is_identity(self, rng):
         x = random_matrix(rng, 30, 3)
@@ -141,10 +142,15 @@ class TestIncremental:
             with pytest.raises(ValueError, match="columns"):
                 fit_reducer(ReducerSpec("pca"), batches)
 
-    def test_lsa_needs_one_non_empty_batch(self, rng):
-        x = random_matrix(rng, 20, 3)
-        with pytest.raises(ValueError, match="^lsa fits one batch, got a second non-empty batch$"):
-            fit_reducer(ReducerSpec("lsa"), [x[:10], np.empty((0, 3)), x[10:]])
+    def test_rank_deficient_lsa_pads_alike_in_one_batch_and_five(self, rng):
+        x = rng.standard_normal((40, 3)) @ np.diag([5.0, 3.0, 1.0]) @ np.linalg.qr(rng.standard_normal((6, 3)))[0].T
+        fits = []
+        for batches in ([x], [x[lo:lo + 8] for lo in range(0, 40, 8)]):
+            with pytest.warns(UserWarning, match="numerical rank 3 < 5"):
+                fits.append(fit_reducer(ReducerSpec("lsa", 5), batches))
+        one, five = fits
+        assert np.allclose(five.explained_variance, one.explained_variance, rtol=1e-12, atol=0.0)
+        assert np.abs(five.components - one.components).max() < 1e-12
 
 
 class TestSerialization:

@@ -319,7 +319,7 @@ class TestReservoir:
 class TestStreamFit:
     def test_single_batch_matches_in_memory_fit_exactly(self, tmp_path):
         d = make_synthetic(80, 4, 2, 3.0, seed=2)
-        for scheme in ("none", "pca"):
+        for scheme in ("none", "pca", "lsa"):
             streamed = stream_fit_base(source(d), ReducerSpec(scheme), 200).at_width(6)
             in_memory = fit_encoder(d, ReducerSpec(scheme), 6)
             p1, p2 = tmp_path / "s.json", tmp_path / "m.json"
@@ -329,11 +329,11 @@ class TestStreamFit:
 
     def test_batch_size_does_not_change_reducer_or_extrema(self):
         d = make_synthetic(100, 3, 2, 2.0, seed=3)
-        for scheme, exact in (("none", True), ("pca", False)):
+        for scheme, exact in (("none", True), ("pca", False), ("lsa", False)):
             models = []
             for batch_size in (50, 100):
                 models.append(stream_fit_base(source(d), ReducerSpec(scheme), batch_size)
-                              .at_width(5 if scheme == "pca" else 3))
+                              .at_width(3 if scheme == "none" else 5))
             a, b = models
             assert np.abs(a.reducer.components - b.reducer.components).max() < 1e-6
             if exact:
@@ -341,7 +341,7 @@ class TestStreamFit:
                 assert np.array_equal(a.mins, b.mins)
                 assert np.array_equal(a.maxs, b.maxs)
             else:
-                # pca components differ by summation order, so extrema track them
+                # pca and lsa components differ by summation order, so extrema track them
                 assert np.abs(a.mins - b.mins).max() < 1e-6
                 assert np.abs(a.maxs - b.maxs).max() < 1e-6
 
@@ -349,11 +349,6 @@ class TestStreamFit:
         src = ArrayBatchSource(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="at least 2 samples"):
             stream_fit_base(src, ReducerSpec("pca"), 10)
-
-    def test_lsa_not_streamable(self):
-        d = make_synthetic(20, 2, 2, 1.0, seed=4)
-        with pytest.raises(ValueError, match="^lsa fits one batch, got a second non-empty batch$"):
-            stream_fit_base(source(d), ReducerSpec("lsa"), 10)
 
     def test_work_dir_artifacts_written(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=5)
@@ -467,7 +462,7 @@ class CountingSource:
 
 
 class TestFitPasses:
-    @pytest.mark.parametrize("scheme,passes", [("none", 2), ("pca", 2)])
+    @pytest.mark.parametrize("scheme,passes", [("none", 2), ("pca", 2), ("lsa", 2)])
     def test_pass_count(self, scheme, passes):
         d = make_synthetic(40, 3, 2, 2.0, seed=9)
         src = CountingSource(ArrayBatchSource(d.features, d.labels))
