@@ -20,6 +20,7 @@ from bitbit import (
     persist_model,
     split_train_test,
 )
+from bitbit.encoder import hex_digits
 
 # Two Gaussian blobs in 3 dimensions, well separated along every axis.
 dataset = make_synthetic(s=400, n=3, c=2, separation=4.0, seed=7)
@@ -38,7 +39,7 @@ print("bit allocation (sums exactly to the budget):", model.allocation.bits)
 encoded = encode_samples(model, test.features[:6])
 print("\nfirst six encoded test rows:")
 for bits, label in zip(encoded, test.labels[:6].tolist()):
-    print(f"  {bits.to_bits()}  (hex {bits.to_hex()}, true class {label})")
+    print(f"  {bits.value:0{bits.width}b}  (hex {bits.value:0{hex_digits(bits.width)}x}, true class {label})")
 
 # The class is readable off the leading bits: samples of class 0 sit in the
 # lower half of the copula range, class 1 in the upper half.

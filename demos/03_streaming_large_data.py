@@ -16,7 +16,7 @@ import numpy as np
 from bitbit import ReducerSpec, fit_encoder, make_synthetic
 from bitbit.coverage import estimate_from_curve
 from bitbit.encoder import read_packed
-from bitbit.stream import ArrayBatchSource, stream_fit_base, stream_sweep_curve
+from bitbit.stream import stream_fit_base, stream_sweep_curve
 
 
 class BlobSource:
@@ -59,10 +59,10 @@ with tempfile.TemporaryDirectory(prefix="bitbit_stream_") as tmp:
           f"{', '.join(sorted(p.name for p in work.iterdir()))}")
     print(f"peak traced allocation over 50k streamed records: {peak / 2**20:.1f} MB")
 
-    # With a single batch covering everything, streaming IS the in-memory fit:
+    # A Dataset is its own batch source; with a single batch covering
+    # everything, streaming IS the in-memory fit:
     small = make_synthetic(500, 4, 2, 3.0, seed=5)
-    single = ArrayBatchSource(small.features, small.labels)
-    streamed_model = stream_fit_base(single, ReducerSpec("pca"), batch_size=10_000).at_width(8)
+    streamed_model = stream_fit_base(small, ReducerSpec("pca"), batch_size=10_000).at_width(8)
     in_memory_model = fit_encoder(small, ReducerSpec("pca"), n_x=8)
     assert np.array_equal(streamed_model.importances.scores, in_memory_model.importances.scores)
     assert streamed_model.allocation.bits == in_memory_model.allocation.bits

@@ -41,6 +41,14 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    def batches(self, batch_size: int):
+        """(features, labels) row views of ``batch_size`` rows, the last one
+        short: an in-memory set is a batch source like a CSV or a spill."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for lo in range(0, self.n_samples, batch_size):
+            yield self.features[lo:lo + batch_size], self.labels[lo:lo + batch_size]
+
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -96,8 +96,9 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
     order, and take eigenvectors (descending eigenvalue) of
     (x^T x - count c c^T) / (count - 1): c is the mean for pca (the sample
     covariance) and 0 for lsa (uncentered right singular vectors, standard
-    truncated-SVD semantics). lsa on exactly one non-empty batch, as in every
-    in-memory fit, takes that batch's SVD instead.
+    truncated-SVD semantics). lsa holds its first non-empty batch and adds it
+    only when a second one arrives; on exactly one, as in every in-memory fit,
+    it takes that batch's SVD instead and builds no Gram.
     """
     count, n, whole = 0, None, None
     for batch in batches:
@@ -109,10 +110,13 @@ def fit_reducer(spec: ReducerSpec, batches) -> FittedReducer:
             continue
         if count == 0:
             total, gram = np.zeros(n), np.zeros((n, n))
-        whole = x if count == 0 and spec.scheme == "lsa" else None
+        if count == 0 and spec.scheme == "lsa":
+            whole = x  # held: it joins the Gram only if a second non-empty batch arrives
+        elif spec.scheme != "none":
+            for y in (x,) if whole is None else (whole, x):
+                total, gram = total + y.sum(axis=0), gram + y.T @ y
+            whole = None
         count += x.shape[0]
-        if spec.scheme != "none":
-            total, gram = total + x.sum(axis=0), gram + x.T @ x
     check_train_count(count)
 
     if spec.scheme == "none":

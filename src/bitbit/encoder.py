@@ -43,16 +43,6 @@ class Bitstring:
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "Bitstring":
-        return cls(width=len(bits), value=int(bits, 2) if bits else 0)
-
-    def to_bits(self) -> str:
-        return format(self.value, f"0{self.width}b") if self.width else ""
-
-    def to_hex(self) -> str:
-        return format(self.value, f"0{hex_digits(self.width)}x")
-
 
 def hex_digits(width: int) -> int:
     """Hex digits needed for a packed bitstring of the given width."""

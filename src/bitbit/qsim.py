@@ -11,9 +11,10 @@ Conventions, used everywhere in this module:
   ``_layer_plan`` and run by ``_run_layers``: the RYs are real Kronecker
   blocks applied to the float64 view of the states; the layer's RZs, which
   commute with the other qubits' RYs, are one length-2^n diagonal; the CNOT
-  ring is one row permutation. The training sweep takes the RYs of up to 4
-  qubits as one block; readouts keep one 2x2 product per RY, so each readout
-  column is independent of the batch width.
+  ring is one row permutation (``_ring``). Both are computed from the bits of
+  each row index, so no gate is simulated to find them. The training sweep
+  takes the RYs of up to 4 qubits as one block; readouts keep one 2x2
+  product per RY, so each readout column is independent of the batch width.
 - Every parameterized gate is a rotation exp(-i * theta * G / 2) with G^2 = I
   (RY or RZ), which makes the loss restricted to any single parameter an
   exact sinusoid a + b*cos(theta) + c*sin(theta); the coordinate update
@@ -47,47 +48,39 @@ _FLAT_SLICE = 1e-13
 _CHUNK_AMPLITUDES = 1 << 21
 
 
-# --- gate kernels (in place, batched over the trailing axis) ---
-
-
-def _apply_rz(states: np.ndarray, qubit: int, angle: float) -> None:
-    view = states.reshape(1 << qubit, 2, -1)
-    view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
-    view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
+# --- the layer plan: the ring permutation and each layer's gates ---
 
 
 def _layer_plan(theta, n_qubits: int, size: int = 4) -> list:
     """Every layer of theta as (its RYs as (first qubit, block) pairs, its RZs
     as one ring-permuted (2^n, 1) diagonal). Each block is the real Kronecker
-    product of the RYs on qubits first to first + size - 1 (or the last)."""
-    ring, plan = _ring(n_qubits), []
+    product of the RYs on qubits first to first + size - 1 (or the last). The
+    diagonal multiplies in each qubit's RZ phase, e^(+i t/2) where the qubit's
+    index bit is 1 and e^(-i t/2) where it is 0, in qubit order."""
+    ring, plan, index = _ring(n_qubits), [], np.arange(1 << n_qubits)
     for p in range(0, len(theta), 2 * n_qubits):
         rys = [np.array([[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]])
                for t in theta[p:p + 2 * n_qubits:2]]
-        diagonal = np.ones((1 << n_qubits, 1), dtype=np.complex128)
+        diagonal = np.ones(1 << n_qubits, dtype=np.complex128)
         for q, angle in enumerate(theta[p + 1:p + 2 * n_qubits:2]):
-            _apply_rz(diagonal, q, angle)
+            phase = complex(math.cos(angle / 2), math.sin(angle / 2))
+            diagonal *= np.where(index & (1 << (n_qubits - 1 - q)), phase, phase.conjugate())
         blocks = [(first, functools.reduce(np.kron, rys[first:first + size])) for first in range(0, n_qubits, size)]
-        plan.append((blocks, diagonal[ring]))
+        plan.append((blocks, diagonal[ring, None]))
     return plan
-
-
-def _apply_cnot(states: np.ndarray, n_qubits: int, control: int, target: int) -> None:
-    view = states.reshape((2,) * n_qubits + (-1,))
-    rest = [q for q in range(n_qubits + 1) if q not in (control, target)]
-    pair = view.transpose([control, target] + rest)[1]  # the control-1 half, by target bit
-    pair[[0, 1]] = pair[[1, 0]]
 
 
 @functools.cache
 def _ring(n_qubits: int) -> np.ndarray:
     """The CNOT ring (qubit i controls i+1 mod n, in order of i) as a row
-    permutation: it maps states to states[_ring(n)]. One qubit has no ring."""
-    rows = np.arange(1 << n_qubits)[:, None]
-    for i in range(n_qubits if n_qubits > 1 else 0):
-        _apply_cnot(rows, n_qubits, i, (i + 1) % n_qubits)
+    permutation: it maps states to states[_ring(n)]. Each CNOT XORs its
+    control bit into its target bit of a row index; the gate applied last
+    acts on the index first. One qubit has no ring."""
+    rows = np.arange(1 << n_qubits)
+    for i in reversed(range(n_qubits if n_qubits > 1 else 0)):
+        rows ^= (rows >> (n_qubits - 1 - i) & 1) << (n_qubits - 1 - (i + 1) % n_qubits)
     rows.setflags(write=False)
-    return rows[:, 0]
+    return rows
 
 
 @dataclass(frozen=True)

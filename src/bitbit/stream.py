@@ -73,22 +73,6 @@ class CsvBatchSource:
             yield from csv_batches(fh, header, label_idx, self.path, batch_size, self.label_mapping, self._strict)
 
 
-class ArrayBatchSource:
-    """Batched view over in-memory arrays (tests and small runs)."""
-
-    def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels must have equal length")
-
-    def batches(self, batch_size: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for lo in range(0, self.features.shape[0], batch_size):
-            yield self.features[lo:lo + batch_size], self.labels[lo:lo + batch_size]
-
-
 def stream_fit_base(train_source, spec: ReducerSpec, batch_size: int, reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
                     seed: int = 0, weighted_mi: bool = False) -> EncoderModel:
     """The two calls of ``fit_encoder`` over two passes of ``train_source``:

@@ -34,7 +34,7 @@ from tests.conftest import all_pure_1d_dataset, batch_records, table_entries
 
 
 def bs(bits):
-    return Bitstring.from_bits(bits)
+    return Bitstring(len(bits), int(bits, 2))
 
 
 def brute_majority(labels) -> int:

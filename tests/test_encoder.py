@@ -27,6 +27,7 @@ from bitbit.encoder import (
     fit_batches,
     fit_copula,
     fit_encoder,
+    hex_digits,
     load_model,
     pack_codes,
     packed_values,
@@ -59,16 +60,18 @@ class TestBitstring:
         assert hash(Bitstring(3, 5)) != hash(Bitstring(4, 5)) or Bitstring(3, 5) != Bitstring(4, 5)
 
     def test_bits_round_trip(self):
-        assert Bitstring.from_bits("101").to_bits() == "101"
-        assert Bitstring.from_bits("101").value == 5
+        # a code from its bit text with int(bits, 2), and back with format(value, "0{width}b")
+        bits = Bitstring(len("101"), int("101", 2))
+        assert bits.value == 5 and format(bits.value, f"0{bits.width}b") == "101"
 
     def test_hex_padding(self):
-        assert Bitstring(3, 5).to_hex() == "5"
-        assert Bitstring(9, 5).to_hex() == "005"
+        assert format(Bitstring(3, 5).value, f"0{hex_digits(3)}x") == "5"
+        assert format(Bitstring(9, 5).value, f"0{hex_digits(9)}x") == "005"
+        assert hex_digits(0) == 1
 
     def test_wide_values_supported(self):
         wide = Bitstring(130, (1 << 129) | 1)
-        assert wide.to_hex() == "2" + "0" * 31 + "1"
+        assert format(wide.value, f"0{hex_digits(wide.width)}x") == "2" + "0" * 31 + "1"
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
@@ -388,7 +391,7 @@ class TestEncodeSamples:
         col = [0.1, 0.2, 0.3]  # value 0.25 -> rank 2 -> u = 0.5
         model = manual_model([2, 1], [col, col])
         (bs,) = encode_samples(model, np.array([[0.25, 0.25]]))
-        assert bs.to_bits() == "101"
+        assert bs == Bitstring(3, 0b101)
 
     def test_train_sample_reencodes_identically(self):
         train = make_synthetic(60, 3, 2, 2.0, seed=3)

@@ -16,8 +16,6 @@ from bitbit.qsim import (
     QuantumModel,
     TrainingBatch,
     _class_probs_batch,
-    _apply_cnot,
-    _apply_rz,
     build_exact_classifier,
     classification_accuracies,
     evaluate_loss,
@@ -35,6 +33,23 @@ def _apply_ry(states, qubit, angle):
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     view = states.view(np.float64).reshape(1 << qubit, 2, -1)
     np.matmul(np.array([[c, -s], [s, c]]), view, out=view)
+
+
+def _apply_rz(states, qubit, angle):
+    """RZ on one qubit in place: the phase e^(-i angle/2) on its 0 half and
+    e^(+i angle/2) on its 1 half. The oracle for the layer plan's diagonal."""
+    view = states.reshape(1 << qubit, 2, -1)
+    view[:, 0] *= complex(math.cos(angle / 2), -math.sin(angle / 2))
+    view[:, 1] *= complex(math.cos(angle / 2), math.sin(angle / 2))
+
+
+def _apply_cnot(states, n_qubits, control, target):
+    """CNOT in place: swaps the target's halves of the control-1 half. The
+    oracle for the ring permutation."""
+    view = states.reshape((2,) * n_qubits + (-1,))
+    rest = [q for q in range(n_qubits + 1) if q not in (control, target)]
+    pair = view.transpose([control, target] + rest)[1]  # the control-1 half, by target bit
+    pair[[0, 1]] = pair[[1, 0]]
 
 
 class SingleRyOnClass:
@@ -85,12 +100,12 @@ class TestStatevector:
 
     def test_basis_state_ordering(self):
         model = RecordingModel(2, 1)
-        predict_many(model, np.array([Bitstring.from_bits("10").value]))
+        predict_many(model, np.array([int("10", 2)]))
         assert model.seen[0][2, 0] == 1.0 and np.count_nonzero(model.seen[0]) == 1
 
     def test_norm_is_one(self):
         model = RecordingModel(3, 1)
-        batch = TrainingBatch(3, [Bitstring.from_bits("101").value], [0], [1.0])
+        batch = TrainingBatch(3, [int("101", 2)], [0], [1.0])
         assert evaluate_loss(model, batch) == 0.0
         assert np.sum(np.abs(model.seen[0]) ** 2) == 1.0
 
@@ -98,7 +113,7 @@ class TestStatevector:
 class TestClassProbabilities:
     def test_basis_state_class_readout(self):
         states = np.zeros((8, 1), dtype=complex)
-        states[Bitstring.from_bits("011").value, 0] = 1.0  # class bits 01
+        states[int("011", 2), 0] = 1.0  # class bits 01
         assert _class_probs_batch(fresh_model(1, 2, 1), states).tolist() == [[0, 1, 0, 0]]
 
     def test_uniform_superposition(self):
@@ -660,6 +675,24 @@ class TestCachedSweep:
         last_rz = slice(model.theta.shape[0] - 2 * n_qubits + 1, None, 2)
         assert model.theta[last_rz].tobytes() == before[last_rz].tobytes()
         assert not np.array_equal(model.theta, before)
+
+
+class TestLayerPlan:
+    """The ring and the RZ diagonals that ``_layer_plan`` computes from index
+    bits, bit for bit against the gate kernels walked over index arrays."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ring_and_diagonals_match_gate_walk(self, rng, n):
+        rows = np.arange(1 << n)[:, None]
+        for i in range(n if n > 1 else 0):
+            _apply_cnot(rows, n, i, (i + 1) % n)
+        assert np.array_equal(qsim._ring(n), rows[:, 0])
+        theta = rng.uniform(-2 * math.pi, 2 * math.pi, 2 * n * 3)
+        for p, (_, diagonal) in zip(range(0, theta.shape[0], 2 * n), qsim._layer_plan(theta, n)):
+            want = np.ones((1 << n, 1), dtype=np.complex128)
+            for q in range(n):
+                _apply_rz(want, q, theta[p + 2 * q + 1])
+            assert diagonal.shape == want.shape and np.array_equal(diagonal, want[rows[:, 0]])
 
 
 class TestSuffixKernels:

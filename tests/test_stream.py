@@ -25,7 +25,6 @@ from bitbit.encoder import (
     write_packed,
 )
 from bitbit.stream import (
-    ArrayBatchSource,
     CsvBatchSource,
     Spill,
     _spill_codes,
@@ -36,18 +35,13 @@ from tests.conftest import count_converted_rows, iter_encoded, write_dataset_csv
 
 
 def bs(bits):
-    return Bitstring.from_bits(bits)
-
-
-def source(dataset):
-    return ArrayBatchSource(dataset.features, dataset.labels)
+    return Bitstring(len(bits), int(bits, 2))
 
 
 class TestSources:
     def test_array_source_batch_shapes(self):
         d = make_synthetic(25, 3, 2, 1.0, seed=0)
-        src = ArrayBatchSource(d.features, d.labels)
-        sizes = [x.shape[0] for x, _ in src.batches(10)]
+        sizes = [x.shape[0] for x, _ in d.batches(10)]
         assert sizes == [10, 10, 5]
 
     def test_csv_source_matches_array_source(self, tmp_path):
@@ -163,8 +157,9 @@ class TestRowSpill:
     def test_batch_size_checked(self, tmp_path):
         spill = Spill(tmp_path / "d.rows", np.float64, 4)
         spill.write(CsvBatchSource(write_spill_csv(tmp_path), "label").batches(8))
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            list(spill.batches(0))
+        for src in (spill, make_synthetic(4, 3, 2, 1.0, seed=0)):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                list(src.batches(0))
 
 
 class TestRankSpill:
@@ -320,7 +315,7 @@ class TestStreamFit:
     def test_single_batch_matches_in_memory_fit_exactly(self, tmp_path):
         d = make_synthetic(80, 4, 2, 3.0, seed=2)
         for scheme in ("none", "pca", "lsa"):
-            streamed = stream_fit_base(source(d), ReducerSpec(scheme), 200).at_width(6)
+            streamed = stream_fit_base(d, ReducerSpec(scheme), 200).at_width(6)
             in_memory = fit_encoder(d, ReducerSpec(scheme), 6)
             p1, p2 = tmp_path / "s.json", tmp_path / "m.json"
             persist_model(streamed, p1)
@@ -332,7 +327,7 @@ class TestStreamFit:
         for scheme, exact in (("none", True), ("pca", False), ("lsa", False)):
             models = []
             for batch_size in (50, 100):
-                models.append(stream_fit_base(source(d), ReducerSpec(scheme), batch_size)
+                models.append(stream_fit_base(d, ReducerSpec(scheme), batch_size)
                               .at_width(3 if scheme == "none" else 5))
             a, b = models
             assert np.abs(a.reducer.components - b.reducer.components).max() < 1e-6
@@ -346,14 +341,14 @@ class TestStreamFit:
                 assert np.abs(a.maxs - b.maxs).max() < 1e-6
 
     def test_empty_source_rejected(self):
-        src = ArrayBatchSource(np.empty((0, 3)), np.empty(0, dtype=int))
+        src = Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2)
         with pytest.raises(ValueError, match="at least 2 samples"):
             stream_fit_base(src, ReducerSpec("pca"), 10)
 
     def test_work_dir_artifacts_written(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=5)
-        base = stream_fit_base(source(d), ReducerSpec("pca"), 8)
-        curve = stream_sweep_curve(source(d), ArrayBatchSource(d.features[:10], d.labels[:10]), base, 2, 8,
+        base = stream_fit_base(d, ReducerSpec("pca"), 8)
+        curve = stream_sweep_curve(d, Dataset(d.features[:10], d.labels[:10], d.c), base, 2, 8,
                                    tmp_path / "work", 4, 3)
         assert (tmp_path / "work" / "model.json").exists()
         width, words, labels = read_packed(tmp_path / "work" / "train.enc")
@@ -371,10 +366,9 @@ class TestStreamEncode:
     def test_reencoding_is_byte_identical(self, tmp_path):
         d = make_synthetic(50, 3, 2, 2.0, seed=6)
         model = fit_encoder(d, ReducerSpec("pca"), 5)
-        src = ArrayBatchSource(d.features, d.labels)
         counts = []
         for name in ("a", "b"):
-            spill = self.rank_spill(tmp_path / f"{name}.ranks", model, src, 7)
+            spill = self.rank_spill(tmp_path / f"{name}.ranks", model, d, 7)
             codes = _spill_codes(spill, model.copula, model.allocation.bits, 7)
             counts.append(write_packed(tmp_path / f"{name}.enc", model.width, codes))
         assert counts == [50, 50]
@@ -384,7 +378,7 @@ class TestStreamEncode:
         d = make_synthetic(50, 3, 2, 2.0, seed=7)
         model = fit_encoder(d, ReducerSpec("none"), 4)
         path = tmp_path / "x.enc"
-        spill = self.rank_spill(tmp_path / "x.ranks", model, ArrayBatchSource(d.features, d.labels), 13)
+        spill = self.rank_spill(tmp_path / "x.ranks", model, d, 13)
         write_packed(path, model.width, _spill_codes(spill, model.copula, model.allocation.bits, 13))
         width, words, labels = read_packed(path)
         assert [Bitstring(width, v) for v in packed_values(words)] == encode_samples(model, d.features)
@@ -465,7 +459,7 @@ class TestFitPasses:
     @pytest.mark.parametrize("scheme,passes", [("none", 2), ("pca", 2), ("lsa", 2)])
     def test_pass_count(self, scheme, passes):
         d = make_synthetic(40, 3, 2, 2.0, seed=9)
-        src = CountingSource(ArrayBatchSource(d.features, d.labels))
+        src = CountingSource(d)
         model = stream_fit_base(src, ReducerSpec(scheme), 16)
         assert src.passes == passes
         assert model.reducer.n_features == 3
@@ -474,7 +468,7 @@ class TestFitPasses:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_samples(self, scheme, rows):
         d = make_synthetic(2, 3, 2, 2.0, seed=9)
-        src = ArrayBatchSource(d.features[:rows], d.labels[:rows])
+        src = Dataset(d.features[:rows], d.labels[:rows], d.c)
         with pytest.raises(ValueError, match=f"^train source must yield at least 2 samples, got {rows}$"):
             stream_fit_base(src, ReducerSpec(scheme), 16)
 
@@ -482,11 +476,11 @@ class TestFitPasses:
     def test_single_row_batches_rejected(self, scheme):
         d = make_synthetic(20, 3, 2, 2.0, seed=9)
         with pytest.raises(ValueError, match="^no batch held 2 or more samples; cannot score importances$"):
-            stream_fit_base(source(d), ReducerSpec(scheme), 1)
+            stream_fit_base(d, ReducerSpec(scheme), 1)
 
     def test_none_component_mismatch(self):
         d = make_synthetic(20, 3, 2, 2.0, seed=9)
-        src = CountingSource(source(d))
+        src = CountingSource(d)
         with pytest.raises(ValueError, match=r"requires n_components == n \(3\), got 2"):
             stream_fit_base(src, ReducerSpec("none", 2), 8)
         assert src.passes == 1  # rejected by the reducer fit, before the second pass
@@ -495,7 +489,7 @@ class TestFitPasses:
     def test_empty_reservoir_rejected(self, scheme):
         d = make_synthetic(20, 3, 2, 2.0, seed=9)
         with pytest.raises(ValueError, match="^reservoir_size must be >= 1$"):
-            stream_fit_base(source(d), ReducerSpec(scheme), 8, reservoir_size=0)
+            stream_fit_base(d, ReducerSpec(scheme), 8, reservoir_size=0)
 
 
 def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, work):
@@ -525,7 +519,7 @@ def oracle_sweep(base, train_source, test_source, c, batch_size, n_x_max, step, 
 def separable_split():
     d = make_synthetic(60, 3, 2, 2.0, seed=12)
     t = make_synthetic(20, 3, 2, 2.0, seed=13)
-    return ArrayBatchSource(d.features, d.labels), ArrayBatchSource(t.features, t.labels)
+    return d, t
 
 
 def conflicting_split():
@@ -537,7 +531,7 @@ def conflicting_split():
     y = np.concatenate([d.labels, (d.labels[:10] + 1) % 3])
     tx = np.vstack([d.features[50:70], d.features[:6]])
     ty = np.concatenate([d.labels[50:70], (d.labels[:6] + 2) % 3])
-    return ArrayBatchSource(x, y), ArrayBatchSource(tx, ty)
+    return Dataset(x, y, 3), Dataset(tx, ty, 3)
 
 
 class TestStreamSweep:
@@ -568,10 +562,10 @@ class TestStreamSweep:
 
     def test_empty_test_split(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=14)
-        empty = ArrayBatchSource(np.empty((0, 2)), np.empty(0, dtype=np.int64))
-        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
-        curve = stream_sweep_curve(source(d), empty, base, 2, 10, tmp_path / "new", 12, 5)
-        assert curve == oracle_sweep(base, source(d), empty, 2, 10, 12, 5, tmp_path / "old")
+        empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+        base = stream_fit_base(d, ReducerSpec("pca"), 10)
+        curve = stream_sweep_curve(d, empty, base, 2, 10, tmp_path / "new", 12, 5)
+        assert curve == oracle_sweep(base, d, empty, 2, 10, 12, 5, tmp_path / "old")
 
     def test_failure_at_test_source_leaves_no_spill(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=15)
@@ -579,29 +573,29 @@ class TestStreamSweep:
         path.write_text("f0,f1,label\n0.5,0.5,0\n0.1,0.2,7\n", encoding="utf-8")
         work = tmp_path / "work"
         test_source = CsvBatchSource(path, "label", label_mapping={"0": 0, "1": 1})
-        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+        base = stream_fit_base(d, ReducerSpec("pca"), 10)
         with pytest.raises(ValueError, match="line 3: label '7' was not seen in training"):
-            stream_sweep_curve(source(d), test_source, base, 2, 10, work, 12, 5)
+            stream_sweep_curve(d, test_source, base, 2, 10, work, 12, 5)
         assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("n_x_max,step,message", [(12, 0, "step must be >= 1"), (0, 5, "n_x_max must be >= 1")])
     def test_sweep_arguments_checked_before_the_rank_pass(self, tmp_path, monkeypatch, n_x_max, step, message):
         d = make_synthetic(30, 2, 2, 2.0, seed=16)
-        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+        base = stream_fit_base(d, ReducerSpec("pca"), 10)
 
         def never(*args):
             raise AssertionError("ranked before the sweep arguments were checked")
 
         monkeypatch.setattr(bitbit.stream, "copula_ranks", never)
         with pytest.raises(ValueError, match=message):
-            stream_sweep_curve(source(d), source(d), base, 2, 10, tmp_path / "work", n_x_max, step)
+            stream_sweep_curve(d, d, base, 2, 10, tmp_path / "work", n_x_max, step)
         assert list(tmp_path.iterdir()) == []
 
     def test_batch_size_checked_before_the_work_dir_is_made(self, tmp_path):
         d = make_synthetic(30, 2, 2, 2.0, seed=16)
-        base = stream_fit_base(source(d), ReducerSpec("pca"), 10)
+        base = stream_fit_base(d, ReducerSpec("pca"), 10)
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            stream_sweep_curve(source(d), source(d), base, 2, 0, tmp_path / "work", 12, 5)
+            stream_sweep_curve(d, d, base, 2, 0, tmp_path / "work", 12, 5)
         assert list(tmp_path.iterdir()) == []
 
 
